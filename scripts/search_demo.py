@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Search for the best method-1 extension of the stored ternary [19,6,9]
-code, exhaustively over its 3^13 dual vectors (about 12 s).
+code, exhaustively over its 3^13 dual vectors (about 4 s on a 2-core
+x86-64 host with numpy 2.4).
 
 The best reachable minimum distance is 9, giving a [20,7,9] LCD code.
 """

@@ -248,9 +248,16 @@ def cmd_corpus_check(args) -> int:
     return 1 if failures else 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (affinity and cpusets included, where the OS says)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lcdkit", description="LCD code construction and verification toolkit")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes for enumeration")
+    p.add_argument("--threads", type=int, default=_usable_cpus(), help="worker processes for enumeration")
     p.add_argument("--cap", type=int, default=None, help="enumeration work budget (codewords)")
     sub = p.add_subparsers(dest="command", required=True)
 

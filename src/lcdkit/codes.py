@@ -103,12 +103,16 @@ class HullInfo:
 
 
 def hull(C: LinearCode) -> HullInfo:
+    """C ∩ C^perp from the left kernel of the Gram matrix.
+
+    x Gram = 0 says that xG pairs to zero with every row of G, so the hull
+    is {xG : x Gram = 0}; this holds for the Hermitian flavor too, since
+    there Gram = G conj(G)^T.  G has full rank, so dim = dim ker(Gram).
+    """
     g = linalg.gram(C.generator, C.field)
-    dim = C.k - linalg.rank(g, C.field)
-    dual_basis = linalg.nullspace(C.generator, C.field)
-    basis = linalg.intersect_row_spaces(C.generator, dual_basis, C.field)
-    # rank(gram) and the row-space intersection must agree on the dimension
-    assert basis.shape[0] == dim, "hull dimension mismatch between Gram rank and intersection"
+    kernel = linalg.nullspace(g.T, FieldSpec(C.field.order))
+    dim = kernel.shape[0]
+    basis = linalg.row_space_basis(linalg.matmul(C.field, kernel, C.generator), C.field)
     pivots = tuple(int(np.nonzero(basis[i])[0][0]) for i in range(dim))
     return HullInfo(_frozen(basis), dim, pivots)
 

@@ -41,6 +41,7 @@ from .codes import (
     shorten,
     puncture,
 )
+from .enumeration import _add, _weigh
 from .gf import FieldSpec
 
 M1 = "m1"
@@ -76,7 +77,8 @@ def weight_condition(field: FieldSpec, method: str, weight: int) -> bool:
 
     Method 1 adds 1 to the self-pairing of the extension vector, method 2
     uses the self-pairing itself; self-pairings reduce to the weight mod
-    the characteristic-like modulus of each field.
+    the characteristic-like modulus of each field.  ``weight`` may also be
+    a numpy array of weights, tested elementwise.
     """
     if method == M1:
         if field.order == 3:
@@ -253,115 +255,27 @@ class SearchResult:
     target_met: bool | None
 
 
-def _pack_planes(field: FieldSpec, words: np.ndarray) -> list[np.ndarray]:
-    """Pack symbol rows (N x n, n <= 63) into per-plane uint64 arrays."""
-    n = words.shape[1]
-    assert n <= 63
-    if field.order == 2:
-        planes = [np.zeros(len(words), dtype=np.uint64)]
-    else:
-        planes = [np.zeros(len(words), dtype=np.uint64), np.zeros(len(words), dtype=np.uint64)]
-    for j in range(n):
-        col = words[:, j]
-        if field.order == 2:
-            planes[0] |= (col & 1).astype(np.uint64) << np.uint64(j)
-        elif field.order == 3:
-            planes[0] |= (col == 1).astype(np.uint64) << np.uint64(j)
-            planes[1] |= (col == 2).astype(np.uint64) << np.uint64(j)
-        else:
-            planes[0] |= (col & 1).astype(np.uint64) << np.uint64(j)
-            planes[1] |= ((col >> 1) & 1).astype(np.uint64) << np.uint64(j)
-    return planes
+# candidates scored per pass: small enough that a pass's temporaries stay in cache
+SCORE_CHUNK = 1 << 14
 
 
-def _planes_add_scalar(field: FieldSpec, planes: list[np.ndarray], word_planes: tuple[int, ...], mask: int):
-    """planes (vectorized) + one packed word, elementwise over the batch."""
-    if field.order == 2:
-        return [planes[0] ^ np.uint64(word_planes[0])]
-    if field.order == 4:
-        return [planes[0] ^ np.uint64(word_planes[0]), planes[1] ^ np.uint64(word_planes[1])]
-    a1, a2 = planes
-    b1, b2 = np.uint64(word_planes[0]), np.uint64(word_planes[1])
-    m = np.uint64(mask)
-    na = m & ~(a1 | a2)
-    nb = m & ~(b1 | b2)
-    return [(a1 & nb) | (b1 & na) | (a2 & b2), (a2 & nb) | (b2 & na) | (a1 & b1)]
+def _coset_min_weights(C: LinearCode, cand: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """min weight over the coset x + C for every packed candidate x.
 
-
-def _planes_weight(planes: list[np.ndarray]) -> np.ndarray:
-    acc = planes[0]
-    for p in planes[1:]:
-        acc = acc | p
-    return np.bitwise_count(acc)
-
-
-def _enumerate_codewords_sym(C: LinearCode, chunk: int = 65536):
-    """Yield all codewords as symbol arrays, in message order, chunked."""
-    q = C.field.order
-    k = C.k
-    total = q**k
-    add, mul = C.field.add_table, C.field.mul_table
-    radix = np.array([q**j for j in range(k)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = ((idx[:, None] // radix[None, :]) % q).astype(np.uint8)
-        acc = np.zeros((len(idx), C.n), dtype=np.uint8)
-        for col in range(k):
-            acc = add[acc, mul[msgs[:, col]][:, C.generator[col]]]
-        yield acc
-
-
-def _coset_min_weights(C: LinearCode, cand_sym: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """min weight over the coset x + C for every candidate row x.
-
-    Scans at most ``limit`` codewords of C (all of them when None); a
-    truncated scan yields upper bounds instead of exact minima.  The
-    elementwise work is candidates x codewords either way, so the numpy
-    vectorization runs over whichever side is larger.
+    Scans at most ``limit`` codewords of C (all of them when None), each
+    added to the whole candidate batch; a truncated scan yields upper
+    bounds instead of exact minima.
     """
-    field = C.field
-    total = field.order**C.k
+    q = C.field.order
+    total = q**C.k
     scan = total if limit is None else min(total, limit)
-    best = np.full(len(cand_sym), C.n + 1, dtype=np.int64)
-    if C.n > 63:
-        add = field.add_table
-        done = 0
-        for words in _enumerate_codewords_sym(C):
-            for row in words:
-                w = np.count_nonzero(add[cand_sym, row], axis=1)
-                np.minimum(best, w, out=best)
-                done += 1
-                if done >= scan:
-                    return best
-        return best
-    mask = (1 << C.n) - 1
-    if len(cand_sym) >= scan:
-        # vectorize over candidates, loop codewords
-        planes = _pack_planes(field, cand_sym)
-        done = 0
-        for words in _enumerate_codewords_sym(C):
-            for row in words:
-                wp = enumeration.pack_vector(field.order, row)
-                shifted = _planes_add_scalar(field, planes, wp, mask)
-                np.minimum(best, _planes_weight(shifted).astype(np.int64), out=best)
-                done += 1
-                if done >= scan:
-                    return best
-        return best
-    # vectorize over codewords, loop candidates
-    done = 0
-    for words in _enumerate_codewords_sym(C):
-        words = words[: scan - done]
-        done += len(words)
-        planes = _pack_planes(field, words)
-        for ci in range(len(cand_sym)):
-            wp = enumeration.pack_vector(field.order, cand_sym[ci])
-            shifted = _planes_add_scalar(field, planes, wp, mask)
-            w = int(_planes_weight(shifted).min())
-            if w < best[ci]:
-                best[ci] = w
-        if done >= scan:
-            break
+    best = np.full(cand.shape[-1], C.n + 1, dtype=np.uint16)
+    tables = enumeration.codeword_tables(C.field, C.generator)
+    for _, words in enumeration.codeword_blocks(q, tables, 0, scan):
+        for lo in range(0, cand.shape[-1], SCORE_CHUNK):
+            part, low = cand[..., lo : lo + SCORE_CHUNK], best[lo : lo + SCORE_CHUNK]
+            for j in range(words.shape[-1]):
+                np.minimum(low, _weigh(_add(q, part, words[..., j : j + 1])), out=low)
     return best
 
 
@@ -390,57 +304,33 @@ def search_extend(
     m = dgen.shape[0]
     total = q**m
     exhaustive = total <= budget
+    tables = enumeration.codeword_tables(C.field, dgen)
     if exhaustive:
-        cand_msgs = None  # all messages
-        n_cand = total
+        cand = np.concatenate([w for _, w in enumeration.codeword_blocks(q, tables, 0, total)], axis=-1)
     else:
         rng = random.Random(seed)
-        seen = []
-        seen_set = set()
-        for _ in range(budget):
-            msg = tuple(rng.randrange(q) for _ in range(m))
-            if msg not in seen_set:
-                seen_set.add(msg)
-                seen.append(msg)
-        cand_msgs = np.array(seen, dtype=np.uint8)
-        n_cand = len(seen)
-    if m == 0:
-        cand_sym = np.zeros((1, C.n), dtype=np.uint8)
-    elif exhaustive:
-        dual_code = LinearCode(C.field, dgen)
-        cand_sym = np.concatenate(list(_enumerate_codewords_sym(dual_code)), axis=0)
-    else:
-        add, mul = C.field.add_table, C.field.mul_table
-        acc = np.zeros((n_cand, C.n), dtype=np.uint8)
-        for col in range(m):
-            acc = add[acc, mul[cand_msgs[:, col]][:, dgen[col]]]
-        cand_sym = acc
-
-    weights = (cand_sym != 0).sum(axis=1)
-    if C.field.order == 3:
-        ok = (weights % 3) != (2 if method == M1 else 0)
-    else:
-        ok = (weights % 2) == (0 if method == M1 else 1)
-    cand_sym = cand_sym[ok]
-    if len(cand_sym) == 0:
+        draws = dict.fromkeys(tuple(rng.randrange(q) for _ in range(m)) for _ in range(budget))
+        msgs = np.array(list(draws), dtype=np.uint8).reshape(len(draws), m)
+        cand = enumeration.codewords_of(q, tables, msgs)
+    cand = np.compress(weight_condition(C.field, method, _weigh(cand)), cand, axis=-1)
+    if cand.shape[-1] == 0:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
 
     cap = enumeration.DEFAULT_CAPS[q] if cap is None else cap
     exact = q**C.k <= cap
     if exact:
         d_base = min_weight(C, cap=cap, threads=threads)
-        coset = _coset_min_weights(C, cand_sym)
+        coset = _coset_min_weights(C, cand)
     else:
         try:
             d_base = min_weight(C, cap=cap, threads=threads)
         except enumeration.BudgetExceeded as exc:
             d_base = exc.best_upper if exc.best_upper is not None else C.n
-        coset = _coset_min_weights(C, cand_sym, limit=cap)
+        coset = _coset_min_weights(C, cand, limit=cap)
     scores = np.minimum(d_base, coset + (1 if method == M1 else 0))
     best_score = int(scores.max())
-    winners = cand_sym[scores == best_score]
-    best_vec = min(map(tuple, winners.tolist()))
-    best = np.array(best_vec, dtype=np.uint8)
+    winners = enumeration.unpack_matrix(np.compress(scores == best_score, cand, axis=-1), C.n)
+    best = np.array(min(map(tuple, winners.tolist())), dtype=np.uint8)
     code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
     return SearchResult(
         vector=best,
@@ -448,7 +338,7 @@ def search_extend(
         min_weight=best_score,
         exact=exact,
         exhaustive=exhaustive,
-        candidates=int(len(cand_sym)),
+        candidates=int(cand.shape[-1]),
         target_met=None if target is None else bool(exact and best_score >= target),
     )
 

@@ -1,23 +1,29 @@
-"""Exhaustive and Brouwer-Zimmermann weight enumeration on packed vectors.
+"""Exhaustive and Brouwer-Zimmermann weight enumeration on packed bit planes.
 
-Vectors are packed into Python ints, one bit plane per GF(2)-coordinate
-of the symbol encoding: GF(2) uses a single plane, GF(3) uses planes
-(ones, twos), GF(4) uses the low/high bits of the element index (so
-addition is XOR on both planes).  One enumeration step costs a constant
-number of word operations regardless of length.
+A vector is packed into bit planes, one per bit of its symbols' element
+indices: GF(2) uses a single plane, GF(3) uses planes (ones, twos) with a
+bitsliced add, GF(4) uses the low/high index bits (so addition is XOR on
+both planes).  This is the bitsliced layout of Boothby and Bradshaw
+(arXiv:0901.1413).
 
-Binary enumeration walks the message space in Gray-code order (one row
-add per codeword); GF(3)/GF(4) use a mixed-radix odometer whose carries
-cost amortized q/(q-1) row adds per codeword.  The message space can be
-partitioned across worker processes; min/sum reductions make the result
-identical for every worker count.
+Exhaustive scans hold a batch of N vectors of length n as a numpy uint64
+array of shape (planes, ceil(n/64), N) and work on the whole batch at
+once.  The codewords of a generator come in message order (message
+index sum_j d_j q^j is the codeword sum_j d_j row_j) from a table of the
+codewords of the low rows, about 2^14 words, plus one word per value of
+the high digits: each block of a scan adds one high word to the table and
+weighs the sums with np.bitwise_count (numpy >= 2.0).  The message range can be split
+across worker processes; min/sum reductions make the result identical for
+every worker count.
+
+Brouwer-Zimmermann works on one codeword at a time, on the same planes
+held as Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-from math import comb
 
 import numpy as np
 
@@ -26,7 +32,15 @@ from .linalg import rref
 
 DEFAULT_CAPS = {2: 2**26, 3: 3**16, 4: 4**13}
 
-PARALLEL_THRESHOLD = 1 << 18
+# codewords from which a scan is split across workers.  Measured on 2 cores:
+# 2 workers lose below 2^24 codewords (a pool costs about 20 ms, GF(2) scans
+# about 2^29 codewords/s), break even near 2^25 and win on GF(3) 3^16 and
+# GF(4) 4^13 (0.41 -> 0.26 s, 0.13 -> 0.09 s).
+PARALLEL_THRESHOLD = 1 << 25
+
+# low rows per codeword table: tables of about 2^14 words keep a block's
+# temporaries near 128 KiB per plane, so they stay cheap to allocate and in cache
+TABLE_ROWS = {2: 14, 3: 9, 4: 7}
 
 
 class BudgetExceeded(Exception):
@@ -39,32 +53,115 @@ class BudgetExceeded(Exception):
         super().__init__(f"work budget exhausted after {steps} steps{extra}")
 
 
-# -- packing -------------------------------------------------------------
+# -- packed-plane kernel ---------------------------------------------------
 
 
-def pack_vector(order: int, vec) -> tuple[int, ...]:
-    """Pack a symbol sequence into bit planes (low plane first)."""
-    if order == 2:
-        p = 0
-        for j, v in enumerate(vec):
-            if v:
-                p |= 1 << j
-        return (p,)
-    if order == 3:
-        p1 = p2 = 0
-        for j, v in enumerate(vec):
-            if v == 1:
-                p1 |= 1 << j
-            elif v == 2:
-                p2 |= 1 << j
-        return (p1, p2)
-    lo = hi = 0
-    for j, v in enumerate(vec):
-        if v & 1:
-            lo |= 1 << j
-        if v & 2:
-            hi |= 1 << j
-    return (lo, hi)
+def pack_matrix(order: int, M: np.ndarray) -> np.ndarray:
+    """Pack the rows of a symbol matrix (N x n) into planes of shape (P, W, N)."""
+    M = np.asarray(M, dtype=np.uint8)
+    N, n = M.shape
+    if n >= 1 << 15:
+        raise ValueError(f"length {n} is too long for the uint16 weights of a packed batch")
+    P = 1 if order == 2 else 2
+    W = -(-n // 64)
+    bits = np.zeros((P, N, W * 64), dtype=np.uint8)
+    for p in range(P):
+        bits[p, :, :n] = (M >> p) & 1
+    words = np.packbits(bits.reshape(P, N, W, 64), axis=-1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(words[..., 0].transpose(0, 2, 1)).astype(np.uint64, copy=False)
+
+
+def unpack_matrix(planes: np.ndarray, n: int) -> np.ndarray:
+    """Symbol matrix (N x n) of packed planes; inverse of pack_matrix."""
+    rows = np.ascontiguousarray(planes.transpose(0, 2, 1)).astype("<u8", copy=False)
+    bits = np.unpackbits(rows.view(np.uint8), axis=-1, bitorder="little")[..., :n]
+    out = bits[0]
+    for p in range(1, len(bits)):
+        out = out | (bits[p] << p)
+    return out
+
+
+def _add(order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sum of two packed batches (a batch of one word broadcasts).
+
+    GF(3) uses a six-operation bitsliced add on (ones, twos) planes; it
+    maps zero padding to zero padding.
+    """
+    if order != 3:
+        return a ^ b
+    a1, a2 = a
+    b1, b2 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    np.bitwise_xor(a2 | b2, t, out=out[0])
+    np.bitwise_xor(a1 | b1, t, out=out[1])
+    return out
+
+
+def _weigh(batch: np.ndarray) -> np.ndarray:
+    """Hamming weight of every vector in a packed batch, as uint16."""
+    support = batch[0]
+    for plane in batch[1:]:
+        support = support | plane
+    return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
+
+
+def _pack_scaled(field: FieldSpec, G: np.ndarray) -> np.ndarray:
+    """Planes of every a * row_j, in one pack: column a * k + j."""
+    k, n = G.shape
+    return pack_matrix(field.order, field.mul_table[:, G].reshape(field.order * k, n))
+
+
+def codeword_tables(field: FieldSpec, G: np.ndarray) -> list[np.ndarray]:
+    """Packed codeword tables of G, one per block of TABLE_ROWS rows.
+
+    tables[c][..., i] is the codeword of the message whose digits on the
+    rows of block c spell i in base q (low digit first) and vanish
+    elsewhere, so every codeword is one word from each table, added.
+    """
+    q = field.order
+    k = G.shape[0]
+    scaled = _pack_scaled(field, G)
+    L = TABLE_ROWS[q]
+    tables = []
+    for lo in range(0, max(k, 1), L):
+        table = np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)
+        for j in range(lo, min(lo + L, k)):
+            rows = [scaled[..., a * k + j : a * k + j + 1] for a in range(1, q)]
+            table = np.concatenate([table] + [_add(q, table, row) for row in rows], axis=-1)
+        tables.append(table)
+    return tables
+
+
+def codewords_of(order: int, tables: list[np.ndarray], msgs: np.ndarray) -> np.ndarray:
+    """Packed codewords of message digit rows (N x k, digit j multiplies row j)."""
+    L = TABLE_ROWS[order]
+    out = None
+    for c, table in enumerate(tables):
+        digits = msgs[:, c * L : (c + 1) * L].astype(np.int64)
+        words = np.take(table, digits @ order ** np.arange(digits.shape[1], dtype=np.int64), axis=-1)
+        out = words if out is None else _add(order, out, words)
+    return out
+
+
+def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
+    """Yield (first message index, packed codewords) covering [start, stop) in message order."""
+    T = tables[0].shape[-1]
+    first, last = start // T, -(-stop // T)
+    rest = np.arange(first, last, dtype=np.int64)
+    highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
+    for table in tables[1:]:
+        rest, digit = np.divmod(rest, T)
+        highs = _add(order, highs, np.take(table, digit, axis=-1))
+    for h in range(first, last):
+        lo, hi = max(start - h * T, 0), min(stop - h * T, T)
+        yield h * T + lo, _add(order, tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
+
+
+def _plane_ints(planes: np.ndarray) -> list[tuple[int, ...]]:
+    """Every vector of a packed batch as a tuple of Python-int planes."""
+    rows = np.ascontiguousarray(planes.transpose(2, 0, 1)).astype("<u8", copy=False)
+    return [tuple(int.from_bytes(plane.tobytes(), "little") for plane in vec) for vec in rows]
 
 
 def packed_weight(planes: tuple[int, ...]) -> int:
@@ -86,158 +183,30 @@ def add_packed(order: int, a: tuple[int, ...], b: tuple[int, ...], mask: int) ->
     return ((a1 & nb) | (b1 & na) | (a2 & b2), (a2 & nb) | (b2 & na) | (a1 & b1))
 
 
-def scale_symbols(field: FieldSpec, row: np.ndarray, scalar: int) -> np.ndarray:
-    return field.mul_table[scalar, row]
-
-
 def pack_rows_scaled(field: FieldSpec, G: np.ndarray) -> list[list[tuple[int, ...]]]:
     """scaled[j][a] = packed planes of a * row_j, for every scalar a."""
-    q = field.order
-    return [[pack_vector(q, scale_symbols(field, G[j], a)) for a in range(q)] for j in range(G.shape[0])]
+    k = G.shape[0]
+    words = _plane_ints(_pack_scaled(field, G))
+    return [[words[a * k + j] for a in range(field.order)] for j in range(k)]
 
 
-# -- scan loops ----------------------------------------------------------
-#
-# Each loop handles message indices [start, start + count) of the global
-# enumeration order and returns (best nonzero weight seen, counts or None).
-
-
-def _scan_gf2(rows: list[int], n: int, start: int, count: int, want_dist: bool):
-    best = n + 1
-    counts = [0] * (n + 1) if want_dist else None
-    g = start ^ (start >> 1)
-    cw = 0
-    j = 0
-    while g:
-        if g & 1:
-            cw ^= rows[j]
-        g >>= 1
-        j += 1
-    if start == 0:
-        if want_dist:
-            counts[0] += 1
-    else:
-        w = cw.bit_count()
-        if w < best:
-            best = w
-        if want_dist:
-            counts[w] += 1
-    if want_dist:
-        for i in range(start + 1, start + count):
-            cw ^= rows[(i & -i).bit_length() - 1]
-            w = cw.bit_count()
-            counts[w] += 1
-            if w < best:
-                best = w
-    else:
-        for i in range(start + 1, start + count):
-            cw ^= rows[(i & -i).bit_length() - 1]
-            w = cw.bit_count()
-            if w < best:
-                best = w
-    return best, counts
-
-
-def _radix_digits(index: int, base: int, k: int) -> list[int]:
-    d = []
-    for _ in range(k):
-        d.append(index % base)
-        index //= base
-    return d
-
-
-def _scan_gf3(scaled, n: int, start: int, count: int, want_dist: bool):
-    mask = (1 << n) - 1
-    k = len(scaled)
-    digits = _radix_digits(start, 3, k)
-    c1 = c2 = 0
-    for j, dj in enumerate(digits):
-        for _ in range(dj):
-            b1, b2 = scaled[j][1]
-            na = mask & ~(c1 | c2)
-            nb = mask & ~(b1 | b2)
-            c1, c2 = (c1 & nb) | (b1 & na) | (c2 & b2), (c2 & nb) | (b2 & na) | (c1 & b1)
-    best = n + 1
-    counts = [0] * (n + 1) if want_dist else None
-    w = (c1 | c2).bit_count()
-    if start == 0:
-        if want_dist:
-            counts[0] += 1
-    else:
-        best = w
-        if want_dist:
-            counts[w] += 1
-    r1 = [s[1][0] for s in scaled]
-    r2 = [s[1][1] for s in scaled]
-    for _ in range(count - 1):
-        j = 0
-        while digits[j] == 2:
-            digits[j] = 0
-            b1, b2 = r1[j], r2[j]
-            na = mask & ~(c1 | c2)
-            nb = mask & ~(b1 | b2)
-            c1, c2 = (c1 & nb) | (b1 & na) | (c2 & b2), (c2 & nb) | (b2 & na) | (c1 & b1)
-            j += 1
-        digits[j] += 1
-        b1, b2 = r1[j], r2[j]
-        na = mask & ~(c1 | c2)
-        nb = mask & ~(b1 | b2)
-        c1, c2 = (c1 & nb) | (b1 & na) | (c2 & b2), (c2 & nb) | (b2 & na) | (c1 & b1)
-        w = (c1 | c2).bit_count()
-        if w < best:
-            best = w
-        if want_dist:
-            counts[w] += 1
-    return best, counts
-
-
-def _scan_gf4(scaled, n: int, start: int, count: int, want_dist: bool):
-    k = len(scaled)
-    digits = _radix_digits(start, 4, k)
-    lo = hi = 0
-    for j, dj in enumerate(digits):
-        slo, shi = scaled[j][dj]
-        lo ^= slo
-        hi ^= shi
-    # delta for a digit stepping m -> m+1 is row if m is even else w^2*row
-    dlo = [(s[1][0], s[3][0]) for s in scaled]
-    dhi = [(s[1][1], s[3][1]) for s in scaled]
-    best = n + 1
-    counts = [0] * (n + 1) if want_dist else None
-    w = (lo | hi).bit_count()
-    if start == 0:
-        if want_dist:
-            counts[0] += 1
-    else:
-        best = w
-        if want_dist:
-            counts[w] += 1
-    for _ in range(count - 1):
-        j = 0
-        while digits[j] == 3:
-            digits[j] = 0
-            lo ^= dlo[j][1]
-            hi ^= dhi[j][1]
-            j += 1
-        m = digits[j]
-        digits[j] = m + 1
-        lo ^= dlo[j][m & 1]
-        hi ^= dhi[j][m & 1]
-        w = (lo | hi).bit_count()
-        if w < best:
-            best = w
-        if want_dist:
-            counts[w] += 1
-    return best, counts
+# -- exhaustive scans --------------------------------------------------------
 
 
 def _scan_worker(args):
-    order, payload, n, start, count, want_dist = args
-    if order == 2:
-        return _scan_gf2(payload, n, start, count, want_dist)
-    if order == 3:
-        return _scan_gf3(payload, n, start, count, want_dist)
-    return _scan_gf4(payload, n, start, count, want_dist)
+    """Minimum nonzero-message weight and (optionally) weight counts over [start, stop)."""
+    order, tables, n, start, stop, want_dist = args
+    best = n + 1
+    counts = np.zeros(n + 1, dtype=np.int64) if want_dist else None
+    for first, block in codeword_blocks(order, tables, start, stop):
+        w = _weigh(block)
+        if want_dist:
+            counts += np.bincount(w, minlength=n + 1)
+        if first == 0:
+            w = w[1:]  # message 0 is the zero codeword
+        if w.size:
+            best = min(best, int(w.min()))
+    return best, counts
 
 
 def _partition(total: int, parts: int) -> list[tuple[int, int]]:
@@ -255,13 +224,12 @@ def _partition(total: int, parts: int) -> list[tuple[int, int]]:
 def _scan(field: FieldSpec, G: np.ndarray, total: int, want_dist: bool, threads: int):
     q = field.order
     n = G.shape[1]
-    if q == 2:
-        payload = [int(p[0]) for p in (pack_vector(2, row) for row in G)]
-    else:
-        payload = pack_rows_scaled(field, G)
+    tables = codeword_tables(field, G)
     if threads > 1 and total >= PARALLEL_THRESHOLD:
-        ranges = _partition(total, threads)
-        args = [(q, payload, n, s, c, want_dist) for s, c in ranges]
+        # split the range of high words, so each worker scans whole blocks
+        T = tables[0].shape[-1]
+        highs = _partition(-(-total // T), threads)
+        args = [(q, tables, n, s * T, min((s + c) * T, total), want_dist) for s, c in highs]
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(len(args)) as pool:
@@ -269,14 +237,9 @@ def _scan(field: FieldSpec, G: np.ndarray, total: int, want_dist: bool, threads:
         except (OSError, ValueError):
             parts = [_scan_worker(a) for a in args]
     else:
-        parts = [_scan_worker((q, payload, n, 0, total, want_dist))]
+        parts = [_scan_worker((q, tables, n, 0, total, want_dist))]
     best = min(p[0] for p in parts)
-    counts = None
-    if want_dist:
-        counts = [0] * (n + 1)
-        for _, c in parts:
-            for i, v in enumerate(c):
-                counts[i] += v
+    counts = sum(p[1] for p in parts).tolist() if want_dist else None
     return best, counts
 
 
@@ -299,13 +262,10 @@ def min_weight_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = Non
 
 
 def weight_distribution_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = None, threads: int = 1) -> list[int]:
-    k, n = G.shape
     cap = DEFAULT_CAPS[field.order] if cap is None else cap
-    total = field.order**k
+    total = field.order ** G.shape[0]
     if total > cap:
         raise BudgetExceeded(None, 0)
-    if k == 0:
-        return [1] + [0] * n
     _, counts = _scan(field, G, total, True, threads)
     return counts
 
@@ -369,8 +329,3 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
         if lower >= best:
             return best
     return best
-
-
-def bz_work_estimate(field: FieldSpec, k: int, n: int, w: int) -> int:
-    blocks = max(1, -(-n // k))
-    return blocks * sum(comb(k, i) * (field.order - 1) ** max(0, i - 1) for i in range(1, w + 1))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from lcdkit import linalg
 from lcdkit.codes import (
     BROUWER_ZIMMERMANN,
     BudgetExceeded,
@@ -25,7 +26,7 @@ from lcdkit.codes import (
     shorten,
     weight_distribution,
 )
-from lcdkit.gf import GF2, GF3, GF4H
+from lcdkit.gf import GF2, GF3, GF4, GF4H
 
 FIELDS = [GF2, GF3, GF4H]
 
@@ -96,7 +97,7 @@ def test_hull_self_orthogonal_row():
     assert not is_lcd(c)
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS + [GF4])
 def test_hull_matches_bruteforce_intersection(f):
     rng = random.Random(43)
     for _ in range(60):
@@ -109,6 +110,9 @@ def test_hull_matches_bruteforce_intersection(f):
         spanned = oracles.codeword_set(LinearCode(f, h.basis)) if h.dim else {(0,) * n}
         assert spanned == expected
         assert is_lcd(c) == (h.dim == 0)
+        # the Gram-kernel basis is the RREF basis of C ∩ C^perp (Zassenhaus)
+        zassenhaus = linalg.intersect_row_spaces(c.generator, linalg.nullspace(c.generator, f), f)
+        assert np.array_equal(h.basis, zassenhaus)
 
 
 def test_hull_dim_equals_dual_hull_dim():

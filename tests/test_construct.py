@@ -355,6 +355,57 @@ def test_search_beats_random_candidates():
                     assert min_weight(other) <= res.min_weight
 
 
+def brute_force_search(C, method, budget, seed):
+    """Best (score, vector) over the same candidates, scored by brute force."""
+    dgen = dual(C).generator
+    q, m = C.field.order, dgen.shape[0]
+    if q**m <= budget:
+        msgs = oracles.all_messages(q, m)
+    else:
+        rng = random.Random(seed)
+        msgs = list(dict.fromkeys(tuple(rng.randrange(q) for _ in range(m)) for _ in range(budget)))
+        msgs = np.array(msgs, dtype=np.uint8).reshape(len(msgs), m)
+    best = (-1, None)
+    for v in oracles.table_matmul(C.field, msgs, dgen):
+        if not weight_condition(C.field, method, int((v != 0).sum())):
+            continue
+        g = raw_extension_matrix(C, v, method)
+        words = oracles.table_matmul(C.field, oracles.all_messages(q, g.shape[0]), g)
+        w = (words != 0).sum(axis=1)
+        d = int(w[w > 0].min()) if (w > 0).any() else 0
+        if d > best[0] or (d == best[0] and tuple(v) < best[1]):
+            best = (d, tuple(int(x) for x in v))
+    return best
+
+
+@pytest.mark.parametrize(
+    "f,n,k,budget",
+    [(GF2, 10, 4, 10_000), (GF3, 8, 3, 10_000), (GF4H, 7, 3, 10_000), (GF2, 70, 4, 300), (GF3, 66, 3, 200), (GF4H, 65, 2, 200)],
+)
+def test_search_matches_brute_force(f, n, k, budget):
+    # score and lexicographic tie-break against brute force, exhaustive on
+    # short codes and sampled past the 64-bit word boundary
+    rng = random.Random(n * 31 + k)
+    c = oracles.random_lcd_code(f, n, k, rng)
+    for method in (M1, M2):
+        res = search_extend(c, method, budget=budget, seed=5)
+        assert res.exact and res.exhaustive == (f.order ** (n - k) <= budget)
+        assert (res.min_weight, tuple(res.vector.tolist())) == brute_force_search(c, method, budget, 5)
+        assert oracles.brute_min_weight(res.code) == res.min_weight
+
+
+def test_search_truncated_scan_is_an_upper_bound():
+    # q^k over the cap: the coset scan stops after cap codewords, so the
+    # score is flagged non-exact and can only overstate the distance
+    rng = random.Random(171)
+    for f, n, k, cap in [(GF2, 20, 11, 64), (GF3, 14, 7, 100), (GF4H, 12, 6, 300)]:
+        c = oracles.random_lcd_code(f, n, k, rng)
+        res = search_extend(c, M1, budget=2_000, seed=3, cap=cap)
+        assert not res.exact
+        assert res.target_met is None
+        assert res.min_weight >= oracles.brute_min_weight(res.code)
+
+
 def test_search_deterministic():
     rng = random.Random(157)
     c = oracles.random_lcd_code(GF3, 9, 3, rng)
