@@ -201,7 +201,8 @@ def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     dgen = dual(C).generator
     stacked = np.vstack([C.generator, dgen]) if dgen.size else C.generator
     coeffs = linalg.solve_rowspace(stacked, v, C.field)
-    assert coeffs is not None, "C + C^perp failed to span the ambient space"
+    if coeffs is None:
+        raise linalg.InvariantError("C + C^perp failed to span the ambient space")
     c = linalg.matmul(C.field, coeffs[: C.k].reshape(1, -1), C.generator)[0]
     h = C.field.add_table[v, C.field.neg_table[c]]
     return c, h
@@ -232,7 +233,8 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
             continue
         order = [i] + [j for j in range(Cp.n) if j != i]
         res = linalg.rref(Cp.generator, Cp.field, col_order=order)
-        assert res.pivots[0] == i
+        if res.pivots[0] != i:
+            raise linalg.InvariantError(f"coordinate {i} is not the first pivot of the generator")
         u = res.matrix[0]
         x_full = np.delete(u, i)
         _, x = project_split(x_full, S)

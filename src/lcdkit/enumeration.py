@@ -17,7 +17,8 @@ across worker processes; min/sum reductions make the result identical for
 every worker count.
 
 Brouwer-Zimmermann works on one codeword at a time, on the same planes
-held as Python ints.
+held as Python ints, packed and added by the helpers linalg's elimination
+uses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import multiprocessing
 import numpy as np
 
 from .gf import FieldSpec
-from .linalg import rref
+from .linalg import _add_packed as add_packed, _pack_rows, rref
 
 DEFAULT_CAPS = {2: 2**26, 3: 3**16, 4: 4**13}
 
@@ -158,12 +159,6 @@ def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int)
         yield h * T + lo, _add(order, tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
 
 
-def _plane_ints(planes: np.ndarray) -> list[tuple[int, ...]]:
-    """Every vector of a packed batch as a tuple of Python-int planes."""
-    rows = np.ascontiguousarray(planes.transpose(2, 0, 1)).astype("<u8", copy=False)
-    return [tuple(int.from_bytes(plane.tobytes(), "little") for plane in vec) for vec in rows]
-
-
 def packed_weight(planes: tuple[int, ...]) -> int:
     acc = 0
     for p in planes:
@@ -171,22 +166,10 @@ def packed_weight(planes: tuple[int, ...]) -> int:
     return acc.bit_count()
 
 
-def add_packed(order: int, a: tuple[int, ...], b: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    if order == 2:
-        return (a[0] ^ b[0],)
-    if order == 4:
-        return (a[0] ^ b[0], a[1] ^ b[1])
-    a1, a2 = a
-    b1, b2 = b
-    na = mask & ~(a1 | a2)
-    nb = mask & ~(b1 | b2)
-    return ((a1 & nb) | (b1 & na) | (a2 & b2), (a2 & nb) | (b2 & na) | (a1 & b1))
-
-
 def pack_rows_scaled(field: FieldSpec, G: np.ndarray) -> list[list[tuple[int, ...]]]:
     """scaled[j][a] = packed planes of a * row_j, for every scalar a."""
     k = G.shape[0]
-    words = _plane_ints(_pack_scaled(field, G))
+    words = _pack_rows(field.order, field.mul_table[:, G].reshape(field.order * k, G.shape[1]))
     return [[words[a * k + j] for a in range(field.order)] for j in range(k)]
 
 
@@ -307,7 +290,6 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
         raise ValueError("the zero code has no nonzero codewords")
     cap = DEFAULT_CAPS[field.order] if cap is None else cap
     q = field.order
-    mask = (1 << n) - 1
     chain = _information_set_chain(field, G)
     packed_chain = [(pack_rows_scaled(field, mat), deficit) for mat, deficit in chain]
     best = n + 1
@@ -318,7 +300,7 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
                 for scalars in itertools.product(range(1, q), repeat=w - 1):
                     cw = scaled[support[0]][1]
                     for idx, a in zip(support[1:], scalars):
-                        cw = add_packed(q, cw, scaled[idx][a], mask)
+                        cw = add_packed(q, cw, scaled[idx][a])
                     ww = packed_weight(cw)
                     if ww and ww < best:
                         best = ww

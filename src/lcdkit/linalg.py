@@ -1,9 +1,12 @@
-"""Dense matrix algebra over GF(2)/GF(3)/GF(4).
+"""Matrix algebra over GF(2)/GF(3)/GF(4).
 
-Matrices are 2-D numpy uint8 arrays of element indices.  Everything here
-is a pure function of its inputs; results with a canonical form (RREF)
-are unique for a given row space, which downstream code relies on for
-deterministic coordinate choices.
+Matrices at the API are 2-D numpy uint8 arrays of element indices, and
+every result is a fresh uint8 array.  Products are one whole-matrix numpy
+computation.  Elimination runs on packed rows, one Python int per bit
+plane in the layout of enumeration's kernel, so clearing a column is one
+whole-row operation.  Everything here is a pure function of its inputs;
+results with a canonical form (RREF) are unique for a given row space,
+which downstream code relies on for deterministic coordinate choices.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ class NotOrthonormalizable(LinalgError):
     """The symmetric form has an all-zero diagonal, so no congruence to I exists."""
 
 
+class InvariantError(RuntimeError):
+    """A result failed a check that holds for every valid input: a bug, not bad input."""
+
+
 def as_matrix(field: FieldSpec, rows) -> np.ndarray:
     m = np.array(rows, dtype=np.uint8)
     if m.ndim == 1:
@@ -38,14 +45,10 @@ def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain (unconjugated) matrix product over the field."""
     if a.shape[1] != b.shape[0]:
         raise LinalgError(f"shape mismatch {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    add, mul = field.add_table, field.mul_table
-    for i in range(a.shape[0]):
-        acc = np.zeros(b.shape[1], dtype=np.uint8)
-        for j in range(a.shape[1]):
-            acc = add[acc, mul[a[i, j], b[j]]]
-        out[i] = acc
-    return out
+    if field.order != 4:
+        return ((a.astype(np.int64) @ b.astype(np.int64)) % field.order).astype(np.uint8)
+    # GF(4) addition is XOR of element indices: gather every product, XOR-reduce the inner index
+    return np.bitwise_xor.reduce(field.mul_table[a[:, :, None], b[None]], axis=1, initial=0)
 
 
 @dataclass(frozen=True)
@@ -55,40 +58,136 @@ class RrefResult:
     rank: int
 
 
+# -- packed rows -------------------------------------------------------------
+#
+# Elimination holds each row as a tuple of Python-int bit planes, bit j for
+# column j, in enumeration's layout: GF(2) (bits,), GF(3) (ones, twos),
+# GF(4) (lo, hi) with lo/hi the coefficients of 1/w.  In both two-plane
+# layouts the element index at a column is the plane-0 bit plus twice the
+# plane-1 bit.  A whole matrix packs through one int per plane, row i at
+# bits i*cols .. (i+1)*cols - 1, so packing and unpacking cost a handful of
+# calls whatever the shape.
+
+# byte translations: element index -> ASCII digit of its plane-p bit, and back
+# from that digit to the plane's share (0 or 1 << p) of the element index
+_DIGITS = tuple(bytes(48 + ((v >> p) & 1) for v in range(256)) for p in range(2))
+_SHARES = tuple(bytes.maketrans(b"01", bytes([0, 1 << p])) for p in range(2))
+_INV = {q: tuple(FieldSpec(q).inv_table.tolist()) for q in (2, 3, 4)}
+_NEG = {q: tuple(FieldSpec(q).neg_table.tolist()) for q in (2, 3, 4)}
+
+
+def _pack_rows(order: int, M: np.ndarray) -> list[tuple[int, ...]]:
+    """Packed planes of every row of a uint8 matrix with at least one column."""
+    rows, cols = M.shape
+    text = M.tobytes()[::-1]  # last entry first: it is the top digit of int(text, 2)
+    mask = (1 << cols) - 1
+    starts = range(0, rows * cols, cols)
+    lo = int(text.translate(_DIGITS[0]), 2)
+    if order == 2:
+        return [(lo >> s & mask,) for s in starts]
+    hi = int(text.translate(_DIGITS[1]), 2)
+    return [(lo >> s & mask, hi >> s & mask) for s in starts]
+
+
+def _unpack_rows(packed: list[tuple[int, ...]], cols: int) -> np.ndarray:
+    """uint8 matrix of packed rows; the inverse of _pack_rows."""
+    rows = len(packed)
+    size = rows * cols
+    entries = 0  # one byte per entry, last entry in the top byte
+    for p in range(len(packed[0])):
+        whole = 0
+        for row in reversed(packed):
+            whole = whole << cols | row[p]
+        entries |= int.from_bytes(format(whole, f"0{size}b").encode().translate(_SHARES[p]), "big")
+    return np.frombuffer(bytearray(entries.to_bytes(size, "little")), dtype=np.uint8).reshape(rows, cols)
+
+
+def _add_packed(order: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Sum of two packed vectors; zero padding stays zero.
+
+    XOR on every plane for GF(2) and GF(4); the six-operation bitsliced
+    add on (ones, twos) planes for GF(3).
+    """
+    if order == 2:
+        return (a[0] ^ b[0],)
+    if order == 4:
+        return (a[0] ^ b[0], a[1] ^ b[1])
+    a1, a2 = a
+    b1, b2 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    return ((a2 | b2) ^ t, (a1 | b1) ^ t)
+
+
+def _scale_packed(order: int, a: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """s * a for a nonzero scalar s: at most a plane swap and one XOR."""
+    if s == 1:
+        return a
+    if order == 3:  # s = 2 = -1 swaps ones and twos
+        return (a[1], a[0])
+    lo, hi = a
+    return (hi, lo ^ hi) if s == 2 else (lo ^ hi, lo)  # times w, times w^2
+
+
 def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
     """Reduced row echelon form; canonical for a given row space.
 
     ``col_order`` optionally gives the column scan order used for pivot
-    selection (the matrix itself is not permuted); pivots are reported in
-    scan order.
+    selection (distinct columns; the matrix itself is not permuted);
+    pivots are reported in scan order.  The elimination runs on packed
+    rows: the next pivot column is the lowest set bit of the remaining
+    rows, clearing it from a row is one whole-row plane add, and scaling
+    the pivot to 1 is a plane swap.
     """
-    work = np.array(M, dtype=np.uint8)
-    rows, cols = work.shape
-    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
-    order = range(cols) if col_order is None else col_order
-    r = 0
-    pivots = []
-    for c in order:
-        pr = None
-        for i in range(r, rows):
-            if work[i, c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-        if work[r, c] != 1:
-            work[r] = mul[inv[work[r, c]], work[r]]
-        for i in range(rows):
-            if i != r and work[i, c]:
-                factor = work[i, c]
-                work[i] = add[work[i], mul[neg[factor], work[r]]]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    M = np.asarray(M, dtype=np.uint8)
+    rows, cols = M.shape
+    if rows == 0 or cols == 0:
+        return RrefResult(M.copy(), (), 0)
+    scan = cols
+    if col_order is not None:
+        # scan the permuted matrix left to right; unscanned columns go last
+        scan = len(col_order)
+        rest = sorted(set(range(cols)).difference(col_order))
+        if scan + len(rest) != cols:
+            raise LinalgError(f"col_order must list distinct columns of 0..{cols - 1}")
+        perm = list(col_order) + rest
+    q = field.order
+    inv, neg = _INV[q], _NEG[q]
+    # the entry at column c of a row w is (w[0] >> c & 1) | (w[-1] >> c & 1) << hi;
+    # a one-plane row reads its only plane twice
+    hi = 0 if q == 2 else 1
+    packed = _pack_rows(q, M if col_order is None else M[:, perm])
+    work = packed[:]
+    pivots: list[int] = []
+    for r in range(rows):
+        # rows r.. are zero left of the next pivot column
+        support = 0
+        for w in work[r:]:
+            support |= w[0] | w[-1]
+        support &= (1 << scan) - 1
+        if not support:
             break
-    return RrefResult(work, tuple(pivots), r)
+        c = (support & -support).bit_length() - 1
+        pr = r
+        while not (work[pr][0] | work[pr][-1]) >> c & 1:
+            pr += 1
+        w = work[pr]
+        row = _scale_packed(q, w, inv[(w[0] >> c & 1) | (w[-1] >> c & 1) << hi])
+        work[pr] = work[r]
+        work[r] = row
+        for i, w in enumerate(work):
+            a = (w[0] >> c & 1) | (w[-1] >> c & 1) << hi
+            if a and i != r:
+                work[i] = _add_packed(q, w, _scale_packed(q, row, neg[a]))
+        pivots.append(c)
+    if work == packed:  # M already is its own RREF
+        R = M.copy()
+    else:
+        R = _unpack_rows(work, cols)
+        if col_order is not None:
+            R = R[:, np.argsort(perm)]
+    if col_order is not None:
+        pivots = [perm[c] for c in pivots]
+    return RrefResult(R, tuple(pivots), len(pivots))
 
 
 def rank(M: np.ndarray, field: FieldSpec) -> int:
@@ -139,7 +238,7 @@ def conj_matrix(M: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 def pairing_matrix(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     """All pairings <row_i(A), row_j(B)> under the field's flavor."""
-    return matmul(field, A, conj_matrix(B, field).T)
+    return matmul(field, A, (B if field.flavor == EUCLIDEAN else conj_matrix(B, field)).T)
 
 
 def gram(G: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -158,19 +257,19 @@ def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     Hermitian flavor it equals the kernel of the entrywise-conjugated
     matrix, since M conj(y)^T = 0 iff conj(M) y^T = 0.
     """
-    rows, cols = M.shape
+    cols = M.shape[1]
     work = conj_matrix(M, field) if field.flavor != EUCLIDEAN else M
     res = rref(work, field)
     piv = list(res.pivots)
-    free = [j for j in range(cols) if j not in set(piv)]
+    pivset = set(piv)
+    free = [j for j in range(cols) if j not in pivset]
+    if not free:
+        return np.zeros((0, cols), dtype=np.uint8)
+    # one basis vector per free column j: 1 at j, -rref[:, j] on the pivot columns
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    neg = field.neg_table
-    for bi, j in enumerate(free):
-        basis[bi, j] = 1
-        for ri, c in enumerate(piv):
-            basis[bi, c] = neg[res.matrix[ri, j]]
-    # already ordered by free column; normalize to canonical RREF
-    return row_space_basis(basis, field) if len(free) else basis
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = field.neg_table[res.matrix[: res.rank, free]].T
+    return row_space_basis(basis, field)
 
 
 def solve_rowspace(A: np.ndarray, v: np.ndarray, field: FieldSpec):
@@ -262,5 +361,6 @@ def congruence_orthonormalize(M: np.ndarray) -> np.ndarray:
         pending = [(w + e) % 2 if pair(w, e) else w for w in pending]
         done.append(e)
     U = np.array(done, dtype=np.uint8)
-    assert np.array_equal(matmul(GF2, matmul(GF2, U, M), U.T), np.eye(k, dtype=np.uint8))
+    if not np.array_equal(matmul(GF2, matmul(GF2, U, M), U.T), np.eye(k, dtype=np.uint8)):
+        raise InvariantError("congruence_orthonormalize: U M U^T is not the identity")
     return U

@@ -28,6 +28,38 @@ def table_matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return acc
 
 
+def table_rref(M: np.ndarray, field: FieldSpec, col_order=None):
+    """Reduced row echelon form by table arithmetic on dense uint8 rows.
+
+    Returns (matrix, pivots, rank) with the same pivot rule and canonical
+    form that linalg.rref promises: pivots are taken in ``col_order`` (all
+    columns left to right by default), each scaled to 1, and cleared from
+    every other row.
+    """
+    work = np.array(M, dtype=np.uint8)
+    rows, cols = work.shape
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    order = range(cols) if col_order is None else col_order
+    r = 0
+    pivots = []
+    for c in order:
+        pr = next((i for i in range(r, rows) if work[i, c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            work[[r, pr]] = work[[pr, r]]
+        if work[r, c] != 1:
+            work[r] = mul[inv[work[r, c]], work[r]]
+        for i in range(rows):
+            if i != r and work[i, c]:
+                work[i] = add[work[i], mul[neg[work[i, c]], work[r]]]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work, tuple(pivots), r
+
+
 def codeword_array(C: LinearCode) -> np.ndarray:
     """All q^k codewords, one per row."""
     msgs = all_messages(C.field.order, C.k)

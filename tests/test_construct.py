@@ -294,6 +294,35 @@ def test_decompose_recovers_extension_at_front():
         assert np.array_equal(x, v)
 
 
+def test_project_split_span_failure_is_checked(monkeypatch):
+    # an explicit error rather than an assert, so it also runs under python -O
+    c = oracles.random_lcd_code(GF2, 6, 2, random.Random(3))
+    monkeypatch.setattr(linalg, "solve_rowspace", lambda A, v, field: None)
+    with pytest.raises(linalg.InvariantError):
+        project_split(np.zeros(6, dtype=np.uint8), c)
+
+
+def test_decompose_pivot_invariant_is_checked(monkeypatch):
+    rng = random.Random(139)
+    while True:
+        c = oracles.random_lcd_code(GF2, 8, 3, rng)
+        v = random_dual_vector(c, rng)
+        if int((v != 0).sum()) % 2 == 0:
+            break
+    ext = extend_m1(c, v)
+    real = linalg.rref
+
+    def first_pivot_moved(M, field, col_order=None):
+        res = real(M, field, col_order)
+        if col_order is None:
+            return res
+        return linalg.RrefResult(res.matrix, res.pivots[1:] + res.pivots[:1], res.rank)
+
+    monkeypatch.setattr(linalg, "rref", first_pivot_moved)
+    with pytest.raises(linalg.InvariantError):
+        decompose_m1(ext)
+
+
 def test_decompose_preconditions():
     with pytest.raises(ConstructError):
         decompose_m1(new_code(GF3, [[1, 0], [0, 1]]))

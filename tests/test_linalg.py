@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lcdkit import linalg
 from lcdkit.gf import GF2, GF3, GF4, GF4H
 from lcdkit.linalg import (
+    InvariantError,
     LinalgError,
     NotOrthonormalizable,
     congruence_orthonormalize,
@@ -241,3 +244,132 @@ def test_solve_rowspace():
             x = linalg.solve_rowspace(c.generator, v, f)
             assert x is not None
             assert np.array_equal(oracles.table_matmul(f, x.reshape(1, 3), c.generator)[0], v)
+
+
+def test_congruence_orthonormalize_postcondition_is_checked(monkeypatch):
+    # the U M U^T = I check is an explicit error, so it also runs under python -O
+    monkeypatch.setattr(linalg, "matmul", lambda f, a, b: np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8))
+    with pytest.raises(InvariantError):
+        congruence_orthonormalize(np.eye(2, dtype=np.uint8))
+
+
+# -- packed elimination and vectorised products against the table oracles ------
+
+# widths around the 64-bit word boundary as well as tiny ones
+WIDTHS = [0, 1, 2, 3, 5, 8, 12, 63, 64, 65, 130]
+
+
+@st.composite
+def field_matrices(draw, max_rows=9):
+    """(field, matrix): random, sparse or rank-deficient, 0..max_rows rows."""
+    f = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.sampled_from(WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "sparse", "dependent"]))
+    m = rng.integers(0, f.order, (rows, cols), dtype=np.uint8)
+    if kind == "sparse":
+        m[rng.random(m.shape) < 0.8] = 0
+    elif kind == "dependent" and rows:
+        base = rng.integers(0, f.order, (rng.integers(0, rows + 1), cols), dtype=np.uint8)
+        coeffs = rng.integers(0, f.order, (rows, base.shape[0]), dtype=np.uint8)
+        m = oracles.table_matmul(f, coeffs, base)
+    return f, m
+
+
+@st.composite
+def scan_orders(draw, cols):
+    """None, a permutation, a partial order, or Brouwer-Zimmermann's remaining + used."""
+    kind = draw(st.sampled_from(["natural", "permutation", "partial", "bz"]))
+    if kind == "natural":
+        return None
+    perm = draw(st.permutations(range(cols)))
+    if kind == "partial":
+        return perm[: draw(st.integers(0, cols))]
+    if kind == "bz":
+        used = sorted(perm[: draw(st.integers(0, cols))])
+        return sorted(set(range(cols)) - set(used)) + used
+    return perm
+
+
+def check_rref_against_oracle(f, m, order):
+    before = m.copy()
+    res = rref(m, f, col_order=order)
+    want, pivots, r = oracles.table_rref(m, f, col_order=order)
+    assert res.matrix.dtype == np.uint8
+    assert np.array_equal(res.matrix, want)
+    assert res.pivots == pivots and res.rank == r
+    assert np.array_equal(m, before)
+    assert not np.shares_memory(res.matrix, m)
+    if order is None:
+        assert rank(m, f) == r
+
+
+def check_nullspace_against_oracle(f, m):
+    before = m.copy()
+    ns = nullspace(m, f)
+    assert np.array_equal(m, before)
+    cols = m.shape[1]
+    assert ns.dtype == np.uint8
+    assert ns.shape == (cols - oracles.table_rref(m, f)[2], cols)
+    # every basis vector lies in the kernel, the rows are independent and the
+    # basis is the canonical RREF one
+    assert not oracles.table_matmul(f, m, f.conj_table[ns].T).any()
+    want, _, r = oracles.table_rref(ns, f)
+    assert r == ns.shape[0] and np.array_equal(ns, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices(), st.data())
+def test_rref_matches_table_oracle(fm, data):
+    f, m = fm
+    check_rref_against_oracle(f, m, data.draw(scan_orders(m.shape[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_nullspace_matches_table_oracle(fm):
+    check_nullspace_against_oracle(*fm)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("rows,cols", [(0, 5), (4, 0), (0, 0), (1, 1), (7, 3), (5, 63), (5, 64), (5, 65), (9, 130)])
+def test_elimination_edge_shapes_match_table_oracle(f, rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    full = oracles.random_matrix(f, rows, cols, rng).reshape(rows, cols)
+    deficient = full.copy()
+    if rows > 1:
+        deficient[-1] = deficient[0]
+        deficient[1:2, : cols // 2] = 0
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    used = sorted(perm[: cols // 3])
+    bz = sorted(set(range(cols)) - set(used)) + used
+    for m in (full, deficient):
+        for order in (None, perm, bz, perm[: cols // 2]):
+            check_rref_against_oracle(f, m, order)
+        check_nullspace_against_oracle(f, m)
+        b = oracles.random_matrix(f, cols, 3, rng).reshape(cols, 3)
+        got = matmul(f, m, b)
+        assert got.dtype == np.uint8 and np.array_equal(got, oracles.table_matmul(f, m, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from([0, 1, 3, 9]), st.sampled_from(WIDTHS), st.sampled_from([0, 1, 4, 65]),
+       st.integers(0, 2**32 - 1))
+def test_matmul_matches_table_oracle(f, rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, f.order, (rows, inner), dtype=np.uint8)
+    b = rng.integers(0, f.order, (inner, cols), dtype=np.uint8)
+    a0, b0 = a.copy(), b.copy()
+    got = matmul(f, a, b)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, oracles.table_matmul(f, a, b))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def test_rref_rejects_repeated_scan_columns():
+    with pytest.raises(LinalgError):
+        rref(np.eye(3, dtype=np.uint8), GF2, col_order=[0, 0, 1])
+    with pytest.raises(LinalgError):
+        rref(np.eye(3, dtype=np.uint8), GF2, col_order=[3])
