@@ -66,6 +66,26 @@ def codeword_array(C: LinearCode) -> np.ndarray:
     return table_matmul(C.field, msgs, C.generator)
 
 
+def message_order_codewords(C: LinearCode) -> np.ndarray:
+    """All q^k codewords in message order: row sum_j d_j q^j is sum_j d_j row_j."""
+    msgs = all_messages(C.field.order, C.k)[:, ::-1]
+    return table_matmul(C.field, msgs, C.generator)
+
+
+def coset_min_weights(C: LinearCode, cands: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Minimum weight of x + c for every candidate row x, over the first
+    ``limit`` codewords c of C in message order (all of them when None).
+
+    A limited scan gives upper bounds on the coset minima; when nothing is
+    scanned every entry is n + 1.
+    """
+    add = C.field.add_table
+    best = np.full(len(cands), C.n + 1, dtype=np.int64)
+    for c in message_order_codewords(C)[:limit]:
+        np.minimum(best, (add[cands, c] != 0).sum(axis=1), out=best)
+    return best
+
+
 def codeword_set(C: LinearCode) -> set[tuple[int, ...]]:
     return set(map(tuple, codeword_array(C).tolist()))
 

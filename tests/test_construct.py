@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from lcdkit import linalg
+from lcdkit import construct, linalg
 from lcdkit.codes import EmptyCode, LinearCode, dual, hull, is_lcd, min_weight, new_code, shorten
 from lcdkit.construct import (
     M1,
@@ -24,11 +30,12 @@ from lcdkit.construct import (
     parse_record,
     project_split,
     puncture_to_lcd,
+    _draw_messages,
     search_extend,
     shorten_to_lcd,
     weight_condition,
 )
-from lcdkit.gf import GF2, GF3, GF4H
+from lcdkit.gf import GF2, GF3, GF4, GF4H
 
 FIELDS = [GF2, GF3, GF4H]
 
@@ -503,3 +510,212 @@ def test_extension_vector_validation():
     assert ev.weight == 3 and ev.method == M2
     with pytest.raises(ConstructError):
         extend_m1(c, ev)  # method mismatch
+
+
+# -- the pruned, projective search against the symbol-domain reference scorer
+
+
+def reference_search(C, method, budget, seed, cap):
+    """(score, vector, candidates, d_base) of the extension search, scoring
+    every candidate against every scanned codeword with the oracles."""
+    q = C.field.order
+    dgen = dual(C).generator
+    m = dgen.shape[0]
+    if q**m <= budget:
+        msgs = oracles.all_messages(q, m)
+    else:
+        rng = random.Random(seed)
+        msgs = list(dict.fromkeys(tuple(rng.randrange(q) for _ in range(m)) for _ in range(budget)))
+        msgs = np.array(msgs, dtype=np.uint8).reshape(len(msgs), m)
+    cands = oracles.table_matmul(C.field, msgs, dgen)
+    cands = cands[[weight_condition(C.field, method, int(w)) for w in (cands != 0).sum(axis=1)]]
+    scan = min(q**C.k, cap)
+    weights = (oracles.message_order_codewords(C) != 0).sum(axis=1)
+    d_base = int(weights[1 : max(scan, 2)].min())  # what min_weight reports, or its BudgetExceeded bound
+    if not len(cands):
+        return None, None, 0, d_base
+    scores = np.minimum(d_base, oracles.coset_min_weights(C, cands, scan) + (method == M1))
+    best = int(scores.max())
+    return best, min(map(tuple, cands[scores == best].tolist())), len(cands), d_base
+
+
+def check_against_reference(C, method, budget, seed, cap):
+    want = reference_search(C, method, budget, seed, cap)
+    if not want[2]:
+        with pytest.raises(NoCandidate):
+            search_extend(C, method, budget=budget, seed=seed, cap=cap)
+        return want
+    res = search_extend(C, method, budget=budget, seed=seed, cap=cap)
+    assert (res.min_weight, tuple(res.vector.tolist()), res.candidates) == want[:3]
+    assert res.exact == (C.field.order**C.k <= cap)
+    assert res.exhaustive == (C.field.order ** (C.n - C.k) <= budget)
+    return want
+
+
+MAX_N = {2: 10, 3: 8, 4: 6}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.sampled_from([M1, M2]),
+    st.sampled_from(["exhaustive", "sampled"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_search_matches_reference_scorer(f, method, mode, truncated, seed, data):
+    # exhaustive, sampled and truncated (cap < q^k) scans, both methods
+    q = f.order
+    n = data.draw(st.integers(3, MAX_N[q]))
+    k = data.draw(st.integers(1, n - 1))
+    C = oracles.random_lcd_code(f, n, k, random.Random(seed))
+    budget = 10**9 if mode == "exhaustive" else data.draw(st.integers(1, q ** (n - k) - 1))
+    cap = data.draw(st.integers(0, q**k - 1)) if truncated else 10**9
+    check_against_reference(C, method, budget, seed % 1000, cap)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_truncated_exhaustive_search_scores_every_multiple(f):
+    # the first cap codewords are not closed under scaling, so a truncated
+    # scan must score x, 2x, ... separately even when the search is exhaustive
+    rng = random.Random(199)
+    for _ in range(40):
+        C = oracles.random_lcd_code(f, rng.randrange(5, 8), 2, rng)
+        for method in (M1, M2):
+            check_against_reference(C, method, 10**9, 0, rng.randrange(1, f.order**2))
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_search_below_base_distance(f):
+    # best scores one and two below d(C): every candidate drops at the
+    # higher levels, and the scan restarts at the highest upper bound a
+    # dropped candidate kept; common on bases of dimension 1 and 2
+    rng = random.Random(197)
+    depths = {M1: set(), M2: set()}
+    while not (1 in depths[M1] and {1, 2} <= depths[M2]):
+        n = rng.randrange(4, 8)
+        C = oracles.random_lcd_code(f, n, rng.randrange(1, 3), rng)
+        for method in (M1, M2):
+            best, _, count, d_base = check_against_reference(C, method, 10**9, 0, 10**9)
+            if count:
+                depths[method].add(d_base - best)
+            # sampled and truncated scans of the same code
+            check_against_reference(C, method, f.order ** (n - C.k) // 2, 3, max(1, f.order**C.k // 3))
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_search_on_distance_one_base(f):
+    # d(C) = 1 caps every score at 1: method 1 picks the zero vector, method 2
+    # (which excludes it) the smallest candidate
+    C = new_code(f, np.eye(2, 5, dtype=np.uint8))
+    assert is_lcd(C) and oracles.brute_min_weight(C) == 1
+    assert check_against_reference(C, M1, 10**6, 0, 10**9)[:2] == (1, (0,) * 5)
+    assert check_against_reference(C, M2, 10**6, 0, 10**9)[0] == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 13, 70])
+def test_draw_messages_matches_randrange(q, m):
+    # the bulk draw must give the digit stream of randrange(q), one call per digit
+    for seed in (0, 1, 12345, 2**40 + 7):
+        for count in (0, 1, 7, 300):
+            rng = random.Random(seed)
+            want = [[rng.randrange(q) for _ in range(m)] for _ in range(count)]
+            got = _draw_messages(q, m, count, seed)
+            assert got.dtype == np.uint8 and got.shape == (count, m)
+            assert got.tolist() == want
+
+
+def test_euclidean_gf4_extension_is_refused():
+    C = new_code(GF4, [[0, 2, 2, 3, 2]])
+    assert is_lcd(C)
+    # x.x = (sum of x)^2 over Euclidean GF(4): an odd-weight dual vector whose
+    # symbols sum to 0 passes the method-2 weight test and breaks LCD-ness
+    y = np.array([0, 1, 2, 0, 3], dtype=np.uint8)
+    assert not linalg.pairing_matrix(C.generator, y.reshape(1, -1), GF4).any()
+    assert not is_lcd(LinearCode(GF4, raw_extension_matrix(C, y, M2)))
+    for method in (M1, M2):
+        with pytest.raises(ConstructError):
+            weight_condition(GF4, method, 3)
+        with pytest.raises(ConstructError):
+            extension_vector(C, y, method)
+        with pytest.raises(ConstructError):
+            search_extend(C, method, budget=10**6)
+    with pytest.raises(ConstructError):
+        extend_m1(C, y)
+    with pytest.raises(ConstructError):
+        extend_m2(C, y)
+
+
+def test_shorten_to_lcd_postcondition_is_checked(monkeypatch):
+    c = new_code(GF2, [[1, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(construct, "is_lcd", lambda C: False)
+    with pytest.raises(linalg.InvariantError):
+        shorten_to_lcd(c)
+
+
+def test_puncture_to_lcd_postcondition_is_checked(monkeypatch):
+    rng = random.Random(103)
+    while True:
+        c = oracles.random_code(GF2, 8, 3, rng)
+        if 1 <= hull(c).dim < oracles.brute_min_weight(c):
+            break
+    monkeypatch.setattr(construct, "puncture", lambda C, T: C)
+    with pytest.raises(linalg.InvariantError):
+        puncture_to_lcd(c)
+
+
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extension_postcondition_is_checked(monkeypatch, method):
+    # dual vectors that fail the weight test give non-LCD extensions once
+    # the test is forced to pass
+    c = new_code(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    bad = np.array([0, 0, 1, 0] if method == M1 else [0, 0, 1, 1], dtype=np.uint8)
+    monkeypatch.setattr(construct, "weight_condition", lambda field, method, weight: True)
+    with pytest.raises(linalg.InvariantError):
+        (extend_m1 if method == M1 else extend_m2)(c, bad)
+
+
+def test_decompose_even_weight_invariant_is_checked(monkeypatch):
+    rng = random.Random(139)
+    while True:
+        c = oracles.random_lcd_code(GF2, 8, 3, rng)
+        v = random_dual_vector(c, rng)
+        if int((v != 0).sum()) % 2 == 0:
+            break
+    ext = extend_m1(c, v)
+    odd = np.zeros(8, dtype=np.uint8)
+    odd[0] = 1
+    monkeypatch.setattr(construct, "project_split", lambda v, S: (v, odd))
+    with pytest.raises(linalg.InvariantError):
+        decompose_m1(ext)
+
+
+OPTIMISED_CHECKS = """
+import numpy as np
+from lcdkit import construct, linalg
+from lcdkit.codes import new_code
+from lcdkit.gf import GF2, GF4
+
+try:
+    construct.search_extend(new_code(GF4, [[0, 2, 2, 3, 2]]), construct.M2)
+    print("gf4 searched")
+except construct.ConstructError:
+    print("gf4 refused")
+construct.weight_condition = lambda field, method, weight: True
+try:
+    construct.extend_m1(new_code(GF2, [[1, 0, 1], [0, 1, 1]]), np.ones(3, dtype=np.uint8))
+    print("bad extension returned")
+except linalg.InvariantError:
+    print("invariant raised")
+print("debug", __debug__)
+"""
+
+
+def test_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMISED_CHECKS], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == ["gf4 refused", "invariant raised", "debug False"]
