@@ -47,8 +47,7 @@ def family(n: int, k: int, d: int, s: int) -> EaqeccParams:
     _check(n, k, d)
     if s < 0:
         raise ParamError(f"s must be nonnegative, got {s}")
-    step, rem = divmod(4**k - 1, 3)
-    assert rem == 0, "4^k - 1 is always divisible by 3"
+    step = (4**k - 1) // 3  # exact: 4 = 1 mod 3
     nn = n + step * s
     dd = d + 4 ** (k - 1) * s
     return EaqeccParams(nn, k, dd, nn - k)

@@ -16,20 +16,22 @@ weighs the sums with np.bitwise_count (numpy >= 2.0).  The message range can be 
 across worker processes; min/sum reductions make the result identical for
 every worker count.
 
-Brouwer-Zimmermann works on one codeword at a time, on the same planes
-held as Python ints, packed and added by the helpers linalg's elimination
-uses.
+Brouwer-Zimmermann runs on the same kernel.  A level's codewords (w
+rows of a systematic generator, the first scaled by 1) come in batches of
+at most BZ_CHUNK: their index rows are generated a range of supports at a
+time, each batch gathers its scaled rows from one pack with np.take, adds
+them and is weighed once.  A level's C(k, w) supports are never held whole.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
+from math import comb
 
 import numpy as np
 
 from .gf import FieldSpec
-from .linalg import _add_packed as add_packed, _pack_rows, rref
+from .linalg import rref
 
 DEFAULT_CAPS = {2: 2**26, 3: 3**16, 4: 4**13}
 
@@ -42,6 +44,10 @@ PARALLEL_THRESHOLD = 1 << 25
 # low rows per codeword table: tables of about 2^14 words keep a block's
 # temporaries near 128 KiB per plane, so they stay cheap to allocate and in cache
 TABLE_ROWS = {2: 14, 3: 9, 4: 7}
+
+# codewords per Brouwer-Zimmermann batch, like construct.SCORE_CHUNK: a
+# batch's index rows and planes stay small, whatever C(k, w) is
+BZ_CHUNK = 1 << 14
 
 
 class BudgetExceeded(Exception):
@@ -160,17 +166,11 @@ def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int)
 
 
 def packed_weight(planes: tuple[int, ...]) -> int:
+    """Hamming weight of one vector held as Python-int planes (linalg's packed rows)."""
     acc = 0
     for p in planes:
         acc |= p
     return acc.bit_count()
-
-
-def pack_rows_scaled(field: FieldSpec, G: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """scaled[j][a] = packed planes of a * row_j, for every scalar a."""
-    k = G.shape[0]
-    words = _pack_rows(field.order, field.mul_table[:, G].reshape(field.order * k, G.shape[1]))
-    return [[words[a * k + j] for a in range(field.order)] for j in range(k)]
 
 
 # -- exhaustive scans --------------------------------------------------------
@@ -278,36 +278,115 @@ def _information_set_chain(field: FieldSpec, G: np.ndarray):
     return chain
 
 
+def _combinations(m: int, r: int) -> np.ndarray:
+    """itertools.combinations(range(m), r) as an index array of shape (r, C(m, r)).
+
+    Built from the last position back: the j-subsets starting at c are c
+    followed by the (j-1)-subsets of range(c + 1, m), which are a suffix
+    of the (j-1)-subsets of any larger range in lex order.
+    """
+    table = np.zeros((0, 1), dtype=np.intp)  # the 0-subsets
+    for j in range(1, r + 1):
+        # table holds the (j-1)-subsets of range(r - j + 1, m)
+        firsts = np.arange(r - j, m - j + 1)
+        sizes = np.array([comb(m - c - 1, j - 1) for c in firsts.tolist()], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1]) + np.repeat(table.shape[1] - ends, sizes)
+        table = np.vstack([np.repeat(firsts, sizes), table[:, rows]])
+    return table
+
+
+def _support_blocks(k: int, w: int, limit: int):
+    """Yield index arrays (w, N) of at most ``limit`` w-subsets of range(k)
+    each, together itertools.combinations(range(k), w) in order.
+
+    The subsets that share a prefix are filled in at once when they fit;
+    a larger range splits on its next index.  The r-subsets of range(s, k)
+    end with those of range(s', k) for every s' > s, so one generated
+    table of tails serves the prefixes after it.  Consecutive small ranges
+    share a block.  Every block is a view of one buffer, so it is
+    overwritten when the next block is asked for.
+    """
+    out = np.empty((w, min(limit, comb(k, w))), dtype=np.intp)
+    tails = np.zeros((0, 0), dtype=np.intp)  # the last table of tails generated
+    stack = [((), 0)]  # (prefix, first index the rest may use)
+    held = 0
+    while stack:
+        prefix, start = stack.pop()
+        r = w - len(prefix)
+        count = comb(k - start, r)
+        if count > limit:
+            stack.extend(((*prefix, c), c + 1) for c in reversed(range(start, k - r + 1)))
+            continue
+        if held + count > limit:
+            yield out[:, :held]
+            held = 0
+        if len(tails) != r or tails.shape[1] < count:
+            tails = _combinations(k - start, r) + start
+        piece = out[:, held : held + count]
+        piece[: len(prefix)] = np.array(prefix, dtype=np.intp)[:, None]
+        piece[len(prefix) :] = tails[:, tails.shape[1] - count :]
+        held += count
+    if held:
+        yield out[:, :held]
+
+
+def _scalar_rows(q: int, w: int, lo: int, hi: int) -> np.ndarray:
+    """Tuples lo..hi-1 of (1,) + itertools.product(range(1, q), repeat=w - 1), as columns (w, hi - lo)."""
+    powers = (q - 1) ** np.arange(w - 1, -1, -1, dtype=np.intp)
+    return np.arange(lo, hi, dtype=np.intp) // powers[:, None] % (q - 1) + 1
+
+
+def _bz_level(q: int, k: int, w: int, scaled: np.ndarray):
+    """Yield the weights of one matrix's level-w codewords in packed batches.
+
+    Supports come in lex order and, within a support, scalar tuples in
+    product order, at most BZ_CHUNK codewords per batch.
+    """
+    per_support = (q - 1) ** (w - 1)
+    step = min(per_support, BZ_CHUNK)
+    first = _scalar_rows(q, w, 0, step)
+    for supports in _support_blocks(k, w, max(1, BZ_CHUNK // per_support)):
+        for lo in range(0, per_support, step):
+            scalars = first if lo == 0 else _scalar_rows(q, w, lo, min(lo + step, per_support))
+            cw = None
+            for rows, coeffs in zip(supports, scalars):
+                # column a * k + j of the scaled pack is a * row_j
+                words = np.take(scaled, (coeffs * k + rows[:, None]).ravel(), axis=-1)
+                cw = words if cw is None else _add(q, cw, words)
+            yield _weigh(cw)
+
+
 def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
     """Brouwer-Zimmermann minimum weight.
 
     Enumerates information-weight-w combinations over a chain of
-    systematic generator matrices; stops once the accumulated lower bound
-    for unseen codewords reaches the best weight found.
+    systematic generator matrices, in batches of at most BZ_CHUNK
+    codewords; stops once the accumulated lower bound for unseen codewords
+    reaches the best weight found.  Past ``cap`` codewords it raises
+    BudgetExceeded at codeword cap + 1 (the first one for a negative cap),
+    carrying the best weight seen up to it.
     """
     k, n = G.shape
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    cap = DEFAULT_CAPS[field.order] if cap is None else cap
+    cap = DEFAULT_CAPS[field.order] if cap is None else max(cap, 0)
     q = field.order
-    chain = _information_set_chain(field, G)
-    packed_chain = [(pack_rows_scaled(field, mat), deficit) for mat, deficit in chain]
+    chain = [(_pack_scaled(field, mat), deficit) for mat, deficit in _information_set_chain(field, G)]
     best = n + 1
     work = 0
     for w in range(1, k + 1):
-        for scaled, _deficit in packed_chain:
-            for support in itertools.combinations(range(k), w):
-                for scalars in itertools.product(range(1, q), repeat=w - 1):
-                    cw = scaled[support[0]][1]
-                    for idx, a in zip(support[1:], scalars):
-                        cw = add_packed(q, cw, scaled[idx][a])
-                    ww = packed_weight(cw)
-                    if ww and ww < best:
-                        best = ww
-                    work += 1
-                    if work > cap:
-                        raise BudgetExceeded(best if best <= n else None, work)
-        lower = sum(max(0, w + 1 - deficit) for _mat, deficit in packed_chain)
+        for scaled, _deficit in chain:
+            for weights in _bz_level(q, k, w, scaled):
+                take = min(weights.size, cap + 1 - work)  # up to the codeword past the cap
+                seen = weights[:take]
+                seen = seen[seen != 0]
+                if seen.size:
+                    best = min(best, int(seen.min()))
+                work += take
+                if work > cap:
+                    raise BudgetExceeded(best if best <= n else None, work)
+        lower = sum(max(0, w + 1 - deficit) for _scaled, deficit in chain)
         if lower >= best:
             return best
     return best

@@ -86,6 +86,51 @@ def coset_min_weights(C: LinearCode, cands: np.ndarray, limit: int | None = None
     return best
 
 
+def loop_bz_level(field: FieldSpec, mat: np.ndarray, w: int):
+    """Yield the level-w codewords of one systematic matrix one at a time,
+    by table arithmetic: w-row supports in combinations order and, per
+    support, the scalars of rows 2..w in product order (row 1 scaled by 1).
+    """
+    add, mul = field.add_table, field.mul_table
+    for support in itertools.combinations(range(mat.shape[0]), w):
+        for scalars in itertools.product(range(1, field.order), repeat=w - 1):
+            cw = mat[support[0]]
+            for row, a in zip(support[1:], scalars):
+                cw = add[cw, mul[a, mat[row]]]
+            yield cw
+
+
+def loop_bz_min_weight(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
+    """Brouwer-Zimmermann one codeword at a time.
+
+    Level w takes every matrix of enumeration's chain in order and its
+    codewords in loop_bz_level order.  Past ``cap`` codewords it raises
+    BudgetExceeded at codeword cap + 1, carrying the best weight seen up
+    to it.
+    """
+    from lcdkit.enumeration import DEFAULT_CAPS, BudgetExceeded, _information_set_chain
+
+    k, n = G.shape
+    if k == 0:
+        raise ValueError("the zero code has no nonzero codewords")
+    cap = DEFAULT_CAPS[field.order] if cap is None else cap
+    chain = _information_set_chain(field, G)
+    best = n + 1
+    work = 0
+    for w in range(1, k + 1):
+        for mat, _deficit in chain:
+            for cw in loop_bz_level(field, mat, w):
+                ww = int(np.count_nonzero(cw))
+                if ww and ww < best:
+                    best = ww
+                work += 1
+                if work > cap:
+                    raise BudgetExceeded(best if best <= n else None, work)
+        if sum(max(0, w + 1 - deficit) for _mat, deficit in chain) >= best:
+            return best
+    return best
+
+
 def codeword_set(C: LinearCode) -> set[tuple[int, ...]]:
     return set(map(tuple, codeword_array(C).tolist()))
 

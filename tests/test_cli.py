@@ -114,6 +114,18 @@ def test_minweight_strategies_agree(capsys):
     assert "d=10 exact=true" in out2
 
 
+def test_minweight_bz_budget_exit_line(capsys):
+    # caps that end inside a Brouwer-Zimmermann level: b_13_7_4 (d = 4) has
+    # 14 codewords of information weight 1, t_20_6_10 (d = 10) ends level 2
+    # at codeword 144
+    for name, cap, bound in [("b_13_7_4", 1, 5), ("t_20_6_10", 100, 10)]:
+        path = corpus_file(f"codes/{name}.code")
+        code, out, err = run(capsys, "--cap", str(cap), "minweight", path, "--strategy", "bz")
+        assert code == 1
+        assert out == f"file={path} strategy=bz d<={bound} exact=false\n"
+        assert err == f"error: budget exhausted after {cap + 1} steps\n"
+
+
 def test_replay_record(capsys):
     code, out, err = run(capsys, "replay", corpus_file("records/t_23_9_9.rec"))
     assert code == 0

@@ -719,3 +719,14 @@ def test_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMISED_CHECKS], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:3] == ["gf4 refused", "invariant raised", "debug False"]
+
+
+def test_no_assert_in_src():
+    # python -O strips asserts, so no check a result depends on may be one
+    import ast
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "lcdkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

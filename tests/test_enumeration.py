@@ -1,35 +1,43 @@
+import itertools
 import random
+import tracemalloc
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from lcdkit import enumeration
 from lcdkit.enumeration import (
     BudgetExceeded,
     _add,
+    _combinations,
     _information_set_chain,
     _scan_worker,
+    _support_blocks,
     _weigh,
-    add_packed,
     codeword_blocks,
     codeword_tables,
     codewords_of,
+    min_weight_bz,
     min_weight_exhaustive,
     pack_matrix,
-    pack_rows_scaled,
     packed_weight,
     unpack_matrix,
     weight_distribution_exhaustive,
 )
 from lcdkit.gf import GF2, GF3, GF4, GF4H
-from lcdkit.linalg import rank
+from lcdkit.linalg import _add_packed, _pack_rows, rank
 
 FLAVOURS = [GF2, GF3, GF4, GF4H]
 
 
 def pack_vector(f, vec):
-    """Python-int planes of one vector, as Brouwer-Zimmermann packs its rows."""
-    return pack_rows_scaled(f, np.array([vec], dtype=np.uint8))[0][1]
+    """Python-int planes of one vector, as linalg's elimination packs its rows."""
+    return _pack_rows(f.order, np.array([vec], dtype=np.uint8))[0]
 
 
 def message_order(f, k):
@@ -50,7 +58,7 @@ def test_add_packed_matches_field_add():
             a = [rng.randrange(f.order) for _ in range(12)]
             b = [rng.randrange(f.order) for _ in range(12)]
             expect = [int(f.add(x, y)) for x, y in zip(a, b)]
-            got = add_packed(f.order, pack_vector(f, a), pack_vector(f, b))
+            got = _add_packed(f.order, pack_vector(f, a), pack_vector(f, b))
             assert got == pack_vector(f, expect)
         # the batch add, word against batch and batch against batch, past one word
         A, B = oracles.random_matrix(f, 40, 70, rng), oracles.random_matrix(f, 40, 70, rng)
@@ -167,8 +175,6 @@ def test_bz_agrees_at_moderate_scale():
     rng = random.Random(47)
     for f, n, k in [(GF2, 30, 15), (GF3, 18, 7), (GF4H, 16, 6)]:
         c = oracles.random_code(f, n, k, rng)
-        from lcdkit.enumeration import min_weight_bz
-
         assert min_weight_bz(f, c.generator) == min_weight_exhaustive(f, c.generator)
 
 
@@ -182,3 +188,92 @@ def test_caps_and_budget():
     assert exc.value.best_upper is not None
     d = min_weight_exhaustive(GF2, c.generator)
     assert exc.value.best_upper >= d
+
+
+def test_support_blocks_cover_combinations_in_order():
+    for m in range(9):
+        for r in range(m + 1):
+            assert _combinations(m, r).T.tolist() == [list(c) for c in itertools.combinations(range(m), r)]
+    for k in range(1, 11):
+        for w in range(1, k + 1):
+            for limit in (1, 2, 3, 5, 17, 10**6):
+                # blocks share one buffer, so copy each before asking for the next
+                blocks = [b.copy() for b in _support_blocks(k, w, limit)]
+                assert all(0 < b.shape[1] <= limit for b in blocks)
+                assert np.hstack(blocks).T.tolist() == [list(c) for c in itertools.combinations(range(k), w)]
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64, enumeration.BZ_CHUNK])
+def test_bz_level_batches_follow_loop_order(f, chunk):
+    # every level's weights, batch after batch, in the loop's codeword order,
+    # with batches split between supports and inside a support's scalars
+    c = oracles.random_code(f, 14, 6, random.Random(83))
+    mat = _information_set_chain(f, c.generator)[0][0]
+    scaled = enumeration._pack_scaled(f, mat)
+    with mock.patch.object(enumeration, "BZ_CHUNK", chunk):
+        for w in range(1, 7):
+            batches = list(enumeration._bz_level(f.order, 6, w, scaled))
+            assert all(0 < b.size <= chunk for b in batches)
+            want = [np.count_nonzero(cw) for cw in oracles.loop_bz_level(f, mat, w)]
+            assert np.concatenate(batches).tolist() == want
+
+
+def _bz_outcome(fn, field, G, cap):
+    try:
+        return ("d", fn(field, G, cap=cap))
+    except BudgetExceeded as exc:
+        return ("budget", exc.best_upper, exc.steps)
+
+
+@st.composite
+def bz_cases(draw):
+    f = draw(st.sampled_from(FLAVOURS))
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 22))
+    c = oracles.random_code(f, n, k, random.Random(draw(st.integers(0, 2**32 - 1))))
+    # codewords counted by the end of each level
+    chain = len(_information_set_chain(f, c.generator))
+    ends = list(itertools.accumulate(chain * comb(k, w) * (f.order - 1) ** (w - 1) for w in range(1, k + 1)))
+    level = draw(st.integers(0, k - 1))
+    start = ends[level - 1] if level else 0
+    kind = draw(st.sampled_from(["default", "-1", "0", "1", "2", "mid-level", "level boundary"]))
+    if kind == "default":
+        cap = None
+    elif kind == "mid-level" and ends[level] - start > 1:
+        cap = draw(st.integers(start + 1, ends[level] - 1))
+    elif kind in ("mid-level", "level boundary"):
+        cap = ends[level]
+    else:
+        cap = int(kind)
+    # small batches split levels by support and single supports by scalars
+    chunk = draw(st.sampled_from([1, 2, 3, 7, 64, enumeration.BZ_CHUNK]))
+    return f, c.generator, cap, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(bz_cases())
+def test_bz_matches_loop_oracle(case):
+    f, G, cap, chunk = case
+    with mock.patch.object(enumeration, "BZ_CHUNK", chunk):
+        got = _bz_outcome(min_weight_bz, f, G, cap)
+    assert got == _bz_outcome(oracles.loop_bz_min_weight, f, G, cap)
+
+
+def test_bz_budget_exit_on_wide_code_stays_small():
+    # level 4 of a k = 60 code has C(60, 4) = 487,635 supports per matrix; the
+    # cap falls inside it, and only bounded batches of it may be built
+    c = oracles.random_code(GF2, 120, 60, random.Random(60))
+    cap = 2 * 10**5
+    below = len(_information_set_chain(GF2, c.generator)) * sum(comb(60, w) for w in (1, 2, 3))
+    assert below < cap < below + comb(60, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            min_weight_bz(GF2, c.generator, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.steps == cap + 1
+    assert exc.value.best_upper is not None
+    assert peak < 8 << 20
