@@ -2,10 +2,15 @@
 
 A BoundsTable holds, per (n, k), a lower and an upper bound on the
 largest minimum weight among all LCD [n, k] codes of one field/flavor,
-each bound carrying its provenance (seed kind or rule id plus source
-cells).  Propagation applies the inequality rules until nothing changes;
-bounds move monotonically (lower up, upper down) and are capped by n, so
-a fixpoint is reached.
+each bound carrying its provenance: a seed kind, or for a derived bound
+the rule id plus the cell, side and value of every source it used.
+Propagation applies the inequality rules until nothing changes; bounds
+move monotonically (lower up, upper down) and are capped by n, so a
+fixpoint is reached.
+
+The rules live in one table (RULES) that propagate, apply_rule_once and
+replay_chain all fire; replay_chain re-derives a bound from the source
+values recorded with it.
 
 Lower-bound rules follow the witness reading: each is backed by an
 explicit construction that turns an LCD [n,k,d] code into a larger one
@@ -17,6 +22,7 @@ Upper-bound rules come from shortening arguments.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +37,7 @@ class ConflictError(ValueError):
 class Provenance:
     kind: str  # seed kind, or "rule"
     detail: str  # free text, or the rule id
-    sources: tuple = ()  # ((n, k, side), ...) for rule-derived bounds
+    sources: tuple = ()  # ((n, k, side, value), ...) for rule-derived bounds
 
 
 @dataclass(frozen=True)
@@ -112,118 +118,95 @@ class BoundsTable:
 
 
 # -- rules -------------------------------------------------------------------
-#
-# Each rule yields (n, k, side, value, sources); propagate() applies the
-# improvement and records the provenance.
 
 
 @dataclass(frozen=True)
 class Rule:
+    """One inequality between cells, all on the same ``side``.
+
+    The first source is a cell (n, k); ``extra`` lists the offsets of any
+    further sources from it, and the derived bound lands at (n, k) +
+    ``target``.  ``derive(n, k, *source_values)`` gives the derived value,
+    or None where the rule's condition fails.
+    """
+
     id: str
     side: str  # "lower" | "upper"
     fields: tuple[str, ...]
-
-    def shots(self, table: BoundsTable, box):
-        raise NotImplementedError
-
-
-def _in_box(n, k, box):
-    n_lo, n_hi, k_lo, k_hi = box
-    return n_lo <= n <= n_hi and k_lo <= k <= k_hi and 1 <= k <= n
+    target: tuple[int, int]
+    derive: Callable[..., int | None]
+    extra: tuple[tuple[int, int], ...] = ()
 
 
-class PadColumn(Rule):
-    """A zero column preserves the Gram matrix: LCD [n,k,d] -> [n+1,k,d]."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if c.lower is not None and _in_box(n + 1, k, box):
-                yield n + 1, k, "lower", c.lower.value, ((n, k, "lower"),)
-
-
-class SubcodeLower(Rule):
-    """An LCD [n,k,d] code has an LCD [n,k-1,>=d] subcode."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if k >= 2 and c.lower is not None and _in_box(n, k - 1, box):
-                yield n, k - 1, "lower", c.lower.value, ((n, k, "lower"),)
-
-
-class SubcodeUpper(Rule):
-    """Upper reading of the same subcode fact: d(n,k) <= d(n,k-1)."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if c.upper is not None and _in_box(n, k + 1, box):
-                yield n, k + 1, "upper", c.upper.value, ((n, k, "upper"),)
-
-
-class DropOddK(Rule):
-    """For odd k, d(n,k) <= d(n-1,k-1)."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if c.upper is not None and (k + 1) % 2 == 1 and _in_box(n + 1, k + 1, box):
-                yield n + 1, k + 1, "upper", c.upper.value, ((n, k, "upper"),)
-
-
-class GrowEvenK(Rule):
-    """k even and d odd: an LCD [n+1,k,d+1] code exists."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if c.lower is None or k % 2 or c.lower.value % 2 == 0:
-                continue
-            if _in_box(n + 1, k, box) and c.lower.value + 1 <= n + 1:
-                yield n + 1, k, "lower", c.lower.value + 1, ((n, k, "lower"),)
-
-
-class GrowTwoCols(Rule):
-    """d odd: an LCD [n+2,k,d+1] code exists."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            if c.lower is None or c.lower.value % 2 == 0:
-                continue
-            if _in_box(n + 2, k, box):
-                yield n + 2, k, "lower", c.lower.value + 1, ((n, k, "lower"),)
-
-
-class ShortenTwoUpper(Rule):
-    """d(n,k) <= max(d(n-1,k-1), d(n-2,k-2)): one shortening step lands on a
-    hull of dimension at most 1, a second hull-shortening removes it."""
-
-    def shots(self, table, box):
-        for (n, k), c in table.cells.items():
-            u1 = c.upper
-            c2 = table.cell(n - 1, k - 1)
-            u2 = c2.upper if c2 else None
-            if u1 is None or u2 is None:
-                continue
-            if _in_box(n + 1, k + 1, box):
-                yield n + 1, k + 1, "upper", max(u1.value, u2.value), (
-                    (n, k, "upper"),
-                    (n - 1, k - 1, "upper"),
-                )
+def _same(n, k, d):
+    return d
 
 
 RULES: dict[str, Rule] = {
     r.id: r
     for r in [
-        PadColumn("pad-column", "lower", ("gf2", "gf3", "gf4h")),
-        SubcodeLower("subcode-lower", "lower", ("gf2", "gf3")),
-        SubcodeUpper("subcode-upper", "upper", ("gf2", "gf3")),
-        DropOddK("drop-odd-k-upper", "upper", ("gf2",)),
-        GrowEvenK("grow-even-k", "lower", ("gf2",)),
-        GrowTwoCols("grow-two-cols", "lower", ("gf2",)),
-        ShortenTwoUpper("shorten-two-upper", "upper", ("gf2", "gf3")),
+        # a zero column preserves the Gram matrix: LCD [n,k,d] -> [n+1,k,d]
+        Rule("pad-column", "lower", ("gf2", "gf3", "gf4h"), (1, 0), _same),
+        # an LCD [n,k,d] code has an LCD [n,k-1,>=d] subcode
+        Rule("subcode-lower", "lower", ("gf2", "gf3"), (0, -1), _same),
+        # upper reading of the same subcode fact: d(n,k+1) <= d(n,k)
+        Rule("subcode-upper", "upper", ("gf2", "gf3"), (0, 1), _same),
+        # for odd k+1, d(n+1,k+1) <= d(n,k)
+        Rule("drop-odd-k-upper", "upper", ("gf2",), (1, 1), lambda n, k, d: None if k % 2 else d),
+        # k even and d odd: an LCD [n+1,k,d+1] code exists
+        Rule("grow-even-k", "lower", ("gf2",), (1, 0), lambda n, k, d: d + 1 if d % 2 and k % 2 == 0 else None),
+        # d odd: an LCD [n+2,k,d+1] code exists
+        Rule("grow-two-cols", "lower", ("gf2",), (2, 0), lambda n, k, d: d + 1 if d % 2 else None),
+        # d(n+1,k+1) <= max(d(n,k), d(n-1,k-1)): one shortening step lands on a
+        # hull of dimension at most 1, a second hull-shortening removes it
+        Rule("shorten-two-upper", "upper", ("gf2", "gf3"), (1, 1), lambda n, k, u1, u2: max(u1, u2), ((-1, -1),)),
     ]
 }
 
 
 def rules_for(field_name: str) -> list[Rule]:
     return [r for r in RULES.values() if field_name in r.fields]
+
+
+def _bound(table: BoundsTable, n: int, k: int, side: str) -> Bound | None:
+    c = table.cell(n, k)
+    return None if c is None else getattr(c, side)
+
+
+def _as_strong(side: str, value: int, than: int) -> bool:
+    """True if ``value`` bounds at least as tightly as ``than`` on ``side``."""
+    return value >= than if side == "lower" else value <= than
+
+
+def _shots(rule: Rule, table: BoundsTable, box) -> list:
+    """[(n, k, value, sources)] for every bound ``rule`` derives inside ``box``.
+
+    The first source's bound is read from the cell being iterated and only
+    the extra sources are looked up: a lookup per cell for every source
+    would dominate the cost of propagation.
+    """
+    side, derive, extra = rule.side, rule.derive, rule.extra
+    dn, dk = rule.target
+    n_lo, n_hi, k_lo, k_hi = box
+    out = []
+    for (n, k), c in table.cells.items():
+        b = c.lower if side == "lower" else c.upper
+        tn, tk = n + dn, k + dk
+        if b is None or not (n_lo <= tn <= n_hi and k_lo <= tk <= k_hi and 1 <= tk <= tn):
+            continue
+        values = (b.value,)
+        sources = ((n, k, side, b.value),)
+        for en, ek in extra:
+            e = _bound(table, n + en, k + ek, side)
+            if e is None:
+                break
+            values += (e.value,)
+            sources += ((n + en, k + ek, side, e.value),)
+        else:
+            value = derive(n, k, *values)
+            if value is not None:
+                out.append((tn, tk, value, sources))
+    return out
 
 
 def propagate(table: BoundsTable, box=None, rules=None) -> int:
@@ -241,13 +224,14 @@ def propagate(table: BoundsTable, box=None, rules=None) -> int:
     while changed:
         changed = False
         for rule in rules:
-            for n, k, side, value, sources in list(rule.shots(table, box)):
-                prov = Provenance("rule", rule.id, sources)
-                if side == "lower":
-                    did = table.improve_lower(n, k, value, prov)
-                else:
-                    did = table.improve_upper(n, k, value, prov)
-                if did:
+            improve = table.improve_lower if rule.side == "lower" else table.improve_upper
+            for n, k, value, sources in _shots(rule, table, box):
+                now = _bound(table, n, k, rule.side)
+                if now is not None and _as_strong(rule.side, now.value, value):
+                    # improve_* would return False: the cell's lower <= upper
+                    # holds, so a value no stronger than its bound cannot conflict
+                    continue
+                if improve(n, k, value, Provenance("rule", rule.id, sources)):
                     changed = True
                     total += 1
     return total
@@ -264,42 +248,34 @@ def apply_rule_once(field_name: str, rule_id: str, n: int, k: int, d: int):
     table = BoundsTable(field_name)
     table.seed(n, k, lower=d, kind="witness", provenance=f"given [{n},{k},{d}]")
     box = (n, n + 2, max(1, k - 1), k + 1)
-    out = {}
-    for tn, tk, side, value, _src in rule.shots(table, box):
-        out[(tn, tk, side)] = value
-    return out
+    return {(tn, tk, rule.side): value for tn, tk, value, _src in _shots(rule, table, box)}
 
 
 def replay_chain(table: BoundsTable, n: int, k: int, side: str) -> bool:
-    """Re-derive one bound from its recorded sources; True if it reproduces."""
-    c = table.cell(n, k)
-    b = c.lower if side == "lower" else c.upper
+    """Re-derive one bound from its recorded sources; True if it reproduces.
+
+    The recorded rule must exist and sit on ``side``, its source and target
+    offsets must match the recorded cells, re-firing it on the recorded
+    source values must give the stored value, and every source's current
+    bound must be at least as strong as the value recorded for it.
+    """
+    b = _bound(table, n, k, side)
     if b is None:
         return False
     p = b.provenance
     if p.kind != "rule":
         return True  # seeds are their own evidence
-    rule = RULES[p.detail]
-    if rule.side != side:
+    rule = RULES.get(p.detail)
+    if rule is None or rule.side != side or len(p.sources) != 1 + len(rule.extra):
         return False
-    src_vals = []
-    for sn, sk, sside in p.sources:
-        sc = table.cell(sn, sk)
-        sb = sc.lower if sside == "lower" else sc.upper
-        if sb is None:
+    sn, sk = p.sources[0][:2]
+    if (sn + rule.target[0], sk + rule.target[1]) != (n, k):
+        return False
+    for (cn, ck, cside, value), (en, ek) in zip(p.sources, ((0, 0), *rule.extra)):
+        now = _bound(table, cn, ck, side)
+        if (cn, ck, cside) != (sn + en, sk + ek, side) or now is None or not _as_strong(side, now.value, value):
             return False
-        src_vals.append(sb.value)
-    if p.detail in ("pad-column", "subcode-lower", "subcode-upper", "drop-odd-k-upper"):
-        expect = src_vals[0]
-    elif p.detail in ("grow-even-k", "grow-two-cols"):
-        expect = src_vals[0] + 1
-    elif p.detail == "shorten-two-upper":
-        expect = max(src_vals)
-    else:
-        return False
-    # sources are monotone and the table is at a fixpoint, so the recorded
-    # value must match a fresh derivation from its sources exactly
-    return b.value == expect
+    return rule.derive(sn, sk, *(s[3] for s in p.sources)) == b.value
 
 
 def ternary_exact_seeds(n_range) -> list[tuple[int, int, int, str]]:

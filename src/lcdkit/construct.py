@@ -32,7 +32,6 @@ from .codes import (
     CodeError,
     LinearCode,
     dual,
-    format_vector,
     hull,
     is_even_like,
     is_lcd,
@@ -274,6 +273,10 @@ SCORE_CHUNK = 1 << 14
 # 10% 0.67 s, 25% 0.70 s, 50% 0.77 s
 COMPACT_SHARE = 0.1
 
+# 32-bit words per getrandbits call when drawing sampled messages: the call's
+# bit count must fit a C int, which one call for a whole large budget exceeds
+DRAW_CHUNK_WORDS = 1 << 20
+
 
 def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     """``count`` messages of ``m`` digits: the digits of ``count * m`` calls
@@ -281,19 +284,23 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
 
     randrange(q) takes the top q.bit_length() bits of one 32-bit word per
     try and retries values >= q; getrandbits(32 N) hands out N such words,
-    least significant first, so the digit stream is the same.
+    least significant first, so the digit stream is the same however the
+    words are split into calls.
     """
     rng = random.Random(seed)
     bits = q.bit_length()
     count = max(count, 0)
     need = count * m
-    digits = np.empty(0, dtype=np.uint32)
-    while digits.size < need:
-        words = (need - digits.size) * (1 << bits) // q + 64
+    out = np.empty(need, dtype=np.uint8)
+    done = 0
+    while done < need:
+        words = min((need - done) * (1 << bits) // q + 64, DRAW_CHUNK_WORDS)
         raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
         raw = raw >> (32 - bits)
-        digits = np.concatenate([digits, raw[raw < q]])
-    return digits[:need].astype(np.uint8).reshape(count, m)
+        digits = raw[raw < q][: need - done]
+        out[done : done + digits.size] = digits
+        done += digits.size
+    return out.reshape(count, m)
 
 
 def _distinct(cand: np.ndarray) -> np.ndarray:
@@ -534,8 +541,3 @@ def apply_record(rec: ConstructionRecord, base_code: LinearCode) -> list[LinearC
         current = apply_step(current, step)
         out.append(current)
     return out
-
-
-def step_for_extension(method: str, field: FieldSpec, vector) -> Step:
-    op = "extend-m1" if method == M1 else "extend-m2"
-    return Step(op, format_vector(field, vector))

@@ -11,7 +11,7 @@ tables are numpy arrays and can be fancy-indexed with whole vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -148,57 +148,8 @@ class FieldSpec:
     def format_symbol(self, value: int) -> str:
         return self.alphabet[value]
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value), self)
-
     def __repr__(self):
         return f"FieldSpec({self.name})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bundled with its field, for element-level algebra.
-
-    Matrix code works on raw integer indices for speed; this wrapper is
-    the convenient and type-safe face of the same tables.
-    """
-
-    value: int
-    field: FieldSpec = field(compare=True)
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise FieldError(f"value {self.value} out of range for {self.field.name}")
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.order != self.field.order:
-            raise FieldError(f"mixed-field operands: {self.field.name} and {other.field.name}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(int(self.field.add(self.value, other.value)), self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(int(self.field.mul(self.value, other.value)), self.field)
-
-    def __neg__(self):
-        return FieldElement(int(self.field.neg(self.value)), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
-
-    def inverse(self):
-        return FieldElement(int(self.field.inv(self.value)), self.field)
-
-    def conjugate(self):
-        return FieldElement(int(self.field.conj(self.value)), self.field)
-
-    def __str__(self):
-        return self.field.format_symbol(self.value)
 
 
 GF2 = FieldSpec(2)

@@ -208,30 +208,6 @@ def row_spaces_equal(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
-@dataclass(frozen=True)
-class StandardFormResult:
-    matrix: np.ndarray
-    column_permutation: tuple[int, ...]  # new position j holds old column column_permutation[j]
-
-
-def standard_form(G: np.ndarray, field: FieldSpec) -> StandardFormResult:
-    """Bring a full-rank generator to (I_k | A) form, tracking columns.
-
-    Columns are permuted only when a pivot is missing from the diagonal
-    position, taking the leftmost available pivot column.  The returned
-    permutation maps new column positions to original ones and is never
-    applied silently to anything else.
-    """
-    res = rref(G, field)
-    k, n = G.shape
-    if res.rank != k:
-        raise LinalgError(f"standard form requires full row rank (rank {res.rank} < {k})")
-    perm = list(res.pivots) + [j for j in range(n) if j not in set(res.pivots)]
-    if list(res.pivots) == list(range(k)):
-        return StandardFormResult(res.matrix, tuple(range(n)))
-    return StandardFormResult(res.matrix[:, perm], tuple(perm))
-
-
 def conj_matrix(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     return field.conj_table[M]
 
@@ -297,10 +273,6 @@ def intersect_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.n
     if not inter:
         return np.zeros((0, n), dtype=np.uint8)
     return row_space_basis(np.array(inter, dtype=np.uint8), field)
-
-
-def invertible(M: np.ndarray, field: FieldSpec) -> bool:
-    return M.shape[0] == M.shape[1] and rank(M, field) == M.shape[0]
 
 
 def congruence_orthonormalize(M: np.ndarray) -> np.ndarray:

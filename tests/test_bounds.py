@@ -1,10 +1,15 @@
 import csv
+import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lcdkit import bounds
 from lcdkit.bounds import (
+    Bound,
     BoundsTable,
     ConflictError,
     apply_rule_once,
@@ -25,6 +30,13 @@ def data_file(name):
     from lcdkit.corpus import data_dir
 
     return data_dir() / name
+
+
+@functools.cache
+def tiny_truth():
+    # largest binary LCD minimum weights for n <= 8, by full enumeration; slow,
+    # so every test in this module shares one copy
+    return oracles.true_binary_lcd_table(8)
 
 
 def test_seed_and_conflict():
@@ -195,7 +207,7 @@ def test_ternary_corollary_upper_bounds():
 def test_bounds_sound_at_tiny_scale():
     # full enumeration gives the truth for n <= 8; seed exact values for
     # n <= 6 and check that propagation to n = 7, 8 stays sound
-    truth = oracles.true_binary_lcd_table(8)
+    truth = tiny_truth()
     t = BoundsTable("gf2")
     for (n, k), d in truth.items():
         if n <= 6 and d > 0:
@@ -223,3 +235,97 @@ def test_rules_for_fields():
     assert "grow-even-k" in gf2_ids and "grow-even-k" not in gf3_ids
     assert "shorten-two-upper" in gf3_ids
     assert gf4h_ids == {"pad-column"}
+
+
+def assert_every_bound_replays(t):
+    for (n, k), c in t.cells.items():
+        for side in ("lower", "upper"):
+            if getattr(c, side) is not None:
+                assert replay_chain(t, n, k, side), (n, k, side, getattr(c, side))
+
+
+def raised_source_table():
+    # [22,5] >= 10 by grow-two-cols from [20,5] >= 9; raising the source to 10
+    # leaves that bound as it was (pad-column only ties it)
+    t = BoundsTable("gf2")
+    t.seed(20, 5, lower=9, kind="witness", provenance="first witness")
+    propagate(t, box=(20, 22, 5, 5))
+    t.seed(20, 5, lower=10, kind="witness", provenance="better witness")
+    propagate(t, box=(20, 22, 5, 5))
+    return t
+
+
+def test_replay_after_a_source_improves():
+    t = raised_source_table()
+    b = t.cell(22, 5).lower
+    assert b.value == 10 and b.provenance.detail == "grow-two-cols"
+    assert b.provenance.sources == ((20, 5, "lower", 9),)
+    assert_every_bound_replays(t)
+
+
+def _edit_provenance(t, **changes):
+    c = t.cell(22, 5)
+    c.lower = Bound(c.lower.value, dataclasses.replace(c.lower.provenance, **changes))
+
+
+def _weaken_source(t):
+    t.cell(20, 5).lower = Bound(8, t.cell(20, 5).lower.provenance)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda t: _edit_provenance(t, sources=((20, 5, "lower", 7),)),  # recorded source value
+        lambda t: _edit_provenance(t, sources=((20, 5, "lower", 11),)),  # stronger than the source holds
+        lambda t: _edit_provenance(t, detail="no-such-rule"),
+        lambda t: _edit_provenance(t, detail="grow-even-k"),  # wrong target offset
+        lambda t: _edit_provenance(t, sources=((21, 5, "lower", 9),)),  # source cell
+        lambda t: _edit_provenance(t, sources=((20, 5, "upper", 9),)),  # source side
+        lambda t: _edit_provenance(t, sources=((20, 5, "lower", 9), (19, 4, "lower", 9))),  # extra source
+        _weaken_source,  # current source below the recorded value
+    ],
+    ids=["value", "value-too-strong", "unknown-rule", "other-rule", "cell", "side", "extra", "weakened"],
+)
+def test_replay_rejects_tampered_provenance(tamper):
+    t = raised_source_table()
+    assert replay_chain(t, 22, 5, "lower")
+    tamper(t)
+    assert not replay_chain(t, 22, 5, "lower")
+
+
+def test_replay_checks_every_source_of_a_two_source_rule():
+    t = BoundsTable("gf3")
+    t.seed(20, 8, upper=9, kind="literature-bound", provenance="a")
+    t.seed(19, 7, upper=8, kind="literature-bound", provenance="b")
+    propagate(t, box=(19, 21, 7, 9))
+    b = t.cell(21, 9).upper
+    assert b.value == 9 and b.provenance.detail == "shorten-two-upper"
+    assert b.provenance.sources == ((20, 8, "upper", 9), (19, 7, "upper", 8))
+    assert replay_chain(t, 21, 9, "upper")
+    t.cell(19, 7).upper = Bound(9, t.cell(19, 7).upper.provenance)  # weakened second source
+    assert not replay_chain(t, 21, 9, "upper")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_raised_seeds_replay_and_stay_sound(data):
+    # seed bounds no tighter than the truth, propagate, raise some lower seeds
+    # to the truth and propagate again: every bound replays and stays sound
+    truth = tiny_truth()
+    cells = data.draw(st.lists(st.sampled_from(sorted(truth)), min_size=1, max_size=10, unique=True))
+    t = BoundsTable("gf2")
+    for n, k in cells:
+        d = truth[(n, k)]
+        lower = data.draw(st.integers(1, d))
+        upper = data.draw(st.none() | st.integers(d, n))
+        t.seed(n, k, lower=lower, upper=upper, kind="literature-bound", provenance="no tighter than the truth")
+    box = (1, 8, 1, 8)
+    propagate(t, box=box)
+    for n, k in data.draw(st.lists(st.sampled_from(cells), unique=True)):
+        t.seed(n, k, lower=truth[(n, k)], kind="witness", provenance="the truth")
+    propagate(t, box=box)
+    assert propagate(t, box=box) == 0
+    assert_every_bound_replays(t)
+    for (n, k), c in t.cells.items():
+        assert c.lower is None or c.lower.value <= truth[(n, k)], (n, k)
+        assert c.upper is None or c.upper.value >= truth[(n, k)], (n, k)

@@ -1,3 +1,8 @@
+import json
+from pathlib import Path
+
+import pytest
+
 from lcdkit.cli import main
 from lcdkit.codes import read_code_file
 from lcdkit.corpus import data_dir
@@ -148,6 +153,15 @@ def test_bounds_render_deterministic(capsys):
     lines = out1.splitlines()
     assert lines[0].startswith("n\\k,")
     assert lines[1].startswith("20,12,11,10,9,8,7-8,7,6,6,5,4")
+
+
+@pytest.mark.parametrize("field", ["gf2", "gf3"])
+def test_bounds_grid_matches_benchmark_reference(capsys, field):
+    # the published grids as the verify benchmark checks them, byte for byte
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify.json"
+    want = json.loads(reference.read_text(encoding="utf-8"))[f"bounds.{field}"]
+    code, out, err = run(capsys, "--threads", "1", "bounds", "--field", field)
+    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 def test_bounds_custom_seed_file(capsys, tmp_path):

@@ -616,15 +616,18 @@ def test_search_on_distance_one_base(f):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 13, 70])
-def test_draw_messages_matches_randrange(q, m):
-    # the bulk draw must give the digit stream of randrange(q), one call per digit
-    for seed in (0, 1, 12345, 2**40 + 7):
-        for count in (0, 1, 7, 300):
-            rng = random.Random(seed)
-            want = [[rng.randrange(q) for _ in range(m)] for _ in range(count)]
-            got = _draw_messages(q, m, count, seed)
-            assert got.dtype == np.uint8 and got.shape == (count, m)
-            assert got.tolist() == want
+def test_draw_messages_matches_randrange(q, m, monkeypatch):
+    # the bulk draw must give the digit stream of randrange(q), one call per
+    # digit, also when it is split into getrandbits calls of a few words
+    for chunk in (construct.DRAW_CHUNK_WORDS, 3):
+        monkeypatch.setattr(construct, "DRAW_CHUNK_WORDS", chunk)
+        for seed in (0, 1, 12345, 2**40 + 7):
+            for count in (0, 1, 7, 300):
+                rng = random.Random(seed)
+                want = [[rng.randrange(q) for _ in range(m)] for _ in range(count)]
+                got = _draw_messages(q, m, count, seed)
+                assert got.dtype == np.uint8 and got.shape == (count, m)
+                assert got.tolist() == want
 
 
 def test_euclidean_gf4_extension_is_refused():

@@ -44,11 +44,11 @@ def test_stored_matrices_kept_verbatim():
 
 
 def test_printed_matrix_already_in_standard_form():
-    from lcdkit.linalg import standard_form
+    from lcdkit.linalg import rref
 
     c = resolve_code("b_13_7_4")
-    res = standard_form(c.generator, c.field)
-    assert res.column_permutation == tuple(range(13))
+    res = rref(c.generator, c.field)
+    assert res.pivots == tuple(range(c.k))
     assert np.array_equal(res.matrix, c.generator)
 
 

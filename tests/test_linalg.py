@@ -20,7 +20,6 @@ from lcdkit.linalg import (
     nullspace,
     rank,
     rref,
-    standard_form,
 )
 
 FIELDS = [GF2, GF3, GF4, GF4H]
@@ -61,40 +60,6 @@ def test_rref_idempotent_and_canonical():
             perm = list(range(m.shape[0]))
             rng.shuffle(perm)
             assert np.array_equal(rref(m[perm], f).matrix, res.matrix)
-
-
-def test_standard_form_already_standard():
-    g = np.array([[1, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
-    res = standard_form(g, GF2)
-    assert np.array_equal(res.matrix, g)
-    assert res.column_permutation == (0, 1, 2, 3)
-
-
-def test_standard_form_zero_first_column():
-    g = np.array([[0, 1, 1], [0, 0, 1]], dtype=np.uint8)
-    res = standard_form(g, GF2)
-    k = g.shape[0]
-    assert np.array_equal(res.matrix[:, :k], np.eye(k, dtype=np.uint8))
-    assert res.column_permutation[0] != 0
-    # permuting the input columns accordingly and reducing reproduces the result
-    permuted = g[:, list(res.column_permutation)]
-    assert np.array_equal(rref(permuted, GF2).matrix, res.matrix)
-
-
-def test_standard_form_requires_full_rank():
-    with pytest.raises(LinalgError):
-        standard_form(np.array([[1, 1], [1, 1]], dtype=np.uint8), GF2)
-
-
-def test_standard_form_random_contract():
-    rng = random.Random(13)
-    for f in FIELDS:
-        for _ in range(25):
-            c = oracles.random_code(f, rng.randrange(3, 9), rng.randrange(1, 4), rng)
-            res = standard_form(c.generator, f)
-            k = c.k
-            assert sorted(res.column_permutation) == list(range(c.n))
-            assert np.array_equal(res.matrix[:, :k], np.eye(k, dtype=np.uint8))
 
 
 def test_nullspace_identity_empty():
