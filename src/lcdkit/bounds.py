@@ -65,7 +65,10 @@ class BoundsTable:
         return self.cells.get((n, k))
 
     def _cell(self, n: int, k: int) -> Cell:
-        return self.cells.setdefault((n, k), Cell())
+        c = self.cells.get((n, k))
+        if c is None:
+            c = self.cells[(n, k)] = Cell()
+        return c
 
     def _describe(self, b: Bound) -> str:
         p = b.provenance

@@ -201,8 +201,11 @@ def cmd_bounds(args) -> int:
     if args.seeds:
         bounds_mod.seed_from_csv(table, args.seeds)
     else:
-        grid = bounds_mod.load_grid(bounds_mod.grid_path(args.field))
-        bounds_mod.seed_from_grid(table, grid, "published grid")
+        path = bounds_mod.grid_path(args.field)
+        if not path.exists():
+            print(f"error: no bundled grid for {args.field}; pass --seeds FILE", file=sys.stderr)
+            return 1
+        bounds_mod.seed_from_grid(table, bounds_mod.load_grid(path), "published grid")
         if args.field == "gf3":
             bounds_mod.seed_ternary_exact(table, range(20, 26))
     if not table.cells:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -264,14 +265,16 @@ class SearchResult:
     target_met: bool | None
 
 
-# candidates scored per pass: small enough that a pass's temporaries stay in cache
+# candidate-word pairs per pass, and candidates per chunk of a scorer: small
+# enough that a pass's temporaries stay in cache
 SCORE_CHUNK = 1 << 14
 
-# compact the active candidates once this share of them has died.  Exhaustive
-# method-1 search of t_19_6_9 (531,077 candidates, 729 codewords), median of 5
-# on a 2-core x86-64 host: compacting on every death 1.18 s, at 5% 0.73 s,
-# 10% 0.67 s, 25% 0.70 s, 50% 0.77 s
-COMPACT_SHARE = 0.1
+# compact the candidates still scored once this share of them has died.
+# Exhaustive method-1 search of t_19_6_9 (531,077 candidates scored in
+# Brouwer-Zimmermann order), median of 6 on a 2-core x86-64 host: at 5%
+# 0.112 s, 10% 0.103 s, 25% 0.088 s, 50% 0.079 s, 75% 0.075 s, 90% 0.086 s;
+# t_20_8_8 behaves alike
+COMPACT_SHARE = 0.5
 
 # 32-bit words per getrandbits call when drawing sampled messages: the call's
 # bit count must fit a C int, which one call for a whole large budget exceeds
@@ -314,33 +317,114 @@ def _distinct(cand: np.ndarray) -> np.ndarray:
     return np.compress(fresh, cand, axis=-1)
 
 
-def _coset_floor(q: int, tables, cand: np.ndarray, scan: int, floor: int) -> np.ndarray:
-    """Running minimum weight over the cosets x + C for packed candidates x.
+@dataclass(frozen=True, eq=False)
+class _Link:
+    """One matrix G_j of C's information-set chain, ready to scan cosets."""
 
-    Scans the first ``scan`` codewords of C in message order and stops
-    scoring a candidate once its running minimum falls below ``floor``.
-    The result is the exact minimum where it is at least ``floor`` and an
-    upper bound below ``floor`` elsewhere.
+    pivots: tuple[int, ...]
+    deficit: int
+    negated: list[np.ndarray]  # codeword tables of -G_j
+    scaled: np.ndarray  # enumeration._pack_scaled(G_j)
+
+
+def _coset_chain(C: LinearCode) -> list[_Link]:
+    neg = C.field.neg_table
+    return [
+        _Link(pivots, deficit, enumeration.codeword_tables(C.field, neg[mat]), enumeration._pack_scaled(C.field, mat))
+        for mat, pivots, deficit in enumeration._information_set_chain(C.field, C.generator)
+    ]
+
+
+def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
+    """x - sum_i x[p_i] row_i over G_j's pivots p_i: the word of x + C that vanishes on them."""
+    return _add(q, x, enumeration.codewords_of(q, link.negated, enumeration._symbols(x, link.pivots).T))
+
+
+def _level_words(q: int, k: int, link: _Link, w: int):
+    """Packed batches of G_j's codewords of information weight w, every
+    nonzero scalar tuple: the BZ level batches and their multiples."""
+    if w == 0:
+        yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
+        return
+    for words in enumeration._bz_level(q, k, w, link.scaled, packed=True):
+        for a in range(1, q):
+            yield enumeration._scale(q, a, words)
+
+
+def _bz_order(q: int, k: int, chain: list[_Link], floor: int):
+    """Yield (link, batches) stages: for each matrix G_j in turn, its
+    codewords c of information weight 0, 1, ..., W, every nonzero scalar
+    tuple.  The set is closed under negation, so the words x_j - c are the
+    words of the coset x + C of information weight at most W on G_j.
+
+    After level W every coset word not listed has information weight > W
+    on each listed G_j, so at least W + 1 - deficit_j nonzero symbols
+    inside G_j's own column block; the blocks are disjoint, so it weighs at
+    least the sum.  W is the first level at which that sum reaches
+    ``floor`` (matrices with deficit > W add nothing and are left out), or
+    k, where G_1's levels are the whole coset; G_1 alone also serves
+    whenever the levels would list more than q^k words.
     """
-    low = np.empty(cand.shape[-1], dtype=np.uint16)
-    where = np.arange(cand.shape[-1])
-    run = np.full(cand.shape[-1], np.iinfo(np.uint16).max, dtype=np.uint16)
-    for _, words in enumeration.codeword_blocks(q, tables, 0, scan):
-        for j in range(words.shape[-1]):
-            word = words[..., j : j + 1]
+    W = next((w for w in range(k) if sum(max(0, w + 1 - link.deficit) for link in chain) >= floor), k)
+    links = [link for link in chain if link.deficit <= W]
+    if len(links) * sum(comb(k, w) * (q - 1) ** w for w in range(W + 1)) > q**k:
+        links, W = chain[:1], k
+    for link in links:
+        yield link, (words for w in range(W + 1) for words in _level_words(q, k, link, w))
+
+
+def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray, floor: int, stages) -> np.ndarray:
+    """Running minimum weight over the cosets x + C of the packed candidates
+    x = cand[..., active].
+
+    ``stages`` yields (link, batches) pairs.  With a link, every candidate
+    still scored is first replaced, in one working copy and a chunk at a
+    time, by the word of its coset that vanishes on the link's pivots.
+    Then each candidate is compared with every packed word c of the
+    batches, at most SCORE_CHUNK pairs per pass: the distance from x to c
+    is the weight of the coset word x - c.  A candidate stops being scored
+    once its running minimum falls below ``floor``.  The result bounds each
+    coset minimum from above, and is below ``floor`` exactly where some
+    listed word is.
+    """
+    low = np.empty(active.size, dtype=np.uint16)
+    where = np.arange(active.size)
+    run = np.full(active.size, np.iinfo(np.uint16).max, dtype=np.uint16)
+    x = np.take(cand, active, axis=-1)
+    for link, batches in stages:
+        if link is not None:
             for lo in range(0, run.size, SCORE_CHUNK):
-                part = run[lo : lo + SCORE_CHUNK]
-                np.minimum(part, _weigh(_add(q, cand[..., lo : lo + SCORE_CHUNK], word)), out=part)
-            dead = run < floor
-            died = np.count_nonzero(dead)
-            if died and died >= COMPACT_SHARE * run.size:
-                low[where[dead]] = run[dead]
-                keep = ~dead
-                where, run, cand = where[keep], run[keep], np.compress(keep, cand, axis=-1)
-                if not run.size:
-                    return low
+                x[..., lo : lo + SCORE_CHUNK] = _reduce(q, x[..., lo : lo + SCORE_CHUNK], link)
+        for words in batches:
+            s = 0
+            while s < words.shape[-1]:
+                group = max(1, SCORE_CHUNK // run.size)  # words per pass; one when the candidates fill a pass
+                part = words[..., None, s : s + group]
+                s += group
+                for lo in range(0, run.size, SCORE_CHUNK // group):
+                    hi = lo + SCORE_CHUNK // group
+                    np.minimum(run[lo:hi], enumeration._distance(x[..., lo:hi, None], part).min(axis=-1), out=run[lo:hi])
+                dead = run < floor
+                died = np.count_nonzero(dead)
+                if died and died >= COMPACT_SHARE * run.size:
+                    # np.compress: a random boolean mask indexes several times slower
+                    low[np.compress(dead, where)] = np.compress(dead, run)
+                    keep = ~dead
+                    where, run, x = np.compress(keep, where), np.compress(keep, run), _compact(x, keep)
+                    if not run.size:
+                        return low
     low[where] = run
     return low
+
+
+def _compact(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """x[..., keep], written over the front of x a chunk at a time, so no second copy is made."""
+    m = 0
+    for lo in range(0, keep.size, SCORE_CHUNK):
+        part = np.compress(keep[lo : lo + SCORE_CHUNK], x[..., lo : lo + SCORE_CHUNK], axis=-1)
+        x[..., m : m + part.shape[-1]] = part
+        m += part.shape[-1]
+    return x[..., :m]
 
 
 def _best_scores(C: LinearCode, cand: np.ndarray, d_base: int, scan: int, bonus: int) -> tuple[int, np.ndarray]:
@@ -349,18 +433,32 @@ def _best_scores(C: LinearCode, cand: np.ndarray, d_base: int, scan: int, bonus:
     Thresholds t count down from d_base, which caps every score; at each
     level only candidates whose known upper bound still reaches t are
     scanned, and the survivors of the first level that has any score
-    exactly t.
+    exactly t.  When ``scan`` covers all of C the cosets are scanned in
+    Brouwer-Zimmermann order and each candidate is decided exactly;
+    otherwise the first ``scan`` codewords in message order give upper
+    bounds.
     """
     q = C.field.order
-    tables = enumeration.codeword_tables(C.field, C.generator)
+    if scan < q**C.k:  # x - (-c) = x + c over the first scan codewords c
+        tables = enumeration.codeword_tables(C.field, C.generator)
+        neg = int(C.field.neg_table[1])
+
+        def stages(floor):
+            return [(None, (enumeration._scale(q, neg, w) for _, w in enumeration.codeword_blocks(q, tables, 0, scan)))]
+
+    else:
+        chain = _coset_chain(C)
+
+        def stages(floor):
+            return _bz_order(q, C.k, chain, floor)
+
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
     t = d_base
     while True:
         active = np.flatnonzero(bound >= t)
         if t <= bonus:
             return t, active  # nothing can score below the bonus
-        sub = cand if active.size == cand.shape[-1] else np.take(cand, active, axis=-1)
-        low = _coset_floor(q, tables, sub, scan, t - bonus)
+        low = _coset_floor(q, cand, active, t - bonus, stages(t - bonus))
         alive = low >= t - bonus
         if alive.any():
             return t, active[alive]
@@ -388,14 +486,20 @@ def search_extend(
     lexicographically smallest vector.  The score is exact when C has at
     most ``cap`` codewords; otherwise the coset scan covers the first
     ``cap`` codewords in message order and the score is an upper bound.
+    An exact scan runs in Brouwer-Zimmermann order: for each matrix of C's
+    information-set chain, x is reduced to the coset word that vanishes on
+    the matrix's pivots, and the words of C of information weight 0, 1, ...
+    are added, every scalar tuple, until the chain's lower bound on the
+    words not yet listed reaches the threshold.
 
     When the search is exhaustive and exact, only one candidate per
     projective class x, 2x, ... is scored (message 0 and the messages whose
     top nonzero digit is 1): scaling preserves the coset minimum and the
     weight, so the winners' multiples are added back before the tie-break
     and ``candidates`` still counts every vector.  Scoring is pruned by
-    threshold: a candidate is dropped as soon as it cannot reach the best
-    score still possible.  Results never depend on evaluation order.
+    threshold: a candidate is dropped as soon as one of its coset words
+    shows that it cannot reach the best score still possible.  Results
+    never depend on evaluation order.
     """
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")

@@ -21,6 +21,9 @@ rows of a systematic generator, the first scaled by 1) come in batches of
 at most BZ_CHUNK: their index rows are generated a range of supports at a
 time, each batch gathers its scaled rows from one pack with np.take, adds
 them and is weighed once.  A level's C(k, w) supports are never held whole.
+The extension search lists the words of cosets x + C from the same batches
+and their scalar multiples, and compares them with the candidates by
+Hamming distance (construct._bz_order).
 """
 
 from __future__ import annotations
@@ -99,10 +102,46 @@ def _add(order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a1, a2 = a
     b1, b2 = b
     t = (a1 | b2) ^ (a2 | b1)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    out = np.empty((2,) + t.shape, dtype=np.uint64)
     np.bitwise_xor(a2 | b2, t, out=out[0])
     np.bitwise_xor(a1 | b1, t, out=out[1])
     return out
+
+
+def _scale(order: int, a: int, batch: np.ndarray) -> np.ndarray:
+    """a times every vector of a packed batch, for a nonzero element index a."""
+    if a == 1:
+        return batch
+    if order == 3:
+        return batch[::-1]  # 2 = -1 swaps the ones and twos planes
+    # GF(4): index b0 + 2 b1 is b0 + b1 w with w^2 = w + 1, so
+    # w (b0 + b1 w) = b1 + (b0 + b1) w and w^2 (b0 + b1 w) = (b0 + b1) + b0 w
+    lo, hi = batch
+    return np.stack([hi, lo ^ hi] if a == 2 else [lo ^ hi, lo])
+
+
+def _symbols(batch: np.ndarray, cols) -> np.ndarray:
+    """Element indices at columns ``cols`` of every vector of a packed batch,
+    as uint8 of shape (len(cols), N); the batch's last axis must be contiguous."""
+    cols = np.asarray(cols, dtype=np.intp)
+    # byte c % 64 // 8 of word c // 64 holds column c, little-endian
+    octets = batch.astype("<u8", copy=False).view(np.uint8).reshape(batch.shape + (8,))
+    octets = octets[:, cols // 64, :, cols % 64 // 8]  # (len(cols), P, N)
+    bits = octets >> (cols % 8).astype(np.uint8)[:, None, None] & 1
+    out = bits[:, 0]
+    for p in range(1, bits.shape[1]):
+        out = out | bits[:, p] << p
+    return out
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance between the vectors of two packed batches, as uint16
+    (shapes broadcast).  Each layout encodes a symbol injectively in its
+    planes, so two symbols differ where any plane does."""
+    diff = a[0] ^ b[0]
+    for p in range(1, len(a)):
+        diff |= a[p] ^ b[p]
+    return np.bitwise_count(diff).sum(axis=0, dtype=np.uint16)
 
 
 def _weigh(batch: np.ndarray) -> np.ndarray:
@@ -259,8 +298,10 @@ def weight_distribution_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | N
 def _information_set_chain(field: FieldSpec, G: np.ndarray):
     """Systematic generators on pairwise disjoint column sets.
 
-    Returns [(matrix, deficit)]; deficit = k minus the number of pivots
-    the matrix places inside its own (previously unused) column block.
+    Returns [(matrix, pivots, deficit)]: row i of the matrix is 1 at
+    column pivots[i] and 0 at the other pivots; deficit = k minus the
+    number of pivots inside the matrix's own (previously unused) column
+    block.
     """
     k, n = G.shape
     remaining = set(range(n))
@@ -272,7 +313,7 @@ def _information_set_chain(field: FieldSpec, G: np.ndarray):
         new_piv = [p for p in res.pivots if p in remaining]
         if not new_piv:
             break
-        chain.append((res.matrix, k - len(new_piv)))
+        chain.append((res.matrix, res.pivots, k - len(new_piv)))
         remaining -= set(new_piv)
         used.extend(sorted(new_piv))
     return chain
@@ -337,11 +378,13 @@ def _scalar_rows(q: int, w: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.intp) // powers[:, None] % (q - 1) + 1
 
 
-def _bz_level(q: int, k: int, w: int, scaled: np.ndarray):
-    """Yield the weights of one matrix's level-w codewords in packed batches.
+def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, packed: bool = False):
+    """Yield one matrix's level-w codewords in batches: their weights, or
+    the packed batches themselves when ``packed``.
 
     Supports come in lex order and, within a support, scalar tuples in
-    product order, at most BZ_CHUNK codewords per batch.
+    product order with the first scalar 1, at most BZ_CHUNK codewords per
+    batch.
     """
     per_support = (q - 1) ** (w - 1)
     step = min(per_support, BZ_CHUNK)
@@ -354,7 +397,7 @@ def _bz_level(q: int, k: int, w: int, scaled: np.ndarray):
                 # column a * k + j of the scaled pack is a * row_j
                 words = np.take(scaled, (coeffs * k + rows[:, None]).ravel(), axis=-1)
                 cw = words if cw is None else _add(q, cw, words)
-            yield _weigh(cw)
+            yield cw if packed else _weigh(cw)
 
 
 def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
@@ -372,7 +415,7 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
         raise ValueError("the zero code has no nonzero codewords")
     cap = DEFAULT_CAPS[field.order] if cap is None else max(cap, 0)
     q = field.order
-    chain = [(_pack_scaled(field, mat), deficit) for mat, deficit in _information_set_chain(field, G)]
+    chain = [(_pack_scaled(field, mat), deficit) for mat, _pivots, deficit in _information_set_chain(field, G)]
     best = n + 1
     work = 0
     for w in range(1, k + 1):

@@ -118,7 +118,7 @@ def loop_bz_min_weight(field: FieldSpec, G: np.ndarray, cap: int | None = None) 
     best = n + 1
     work = 0
     for w in range(1, k + 1):
-        for mat, _deficit in chain:
+        for mat, _pivots, _deficit in chain:
             for cw in loop_bz_level(field, mat, w):
                 ww = int(np.count_nonzero(cw))
                 if ww and ww < best:
@@ -126,7 +126,7 @@ def loop_bz_min_weight(field: FieldSpec, G: np.ndarray, cap: int | None = None) 
                 work += 1
                 if work > cap:
                     raise BudgetExceeded(best if best <= n else None, work)
-        if sum(max(0, w + 1 - deficit) for _mat, deficit in chain) >= best:
+        if sum(max(0, w + 1 - deficit) for _mat, _pivots, deficit in chain) >= best:
             return best
     return best
 

@@ -178,6 +178,18 @@ def test_bounds_custom_seed_file(capsys, tmp_path):
     assert lines[3] == "31,10-"  # odd-distance two-column growth
 
 
+def test_bounds_without_bundled_grid_needs_seeds(capsys, tmp_path):
+    # no grid ships for gf4h: the command says so instead of failing to open a file
+    code, out, err = run(capsys, "--threads", "1", "bounds", "--field", "gf4h")
+    assert (code, out) == (1, "")
+    assert err == "error: no bundled grid for gf4h; pass --seeds FILE\n"
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("field,n,k,lower,upper,kind,provenance\ngf4h,10,5,4,4,literature-exact,known\n")
+    code, out, err = run(capsys, "bounds", "--field", "gf4h", "--seeds", str(seeds), "--range", "10..11,5..5", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["10,4", "11,4-"]
+
+
 def test_eaqecc_output(capsys):
     code, out, _ = run(capsys, "eaqecc", "22", "12", "7")
     assert code == 0

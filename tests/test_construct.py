@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lcdkit import construct, linalg
+from lcdkit import construct, enumeration, linalg
 from lcdkit.codes import EmptyCode, LinearCode, dual, hull, is_lcd, min_weight, new_code, shorten
 from lcdkit.construct import (
     M1,
@@ -612,6 +612,79 @@ def test_search_on_distance_one_base(f):
     assert is_lcd(C) and oracles.brute_min_weight(C) == 1
     assert check_against_reference(C, M1, 10**6, 0, 10**9)[:2] == (1, (0,) * 5)
     assert check_against_reference(C, M2, 10**6, 0, 10**9)[0] == 1
+
+
+# -- coset scoring in Brouwer-Zimmermann order against the oracle's coset minima
+
+
+def coset_candidates(C, count, rng):
+    """Random vectors, half of them codewords plus errors of weight 0..3, so
+    that low and high coset minima both occur."""
+    f = C.field
+    cands = oracles.random_matrix(f, count, C.n, rng)
+    msgs = oracles.random_matrix(f, count // 2, C.k, rng)
+    near = oracles.table_matmul(f, msgs, C.generator)
+    for row in near:
+        for i in rng.sample(range(C.n), rng.randrange(4)):
+            row[i] = rng.randrange(f.order)
+    return np.vstack([cands, near])
+
+
+@pytest.mark.parametrize(
+    "f,n,k", [(GF2, 70, 8), (GF3, 66, 5), (GF4H, 65, 4), (GF2, 16, 10), (GF3, 12, 7), (GF4H, 10, 6), (GF3, 9, 3)]
+)
+@pytest.mark.parametrize("chunk", [5, 64, construct.SCORE_CHUNK])
+def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
+    # n > 64 spans two words per plane, k > n / 2 gives the chain deficits,
+    # and small chunks split passes, reductions and compactions.  A
+    # candidate stays alive exactly when its coset minimum reaches the
+    # floor, and a dropped one reports an upper bound on it below the floor
+    monkeypatch.setattr(construct, "SCORE_CHUNK", chunk)
+    rng = random.Random(n * 7 + k)
+    C = oracles.random_code(f, n, k, rng)
+    cands = coset_candidates(C, 40, rng)
+    truth = oracles.coset_min_weights(C, cands)
+    packed = enumeration.pack_matrix(f.order, cands)
+    chain = construct._coset_chain(C)
+    active = np.flatnonzero(np.arange(len(cands)) % 5 != 3)  # scorers see a subset of the candidates
+    want = truth[active]
+    for floor in range(1, int(truth.max()) + 2):
+        low = construct._coset_floor(f.order, packed, active, floor, construct._bz_order(f.order, k, chain, floor))
+        alive = low >= floor
+        assert np.array_equal(alive, want >= floor)
+        assert (low >= want).all()
+
+
+def test_bz_order_schedule():
+    # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 stops after level 2 of the
+    # first three matrices, 3 * (1 + 12 + 60) words; floor 1 after level 0
+    # of those three; floor 13 would need level 4 of three matrices, more
+    # than the 3^6 words of the coset, so G_1 is scanned whole
+    from lcdkit import corpus
+
+    C = corpus.resolve_code("t_19_6_9")
+    chain = construct._coset_chain(C)
+    assert [link.deficit for link in chain] == [0, 0, 0, 5]
+    for floor, links, words in [(8, chain[:3], 219), (1, chain[:3], 3), (13, chain[:1], 3**6)]:
+        stages = list(construct._bz_order(3, 6, chain, floor))
+        assert [link for link, _ in stages] == links
+        assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
+
+
+@pytest.mark.parametrize(
+    "method,vector,score,candidates",
+    [(M1, "00000110201211202001", 8, 354_051), (M2, "00000000110100221202", 7, 354_780)],
+)
+def test_search_exhaustive_ternary_20_8_8(method, vector, score, candidates):
+    # exhaustive over the 3^12 dual of the stored [20,8,8] code; the results
+    # of scoring every candidate against all 3^8 codewords in message order
+    from lcdkit import corpus
+    from lcdkit.codes import format_vector
+
+    C = corpus.resolve_code("t_20_8_8")
+    res = search_extend(C, method, budget=3**13, seed=0)
+    assert res.exhaustive and res.exact
+    assert (format_vector(C.field, res.vector), res.min_weight, res.candidates) == (vector, score, candidates)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -15,9 +15,12 @@ from lcdkit.enumeration import (
     BudgetExceeded,
     _add,
     _combinations,
+    _distance,
     _information_set_chain,
+    _scale,
     _scan_worker,
     _support_blocks,
+    _symbols,
     _weigh,
     codeword_blocks,
     codeword_tables,
@@ -30,7 +33,7 @@ from lcdkit.enumeration import (
     weight_distribution_exhaustive,
 )
 from lcdkit.gf import GF2, GF3, GF4, GF4H
-from lcdkit.linalg import _add_packed, _pack_rows, rank
+from lcdkit.linalg import _add_packed, _pack_rows, rank, row_spaces_equal
 
 FLAVOURS = [GF2, GF3, GF4, GF4H]
 
@@ -66,6 +69,23 @@ def test_add_packed_matches_field_add():
         assert np.array_equal(unpack_matrix(_add(f.order, pa, pb), 70), f.add(A, B))
         assert np.array_equal(unpack_matrix(_add(f.order, pa, pb[..., :1]), 70), f.add(A, B[:1]))
         assert np.array_equal(_weigh(pa), (A != 0).sum(axis=1))
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_packed_scale_symbols_and_distance(f):
+    # multiples, symbol reads and distances against the symbol tables, past
+    # one word and on a sliced batch like the scorer's working copy
+    rng = random.Random(41)
+    A, B = oracles.random_matrix(f, 30, 70, rng), oracles.random_matrix(f, 30, 70, rng)
+    pa, pb = pack_matrix(f.order, A), pack_matrix(f.order, B)
+    for a in range(1, f.order):
+        assert np.array_equal(unpack_matrix(_scale(f.order, a, pa), 70), f.mul_table[a][A])
+    cols = [69, 0, 64, 63, 5]
+    assert np.array_equal(_symbols(pa, cols), A[:, cols].T)
+    assert np.array_equal(_symbols(pa[..., 3:20], cols), A[3:20, cols].T)
+    assert np.array_equal(_distance(pa, pb), (A != B).sum(axis=1))
+    pairs = _distance(pa[..., :, None], pb[..., None, :5])
+    assert np.array_equal(pairs, (A[:, None] != B[None, :5]).sum(axis=2))
 
 
 @pytest.mark.parametrize("f,k,n", [(GF2, 9, 14), (GF3, 6, 11), (GF4H, 5, 10), (GF2, 18, 70), (GF3, 11, 66)])
@@ -163,10 +183,27 @@ def test_information_set_chain_disjoint_blocks():
         c = oracles.random_code(f, 13, 5, rng)
         chain = _information_set_chain(f, c.generator)
         assert chain
-        assert chain[0][1] == 0  # the first matrix is fully systematic
-        for mat, deficit in chain:
+        assert chain[0][2] == 0  # the first matrix is fully systematic
+        for mat, _pivots, deficit in chain:
             assert 0 <= deficit < c.k
             assert rank(mat, f) == c.k
+
+
+def test_information_set_chain_pivots():
+    # each matrix generates the code and is the identity on its pivots, and
+    # its deficit counts the pivots an earlier matrix already used; k > n / 2
+    # forces deficits
+    rng = random.Random(37)
+    for f, n, k in [(GF2, 16, 10), (GF3, 12, 7), (GF4H, 10, 6), (GF2, 70, 40), (GF3, 66, 9)]:
+        c = oracles.random_code(f, n, k, rng)
+        chain = _information_set_chain(f, c.generator)
+        used = set()
+        for mat, pivots, deficit in chain:
+            assert np.array_equal(mat[:, list(pivots)], np.eye(k, dtype=np.uint8))
+            assert row_spaces_equal(mat, c.generator, f)
+            assert deficit == len(used.intersection(pivots))
+            used.update(pivots)
+        assert 2 * k <= n or any(deficit for *_, deficit in chain)
 
 
 def test_bz_agrees_at_moderate_scale():
