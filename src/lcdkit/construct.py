@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -373,9 +373,11 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int):
         yield link, (words for w in range(W + 1) for words in _level_words(q, k, link, w))
 
 
-def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray, floor: int, stages) -> np.ndarray:
+def _coset_floor(
+    q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages, room: np.ndarray | None = None
+) -> np.ndarray:
     """Running minimum weight over the cosets x + C of the packed candidates
-    x = cand[..., active].
+    x = cand[..., active], or of every candidate when ``active`` is None.
 
     ``stages`` yields (link, batches) pairs.  With a link, every candidate
     still scored is first replaced, in one working copy and a chunk at a
@@ -386,11 +388,23 @@ def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray, floor: int, stage
     once its running minimum falls below ``floor``.  The result bounds each
     coset minimum from above, and is below ``floor`` exactly where some
     listed word is.
+
+    The working copy and the candidates' positions are views of ``room``
+    (see _with_room; allocated here when not given) and are compacted in
+    place, like the running minima.
     """
-    low = np.empty(active.size, dtype=np.uint16)
-    where = np.arange(active.size)
-    run = np.full(active.size, np.iinfo(np.uint16).max, dtype=np.uint16)
-    x = np.take(cand, active, axis=-1)
+    n = cand.shape[-1] if active is None else active.size
+    plane = cand.size // max(cand.shape[-1], 1)  # words per candidate
+    if room is None:
+        room = np.empty((plane + 1) * n, dtype=np.uint64)
+    x = room[: plane * n].reshape(cand.shape[:-1] + (n,))
+    where = room[plane * n : (plane + 1) * n].view(np.intp)
+    for lo in range(0, n, SCORE_CHUNK):
+        hi = min(lo + SCORE_CHUNK, n)
+        x[..., lo:hi] = cand[..., lo:hi] if active is None else np.take(cand, active[lo:hi], axis=-1)
+        where[lo:hi] = np.arange(lo, hi)
+    low = np.empty(n, dtype=np.uint16)
+    run = np.full(n, np.iinfo(np.uint16).max, dtype=np.uint16)
     for link, batches in stages:
         if link is not None:
             for lo in range(0, run.size, SCORE_CHUNK):
@@ -410,7 +424,7 @@ def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray, floor: int, stage
                     # np.compress: a random boolean mask indexes several times slower
                     low[np.compress(dead, where)] = np.compress(dead, run)
                     keep = ~dead
-                    where, run, x = np.compress(keep, where), np.compress(keep, run), _compact(x, keep)
+                    where, run, x = _compact(where, keep), _compact(run, keep), _compact(x, keep)
                     if not run.size:
                         return low
     low[where] = run
@@ -427,7 +441,30 @@ def _compact(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return x[..., :m]
 
 
-def _best_scores(C: LinearCode, cand: np.ndarray, d_base: int, scan: int, bonus: int) -> tuple[int, np.ndarray]:
+def _with_room(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The packed batches concatenated, and after them, in the same
+    allocation, the room _coset_floor needs: a working copy and a position
+    per candidate.
+
+    The scorer compacts inside this room, so a search's candidate-sized
+    arrays are one block, the same for every search of the same code.
+    glibc's malloc keeps such a block's memory for the next search; the
+    separate arrays it replaces, reallocated smaller at every compaction,
+    left the heap to be trimmed and faulted in again on every call (about
+    5,300 page faults per exhaustive t_19_6_9 search, none after the first
+    few searches now).
+    """
+    shape = pieces[0].shape[:-1] + (sum(p.shape[-1] for p in pieces),)
+    size = prod(shape)
+    buf = np.empty(2 * size + shape[-1], dtype=np.uint64)
+    cand = buf[:size].reshape(shape)
+    np.concatenate(pieces, axis=-1, out=cand)
+    return cand, buf[size:]
+
+
+def _best_scores(
+    C: LinearCode, cand: np.ndarray, room: np.ndarray, d_base: int, scan: int, bonus: int
+) -> tuple[int, np.ndarray]:
     """The best score min(d_base, coset minimum + bonus) and the candidates reaching it.
 
     Thresholds t count down from d_base, which caps every score; at each
@@ -453,17 +490,16 @@ def _best_scores(C: LinearCode, cand: np.ndarray, d_base: int, scan: int, bonus:
             return _bz_order(q, C.k, chain, floor)
 
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
-    t = d_base
-    while True:
-        active = np.flatnonzero(bound >= t)
-        if t <= bonus:
-            return t, active  # nothing can score below the bonus
-        low = _coset_floor(q, cand, active, t - bonus, stages(t - bonus))
+    t, active = d_base, None  # the first level scans every candidate
+    while t > bonus:  # nothing can score below the bonus
+        low = _coset_floor(q, cand, active, t - bonus, stages(t - bonus), room)
         alive = low >= t - bonus
         if alive.any():
-            return t, active[alive]
-        bound[active] = low + bonus
+            return t, np.flatnonzero(alive) if active is None else active[alive]
+        bound[... if active is None else active] = low + bonus
         t = int(bound.max())  # every bound is now below t
+        active = np.flatnonzero(bound >= t)
+    return t, np.flatnonzero(bound >= t)
 
 
 def search_extend(
@@ -518,11 +554,11 @@ def search_extend(
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
     else:
         blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]
-    cand = np.concatenate(
-        [np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks], axis=-1
-    )
+    pieces = [np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks]
     if not exhaustive:
-        cand = _distinct(cand)
+        pieces = [_distinct(pieces[0])]  # the draws are one batch
+    cand, room = _with_room(pieces)
+    del pieces
     candidates = cand.shape[-1]
     if projective:  # each kept vector but the zero vector stands for its q - 1 multiples
         candidates = (q - 1) * candidates - (q - 2) * int(weight_condition(C.field, method, 0))
@@ -533,7 +569,7 @@ def search_extend(
         d_base = min_weight(C, cap=cap, threads=threads)
     except enumeration.BudgetExceeded as exc:
         d_base = exc.best_upper if exc.best_upper is not None else C.n
-    best_score, top = _best_scores(C, cand, d_base, min(q**C.k, cap), 1 if method == M1 else 0)
+    best_score, top = _best_scores(C, cand, room, d_base, min(q**C.k, cap), 1 if method == M1 else 0)
     tied = enumeration.unpack_matrix(np.take(cand, top, axis=-1), C.n)
     winners = np.concatenate([C.field.mul_table[a][tied] for a in (range(1, q) if projective else (1,))])
     best = np.array(min(map(tuple, winners.tolist())), dtype=np.uint8)

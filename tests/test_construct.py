@@ -655,6 +655,32 @@ def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
         assert (low >= want).all()
 
 
+@pytest.mark.parametrize("f,n,k", [(GF2, 70, 8), (GF3, 12, 7), (GF4H, 65, 4)])
+def test_coset_scorer_in_shared_room(f, n, k, monkeypatch):
+    # the search concatenates its candidates into the front of one buffer
+    # and scores them in the room after it, first all of them at once
+    # (active None), then a subset; both agree with a scorer that
+    # allocates its own room, through compactions of a small chunk
+    monkeypatch.setattr(construct, "SCORE_CHUNK", 5)
+    rng = random.Random(n * 11 + k)
+    C = oracles.random_code(f, n, k, rng)
+    cands = coset_candidates(C, 40, rng)
+    packed = enumeration.pack_matrix(f.order, cands)
+    cand, room = construct._with_room([packed[..., :17], packed[..., 17:]])
+    assert np.array_equal(cand, packed)
+    chain = construct._coset_chain(C)
+    subset = np.flatnonzero(np.arange(len(cands)) % 3 != 1)
+    for floor in (1, 2, 3, 5, 8, 13, 21):
+        def scored(active, room):
+            return construct._coset_floor(f.order, cand, active, floor, construct._bz_order(f.order, k, chain, floor), room)
+
+        everyone = scored(np.arange(len(cands)), None)
+        assert np.array_equal(scored(None, room), everyone)
+        assert np.array_equal(scored(subset, room), scored(subset, None))
+        assert np.array_equal((scored(subset, room) >= floor), everyone[subset] >= floor)
+    assert np.array_equal(cand, packed)  # scoring leaves the candidates alone
+
+
 def test_bz_order_schedule():
     # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 stops after level 2 of the
     # first three matrices, 3 * (1 + 12 + 60) words; floor 1 after level 0
