@@ -300,7 +300,7 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
         words = min((need - done) * (1 << bits) // q + 64, DRAW_CHUNK_WORDS)
         raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
         raw = raw >> (32 - bits)
-        digits = raw[raw < q][: need - done]
+        digits = np.compress(raw < q, raw)[: need - done]
         out[done : done + digits.size] = digits
         done += digits.size
     return out.reshape(count, m)

@@ -12,7 +12,10 @@ once.  The codewords of a generator come in message order (message
 index sum_j d_j q^j is the codeword sum_j d_j row_j) from a table of the
 codewords of the low rows, about 2^14 words, plus one word per value of
 the high digits: each block of a scan adds one high word to the table and
-weighs the sums with np.bitwise_count (numpy >= 2.0).  The message range can be split
+weighs the sums with np.bitwise_count (numpy >= 2.0).  A table is one
+broadcast add of two sub-tables, each one gather of its rows' multiples
+by a small constant digit table; when all of a code's messages fit in one
+table, a scan hands out slices of it.  The message range can be split
 across worker processes; min/sum reductions make the result identical for
 every worker count.
 
@@ -29,6 +32,7 @@ Hamming distance (construct._bz_order).
 from __future__ import annotations
 
 import multiprocessing
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -95,16 +99,22 @@ def _add(order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise sum of two packed batches (a batch of one word broadcasts).
 
     GF(3) uses a six-operation bitsliced add on (ones, twos) planes; it
-    maps zero padding to zero padding.
+    maps zero padding to zero padding.  Its steps write into the result
+    and one temporary, so a large sum allocates no more than that.
     """
     if order != 3:
         return a ^ b
     a1, a2 = a
     b1, b2 = b
-    t = (a1 | b2) ^ (a2 | b1)
+    t = a1 | b2
     out = np.empty((2,) + t.shape, dtype=np.uint64)
-    np.bitwise_xor(a2 | b2, t, out=out[0])
-    np.bitwise_xor(a1 | b1, t, out=out[1])
+    ones, twos = out
+    np.bitwise_or(a2, b1, out=ones)
+    t ^= ones  # t = (a1 | b2) ^ (a2 | b1)
+    np.bitwise_or(a2, b2, out=ones)
+    ones ^= t
+    np.bitwise_or(a1, b1, out=twos)
+    twos ^= t
     return out
 
 
@@ -158,12 +168,38 @@ def _pack_scaled(field: FieldSpec, G: np.ndarray) -> np.ndarray:
     return pack_matrix(field.order, field.mul_table[:, G].reshape(field.order * k, n))
 
 
+@lru_cache(maxsize=None)
+def _digit_rows(q: int, b: int) -> np.ndarray:
+    """Base-q digits of 0 .. q^b - 1, low digit first, as rows of shape (b, q^b); read-only, since it is shared."""
+    digits = np.arange(q**b) // q ** np.arange(b)[:, None] % q
+    digits.setflags(write=False)
+    return digits
+
+
+def _sub_table(q: int, scaled: np.ndarray, k: int, lo: int, b: int) -> np.ndarray:
+    """Packed codewords of the q^b messages on rows lo .. lo + b - 1, in
+    message order: one gather of every row's multiples, summed over the rows."""
+    if b == 0:
+        return np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)
+    # column a * k + j of the scaled pack is a * row_j
+    terms = np.take(scaled, _digit_rows(q, b) * k + np.arange(lo, lo + b)[:, None], axis=-1)
+    if q != 3:
+        return np.bitwise_xor.reduce(terms, axis=2)
+    table = terms[:, :, 0]
+    for j in range(1, b):
+        table = _add(q, table, terms[:, :, j])
+    return table
+
+
 def codeword_tables(field: FieldSpec, G: np.ndarray) -> list[np.ndarray]:
     """Packed codeword tables of G, one per block of TABLE_ROWS rows.
 
     tables[c][..., i] is the codeword of the message whose digits on the
     rows of block c spell i in base q (low digit first) and vanish
-    elsewhere, so every codeword is one word from each table, added.
+    elsewhere, so every codeword is one word from each table, added.  A
+    block's table is the sum, in one broadcast add, of the tables of its
+    low and high rows; each of those has at most q^ceil(TABLE_ROWS / 2)
+    words and comes from one gather.
     """
     q = field.order
     k = G.shape[0]
@@ -171,10 +207,12 @@ def codeword_tables(field: FieldSpec, G: np.ndarray) -> list[np.ndarray]:
     L = TABLE_ROWS[q]
     tables = []
     for lo in range(0, max(k, 1), L):
-        table = np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)
-        for j in range(lo, min(lo + L, k)):
-            rows = [scaled[..., a * k + j : a * k + j + 1] for a in range(1, q)]
-            table = np.concatenate([table] + [_add(q, table, row) for row in rows], axis=-1)
+        rows = min(L, k - lo)
+        low = min(rows, -(-L // 2))
+        table = _sub_table(q, scaled, k, lo, low)
+        if rows > low:
+            high = _sub_table(q, scaled, k, lo + low, rows - low)
+            table = _add(q, table[:, :, None, :], high[:, :, :, None]).reshape(table.shape[:2] + (-1,))
         tables.append(table)
     return tables
 
@@ -193,6 +231,10 @@ def codewords_of(order: int, tables: list[np.ndarray], msgs: np.ndarray) -> np.n
 def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
     """Yield (first message index, packed codewords) covering [start, stop) in message order."""
     T = tables[0].shape[-1]
+    if len(tables) == 1:  # every message is one word of the table
+        if start < stop:
+            yield start, tables[0][..., start:stop]
+        return
     first, last = start // T, -(-stop // T)
     rest = np.arange(first, last, dtype=np.int64)
     highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)

@@ -4,9 +4,12 @@ Matrices at the API are 2-D numpy uint8 arrays of element indices, and
 every result is a fresh uint8 array.  Products are one whole-matrix numpy
 computation.  Elimination runs on packed rows, one Python int per bit
 plane in the layout of enumeration's kernel, so clearing a column is one
-whole-row operation.  Everything here is a pure function of its inputs;
-results with a canonical form (RREF) are unique for a given row space,
-which downstream code relies on for deterministic coordinate choices.
+whole-row operation.  One elimination loop serves both RREF and rank:
+rank clears only the rows below each pivot and never unpacks, and
+nullspace reads the kernel's RREF basis off one RREF of the reversed
+columns.  Everything here is a pure function of its inputs; results with
+a canonical form (RREF) are unique for a given row space, which
+downstream code relies on for deterministic coordinate choices.
 """
 
 from __future__ import annotations
@@ -128,44 +131,29 @@ def _scale_packed(order: int, a: tuple[int, ...], s: int) -> tuple[int, ...]:
     return (hi, lo ^ hi) if s == 2 else (lo ^ hi, lo)  # times w, times w^2
 
 
-def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
-    """Reduced row echelon form; canonical for a given row space.
+def _eliminate(q: int, work: list[tuple[int, ...]], scan: int, reduce: bool) -> list[int]:
+    """Eliminate packed rows in place on their first ``scan`` columns; return the pivot columns.
 
-    ``col_order`` optionally gives the column scan order used for pivot
-    selection (distinct columns; the matrix itself is not permuted);
-    pivots are reported in scan order.  The elimination runs on packed
-    rows: the next pivot column is the lowest set bit of the remaining
-    rows, clearing it from a row is one whole-row plane add, and scaling
-    the pivot to 1 is a plane swap.
+    The next pivot column is the lowest set bit of the rows not yet used as
+    pivots, scaling the pivot to 1 is a plane swap and clearing the column
+    from a row is one whole-row plane add.  The rows below a pivot are
+    cleared, and their support gathered for the next pivot, in one pass;
+    ``reduce`` also clears the rows above, which leaves the RREF, and
+    otherwise the result is an echelon form with the same pivots.
     """
-    M = np.asarray(M, dtype=np.uint8)
-    rows, cols = M.shape
-    if rows == 0 or cols == 0:
-        return RrefResult(M.copy(), (), 0)
-    scan = cols
-    if col_order is not None:
-        # scan the permuted matrix left to right; unscanned columns go last
-        scan = len(col_order)
-        rest = sorted(set(range(cols)).difference(col_order))
-        if scan + len(rest) != cols:
-            raise LinalgError(f"col_order must list distinct columns of 0..{cols - 1}")
-        perm = list(col_order) + rest
-    q = field.order
     inv, neg = _INV[q], _NEG[q]
     # the entry at column c of a row w is (w[0] >> c & 1) | (w[-1] >> c & 1) << hi;
     # a one-plane row reads its only plane twice
     hi = 0 if q == 2 else 1
-    packed = _pack_rows(q, M if col_order is None else M[:, perm])
-    work = packed[:]
+    window = (1 << scan) - 1
+    rows = len(work)
     pivots: list[int] = []
-    for r in range(rows):
-        # rows r.. are zero left of the next pivot column
-        support = 0
-        for w in work[r:]:
-            support |= w[0] | w[-1]
-        support &= (1 << scan) - 1
-        if not support:
-            break
+    support = 0
+    for w in work:
+        support |= w[0] | w[-1]
+    support &= window
+    r = 0
+    while support:  # rows r.. are zero left of the next pivot column
         c = (support & -support).bit_length() - 1
         pr = r
         while not (work[pr][0] | work[pr][-1]) >> c & 1:
@@ -174,11 +162,48 @@ def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
         row = _scale_packed(q, w, inv[(w[0] >> c & 1) | (w[-1] >> c & 1) << hi])
         work[pr] = work[r]
         work[r] = row
-        for i, w in enumerate(work):
+        for i in range(r if reduce else 0):
+            w = work[i]
             a = (w[0] >> c & 1) | (w[-1] >> c & 1) << hi
-            if a and i != r:
+            if a:
                 work[i] = _add_packed(q, w, _scale_packed(q, row, neg[a]))
+        r += 1
+        support = 0
+        for i in range(r, rows):
+            w = work[i]
+            a = (w[0] >> c & 1) | (w[-1] >> c & 1) << hi
+            if a:
+                w = work[i] = _add_packed(q, w, _scale_packed(q, row, neg[a]))
+            support |= w[0] | w[-1]
+        support &= window
         pivots.append(c)
+    return pivots
+
+
+def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
+    """Reduced row echelon form; canonical for a given row space.
+
+    ``col_order`` optionally gives the column scan order used for pivot
+    selection (distinct columns; the matrix itself is not permuted);
+    pivots are reported in scan order.  The elimination runs on packed
+    rows (see _eliminate).
+    """
+    M = np.asarray(M, dtype=np.uint8)
+    rows, cols = M.shape
+    scan = cols
+    if col_order is not None:
+        # scan the permuted matrix left to right; unscanned columns go last
+        scan = len(col_order)
+        rest = sorted(set(range(cols)).difference(col_order))
+        if scan + len(rest) != cols:
+            raise LinalgError(f"col_order must list distinct columns of 0..{cols - 1}")
+        perm = list(col_order) + rest
+    if rows == 0 or cols == 0:
+        return RrefResult(M.copy(), (), 0)
+    q = field.order
+    packed = _pack_rows(q, M if col_order is None else M[:, perm])
+    work = packed[:]
+    pivots = _eliminate(q, work, scan, True)
     if work == packed:  # M already is its own RREF
         R = M.copy()
     else:
@@ -191,9 +216,11 @@ def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
 
 
 def rank(M: np.ndarray, field: FieldSpec) -> int:
+    """Rank by forward elimination only: no back-substitution, nothing unpacked."""
+    M = np.asarray(M, dtype=np.uint8)
     if M.size == 0:
         return 0
-    return rref(M, field).rank
+    return len(_eliminate(field.order, _pack_rows(field.order, M), M.shape[1], False))
 
 
 def row_space_basis(M: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -227,25 +254,28 @@ def gram(G: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Full-rank RREF basis of {y : M conj(y)^T = 0}.
+    """Full-rank RREF basis of {y : M conj(y)^T = 0}, from one elimination.
 
     For the Euclidean flavor this is the plain right kernel; for the
     Hermitian flavor it equals the kernel of the entrywise-conjugated
-    matrix, since M conj(y)^T = 0 iff conj(M) y^T = 0.
+    matrix, since M conj(y)^T = 0 iff conj(M) y^T = 0.  The elimination
+    runs on the columns in reverse, so the basis vector of a free column j
+    (1 at j, minus the RREF's column j on the pivot columns) is nonzero
+    only at j and at pivot columns right of j: sorted by j, the basis
+    already is the kernel's RREF.
     """
     cols = M.shape[1]
     work = conj_matrix(M, field) if field.flavor != EUCLIDEAN else M
-    res = rref(work, field)
-    piv = list(res.pivots)
-    pivset = set(piv)
-    free = [j for j in range(cols) if j not in pivset]
+    res = rref(work[:, ::-1], field)
+    pivset = set(res.pivots)
+    # reversed column c is column cols - 1 - c; the free ones in increasing order
+    free = [c for c in range(cols - 1, -1, -1) if c not in pivset]
     if not free:
         return np.zeros((0, cols), dtype=np.uint8)
-    # one basis vector per free column j: 1 at j, -rref[:, j] on the pivot columns
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, piv] = field.neg_table[res.matrix[: res.rank, free]].T
-    return row_space_basis(basis, field)
+    basis[np.arange(len(free)), [cols - 1 - c for c in free]] = 1
+    basis[:, [cols - 1 - c for c in res.pivots]] = field.neg_table[res.matrix[: res.rank, free]].T
+    return basis
 
 
 def solve_rowspace(A: np.ndarray, v: np.ndarray, field: FieldSpec):

@@ -163,6 +163,43 @@ def test_kernel_against_oracles_across_word_boundary(f, n):
         assert exc.value.steps == max(cap, 2)
 
 
+@pytest.mark.parametrize("f", FLAVOURS)
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_table_builder_and_one_table_scan_against_oracles(f, extra):
+    # k = TABLE_ROWS - 1 and TABLE_ROWS fit one table, built from a low and
+    # a high sub-table, which a scan hands out in slices; TABLE_ROWS + 1
+    # needs a second table of one row
+    q, L = f.order, enumeration.TABLE_ROWS[f.order]
+    k = L + extra
+    total = q**k
+    rng = random.Random(500 + 10 * q + extra)
+    c = oracles.random_code(f, 2 * k + 3, k, rng)
+    words = oracles.message_order_codewords(c)
+    tables = codeword_tables(f, c.generator)
+    assert [t.shape[-1] for t in tables] == ([q**L, q] if extra == 1 else [total])
+    blocks = list(codeword_blocks(q, tables, 0, total))
+    if extra < 1:
+        assert [first for first, _ in blocks] == [0]
+        assert np.shares_memory(blocks[0][1], tables[0])
+    scanned = np.concatenate([w for _, w in blocks], axis=-1)
+    assert np.array_equal(unpack_matrix(scanned, c.n), words)
+    start, stop = total // 3 + 1, total - q - 1  # a range inside the table(s)
+    inner = np.concatenate([w for _, w in codeword_blocks(q, tables, start, stop)], axis=-1)
+    assert np.array_equal(unpack_matrix(inner, c.n), words[start:stop])
+    d = oracles.brute_min_weight(c)
+    weights = (words != 0).sum(axis=1)
+    assert min_weight_exhaustive(f, c.generator) == d
+    for cap in (1, q + 1, total // 2, total - 1, total, total + 1):
+        if cap >= total:
+            assert min_weight_exhaustive(f, c.generator, cap=cap) == d
+            continue
+        # a truncated scan weighs exactly the first max(cap, 2) codewords in message order
+        with pytest.raises(BudgetExceeded) as exc:
+            min_weight_exhaustive(f, c.generator, cap=cap)
+        assert exc.value.best_upper == int(weights[1 : max(cap, 2)].min())
+        assert exc.value.steps == max(cap, 2)
+
+
 def test_worker_pool_matches_serial_scan(monkeypatch):
     # force the fork pool on small scans; the split must not change results
     import lcdkit.enumeration as enumeration

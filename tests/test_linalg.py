@@ -338,3 +338,34 @@ def test_rref_rejects_repeated_scan_columns():
         rref(np.eye(3, dtype=np.uint8), GF2, col_order=[0, 0, 1])
     with pytest.raises(LinalgError):
         rref(np.eye(3, dtype=np.uint8), GF2, col_order=[3])
+    # a matrix without rows or columns is checked the same way
+    with pytest.raises(LinalgError):
+        rref(np.zeros((0, 3), dtype=np.uint8), GF2, col_order=[0, 0, 7])
+    with pytest.raises(LinalgError):
+        rref(np.zeros((1, 3), dtype=np.uint8), GF2, col_order=[0, 0, 7])
+    with pytest.raises(LinalgError):
+        rref(np.zeros((2, 0), dtype=np.uint8), GF2, col_order=[0])
+    assert rref(np.zeros((0, 3), dtype=np.uint8), GF2, col_order=[2, 0]).rank == 0
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("zeros", [(0,), (2,), (4,), (0, 4), (1, 2, 3), (0, 1, 2, 3, 4)])
+def test_rank_of_singular_gram_matches_table_oracle(f, zeros):
+    # G = L H with L unit lower triangular and the rows of H on disjoint
+    # supports, each self-pairing d_j = 0 for j in zeros and 1 otherwise, so
+    # gram(G) = L diag(d) conj(L)^T has no pivot exactly at the columns in zeros
+    k = 5
+    rng = random.Random(sum(zeros) * 10 + f.order)
+    blocks = [[1] * (3 if f.order == 3 else 2) if j in zeros else [1] for j in range(k)]
+    H = np.zeros((k, sum(map(len, blocks))), dtype=np.uint8)
+    start = 0
+    for j, b in enumerate(blocks):
+        H[j, start : start + len(b)] = b
+        start += len(b)
+    L = np.tril(oracles.random_matrix(f, k, k, rng), -1) + np.eye(k, dtype=np.uint8)
+    g = gram(oracles.table_matmul(f, L, H), f)
+    _, pivots, r = oracles.table_rref(g, f)
+    assert pivots == tuple(j for j in range(k) if j not in zeros)
+    assert rank(g, f) == r == k - len(zeros)
+    assert rank(g.T, f) == r
+    assert rank(g[::-1], f) == r
