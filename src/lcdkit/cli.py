@@ -13,6 +13,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 
@@ -251,16 +253,31 @@ def cmd_corpus_check(args) -> int:
     return 1 if failures else 0
 
 
+# cgroup v2 CPU limit of this process's group: "<quota> <period>" or "max <period>"
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on (affinity and cpusets included, where the OS says)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on: affinity and cpusets, capped by a cgroup v2 CPU quota."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        with open(CGROUP_CPU_MAX, encoding="ascii") as fh:
+            quota, period = (int(v) for v in fh.read().split())
+    except (OSError, ValueError):  # no file, no quota ("max") or unreadable
+        return cpus
+    return max(1, min(cpus, math.ceil(quota / period)))
 
 
+def _threads(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
+@functools.cache  # one parser per process, so no default may depend on the call; main resolves --threads
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lcdkit", description="LCD code construction and verification toolkit")
-    p.add_argument("--threads", type=int, default=_usable_cpus(), help="worker processes for enumeration")
+    p.add_argument("--threads", type=_threads, help="worker processes for enumeration (default: usable CPUs)")
     p.add_argument("--cap", type=int, default=None, help="enumeration work budget (codewords)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -326,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.threads is None:
+        args.threads = _usable_cpus()
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

@@ -12,15 +12,18 @@ one step on top of the row it was built from; replay resolves the chain
 recursively back to a stored matrix.
 
 The data directory can be overridden with the LCDKIT_CORPUS environment
-variable (it must follow the same layout).
+variable (it must follow the same layout).  The manifest is parsed once per
+file version (path, inode, mtime, size) and its entries are immutable.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from . import codes as codes_mod
 from .codes import LinearCode, is_even_like, is_lcd, min_weight, read_code_file, weight_distribution
@@ -52,7 +55,7 @@ class CorpusEntry:
     k: int
     d: int | None
     properties: tuple[str, ...]
-    weights: dict[int, int] | None
+    weights: MappingProxyType[int, int] | None  # read-only: manifest() calls share entries
     source: str
     optional: bool
 
@@ -63,18 +66,24 @@ class CorpusEntry:
         return "odd-like" in self.properties
 
 
-def _parse_weights(text: str) -> dict[int, int] | None:
+def _parse_weights(text: str) -> MappingProxyType[int, int] | None:
     if not text:
         return None
     out = {}
     for part in text.split():
         w, c = part.split(":")
         out[int(w)] = int(c)
-    return out
+    return MappingProxyType(out)
 
 
 def manifest() -> dict[str, CorpusEntry]:
     path = data_dir() / "manifest.csv"
+    st = os.stat(path)
+    return dict(_parse_manifest(path, st.st_ino, st.st_mtime_ns, st.st_size))
+
+
+@functools.lru_cache(maxsize=4)
+def _parse_manifest(path: Path, ino: int, mtime_ns: int, size: int) -> dict[str, CorpusEntry]:
     entries: dict[str, CorpusEntry] = {}
     with open(path, newline="", encoding="ascii") as fh:
         for row in csv.DictReader(fh):
@@ -110,11 +119,30 @@ def load_record(entry: CorpusEntry) -> ConstructionRecord:
         return parse_record(fh.read())
 
 
-def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _seen=()) -> LinearCode:
-    """Materialize an entry as a code, replaying records recursively."""
+class _BaseCycle(CorpusError):
+    """Its text names where the walk closed the cycle, so it is never memoized."""
+
+
+def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _seen=(), _memo=None) -> LinearCode:
+    """Materialize an entry as a code, replaying records recursively; ``_memo`` maps an id to its code or error."""
     entries = manifest() if entries is None else entries
+    memo = {} if _memo is None else _memo
     if entry_id in _seen:
-        raise CorpusError(f"record base cycle through {entry_id!r}")
+        raise _BaseCycle(f"record base cycle through {entry_id!r}")
+    if entry_id not in memo:
+        try:
+            memo[entry_id] = _resolve(entry_id, entries, _seen, memo)
+        except _BaseCycle:
+            raise
+        except CorpusError as exc:
+            memo[entry_id] = exc
+    hit = memo[entry_id]
+    if isinstance(hit, CorpusError):
+        raise hit
+    return hit
+
+
+def _resolve(entry_id: str, entries: dict[str, CorpusEntry], seen, memo) -> LinearCode:
     if entry_id not in entries:
         # allow records to point straight at a code file path
         path = data_dir() / entry_id
@@ -127,7 +155,7 @@ def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _
             raise MissingBase(f"{entry.id}: matrix not distributed ({entry.source})")
         return read_code_file(data_dir() / entry.file)
     rec = load_record(entry)
-    base = resolve_code(rec.base, entries, _seen + (entry_id,))
+    base = resolve_code(rec.base, entries, seen + (entry_id,), memo)
     steps = apply_record(rec, base)
     return steps[-1] if steps else base
 
@@ -149,11 +177,11 @@ class VerificationReport:
     messages: list[str]
 
 
-def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1) -> VerificationReport:
+def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1, _memo=None) -> VerificationReport:
     """Check every claim the manifest makes about one entry."""
     messages: list[str] = []
     try:
-        code = resolve_code(entry.id, entries)
+        code = resolve_code(entry.id, entries, _memo=_memo)
     except MissingBase as exc:
         if entry.optional:
             return VerificationReport(entry.id, True, True, [f"skipped: {exc}"])
@@ -189,17 +217,16 @@ def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1) -> Verifica
 
 def check_all(include_optional: bool = False, threads: int = 1) -> list[VerificationReport]:
     entries = manifest()
+    memo: dict = {}
     reports = []
     for entry in entries.values():
         if entry.optional and not include_optional:
             try:
-                resolve_code(entry.id, entries)
-            except MissingBase as exc:
-                reports.append(VerificationReport(entry.id, True, True, [f"skipped: {exc}"]))
-                continue
+                resolve_code(entry.id, entries, _memo=memo)
+            except MissingBase:
+                pass  # verify_entry reports it as skipped
             except CorpusError as exc:
                 reports.append(VerificationReport(entry.id, False, False, [str(exc)]))
                 continue
-            # optional but resolvable: verify it anyway
-        reports.append(verify_entry(entry, entries, threads=threads))
+        reports.append(verify_entry(entry, entries, threads=threads, _memo=memo))
     return reports

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from lcdkit.cli import main
+from lcdkit import cli
+from lcdkit import corpus as corpus_mod
+from lcdkit.cli import build_parser, main
 from lcdkit.codes import read_code_file
 from lcdkit.corpus import data_dir
 
@@ -233,3 +235,79 @@ def test_cli_determinism_sampled_search(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "exhaustive=false" in out1
+
+
+@pytest.mark.parametrize("value, command", [("0", ("minweight", "codes/b_13_7_4.code")), ("-2", ("corpus-check",))])
+def test_threads_below_one_is_a_usage_error(capsys, value, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, command[0], *map(corpus_file, command[1:])])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"lcdkit: error: argument --threads: must be a whole number of at least 1, got '{value}'\n" in out.err
+
+
+def test_threads_values_at_parse_level():
+    # large counts are only parsed here: running them would fork one worker each
+    parser = build_parser()
+    assert parser.parse_args(["--threads", "1", "corpus-check"]).threads == 1
+    assert parser.parse_args(["--threads", "4096", "corpus-check"]).threads == 4096
+    assert parser.parse_args(["corpus-check"]).threads is None  # main fills in the usable CPUs
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--threads", "two", "corpus-check"])
+
+
+@pytest.mark.parametrize(
+    "cpu_max, want",
+    [
+        ("150000 100000\n", 2),  # 1.5 CPUs of quota round up to 2
+        ("50000 100000\n", 1),
+        ("1200000 100000\n", 8),  # a quota above the affinity set does not raise it
+        ("max 100000\n", 8),
+        (None, 8),  # no such file
+        ("garbage\n", 8),
+    ],
+)
+def test_usable_cpus_respects_cgroup_quota(tmp_path, monkeypatch, cpu_max, want):
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(cli, "CGROUP_CPU_MAX", str(path))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert cli._usable_cpus() == want
+
+
+def test_usable_cpus_unreadable_quota_falls_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CGROUP_CPU_MAX", str(tmp_path))  # a directory: open() raises
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._usable_cpus() == 3
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    calls = [
+        ("corpus-check",),
+        ("replay", corpus_file("records/t_20_7_9.rec")),
+        ("bounds", "--field", "gf2"),
+        ("eaqecc", "22", "12", "7", "--s", "3"),
+    ]
+    first = [run(capsys, "--threads", "1", *argv) for argv in calls]
+    second = [run(capsys, "--threads", "1", *argv) for argv in calls]
+    assert first == second
+    assert [c for c, _, _ in first] == [0, 0, 0, 0]
+
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", corpus_file("codes/b_13_7_4.code"), "--method", "1"])
+    assert exc.value.code == 2
+    assert "one of the arguments --vector --search is required" in capsys.readouterr().err
+    assert run(capsys, "--threads", "1", *calls[3]) == first[3]
+
+    # the default --threads is the usable CPU count at each call, not at parser build
+    seen = []
+    monkeypatch.setattr(corpus_mod, "check_all", lambda include_optional, threads: seen.append(threads) or [])
+    for cpus in (3, 5):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert run(capsys, "corpus-check")[0] == 0
+    run(capsys, "--threads", "2", "corpus-check")
+    assert seen == [3, 5, 2]

@@ -1,9 +1,12 @@
+import os
+import shutil
+
 import numpy as np
 import pytest
 
-from lcdkit import corpus
+from lcdkit import construct, corpus
 from lcdkit.codes import is_lcd, min_weight, weight_distribution
-from lcdkit.corpus import CorpusError, MissingBase, load, manifest, replay, resolve_code, verify_entry
+from lcdkit.corpus import CorpusError, MissingBase, data_dir, load, manifest, replay, resolve_code, verify_entry
 
 
 def test_manifest_loads():
@@ -111,3 +114,90 @@ def test_corpus_dir_override(tmp_path, monkeypatch):
         manifest()
     monkeypatch.delenv("LCDKIT_CORPUS")
     assert "b_13_7_4" in manifest()
+
+
+def test_manifest_cache_follows_file_version(tmp_path, monkeypatch):
+    bundled = manifest()
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    assert manifest() == bundled
+
+    # a rewrite in place that drops one row
+    path = copy / "manifest.csv"
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    dropped = [line for line in lines if line.startswith("t_20_7_9,")]
+    path.write_text("".join(line for line in lines if line not in dropped), encoding="ascii")
+    assert set(manifest()) == set(bundled) - {"t_20_7_9"}
+
+    # a same-size file swapped in under the same name
+    text = path.read_text(encoding="ascii")
+    swapped = copy / "manifest.new"
+    swapped.write_text(text.replace("printed binary generator matrix", "PRINTED binary generator matrix"), encoding="ascii")
+    os.replace(swapped, path)
+    assert manifest()["b_13_7_4"].source == "PRINTED binary generator matrix"
+
+    monkeypatch.delenv("LCDKIT_CORPUS")
+    assert manifest() == bundled
+
+
+def test_manifest_results_cannot_corrupt_the_cache():
+    entries = manifest()
+    del entries["b_13_7_4"]
+    entries["intruder"] = None
+    fresh = manifest()
+    assert "b_13_7_4" in fresh and "intruder" not in fresh
+    weights = fresh["b_14_8_4"].weights
+    assert weights == {0: 1, 4: 24, 5: 36, 6: 36, 7: 60, 8: 45, 9: 28, 10: 20, 11: 4, 12: 2}
+    with pytest.raises(TypeError):
+        weights[4] = 0
+    assert manifest()["b_14_8_4"].weights[4] == 24
+
+
+def _record_steps_over_resolvable_bases(entries):
+    total = 0
+    for e in entries.values():
+        if e.kind == "record":
+            try:
+                resolve_code(e.id, entries)
+            except MissingBase:
+                continue
+            total += len(corpus.load_record(e).steps)
+    return total
+
+
+@pytest.mark.parametrize("include_optional", [False, True])
+def test_check_all_resolves_each_entry_once(monkeypatch, include_optional):
+    entries = manifest()
+    want_steps = _record_steps_over_resolvable_bases(entries)
+    unmemoized = [verify_entry(e, entries) for e in entries.values()]
+    calls = []
+    apply_step = construct.apply_step
+    monkeypatch.setattr(construct, "apply_step", lambda C, step: calls.append(step) or apply_step(C, step))
+    reports = corpus.check_all(include_optional=include_optional)
+    assert len(calls) == want_steps
+    assert reports == unmemoized
+    for rep in reports:
+        if rep.skipped:
+            with pytest.raises(MissingBase) as exc:
+                resolve_code(rep.entry_id, entries)
+            assert rep.messages == [f"skipped: {exc.value}"]
+    assert next(r for r in reports if r.entry_id == "b_30_15_7").messages == [
+        "skipped: ext_b_36_21_7: matrix not distributed (external best-known-code database (matrix not distributed))"
+    ]
+
+
+def test_check_all_cycle_text_names_each_entry_own_walk(tmp_path, monkeypatch):
+    # an optional entry's failed walk must not give a later entry its cycle text
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    (copy / "records" / "cyc_a.rec").write_text("base cyc_b\npad\n", encoding="ascii")
+    (copy / "records" / "cyc_b.rec").write_text("base cyc_a\npad\n", encoding="ascii")
+    with open(copy / "manifest.csv", "a", encoding="ascii") as fh:
+        fh.write("cyc_a,record,records/cyc_a.rec,gf2,3,1,,,,test,yes\n")
+        fh.write("cyc_b,record,records/cyc_b.rec,gf2,3,1,,,,test,no\n")
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    with pytest.raises(CorpusError, match="record base cycle through 'cyc_b'"):
+        corpus.check_all()
+    with pytest.raises(CorpusError, match="record base cycle through 'cyc_a'"):
+        resolve_code("cyc_a")
