@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Codewords per second of the exhaustive scans, one JSON line per field.
+
+Times min_weight_exhaustive and weight_distribution_exhaustive, on one
+worker, on a seeded full-rank generator matrix per field (binary [40,23],
+ternary [30,14] and Hermitian quaternary [30,11], the sizes of the
+benchmark's distance workload), and prints the q^k codewords each scan
+decides divided by the median over rounds of its time.  Takes no options:
+
+    python3 scripts/bench_scan.py
+"""
+
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lcdkit import enumeration, gf, linalg  # noqa: E402
+
+SEED = 2022
+ROUNDS = 7
+SIZES = {"gf2": (40, 23), "gf3": (30, 14), "gf4h": (30, 11)}
+
+
+def generator(field: gf.FieldSpec, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        G = rng.integers(0, field.order, size=(k, n), dtype=np.uint8)
+        if linalg.rank(G, field) == k:
+            return G
+
+
+def codewords_per_s(fn, codewords: int) -> float:
+    rounds = []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        fn()
+        rounds.append(time.perf_counter() - t0)
+    return round(codewords / statistics.median(rounds))
+
+
+def main() -> None:
+    rng = np.random.default_rng(SEED)
+    for name, (n, k) in SIZES.items():
+        field = gf.field_by_name(name)
+        G = generator(field, n, k, rng)
+        codewords = field.order**k
+        line = {
+            "field": name,
+            "n": n,
+            "k": k,
+            "codewords": codewords,
+            "min_weight_codewords_per_s": codewords_per_s(lambda: enumeration.min_weight_exhaustive(field, G), codewords),
+            "weight_distribution_codewords_per_s": codewords_per_s(
+                lambda: enumeration.weight_distribution_exhaustive(field, G), codewords
+            ),
+        }
+        print(json.dumps(line), flush=True)
+
+
+if __name__ == "__main__":
+    main()

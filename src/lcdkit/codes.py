@@ -187,6 +187,8 @@ class WeightDistribution:
 
 
 def weight_distribution(C: LinearCode, cap: int | None = None, threads: int = 1) -> WeightDistribution:
+    if C.k == 0:
+        raise ValueError("the zero code has no nonzero codewords")
     counts = enumeration.weight_distribution_exhaustive(C.field, C.generator, cap=cap, threads=threads)
     d = next(i for i in range(1, len(counts)) if counts[i])
     odd_like = None

@@ -550,7 +550,7 @@ def search_extend(
     tables = enumeration.codeword_tables(C.field, dgen)
     if exhaustive:
         # message 0 and the messages whose top nonzero digit j is 1, or all of them
-        ranges = [(0, 1)] + [(q**j, 2 * q**j) for j in range(m)] if projective else [(0, total)]
+        ranges = enumeration._projective_ranges(q, m, 0) if projective else [(0, total)]
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
     else:
         blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]

@@ -10,14 +10,23 @@ Exhaustive scans hold a batch of N vectors of length n as a numpy uint64
 array of shape (planes, ceil(n/64), N) and work on the whole batch at
 once.  The codewords of a generator come in message order (message
 index sum_j d_j q^j is the codeword sum_j d_j row_j) from a table of the
-codewords of the low rows, about 2^14 words, plus one word per value of
-the high digits: each block of a scan adds one high word to the table and
-weighs the sums with np.bitwise_count (numpy >= 2.0).  A table is one
-broadcast add of two sub-tables, each one gather of its rows' multiples
-by a small constant digit table; when all of a code's messages fit in one
-table, a scan hands out slices of it.  The message range can be split
-across worker processes; min/sum reductions make the result identical for
-every worker count.
+codewords of the low rows, about 2^14 words, plus one high word per value
+of the high digits.  A table is one broadcast add of two sub-tables, each
+one gather of its rows' multiples by a small constant digit table; when
+all of a code's messages fit in one table, a scan weighs slices of it.
+
+A full scan weighs the first table whole and then, since a c and c have
+the same weight, one message of each projective class: for every high
+digit position j, the messages in [q^j, 2 q^j), whose top nonzero digit
+is 1 (_projective_ranges).  Their weight counts stand for all q - 1
+multiples, so GF(3) weighs about half and GF(4) a third of the codewords.
+A block of messages is a slice t of the table plus a high word h, and is
+weighed without forming the sums: wt(t + h) = d(t, -h), the popcount
+(np.bitwise_count, numpy >= 2.0) of the planes' differences, where -h
+swaps the GF(3) planes and is h in characteristic 2.  A truncated scan
+weighs the first codewords in message order the same way.  The ranges
+can be split across worker processes; min/sum reductions make the result
+identical for every worker count.
 
 Brouwer-Zimmermann runs on the same kernel.  A level's codewords (w
 rows of a systematic generator, the first scaled by 1) come in batches of
@@ -42,10 +51,12 @@ from .linalg import rref
 
 DEFAULT_CAPS = {2: 2**26, 3: 3**16, 4: 4**13}
 
-# codewords from which a scan is split across workers.  Measured on 2 cores:
-# 2 workers lose below 2^24 codewords (a pool costs about 20 ms, GF(2) scans
-# about 2^29 codewords/s), break even near 2^25 and win on GF(3) 3^16 and
-# GF(4) 4^13 (0.41 -> 0.26 s, 0.13 -> 0.09 s).
+# codewords weighed (one per projective class past the first table) from
+# which a scan is split across workers.  Measured on 2 cores, 2 workers
+# against 1: a pool costs about 15-20 ms and a scan weighs about 2^29
+# codewords/s, so 2 workers lose at 2^24 (0.92x), break even near 2^24.4,
+# which GF(3) 3^16 and GF(4) 4^13 weigh (0.97x, 1.05x), and win on GF(2) 2^25
+# and 2^26 (59 -> 53 ms, 104 -> 82 ms).
 PARALLEL_THRESHOLD = 1 << 25
 
 # low rows per codeword table: tables of about 2^14 words keep a block's
@@ -145,21 +156,27 @@ def _symbols(batch: np.ndarray, cols) -> np.ndarray:
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance between the vectors of two packed batches, as uint16
-    (shapes broadcast).  Each layout encodes a symbol injectively in its
-    planes, so two symbols differ where any plane does."""
+    """Hamming distance between the vectors of two packed batches (shapes
+    broadcast), as in _popcount.  Each layout encodes a symbol injectively
+    in its planes, so two symbols differ where any plane does."""
     diff = a[0] ^ b[0]
     for p in range(1, len(a)):
         diff |= a[p] ^ b[p]
-    return np.bitwise_count(diff).sum(axis=0, dtype=np.uint16)
+    return _popcount(diff)
 
 
 def _weigh(batch: np.ndarray) -> np.ndarray:
-    """Hamming weight of every vector in a packed batch, as uint16."""
+    """Hamming weight of every vector in a packed batch, as in _popcount."""
     support = batch[0]
     for plane in batch[1:]:
         support = support | plane
-    return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
+    return _popcount(support)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each vector of W words (axis 0): uint8 when W = 1, else uint16."""
+    bits = np.bitwise_count(words)
+    return bits[0] if len(bits) == 1 else bits.sum(axis=0, dtype=np.uint16)
 
 
 def _pack_scaled(field: FieldSpec, G: np.ndarray) -> np.ndarray:
@@ -228,6 +245,18 @@ def codewords_of(order: int, tables: list[np.ndarray], msgs: np.ndarray) -> np.n
     return out
 
 
+def _high_words(order: int, tables: list[np.ndarray], first: int, last: int) -> np.ndarray:
+    """Packed sums of the higher tables' words for message blocks first .. last - 1,
+    a block being the first table's size of consecutive messages."""
+    T = tables[0].shape[-1]
+    rest = np.arange(first, last, dtype=np.int64)
+    highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
+    for table in tables[1:]:
+        rest, digit = np.divmod(rest, T)
+        highs = _add(order, highs, np.take(table, digit, axis=-1))
+    return highs
+
+
 def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
     """Yield (first message index, packed codewords) covering [start, stop) in message order."""
     T = tables[0].shape[-1]
@@ -236,11 +265,7 @@ def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int)
             yield start, tables[0][..., start:stop]
         return
     first, last = start // T, -(-stop // T)
-    rest = np.arange(first, last, dtype=np.int64)
-    highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
-    for table in tables[1:]:
-        rest, digit = np.divmod(rest, T)
-        highs = _add(order, highs, np.take(table, digit, axis=-1))
+    highs = _high_words(order, tables, first, last)
     for h in range(first, last):
         lo, hi = max(start - h * T, 0), min(stop - h * T, T)
         yield h * T + lo, _add(order, tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
@@ -257,54 +282,100 @@ def packed_weight(planes: tuple[int, ...]) -> int:
 # -- exhaustive scans --------------------------------------------------------
 
 
+def _projective_ranges(q: int, k: int, low: int) -> list[tuple[int, int]]:
+    """Message ranges: the first q^low messages, then one message of every
+    projective class {a m : a != 0} above them, the one whose top nonzero
+    digit (at a position j >= low) is 1."""
+    return [(0, q**low)] + [(q**j, 2 * q**j) for j in range(low, k)]
+
+
 def _scan_worker(args):
-    """Minimum nonzero-message weight and (optionally) weight counts over [start, stop)."""
+    """Minimum nonzero-message weight and (optionally) weight counts over [start, stop).
+
+    A block of messages is a slice t of the first table plus one high word
+    h; its weights are the distances wt(t + h) = d(t, -h), so the sums are
+    never formed.  -h swaps the GF(3) planes and is h in characteristic 2.
+    """
     order, tables, n, start, stop, want_dist = args
     best = n + 1
     counts = np.zeros(n + 1, dtype=np.int64) if want_dist else None
-    for first, block in codeword_blocks(order, tables, start, stop):
-        w = _weigh(block)
+    T = tables[0].shape[-1]
+    first, last = start // T, -(-stop // T)
+    if last > 1:
+        highs = _high_words(order, tables, first, last)
+        if order == 3:
+            highs = highs[::-1]
+    for h in range(first, last):
+        lo, hi = max(start - h * T, 0), min(stop - h * T, T)
+        if h == 0:  # the high word of the first block is zero
+            w = _weigh(tables[0][..., lo:hi])
+        else:
+            w = _distance(tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
         if want_dist:
             counts += np.bincount(w, minlength=n + 1)
-        if first == 0:
+        if h == 0 and lo == 0:
             w = w[1:]  # message 0 is the zero codeword
         if w.size:
             best = min(best, int(w.min()))
     return best, counts
 
 
-def _partition(total: int, parts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(total, parts)
-    ranges = []
-    s = 0
-    for p in range(parts):
-        c = base + (1 if p < rem else 0)
-        if c:
-            ranges.append((s, c))
-            s += c
-    return ranges
-
-
-def _scan(field: FieldSpec, G: np.ndarray, total: int, want_dist: bool, threads: int):
-    q = field.order
-    n = G.shape[1]
-    tables = codeword_tables(field, G)
-    if threads > 1 and total >= PARALLEL_THRESHOLD:
-        # split the range of high words, so each worker scans whole blocks
-        T = tables[0].shape[-1]
-        highs = _partition(-(-total // T), threads)
-        args = [(q, tables, n, s * T, min((s + c) * T, total), want_dist) for s, c in highs]
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(args)) as pool:
-                parts = pool.map(_scan_worker, args)
-        except (OSError, ValueError):
-            parts = [_scan_worker(a) for a in args]
-    else:
-        parts = [_scan_worker((q, tables, n, 0, total, want_dist))]
-    best = min(p[0] for p in parts)
-    counts = sum(p[1] for p in parts).tolist() if want_dist else None
+def _scan_jobs(args):
+    """Minimum nonzero weight and (optionally) weight counts over a list of
+    (start, stop, multiplicity) message ranges: the counts of each range,
+    from _scan_worker, times its multiplicity."""
+    order, tables, n, jobs, want_dist = args
+    best, counts = n + 1, 0
+    for start, stop, mult in jobs:
+        b, c = _scan_worker((order, tables, n, start, stop, want_dist))
+        best = min(best, b)
+        if want_dist:
+            counts = counts + mult * c
     return best, counts
+
+
+def _split(jobs: list[tuple[int, int, int]], parts: int, T: int) -> list[list[tuple[int, int, int]]]:
+    """(start, stop, multiplicity) ranges cut at multiples of T past their
+    starts into at most ``parts`` runs with near-equal numbers of T-message blocks."""
+    sizes = [-(-(stop - start) // T) for start, stop, _ in jobs]
+    total = sum(sizes)
+    runs = [[] for _ in range(parts)]
+    done = 0
+    for (start, stop, mult), size in zip(jobs, sizes):
+        for r, run in enumerate(runs):  # run r holds blocks total * r // parts onwards
+            lo = max(total * r // parts - done, 0)
+            hi = min(total * (r + 1) // parts - done, size)
+            if lo < hi:
+                run.append((start + lo * T, min(start + hi * T, stop), mult))
+        done += size
+    return [run for run in runs if run]
+
+
+def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int):
+    """Minimum nonzero weight and (optionally) weight counts, as an array,
+    of all q^k codewords.
+
+    A one-table code weighs its table.  Otherwise, as a c has the weight
+    of c, only one message of each projective class past the first table
+    is weighed, and its counts stand for all q - 1.
+    """
+    q = field.order
+    k, n = G.shape
+    tables = codeword_tables(field, G)
+    if len(tables) == 1:  # every message is one word of the table
+        return _scan_worker((q, tables, n, 0, q**k, want_dist))
+    jobs = [(lo, hi, 1 if lo == 0 else q - 1) for lo, hi in _projective_ranges(q, k, TABLE_ROWS[q])]
+    if threads > 1 and sum(hi - lo for lo, hi, _ in jobs) >= PARALLEL_THRESHOLD:
+        args = [(q, tables, n, run, want_dist) for run in _split(jobs, threads, tables[0].shape[-1])]
+        try:
+            with multiprocessing.get_context("fork").Pool(len(args)) as pool:
+                parts = pool.map(_scan_jobs, args)
+        except (OSError, ValueError):
+            parts = [_scan_jobs(a) for a in args]
+    else:
+        parts = [_scan_jobs((q, tables, n, jobs, want_dist))]
+    counts = sum(p[1] for p in parts) if want_dist else None
+    return min(p[0] for p in parts), counts
 
 
 def min_weight_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = None, threads: int = 1) -> int:
@@ -317,21 +388,18 @@ def min_weight_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = Non
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     cap = DEFAULT_CAPS[field.order] if cap is None else cap
-    total = field.order**k
-    if total > cap:
-        best, _ = _scan(field, G, max(cap, 2), False, 1)
+    if field.order**k > cap:
+        # the first max(cap, 2) codewords in message order
+        best, _ = _scan_worker((field.order, codeword_tables(field, G), n, 0, max(cap, 2), False))
         raise BudgetExceeded(best if best <= n else None, max(cap, 2))
-    best, _ = _scan(field, G, total, False, threads)
-    return best
+    return _scan(field, G, False, threads)[0]
 
 
 def weight_distribution_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = None, threads: int = 1) -> list[int]:
     cap = DEFAULT_CAPS[field.order] if cap is None else cap
-    total = field.order ** G.shape[0]
-    if total > cap:
+    if field.order ** G.shape[0] > cap:
         raise BudgetExceeded(None, 0)
-    _, counts = _scan(field, G, total, True, threads)
-    return counts
+    return _scan(field, G, True, threads)[1].tolist()
 
 
 # -- Brouwer-Zimmermann --------------------------------------------------

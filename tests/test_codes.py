@@ -286,6 +286,19 @@ def test_weight_distribution_matches_bruteforce(f):
         assert wd.min_weight == oracles.brute_min_weight(c)
 
 
+@pytest.mark.parametrize("f", FIELDS)
+def test_weight_distribution_of_zero_code_raises(f):
+    # the dual of a code with k = n is the zero code; its distribution has
+    # no minimum weight, like min_weight
+    zero = dual(new_code(f, np.eye(4, dtype=np.uint8)))
+    assert zero.k == 0
+    with pytest.raises(ValueError) as from_min:
+        min_weight(zero)
+    with pytest.raises(ValueError) as from_distribution:
+        weight_distribution(zero)
+    assert str(from_distribution.value) == str(from_min.value) == "the zero code has no nonzero codewords"
+
+
 def test_even_odd_like():
     assert is_even_like(new_code(GF2, [[1, 1]]))
     assert not is_even_like(new_code(GF2, [[1, 0]]))

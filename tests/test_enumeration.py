@@ -214,6 +214,73 @@ def test_worker_pool_matches_serial_scan(monkeypatch):
             assert weight_distribution_exhaustive(f, c.generator, threads=threads) == serial[1]
 
 
+def test_projective_ranges_hold_one_message_per_class():
+    # the first range is every message below q^low; past it, each nonzero
+    # message has exactly one of its q - 1 multiples in the ranges
+    for f in (GF2, GF3, GF4H):
+        q = f.order
+        for k in range(5):
+            digits = message_order(f, k)
+            powers = q ** np.arange(k)
+            multiples = np.stack([f.mul_table[a][digits] @ powers for a in range(1, q)])
+            for low in range(k + 1):
+                ranges = enumeration._projective_ranges(q, k, low)
+                picked = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+                assert np.array_equal(picked, np.unique(picked))
+                assert picked[: q**low].tolist() == list(range(q**low))
+                hits = np.isin(multiples, picked).sum(axis=0)
+                assert (hits[q**low :] == 1).all()
+
+
+def test_split_runs_tile_the_jobs():
+    # runs tile the (start, stop, multiplicity) ranges in order, cut at
+    # multiples of T past a range's start, with block counts within one
+    jobs = [(0, 10, 1), (10, 20, 2), (30, 61, 2), (90, 180, 2)]
+    messages = [(m, mult) for start, stop, mult in jobs for m in range(start, stop)]
+    starts = [start for start, _, _ in jobs]
+    for T in (1, 3, 10, 100):
+        for parts in range(1, 6):
+            runs = enumeration._split(jobs, parts, T)
+            assert 1 <= len(runs) <= parts and all(runs)
+            pieces = [piece for run in runs for piece in run]
+            assert [(m, mult) for start, stop, mult in pieces for m in range(start, stop)] == messages
+            owner = [max(s for s in starts if s <= start) for start, _, _ in pieces]
+            assert all((start - s) % T == 0 for (start, _, _), s in zip(pieces, owner))
+            blocks = [sum(-(-(stop - start) // T) for start, stop, _ in run) for run in runs]
+            assert max(blocks) - min(blocks) <= 1
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, GF4H])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_projective_scan_matches_message_order_scan(f, extra, monkeypatch):
+    # past the first table, GF(3) and GF(4) scans weigh one message per
+    # projective class and count it q - 1 times (GF(2) weighs them all); the
+    # minimum and counts must equal a message-order scan of all q^k messages,
+    # the brute-force counts of the shortest code where they are few, and be
+    # the same for 1 to 3 workers; n = 64, 65 and 130 take one, two and three
+    # words per plane.  Ranges that start or end inside a block must weigh
+    # exactly their own messages, in the sign of each high word
+    q = f.order
+    k = enumeration.TABLE_ROWS[q] + extra
+    T = q ** enumeration.TABLE_ROWS[q]
+    rng = random.Random(900 + 10 * q + extra)
+    monkeypatch.setattr(enumeration, "PARALLEL_THRESHOLD", 1)
+    for n in (2 * k + 3, 64, 65, 130):
+        c = oracles.random_code(f, n, k, rng)
+        tables = codeword_tables(f, c.generator)
+        best, counts = _scan_worker((q, tables, n, 0, q**k, True))
+        if n == 2 * k + 3 and q**k <= 1 << 16:
+            assert counts.tolist() == oracles.brute_weight_counts(c)
+            weights = (oracles.message_order_codewords(c) != 0).sum(axis=1)
+            for start, stop in [(1, 2), (T - 3, T + 5), (T + 1, q**k - 1)]:
+                got_best, got = _scan_worker((q, tables, n, start, stop, True))
+                assert got_best == weights[start:stop].min()
+                assert got.tolist() == np.bincount(weights[start:stop], minlength=n + 1).tolist()
+        for threads in (1, 2, 3):
+            assert min_weight_exhaustive(f, c.generator, threads=threads) == best
+            assert weight_distribution_exhaustive(f, c.generator, threads=threads) == counts.tolist()
+
+
 def test_information_set_chain_disjoint_blocks():
     rng = random.Random(33)
     for f in (GF2, GF3, GF4H):
