@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time of each stage of the extension search, one JSON line per case.
+
+Runs construct.search_extend, method 1, on the benchmark's search workload
+shapes (its inputs at seed 1: the t_19_6_9 exhaustive and sampled searches,
+a Hermitian quaternary [14,6] exhaustive one and a binary [70,10] sampled
+one) and on a Hermitian quaternary [18,8] exhaustive search where 134,095
+candidates tie at d(C).  The search's helpers are wrapped with timers, so
+the stages are those of the real call:
+
+* draw: the sampled messages (_draw_messages);
+* dedupe: the distinct sampled candidates (_distinct);
+* scoring: d(C) (min_weight) and the coset scoring (_best_scores);
+* tie_break: the smallest tied candidate (_smallest);
+* extend: building and checking the extended code;
+* build: the rest, i.e. the dual, its codewords and the weight condition.
+
+Each time is the median over rounds in ms; the line also gives the
+candidate, distinct and tied counts.  Takes no options:
+
+    python3 scripts/bench_search.py
+"""
+
+import json
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402
+import refalg  # noqa: E402
+
+from lcdkit import construct, corpus, gf  # noqa: E402
+from lcdkit.codes import new_code  # noqa: E402
+
+SEED = 1
+ROUNDS = 5
+
+# helper -> stage; each is looked up as a module attribute by search_extend
+TIMED = [
+    (construct, "_draw_messages", "draw"),
+    (construct, "_distinct", "dedupe"),
+    (construct, "min_weight", "scoring"),
+    (construct, "_best_scores", "scoring"),
+    (construct, "_smallest", "tie_break"),
+    (construct, "extend_m1", "extend"),
+]
+
+
+def cases():
+    def lcd(tag_seed, tag, field, k, n):
+        return new_code(gf.field_by_name(field), inputs.lcd(inputs.rng_for(tag_seed, tag), refalg.FIELDS[field], k, n))
+
+    t19 = corpus.resolve_code("t_19_6_9")
+    sample = int(inputs.rng_for(SEED, "search.sample").integers(2**31))
+    return [
+        ("t_19_6_9.m1.exhaustive", t19, 3**13, sample),
+        ("t_19_6_9.m1.sampled", t19, 50_000, sample),
+        ("gf4h_14_6.m1.exhaustive", lcd(SEED, "search.gf4h_14_6", "gf4h", 6, 14), 4**8, sample),
+        ("gf2_70_10.m1.sampled", lcd(SEED, "search.gf2_70_10", "gf2", 10, 70), 4_000, sample),
+        ("gf4h_18_8.m1.exhaustive", lcd(5, "x", "gf4h", 8, 18), 4**10, 0),
+    ]
+
+
+@contextmanager
+def timed(spent: dict, seen: dict):
+    """Wrap each TIMED helper so its time adds to its stage and its result is kept in ``seen``."""
+    saved = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in TIMED]
+
+    def wrap(fn, attr, stage):
+        def timer(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
+            seen[attr] = out
+            return out
+
+        return timer
+
+    for (mod, attr, stage), (_, _, fn) in zip(TIMED, saved):
+        setattr(mod, attr, wrap(fn, attr, stage))
+    try:
+        yield
+    finally:
+        for mod, attr, fn in saved:
+            setattr(mod, attr, fn)
+
+
+def main() -> None:
+    for name, C, budget, seed in cases():
+        rounds = []
+        for _ in range(ROUNDS):
+            spent, seen = {}, {}
+            with timed(spent, seen):
+                t0 = time.perf_counter()
+                res = construct.search_extend(C, construct.M1, budget=budget, seed=seed)
+                total = time.perf_counter() - t0
+            spent["build"] = total - sum(spent.values())
+            spent["total"] = total
+            rounds.append(spent)
+        line = {"case": name, "field": C.field.name, "n": C.n, "k": C.k, "budget": budget}
+        for stage in ("draw", "dedupe", "build", "scoring", "tie_break", "extend", "total"):
+            line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
+        line["candidates"] = res.candidates
+        line["distinct"] = seen["_distinct"].shape[-1] if "_distinct" in seen else None
+        line["tied"] = seen["_best_scores"][1].size
+        line["min_weight"] = res.min_weight
+        print(json.dumps(line), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -166,6 +166,7 @@ def extend_m1(C: LinearCode, x) -> LinearCode:
     g[0, 0] = 1
     g[0, 1:] = ev.vector
     g[1:, 1:] = C.generator
+    g.setflags(write=False)
     out = LinearCode(C.field, g)
     if not is_lcd(out):
         raise linalg.InvariantError("the method-1 extension is not LCD")
@@ -180,6 +181,7 @@ def extend_m2(C: LinearCode, y) -> LinearCode:
     if ev.method != M2:
         raise ConstructError("extension vector was validated for the other method")
     g = np.vstack([ev.vector.reshape(1, -1), C.generator])
+    g.setflags(write=False)
     out = LinearCode(C.field, g)
     if not is_lcd(out):
         raise linalg.InvariantError("the method-2 extension is not LCD")
@@ -190,6 +192,7 @@ def pad_zero_column(C: LinearCode) -> LinearCode:
     """[n+1, k] with a zero column appended; Gram, LCD status and minimum
     weight are untouched."""
     g = np.hstack([C.generator, np.zeros((C.k, 1), dtype=np.uint8)])
+    g.setflags(write=False)
     return LinearCode(C.field, g)
 
 
@@ -276,21 +279,28 @@ SCORE_CHUNK = 1 << 14
 # t_20_8_8 behaves alike
 COMPACT_SHARE = 0.5
 
-# 32-bit words per getrandbits call when drawing sampled messages: the call's
-# bit count must fit a C int, which one call for a whole large budget exceeds
-DRAW_CHUNK_WORDS = 1 << 20
+# 32-bit words per chunk of the sampled draw.  random_raw hands them out as
+# uint64, so a chunk's temporaries stay within 512 KiB, in cache, however
+# large the budget.  t_19_6_9's 50,000 sampled messages (866,730 words),
+# median of 30 on a 2-core x86-64 host: 2^14 words 9.2 ms, 2^16 8.6 ms,
+# 2^18 9.1 ms, 2^20 (8 MiB) 16.5 ms
+DRAW_CHUNK_WORDS = 1 << 16
 
 
 def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     """``count`` messages of ``m`` digits: the digits of ``count * m`` calls
     to ``random.Random(seed).randrange(q)``, drawn in bulk.
 
-    randrange(q) takes the top q.bit_length() bits of one 32-bit word per
-    try and retries values >= q; getrandbits(32 N) hands out N such words,
-    least significant first, so the digit stream is the same however the
-    words are split into calls.
+    randrange(q) takes the top q.bit_length() bits of one 32-bit word of
+    the Mersenne Twister per try and retries values >= q.  numpy's MT19937,
+    loaded with random.Random(seed)'s state, hands out the same words
+    (random_raw), so the digit stream is read a chunk of words at a time,
+    with no Python int per draw.  numpy.random is touched only here, since
+    numpy loads it on first use.
     """
-    rng = random.Random(seed)
+    key = random.Random(seed).getstate()[1]
+    mt = np.random.MT19937(0)
+    mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]}}
     bits = q.bit_length()
     count = max(count, 0)
     need = count * m
@@ -298,23 +308,65 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     done = 0
     while done < need:
         words = min((need - done) * (1 << bits) // q + 64, DRAW_CHUNK_WORDS)
-        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
-        raw = raw >> (32 - bits)
+        raw = mt.random_raw(words)
+        raw >>= 32 - bits
+        raw = raw.astype(np.uint8)  # compress is several times faster on uint8
         digits = np.compress(raw < q, raw)[: need - done]
         out[done : done + digits.size] = digits
         done += digits.size
     return out.reshape(count, m)
 
 
-def _distinct(cand: np.ndarray) -> np.ndarray:
-    """The distinct vectors of a packed batch, in sorted order."""
+def _distinct(cand: np.ndarray, n: int) -> np.ndarray:
+    """The distinct vectors of a packed batch of length-n vectors, in a fixed order.
+
+    When a vector's planes fit one 64-bit word together (planes x n <= 64),
+    plane p shifted left by p n, the vectors are sorted by that one key
+    with np.argsort (np.unique is several times slower); wider vectors are
+    sorted by all their words with np.lexsort.  Equal neighbours are then
+    dropped.
+    """
     N = cand.shape[-1]
     if N < 2:
         return cand
-    cand = np.take(cand, np.lexsort(cand.reshape(-1, N)), axis=-1)
+    if cand.shape[0] * n <= 64:
+        keys = (cand[0, 0] if cand.shape[0] == 1 else cand[0, 0] | cand[1, 0] << n)[None]
+        order = np.argsort(keys[0])
+    else:
+        keys = cand.reshape(-1, N)
+        order = np.lexsort(keys)
+    keys = np.take(keys, order, axis=-1)
     fresh = np.ones(N, dtype=bool)
-    fresh[1:] = (cand[..., 1:] != cand[..., :-1]).reshape(-1, N - 1).any(axis=0)
-    return np.compress(fresh, cand, axis=-1)
+    fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return np.take(cand, np.compress(fresh, order), axis=-1)
+
+
+def _smallest(field: FieldSpec, batch: np.ndarray, n: int, multiples: bool) -> np.ndarray:
+    """The lexicographically smallest vector of a packed batch of length-n
+    vectors, or of their nonzero multiples when ``multiples`` is set, as a
+    symbol row.
+
+    A vector's smallest multiple is the one whose first nonzero symbol is
+    1, i.e. the vector times the inverse of that symbol (the zero vector
+    stays zero).  The vectors are filtered column by column, keeping those
+    whose symbol there, so scaled, is the smallest, until one is left; each
+    vector's scale is fixed at its first nonzero symbol.
+    """
+    rows = np.arange(batch.shape[-1])
+    scale = np.full(rows.size, 0 if multiples else 1, dtype=np.uint8)  # 0 until the first nonzero symbol
+    for c in range(n):
+        if rows.size == 1:
+            break
+        sym = np.zeros(rows.size, dtype=np.uint8)
+        for p, plane in enumerate(batch[:, c // 64]):
+            sym |= (plane[rows] >> (c % 64) & 1).astype(np.uint8) << p
+        first = (scale == 0) & (sym != 0)
+        scale[first] = field.inv_table[sym[first]]
+        sym = field.mul_table[scale, sym]
+        keep = sym == sym.min()
+        rows, scale = rows[keep], scale[keep]
+    x = enumeration.unpack_matrix(np.take(batch, rows[:1], axis=-1), n)[0]
+    return field.mul_table[field.inv_table[x[np.argmax(x != 0)]], x] if multiples else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,24 +567,29 @@ def search_extend(
 
     Enumerates the dual exhaustively when it fits in ``budget`` messages,
     otherwise draws ``budget`` messages with ``random.Random(seed)``, digit
-    by digit as ``randrange(q)`` would (duplicates are scored once).  Every
-    candidate that passes the weight condition is scored with the minimum
-    distance of the extended code, min(d(C), the minimum weight of the
-    coset x + C, plus 1 for method 1); ties break toward the
-    lexicographically smallest vector.  The score is exact when C has at
-    most ``cap`` codewords; otherwise the coset scan covers the first
-    ``cap`` codewords in message order and the score is an upper bound.
-    An exact scan runs in Brouwer-Zimmermann order: for each matrix of C's
-    information-set chain, x is reduced to the coset word that vanishes on
-    the matrix's pivots, and the words of C of information weight 0, 1, ...
-    are added, every scalar tuple, until the chain's lower bound on the
-    words not yet listed reaches the threshold.
+    by digit as ``randrange(q)`` would; the digits are read in bulk from
+    numpy's MT19937 loaded with that generator's state (_draw_messages).
+    Duplicates are scored once: the drawn candidates are sorted in a fixed
+    order, by one key per vector when its planes fit 64 bits (_distinct).
+    Every candidate that passes the weight condition is scored with the
+    minimum distance of the extended code, min(d(C), the minimum weight of
+    the coset x + C, plus 1 for method 1); ties break toward the
+    lexicographically smallest vector, found on arrays by filtering the
+    tied candidates column by column (_smallest).  The score is exact when
+    C has at most ``cap`` codewords; otherwise the coset scan covers the
+    first ``cap`` codewords in message order and the score is an upper
+    bound.  An exact scan runs in Brouwer-Zimmermann order: for each
+    matrix of C's information-set chain, x is reduced to the coset word
+    that vanishes on the matrix's pivots, and the words of C of information
+    weight 0, 1, ... are added, every scalar tuple, until the chain's lower
+    bound on the words not yet listed reaches the threshold.
 
     When the search is exhaustive and exact, only one candidate per
     projective class x, 2x, ... is scored (message 0 and the messages whose
     top nonzero digit is 1): scaling preserves the coset minimum and the
-    weight, so the winners' multiples are added back before the tie-break
-    and ``candidates`` still counts every vector.  Scoring is pruned by
+    weight, so the tie-break runs over the winners' multiples too (a
+    vector's smallest multiple has 1 as its first nonzero symbol) and
+    ``candidates`` still counts every vector.  Scoring is pruned by
     threshold: a candidate is dropped as soon as one of its coset words
     shows that it cannot reach the best score still possible.  Results
     never depend on evaluation order.
@@ -556,7 +613,7 @@ def search_extend(
         blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]
     pieces = [np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks]
     if not exhaustive:
-        pieces = [_distinct(pieces[0])]  # the draws are one batch
+        pieces = [_distinct(pieces[0], C.n)]  # the draws are one batch
     cand, room = _with_room(pieces)
     del pieces
     candidates = cand.shape[-1]
@@ -570,9 +627,7 @@ def search_extend(
     except enumeration.BudgetExceeded as exc:
         d_base = exc.best_upper if exc.best_upper is not None else C.n
     best_score, top = _best_scores(C, cand, room, d_base, min(q**C.k, cap), 1 if method == M1 else 0)
-    tied = enumeration.unpack_matrix(np.take(cand, top, axis=-1), C.n)
-    winners = np.concatenate([C.field.mul_table[a][tied] for a in (range(1, q) if projective else (1,))])
-    best = np.array(min(map(tuple, winners.tolist())), dtype=np.uint8)
+    best = _smallest(C.field, np.take(cand, top, axis=-1), C.n, projective)
     code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
     return SearchResult(
         vector=best,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lcdkit import construct, enumeration, linalg
-from lcdkit.codes import EmptyCode, LinearCode, dual, hull, is_lcd, min_weight, new_code, shorten
+from lcdkit.codes import EmptyCode, LinearCode, dual, hull, is_lcd, min_weight, new_code, puncture, shorten
 from lcdkit.construct import (
     M1,
     M2,
@@ -237,6 +237,42 @@ def test_extension_round_trips():
             if w and weight_condition(f, M2, w):
                 ext = extend_m2(c, v)
                 assert np.array_equal(ext.generator[1:], c.generator)
+
+
+def test_construction_outputs_are_read_only():
+    # LinearCode's generator is immutable: every construction hands back a
+    # read-only array, so no caller can turn an LCD code into another code
+    from lcdkit.codes import format_vector
+
+    rng = random.Random(131)
+    while True:
+        c = oracles.random_code(GF3, 8, 3, rng)
+        if 1 <= hull(c).dim < oracles.brute_min_weight(c):
+            break
+    C = oracles.random_lcd_code(GF3, 7, 3, rng)
+    r1, r2 = search_extend(C, M1, budget=10**6), search_extend(C, M2, budget=10**6)
+    y = search_extend(r1.code, M2, budget=10**6).vector
+    rec = parse_record(
+        f"base c\nextend-m1 {format_vector(GF3, r1.vector)}\nextend-m2 {format_vector(GF3, y)}\npad\nshorten 1\npuncture 2\n"
+    )
+    outputs = [
+        extend_m1(C, r1.vector),
+        extend_m2(C, r2.vector),
+        pad_zero_column(C),
+        shorten(C, (0,)),
+        puncture(C, (0,)),
+        dual(C),
+        shorten_to_lcd(c)[0],
+        puncture_to_lcd(c)[0],
+        r1.code,
+        r2.code,
+        *apply_record(rec, C),
+    ]
+    assert len(outputs) == 15
+    for out in outputs:
+        assert not out.generator.flags.writeable
+        with pytest.raises(ValueError):
+            out.generator[0, 0] = 0
 
 
 def test_pad_zero_column():
@@ -516,8 +552,9 @@ def test_extension_vector_validation():
 
 
 def reference_search(C, method, budget, seed, cap):
-    """(score, vector, candidates, d_base) of the extension search, scoring
-    every candidate against every scanned codeword with the oracles."""
+    """(score, vector, candidates, d_base, tied) of the extension search,
+    scoring every candidate against every scanned codeword with the
+    oracles; ``tied`` counts the candidates that reach the score."""
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]
@@ -533,10 +570,11 @@ def reference_search(C, method, budget, seed, cap):
     weights = (oracles.message_order_codewords(C) != 0).sum(axis=1)
     d_base = int(weights[1 : max(scan, 2)].min())  # what min_weight reports, or its BudgetExceeded bound
     if not len(cands):
-        return None, None, 0, d_base
+        return None, None, 0, d_base, 0
     scores = np.minimum(d_base, oracles.coset_min_weights(C, cands, scan) + (method == M1))
     best = int(scores.max())
-    return best, min(map(tuple, cands[scores == best].tolist())), len(cands), d_base
+    tied = cands[scores == best]
+    return best, min(map(tuple, tied.tolist())), len(cands), d_base, len(tied)
 
 
 def check_against_reference(C, method, budget, seed, cap):
@@ -597,7 +635,7 @@ def test_search_below_base_distance(f):
         n = rng.randrange(4, 8)
         C = oracles.random_lcd_code(f, n, rng.randrange(1, 3), rng)
         for method in (M1, M2):
-            best, _, count, d_base = check_against_reference(C, method, 10**9, 0, 10**9)
+            best, _, count, d_base, _ = check_against_reference(C, method, 10**9, 0, 10**9)
             if count:
                 depths[method].add(d_base - best)
             # sampled and truncated scans of the same code
@@ -612,6 +650,39 @@ def test_search_on_distance_one_base(f):
     assert is_lcd(C) and oracles.brute_min_weight(C) == 1
     assert check_against_reference(C, M1, 10**6, 0, 10**9)[:2] == (1, (0,) * 5)
     assert check_against_reference(C, M2, 10**6, 0, 10**9)[0] == 1
+
+
+@pytest.mark.parametrize("method", [M1, M2])
+@pytest.mark.parametrize("budget", [10**9, 6_000])
+def test_search_tie_break_among_many(method, budget):
+    # a GF(4)H [9,2,5] code where thousands of dual vectors tie at d(C):
+    # the exhaustive search scores one vector per projective class and
+    # breaks the tie over all their multiples, the sampled one over the
+    # distinct draws; both must pick the reference's tuple minimum
+    C = oracles.random_lcd_code(GF4H, 9, 2, random.Random(0))
+    best, _, _, d_base, tied = check_against_reference(C, method, budget, 11, 10**9)
+    assert best == d_base and tied >= 1_000
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_smallest_matches_tuple_min(f):
+    # the array tie-break against min over the tuples of every vector and,
+    # for a projective search, every nonzero multiple; leading zeros are
+    # common so that the column filter keeps many vectors for long
+    rng = np.random.default_rng(f.order)
+    for n in (1, 5, 18, 64, 65, 130):
+        for N in (1, 2, 7, 400):
+            for has_zero in (False, True):
+                M = rng.integers(0, f.order, size=(N, n), dtype=np.uint8)
+                M[:, : n // 2] *= rng.random((N, n // 2)) < 0.2
+                if has_zero:
+                    M[rng.integers(N)] = 0
+                packed = enumeration.pack_matrix(f.order, M)
+                for multiples in (False, True):
+                    scalars = range(1, f.order) if multiples else (1,)
+                    want = min(map(tuple, np.concatenate([f.mul_table[a][M] for a in scalars]).tolist()))
+                    got = construct._smallest(f, packed, n, multiples)
+                    assert got.dtype == np.uint8 and tuple(got.tolist()) == want
 
 
 # -- coset scoring in Brouwer-Zimmermann order against the oracle's coset minima
@@ -717,16 +788,40 @@ def test_search_exhaustive_ternary_20_8_8(method, vector, score, candidates):
 @pytest.mark.parametrize("m", [1, 13, 70])
 def test_draw_messages_matches_randrange(q, m, monkeypatch):
     # the bulk draw must give the digit stream of randrange(q), one call per
-    # digit, also when it is split into getrandbits calls of a few words
+    # digit, also when it is split into chunks of a few words; --seed takes
+    # negative seeds too
     for chunk in (construct.DRAW_CHUNK_WORDS, 3):
         monkeypatch.setattr(construct, "DRAW_CHUNK_WORDS", chunk)
-        for seed in (0, 1, 12345, 2**40 + 7):
+        for seed in (0, 1, -5, 12345, 2**40 + 7):
             for count in (0, 1, 7, 300):
                 rng = random.Random(seed)
                 want = [[rng.randrange(q) for _ in range(m)] for _ in range(count)]
                 got = _draw_messages(q, m, count, seed)
                 assert got.dtype == np.uint8 and got.shape == (count, m)
                 assert got.tolist() == want
+
+
+@pytest.mark.parametrize("f,n", [(GF2, 64), (GF2, 65), (GF3, 32), (GF3, 33), (GF4H, 32), (GF4H, 33)])
+def test_distinct_matches_set_of_tuples(f, n):
+    # one sort key per vector while planes x n <= 64, lexsort beyond: both
+    # sides of the switch against a set of tuples, on batches of 0, 1 and
+    # 2 vectors, an all-equal batch, one whose vectors repeat or differ in
+    # a single symbol, and every vector supported on the first two and last
+    # two columns, twice: a key that overlaps or drops planes' bits merges some
+    rng = np.random.default_rng(n * f.order)
+    base = rng.integers(0, f.order, size=(40, n), dtype=np.uint8)
+    near = base[:20].copy()
+    near[np.arange(20), rng.integers(n, size=20)] = rng.integers(0, f.order, size=20)
+    mixed = np.vstack([base, near, base[rng.integers(40, size=200)]])
+    ends = np.zeros((f.order**4, n), dtype=np.uint8)
+    ends[:, [0, 1, n - 2, n - 1]] = oracles.all_messages(f.order, 4)
+    ends = np.vstack([ends, ends])
+    batches = [base[:0], base[:1], base[:2], np.repeat(base[:1], 9, axis=0)]
+    batches += [mixed[rng.permutation(len(mixed))], ends[rng.permutation(len(ends))]]
+    for M in batches:
+        got = enumeration.unpack_matrix(construct._distinct(enumeration.pack_matrix(f.order, M), n), n)
+        assert len(got) == len(set(map(tuple, M.tolist())))
+        assert set(map(tuple, got.tolist())) == set(map(tuple, M.tolist()))
 
 
 def test_euclidean_gf4_extension_is_refused():
@@ -821,6 +916,28 @@ def test_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMISED_CHECKS], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:3] == ["gf4 refused", "invariant raised", "debug False"]
+
+
+LAZY_RANDOM = """
+import sys
+from lcdkit import cli, construct, corpus
+
+C = corpus.resolve_code("t_20_8_8")
+construct.search_extend(C, construct.M1, budget=10**9)
+print("numpy.random" in sys.modules)
+construct.search_extend(C, construct.M1, budget=100)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_numpy_random_is_loaded_by_sampled_draws_only():
+    # numpy loads numpy.random on first use, at a cost of milliseconds, so
+    # importing the CLI or running an exhaustive search must not touch it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", LAZY_RANDOM], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_no_assert_in_src():
