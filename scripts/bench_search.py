@@ -4,9 +4,12 @@
 Runs construct.search_extend, method 1, on the benchmark's search workload
 shapes (its inputs at seed 1: the t_19_6_9 exhaustive and sampled searches,
 a Hermitian quaternary [14,6] exhaustive one and a binary [70,10] sampled
-one) and on a Hermitian quaternary [18,8] exhaustive search where 134,095
-candidates tie at d(C).  The search's helpers are wrapped with timers, so
-the stages are those of the real call:
+one), on a Hermitian quaternary [18,8] exhaustive search where 134,095
+candidates tie at d(C), and on a sampled search from a Hermitian quaternary
+[24,14,7] code, whose 4^14 codewords are past the default cap (grown from a
+double-circulant [22,11,8] code, punctured once and extended three times by
+method 1).  The search's helpers are wrapped with timers, so the stages are
+those of the real call:
 
 * draw: the sampled messages (_draw_messages);
 * dedupe: the distinct sampled candidates (_distinct);
@@ -35,7 +38,9 @@ import inputs  # noqa: E402
 import refalg  # noqa: E402
 
 from lcdkit import construct, corpus, gf  # noqa: E402
-from lcdkit.codes import new_code  # noqa: E402
+import numpy as np  # noqa: E402
+
+from lcdkit.codes import new_code, parse_vector, puncture  # noqa: E402
 
 SEED = 1
 ROUNDS = 5
@@ -55,6 +60,14 @@ def cases():
     def lcd(tag_seed, tag, field, k, n):
         return new_code(gf.field_by_name(field), inputs.lcd(inputs.rng_for(tag_seed, tag), refalg.FIELDS[field], k, n))
 
+    def gf4h_24_14():
+        a = parse_vector(gf.GF4H, "1wW0010w01w")  # first row of the circulant A in [I | A]
+        A = np.array([np.roll(a, i) for i in range(11)])
+        C = puncture(new_code(gf.GF4H, np.hstack([np.eye(11, dtype=np.uint8), A])), (0,))
+        for _ in range(3):
+            C = construct.search_extend(C, construct.M1, budget=2**16, seed=0).code
+        return C
+
     t19 = corpus.resolve_code("t_19_6_9")
     sample = int(inputs.rng_for(SEED, "search.sample").integers(2**31))
     return [
@@ -63,6 +76,7 @@ def cases():
         ("gf4h_14_6.m1.exhaustive", lcd(SEED, "search.gf4h_14_6", "gf4h", 6, 14), 4**8, sample),
         ("gf2_70_10.m1.sampled", lcd(SEED, "search.gf2_70_10", "gf2", 10, 70), 4_000, sample),
         ("gf4h_18_8.m1.exhaustive", lcd(5, "x", "gf4h", 8, 18), 4**10, 0),
+        ("gf4h_24_14.m1.sampled", gf4h_24_14(), 2**10, 0),
     ]
 
 

@@ -21,14 +21,18 @@ results can be replayed bit-exactly.
 from __future__ import annotations
 
 import random
+import threading
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, prod
 
 import numpy as np
 
 from . import enumeration, linalg
 from .codes import (
+    BROUWER_ZIMMERMANN,
+    EXHAUSTIVE,
     EmptyCode,
     CodeError,
     LinearCode,
@@ -286,6 +290,8 @@ COMPACT_SHARE = 0.5
 # 2^18 9.1 ms, 2^20 (8 MiB) 16.5 ms
 DRAW_CHUNK_WORDS = 1 << 16
 
+_TWISTER = threading.local()  # .mt: the thread's MT19937, built on first use
+
 
 def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     """``count`` messages of ``m`` digits: the digits of ``count * m`` calls
@@ -296,10 +302,13 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     loaded with random.Random(seed)'s state, hands out the same words
     (random_raw), so the digit stream is read a chunk of words at a time,
     with no Python int per draw.  numpy.random is touched only here, since
-    numpy loads it on first use.
+    numpy loads it on first use; each thread builds one generator and
+    reloads its state per call, a third of the cost of building one.
     """
     key = random.Random(seed).getstate()[1]
-    mt = np.random.MT19937(0)
+    mt = getattr(_TWISTER, "mt", None)
+    if mt is None:
+        mt = _TWISTER.mt = np.random.MT19937(0)
     mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]}}
     bits = q.bit_length()
     count = max(count, 0)
@@ -392,22 +401,24 @@ def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
     return _add(q, x, enumeration.codewords_of(q, link.negated, enumeration._symbols(x, link.pivots).T))
 
 
-def _level_words(q: int, k: int, link: _Link, w: int):
-    """Packed batches of G_j's codewords of information weight w, every
-    nonzero scalar tuple: the BZ level batches and their multiples."""
-    if w == 0:
+def _level_words(q: int, k: int, link: _Link, W: int):
+    """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
+    every nonzero scalar tuple: the BZ level batches and their multiples."""
+    if W >= 0:
         yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
-        return
-    for words in enumeration._bz_level(q, k, w, link.scaled, packed=True):
-        for a in range(1, q):
-            yield enumeration._scale(q, a, words)
+    for w in range(1, W + 1):
+        for words in enumeration._bz_level(q, k, w, link.scaled):
+            for a in range(1, q):
+                yield enumeration._scale(q, a, words)
 
 
-def _bz_order(q: int, k: int, chain: list[_Link], floor: int):
-    """Yield (link, batches) stages: for each matrix G_j in turn, its
-    codewords c of information weight 0, 1, ..., W, every nonzero scalar
-    tuple.  The set is closed under negation, so the words x_j - c are the
-    words of the coset x + C of information weight at most W on G_j.
+def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple[list, bool]:
+    """(link, batches) stages that list coset words, and whether the listing is complete.
+
+    Each stage gives, for a matrix G_j, its codewords c of information
+    weight 0, 1, ..., W, every nonzero scalar tuple.  The set is closed
+    under negation, so the words x_j - c are the words of the coset x + C
+    of information weight at most W on G_j.
 
     After level W every coset word not listed has information weight > W
     on each listed G_j, so at least W + 1 - deficit_j nonzero symbols
@@ -416,13 +427,20 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int):
     ``floor`` (matrices with deficit > W add nothing and are left out), or
     k, where G_1's levels are the whole coset; G_1 alone also serves
     whenever the levels would list more than q^k words.
+
+    The listing is complete when it has at most ``cap`` words; otherwise
+    G_1's levels 0 .. W' that fit in ``cap`` are listed instead (none when
+    cap < 1), which are closed under scalar multiples too.
     """
+    sizes = list(accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1)))  # [W]: words in levels 0..W of a matrix
     W = next((w for w in range(k) if sum(max(0, w + 1 - link.deficit) for link in chain) >= floor), k)
     links = [link for link in chain if link.deficit <= W]
-    if len(links) * sum(comb(k, w) * (q - 1) ** w for w in range(W + 1)) > q**k:
-        links, W = chain[:1], k
-    for link in links:
-        yield link, (words for w in range(W + 1) for words in _level_words(q, k, link, w))
+    if len(links) * sizes[W] > q**k:
+        links, W = chain[:1], k  # sizes[k] = q^k
+    complete = len(links) * sizes[W] <= cap
+    if not complete:
+        links, W = chain[:1], sum(size <= cap for size in sizes) - 1
+    return [(link, _level_words(q, k, link, W)) for link in links], complete
 
 
 def _coset_floor(
@@ -431,10 +449,10 @@ def _coset_floor(
     """Running minimum weight over the cosets x + C of the packed candidates
     x = cand[..., active], or of every candidate when ``active`` is None.
 
-    ``stages`` yields (link, batches) pairs.  With a link, every candidate
-    still scored is first replaced, in one working copy and a chunk at a
-    time, by the word of its coset that vanishes on the link's pivots.
-    Then each candidate is compared with every packed word c of the
+    ``stages`` yields (link, batches) pairs.  For each link, every
+    candidate still scored is first replaced, in one working copy and a
+    chunk at a time, by the word of its coset that vanishes on the link's
+    pivots.  Then each candidate is compared with every packed word c of the
     batches, at most SCORE_CHUNK pairs per pass: the distance from x to c
     is the weight of the coset word x - c.  A candidate stops being scored
     once its running minimum falls below ``floor``.  The result bounds each
@@ -458,9 +476,8 @@ def _coset_floor(
     low = np.empty(n, dtype=np.uint16)
     run = np.full(n, np.iinfo(np.uint16).max, dtype=np.uint16)
     for link, batches in stages:
-        if link is not None:
-            for lo in range(0, run.size, SCORE_CHUNK):
-                x[..., lo : lo + SCORE_CHUNK] = _reduce(q, x[..., lo : lo + SCORE_CHUNK], link)
+        for lo in range(0, run.size, SCORE_CHUNK):
+            x[..., lo : lo + SCORE_CHUNK] = _reduce(q, x[..., lo : lo + SCORE_CHUNK], link)
         for words in batches:
             s = 0
             while s < words.shape[-1]:
@@ -515,43 +532,32 @@ def _with_room(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _best_scores(
-    C: LinearCode, cand: np.ndarray, room: np.ndarray, d_base: int, scan: int, bonus: int
-) -> tuple[int, np.ndarray]:
-    """The best score min(d_base, coset minimum + bonus) and the candidates reaching it.
+    C: LinearCode, cand: np.ndarray, room: np.ndarray, d_base: int, bonus: int, cap: int
+) -> tuple[int, np.ndarray, bool]:
+    """The best score min(d_base, coset minimum + bonus), the candidates
+    reaching it, and whether every coset listing was complete.
 
     Thresholds t count down from d_base, which caps every score; at each
     level only candidates whose known upper bound still reaches t are
-    scanned, and the survivors of the first level that has any score
-    exactly t.  When ``scan`` covers all of C the cosets are scanned in
-    Brouwer-Zimmermann order and each candidate is decided exactly;
-    otherwise the first ``scan`` codewords in message order give upper
-    bounds.
+    scanned, in Brouwer-Zimmermann order (_bz_order, floor t - bonus), and
+    the survivors of the first level that has any score exactly t.  With
+    every listing complete the scores are exact, otherwise upper bounds.
     """
     q = C.field.order
-    if scan < q**C.k:  # x - (-c) = x + c over the first scan codewords c
-        tables = enumeration.codeword_tables(C.field, C.generator)
-        neg = int(C.field.neg_table[1])
-
-        def stages(floor):
-            return [(None, (enumeration._scale(q, neg, w) for _, w in enumeration.codeword_blocks(q, tables, 0, scan)))]
-
-    else:
-        chain = _coset_chain(C)
-
-        def stages(floor):
-            return _bz_order(q, C.k, chain, floor)
-
+    chain = _coset_chain(C)
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
-    t, active = d_base, None  # the first level scans every candidate
+    t, active, complete = d_base, None, True  # the first level scans every candidate
     while t > bonus:  # nothing can score below the bonus
-        low = _coset_floor(q, cand, active, t - bonus, stages(t - bonus), room)
+        stages, listed_all = _bz_order(q, C.k, chain, t - bonus, cap)
+        complete &= listed_all
+        low = _coset_floor(q, cand, active, t - bonus, stages, room)
         alive = low >= t - bonus
         if alive.any():
-            return t, np.flatnonzero(alive) if active is None else active[alive]
+            return t, np.flatnonzero(alive) if active is None else active[alive], complete
         bound[... if active is None else active] = low + bonus
         t = int(bound.max())  # every bound is now below t
         active = np.flatnonzero(bound >= t)
-    return t, np.flatnonzero(bound >= t)
+    return t, np.flatnonzero(bound >= t), complete
 
 
 def search_extend(
@@ -575,39 +581,37 @@ def search_extend(
     minimum distance of the extended code, min(d(C), the minimum weight of
     the coset x + C, plus 1 for method 1); ties break toward the
     lexicographically smallest vector, found on arrays by filtering the
-    tied candidates column by column (_smallest).  The score is exact when
-    C has at most ``cap`` codewords; otherwise the coset scan covers the
-    first ``cap`` codewords in message order and the score is an upper
-    bound.  An exact scan runs in Brouwer-Zimmermann order: for each
-    matrix of C's information-set chain, x is reduced to the coset word
-    that vanishes on the matrix's pivots, and the words of C of information
-    weight 0, 1, ... are added, every scalar tuple, until the chain's lower
-    bound on the words not yet listed reaches the threshold.
+    tied candidates column by column (_smallest).  d(C) comes from the
+    exhaustive scan when C has at most ``cap`` codewords, otherwise from
+    Brouwer-Zimmermann listing at most ``cap``.  Cosets are scanned in
+    Brouwer-Zimmermann order: for each matrix of C's information-set
+    chain, x is reduced to the coset word that vanishes on the matrix's
+    pivots, and the words of C of information weight 0, 1, ... are added,
+    every scalar tuple, until the chain's lower bound on the words not yet
+    listed reaches the threshold.  A listing past ``cap`` words is cut to
+    the first matrix's levels that fit (_bz_order) and scores upper bounds;
+    the result is exact when d(C) was decided and no listing was cut.
 
-    When the search is exhaustive and exact, only one candidate per
-    projective class x, 2x, ... is scored (message 0 and the messages whose
-    top nonzero digit is 1): scaling preserves the coset minimum and the
-    weight, so the tie-break runs over the winners' multiples too (a
-    vector's smallest multiple has 1 as its first nonzero symbol) and
-    ``candidates`` still counts every vector.  Scoring is pruned by
-    threshold: a candidate is dropped as soon as one of its coset words
-    shows that it cannot reach the best score still possible.  Results
-    never depend on evaluation order.
+    An exhaustive search scores one candidate per projective class x, 2x,
+    ... (message 0 and the messages whose top nonzero digit is 1): scaling
+    preserves the weight, and every listing is closed under scaling, so
+    the tie-break runs over the winners' multiples too (a vector's smallest
+    multiple has 1 as its first nonzero symbol) and ``candidates`` still
+    counts every vector.  Scoring is pruned by threshold: a candidate is
+    dropped as soon as one of its coset words shows that it cannot reach
+    the best score still possible.  Results never depend on evaluation order.
     """
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]
-    total = q**m
-    exhaustive = total <= budget
+    exhaustive = q**m <= budget
     cap = enumeration.DEFAULT_CAPS[q] if cap is None else cap
-    exact = q**C.k <= cap
-    projective = exhaustive and exact
     tables = enumeration.codeword_tables(C.field, dgen)
     if exhaustive:
-        # message 0 and the messages whose top nonzero digit j is 1, or all of them
-        ranges = enumeration._projective_ranges(q, m, 0) if projective else [(0, total)]
+        # message 0 and the messages whose top nonzero digit j is 1
+        ranges = enumeration._projective_ranges(q, m, 0)
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
     else:
         blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]
@@ -617,18 +621,20 @@ def search_extend(
     cand, room = _with_room(pieces)
     del pieces
     candidates = cand.shape[-1]
-    if projective:  # each kept vector but the zero vector stands for its q - 1 multiples
+    if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples
         candidates = (q - 1) * candidates - (q - 2) * int(weight_condition(C.field, method, 0))
     if cand.shape[-1] == 0:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
 
+    strategy = EXHAUSTIVE if q**C.k <= cap else BROUWER_ZIMMERMANN
     try:
-        d_base = min_weight(C, cap=cap, threads=threads)
+        d_base, decided = min_weight(C, strategy, cap=cap, threads=threads), True
     except enumeration.BudgetExceeded as exc:
-        d_base = exc.best_upper if exc.best_upper is not None else C.n
-    best_score, top = _best_scores(C, cand, room, d_base, min(q**C.k, cap), 1 if method == M1 else 0)
-    best = _smallest(C.field, np.take(cand, top, axis=-1), C.n, projective)
+        d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
+    best_score, top, complete = _best_scores(C, cand, room, d_base, 1 if method == M1 else 0, cap)
+    best = _smallest(C.field, np.take(cand, top, axis=-1), C.n, exhaustive)
     code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
+    exact = decided and complete
     return SearchResult(
         vector=best,
         code=code,

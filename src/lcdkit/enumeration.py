@@ -488,9 +488,8 @@ def _scalar_rows(q: int, w: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.intp) // powers[:, None] % (q - 1) + 1
 
 
-def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, packed: bool = False):
-    """Yield one matrix's level-w codewords in batches: their weights, or
-    the packed batches themselves when ``packed``.
+def _bz_level(q: int, k: int, w: int, scaled: np.ndarray):
+    """Yield one matrix's level-w codewords in packed batches.
 
     Supports come in lex order and, within a support, scalar tuples in
     product order with the first scalar 1, at most BZ_CHUNK codewords per
@@ -507,7 +506,7 @@ def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, packed: bool = False):
                 # column a * k + j of the scaled pack is a * row_j
                 words = np.take(scaled, (coeffs * k + rows[:, None]).ravel(), axis=-1)
                 cw = words if cw is None else _add(q, cw, words)
-            yield cw if packed else _weigh(cw)
+            yield cw
 
 
 def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
@@ -530,7 +529,8 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
     work = 0
     for w in range(1, k + 1):
         for scaled, _deficit in chain:
-            for weights in _bz_level(q, k, w, scaled):
+            for words in _bz_level(q, k, w, scaled):
+                weights = _weigh(words)
                 take = min(weights.size, cap + 1 - work)  # up to the codeword past the cap
                 seen = weights[:take]
                 seen = seen[seen != 0]

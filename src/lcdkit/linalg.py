@@ -291,20 +291,6 @@ def solve_rowspace(A: np.ndarray, v: np.ndarray, field: FieldSpec):
     return x
 
 
-def intersect_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus block trick)."""
-    n = A.shape[1] if A.size else B.shape[1]
-    if A.size == 0 or B.size == 0:
-        return np.zeros((0, n), dtype=np.uint8)
-    top = np.concatenate([A, A], axis=1)
-    bot = np.concatenate([B, np.zeros_like(B)], axis=1)
-    res = rref(np.concatenate([top, bot], axis=0), field)
-    inter = [res.matrix[i, n:] for i in range(res.rank) if not res.matrix[i, :n].any()]
-    if not inter:
-        return np.zeros((0, n), dtype=np.uint8)
-    return row_space_basis(np.array(inter, dtype=np.uint8), field)
-
-
 def congruence_orthonormalize(M: np.ndarray) -> np.ndarray:
     """Invertible U over GF(2) with U M U^T = I, for symmetric nonsingular M.
 

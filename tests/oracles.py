@@ -60,6 +60,19 @@ def table_rref(M: np.ndarray, field: FieldSpec, col_order=None):
     return work, tuple(pivots), r
 
 
+def intersect_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """RREF basis of rowspace(A) ∩ rowspace(B) (Zassenhaus block trick), by table arithmetic."""
+    n = A.shape[1] if A.size else B.shape[1]
+    if A.size == 0 or B.size == 0:
+        return np.zeros((0, n), dtype=np.uint8)
+    top = np.concatenate([A, A], axis=1)
+    bot = np.concatenate([B, np.zeros_like(B)], axis=1)
+    work, _, r = table_rref(np.concatenate([top, bot], axis=0), field)
+    inter = np.array([row[n:] for row in work[:r] if not row[:n].any()], dtype=np.uint8).reshape(-1, n)
+    basis, _, r = table_rref(inter, field)
+    return basis[:r]
+
+
 def codeword_array(C: LinearCode) -> np.ndarray:
     """All q^k codewords, one per row."""
     msgs = all_messages(C.field.order, C.k)
@@ -72,16 +85,11 @@ def message_order_codewords(C: LinearCode) -> np.ndarray:
     return table_matmul(C.field, msgs, C.generator)
 
 
-def coset_min_weights(C: LinearCode, cands: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """Minimum weight of x + c for every candidate row x, over the first
-    ``limit`` codewords c of C in message order (all of them when None).
-
-    A limited scan gives upper bounds on the coset minima; when nothing is
-    scanned every entry is n + 1.
-    """
+def coset_min_weights(C: LinearCode, cands: np.ndarray) -> np.ndarray:
+    """Minimum weight of x + c over the codewords c of C, for every candidate row x."""
     add = C.field.add_table
     best = np.full(len(cands), C.n + 1, dtype=np.int64)
-    for c in message_order_codewords(C)[:limit]:
+    for c in codeword_array(C):
         np.minimum(best, (add[cands, c] != 0).sum(axis=1), out=best)
     return best
 

@@ -111,7 +111,7 @@ def test_hull_matches_bruteforce_intersection(f):
         assert spanned == expected
         assert is_lcd(c) == (h.dim == 0)
         # the Gram-kernel basis is the RREF basis of C ∩ C^perp (Zassenhaus)
-        zassenhaus = linalg.intersect_row_spaces(c.generator, linalg.nullspace(c.generator, f), f)
+        zassenhaus = oracles.intersect_row_spaces(c.generator, linalg.nullspace(c.generator, f), f)
         assert np.array_equal(h.basis, zassenhaus)
 
 

@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 
 import oracles
 from lcdkit import construct, enumeration, linalg
-from lcdkit.codes import EmptyCode, LinearCode, dual, hull, is_lcd, min_weight, new_code, puncture, shorten
+from lcdkit.codes import (
+    EmptyCode,
+    LinearCode,
+    dual,
+    hull,
+    is_lcd,
+    min_weight,
+    new_code,
+    parse_vector,
+    puncture,
+    shorten,
+)
 from lcdkit.construct import (
     M1,
     M2,
@@ -467,15 +478,15 @@ def test_search_matches_brute_force(f, n, k, budget):
 
 
 def test_search_truncated_scan_is_an_upper_bound():
-    # q^k over the cap: the coset scan stops after cap codewords, so the
-    # score is flagged non-exact and can only overstate the distance
+    # q^k over the cap: d(C) comes from Brouwer-Zimmermann and the coset
+    # listings hold at most cap words, so the answer is the reference's when
+    # flagged exact and otherwise can only overstate the distance
     rng = random.Random(171)
     for f, n, k, cap in [(GF2, 20, 11, 64), (GF3, 14, 7, 100), (GF4H, 12, 6, 300)]:
         c = oracles.random_lcd_code(f, n, k, rng)
+        check_against_reference(c, M1, 2_000, 3, cap)
         res = search_extend(c, M1, budget=2_000, seed=3, cap=cap)
-        assert not res.exact
         assert res.target_met is None
-        assert res.min_weight >= oracles.brute_min_weight(res.code)
 
 
 def test_search_deterministic():
@@ -551,10 +562,10 @@ def test_extension_vector_validation():
 # -- the pruned, projective search against the symbol-domain reference scorer
 
 
-def reference_search(C, method, budget, seed, cap):
+def reference_search(C, method, budget, seed):
     """(score, vector, candidates, d_base, tied) of the extension search,
-    scoring every candidate against every scanned codeword with the
-    oracles; ``tied`` counts the candidates that reach the score."""
+    scoring every candidate against every codeword with the oracles;
+    ``tied`` counts the candidates that reach the score."""
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]
@@ -566,26 +577,31 @@ def reference_search(C, method, budget, seed, cap):
         msgs = np.array(msgs, dtype=np.uint8).reshape(len(msgs), m)
     cands = oracles.table_matmul(C.field, msgs, dgen)
     cands = cands[[weight_condition(C.field, method, int(w)) for w in (cands != 0).sum(axis=1)]]
-    scan = min(q**C.k, cap)
-    weights = (oracles.message_order_codewords(C) != 0).sum(axis=1)
-    d_base = int(weights[1 : max(scan, 2)].min())  # what min_weight reports, or its BudgetExceeded bound
+    d_base = oracles.brute_min_weight(C)
     if not len(cands):
         return None, None, 0, d_base, 0
-    scores = np.minimum(d_base, oracles.coset_min_weights(C, cands, scan) + (method == M1))
+    scores = np.minimum(d_base, oracles.coset_min_weights(C, cands) + (method == M1))
     best = int(scores.max())
     tied = cands[scores == best]
     return best, min(map(tuple, tied.tolist())), len(cands), d_base, len(tied)
 
 
 def check_against_reference(C, method, budget, seed, cap):
-    want = reference_search(C, method, budget, seed, cap)
+    """The search under ``cap`` against the reference: the same candidates,
+    the same answer when exact, as it always is within the cap, and
+    otherwise a score no lower than the distance of the code it returns."""
+    want = reference_search(C, method, budget, seed)
     if not want[2]:
         with pytest.raises(NoCandidate):
             search_extend(C, method, budget=budget, seed=seed, cap=cap)
         return want
     res = search_extend(C, method, budget=budget, seed=seed, cap=cap)
-    assert (res.min_weight, tuple(res.vector.tolist()), res.candidates) == want[:3]
-    assert res.exact == (C.field.order**C.k <= cap)
+    assert res.candidates == want[2]
+    assert res.exact or C.field.order**C.k > cap
+    if res.exact:
+        assert (res.min_weight, tuple(res.vector.tolist())) == want[:2]
+    else:
+        assert res.min_weight >= oracles.brute_min_weight(res.code)
     assert res.exhaustive == (C.field.order ** (C.n - C.k) <= budget)
     return want
 
@@ -598,30 +614,69 @@ MAX_N = {2: 10, 3: 8, 4: 6}
     st.sampled_from(FIELDS),
     st.sampled_from([M1, M2]),
     st.sampled_from(["exhaustive", "sampled"]),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
     st.data(),
 )
-def test_search_matches_reference_scorer(f, method, mode, truncated, seed, data):
-    # exhaustive, sampled and truncated (cap < q^k) scans, both methods
+def test_search_matches_reference_scorer(f, method, mode, seed, data):
+    # exhaustive and sampled scans, both methods
     q = f.order
     n = data.draw(st.integers(3, MAX_N[q]))
     k = data.draw(st.integers(1, n - 1))
     C = oracles.random_lcd_code(f, n, k, random.Random(seed))
     budget = 10**9 if mode == "exhaustive" else data.draw(st.integers(1, q ** (n - k) - 1))
-    cap = data.draw(st.integers(0, q**k - 1)) if truncated else 10**9
-    check_against_reference(C, method, budget, seed % 1000, cap)
+    check_against_reference(C, method, budget, seed % 1000, 10**9)
 
 
-@pytest.mark.parametrize("f", FIELDS)
-def test_truncated_exhaustive_search_scores_every_multiple(f):
-    # the first cap codewords are not closed under scaling, so a truncated
-    # scan must score x, 2x, ... separately even when the search is exhaustive
-    rng = random.Random(199)
-    for _ in range(40):
-        C = oracles.random_lcd_code(f, rng.randrange(5, 8), 2, rng)
-        for method in (M1, M2):
-            check_against_reference(C, method, 10**9, 0, rng.randrange(1, f.order**2))
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.sampled_from([M1, M2]),
+    st.sampled_from(["exhaustive", "sampled"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_search_past_the_cap(f, method, mode, seed, data):
+    # cap < q^k: d(C) comes from Brouwer-Zimmermann under the cap, and a
+    # coset listing past the cap lists the first matrix's whole levels that
+    # fit.  An exact answer is the uncapped search's; any other overstates
+    # the returned code's distance.  Both score the same candidates
+    q = f.order
+    n = data.draw(st.integers(3, MAX_N[q]))
+    k = data.draw(st.integers(1, n - 1))
+    C = oracles.random_lcd_code(f, n, k, random.Random(seed))
+    budget = 10**9 if mode == "exhaustive" else data.draw(st.integers(1, q ** (n - k) - 1))
+    cap = data.draw(st.integers(0, q**k - 1))
+    try:
+        full = search_extend(C, method, budget=budget, seed=seed % 1000, cap=10**9)
+    except NoCandidate:
+        with pytest.raises(NoCandidate):
+            search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
+        return
+    res = search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
+    assert res.candidates == full.candidates and res.exhaustive == full.exhaustive
+    if res.exact:
+        assert (res.min_weight, tuple(res.vector.tolist())) == (full.min_weight, tuple(full.vector.tolist()))
+    else:
+        assert res.min_weight >= oracles.brute_min_weight(res.code)
+
+
+def test_search_from_gf4h_k14_past_the_cap():
+    # a Hermitian GF(4) [24,14,7] LCD code grown in-repo: the double-circulant
+    # [I | A] [22,11,8] code, A circulant with first row 1wW0010w01w,
+    # punctured on coordinate 0 to [21,11,7], then extended by three sampled
+    # method-1 searches.  Its 4^14 codewords are past the default cap of
+    # 4^13: d(C) comes from Brouwer-Zimmermann and every coset listing fits
+    # the cap, so the answer is exact, and it is the distance of the code it returns
+    a = parse_vector(GF4H, "1wW0010w01w")
+    A = np.array([np.roll(a, i) for i in range(11)])
+    C = puncture(new_code(GF4H, np.hstack([np.eye(11, dtype=np.uint8), A])), (0,))
+    for _ in range(3):
+        C = search_extend(C, M1, budget=2**16, seed=0).code
+    assert C.params() == (24, 14) and is_lcd(C) and min_weight(C, "bz") == 7
+    assert C.field.order**C.k > enumeration.DEFAULT_CAPS[4]
+    res = search_extend(C, M1, budget=2**10, seed=0)
+    assert res.exact and not res.exhaustive
+    assert res.min_weight == min_weight(res.code, "bz")
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -638,8 +693,8 @@ def test_search_below_base_distance(f):
             best, _, count, d_base, _ = check_against_reference(C, method, 10**9, 0, 10**9)
             if count:
                 depths[method].add(d_base - best)
-            # sampled and truncated scans of the same code
-            check_against_reference(C, method, f.order ** (n - C.k) // 2, 3, max(1, f.order**C.k // 3))
+            # a sampled scan of the same code
+            check_against_reference(C, method, f.order ** (n - C.k) // 2, 3, 10**9)
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -720,7 +775,9 @@ def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
     active = np.flatnonzero(np.arange(len(cands)) % 5 != 3)  # scorers see a subset of the candidates
     want = truth[active]
     for floor in range(1, int(truth.max()) + 2):
-        low = construct._coset_floor(f.order, packed, active, floor, construct._bz_order(f.order, k, chain, floor))
+        stages, complete = construct._bz_order(f.order, k, chain, floor, f.order**k)
+        assert complete
+        low = construct._coset_floor(f.order, packed, active, floor, stages)
         alive = low >= floor
         assert np.array_equal(alive, want >= floor)
         assert (low >= want).all()
@@ -743,7 +800,8 @@ def test_coset_scorer_in_shared_room(f, n, k, monkeypatch):
     subset = np.flatnonzero(np.arange(len(cands)) % 3 != 1)
     for floor in (1, 2, 3, 5, 8, 13, 21):
         def scored(active, room):
-            return construct._coset_floor(f.order, cand, active, floor, construct._bz_order(f.order, k, chain, floor), room)
+            stages, _ = construct._bz_order(f.order, k, chain, floor, f.order**k)
+            return construct._coset_floor(f.order, cand, active, floor, stages, room)
 
         everyone = scored(np.arange(len(cands)), None)
         assert np.array_equal(scored(None, room), everyone)
@@ -756,15 +814,20 @@ def test_bz_order_schedule():
     # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 stops after level 2 of the
     # first three matrices, 3 * (1 + 12 + 60) words; floor 1 after level 0
     # of those three; floor 13 would need level 4 of three matrices, more
-    # than the 3^6 words of the coset, so G_1 is scanned whole
+    # than the 3^6 words of the coset, so G_1 is scanned whole.  Past the
+    # cap the listing is G_1's levels that fit: 1 + 12 + 60 words under a
+    # cap of 218, the zero word under a cap of 1, nothing under 0
     from lcdkit import corpus
 
     C = corpus.resolve_code("t_19_6_9")
     chain = construct._coset_chain(C)
     assert [link.deficit for link in chain] == [0, 0, 0, 5]
-    for floor, links, words in [(8, chain[:3], 219), (1, chain[:3], 3), (13, chain[:1], 3**6)]:
-        stages = list(construct._bz_order(3, 6, chain, floor))
-        assert [link for link, _ in stages] == links
+    cases = [(8, 3**6, chain[:3], 219, True), (1, 3**6, chain[:3], 3, True), (13, 3**6, chain[:1], 3**6, True)]
+    cases += [(8, 219, chain[:3], 219, True), (8, 218, chain[:1], 73, False), (13, 3**6 - 1, chain[:1], 665, False)]
+    cases += [(1, 2, chain[:1], 1, False), (1, 0, chain[:1], 0, False)]
+    for floor, cap, links, words, complete in cases:
+        stages, listed_all = construct._bz_order(3, 6, chain, floor, cap)
+        assert [link for link, _ in stages] == links and listed_all == complete
         assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
 
 

@@ -354,7 +354,7 @@ def test_bz_level_batches_follow_loop_order(f, chunk):
     scaled = enumeration._pack_scaled(f, mat)
     with mock.patch.object(enumeration, "BZ_CHUNK", chunk):
         for w in range(1, 7):
-            batches = list(enumeration._bz_level(f.order, 6, w, scaled))
+            batches = [enumeration._weigh(b) for b in enumeration._bz_level(f.order, 6, w, scaled)]
             assert all(0 < b.size <= chunk for b in batches)
             want = [np.count_nonzero(cw) for cw in oracles.loop_bz_level(f, mat, w)]
             assert np.concatenate(batches).tolist() == want
