@@ -4,8 +4,11 @@
 Times rref, rank, nullspace, gram, codeword_tables and
 min_weight_exhaustive on seeded full-rank generator matrices of every
 size in the benchmark's algebra grid (4 <= n <= 12, 1 <= k <= min(6, n - 1)),
-and prints the median over rounds of the microseconds per call, taken
-over all sizes.  Takes no options:
+and the hull-side queries on the codes they generate: hull on every code,
+shorten on the hull pivot set of the codes with 0 < hull dimension < k,
+and project_split of a seeded vector on the LCD codes.  It prints the
+median over rounds of the microseconds per call, taken over all sizes,
+and how many codes each hull-side query ran on.  Takes no options:
 
     python3 scripts/bench_linalg.py
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lcdkit import enumeration, gf, linalg  # noqa: E402
+from lcdkit import codes, construct, enumeration, gf, linalg  # noqa: E402
 
 SEED = 2022
 ROUNDS = 7
@@ -56,6 +59,12 @@ def main() -> None:
         field = gf.field_by_name(name)
         mats = matrices(field, rng)
         grams = [linalg.gram(G, field) for G in mats]
+        code_list = [codes.new_code(field, G) for G in mats]
+        hulls = [(C, codes.hull(C).pivot_set) for C in code_list]
+        shortenable = [(C, T) for C, T in hulls if 0 < len(T) < C.k]
+        # a generator of its own, so the matrices stay those of earlier versions
+        vectors = np.random.default_rng(SEED).integers(0, field.order, size=(len(mats), 12), dtype=np.uint8)
+        splits = [(C, v[: C.n]) for C, v in zip(code_list, vectors) if codes.is_lcd(C)]
         line = {
             "field": name,
             "matrices": len(mats),
@@ -65,6 +74,11 @@ def main() -> None:
             "gram_us": us_per_call(lambda M: linalg.gram(M, field), mats),
             "codeword_tables_us": us_per_call(lambda M: enumeration.codeword_tables(field, M), mats),
             "min_weight_exhaustive_us": us_per_call(lambda M: enumeration.min_weight_exhaustive(field, M), mats),
+            "hull_us": us_per_call(codes.hull, code_list),
+            "shorten_codes": len(shortenable),
+            "shorten_us": us_per_call(lambda a: codes.shorten(*a), shortenable),
+            "project_split_codes": len(splits),
+            "project_split_us": us_per_call(lambda a: construct.project_split(a[1], a[0]), splits),
         }
         print(json.dumps(line), flush=True)
 

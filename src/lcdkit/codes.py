@@ -103,18 +103,20 @@ class HullInfo:
 
 
 def hull(C: LinearCode) -> HullInfo:
-    """C ∩ C^perp from the left kernel of the Gram matrix.
+    """C ∩ C^perp from one RREF of [Gram | G].
 
-    x Gram = 0 says that xG pairs to zero with every row of G, so the hull
-    is {xG : x Gram = 0}; this holds for the Hermitian flavor too, since
-    there Gram = G conj(G)^T.  G has full rank, so dim = dim ker(Gram).
+    xG pairs to zero with every row of G iff x Gram = 0, Hermitian flavor
+    included (Gram = G conj(G)^T).  Each RREF row stays [x Gram | xG], so
+    the rows past the Gram block's pivots are the hull's RREF basis.
     """
-    g = linalg.gram(C.generator, C.field)
-    kernel = linalg.nullspace(g.T, FieldSpec(C.field.order))
-    dim = kernel.shape[0]
-    basis = linalg.row_space_basis(linalg.matmul(C.field, kernel, C.generator), C.field)
-    pivots = tuple(int(np.nonzero(basis[i])[0][0]) for i in range(dim))
-    return HullInfo(_frozen(basis), dim, pivots)
+    k = C.k
+    aug = np.empty((k, k + C.n), dtype=np.uint8)
+    aug[:, :k] = linalg.gram(C.generator, C.field)
+    aug[:, k:] = C.generator
+    res = linalg.rref(aug, C.field)
+    r = sum(p < k for p in res.pivots)  # pivots in the Gram block come first
+    pivots = tuple(p - k for p in res.pivots[r:])
+    return HullInfo(_frozen(res.matrix[r : res.rank, k:]), len(pivots), pivots)
 
 
 def is_lcd(C: LinearCode) -> bool:
@@ -134,20 +136,18 @@ def _check_coords(C: LinearCode, T) -> tuple[int, ...]:
 def shorten(C: LinearCode, T) -> LinearCode:
     """Codewords vanishing on T, with the T coordinates deleted.
 
-    The dimension is re-derived from the subcode, never assumed.  The
-    returned generator is in RREF (T = empty set returns C unchanged).
+    One RREF scanning T first: its rows with a pivot outside T, T deleted,
+    are the shortening's RREF (T = empty set returns C unchanged).
     """
     T = _check_coords(C, T)
     if not T:
         return C
-    plain = FieldSpec(C.field.order)
-    msgs = linalg.nullspace(C.generator[:, T].T, plain)
-    if msgs.shape[0] == 0:
+    keep = sorted(set(range(C.n)).difference(T))
+    res = linalg.rref(C.generator, C.field, col_order=T + tuple(keep))
+    r = len(set(T).intersection(res.pivots))  # pivots come in scan order, T first
+    if r == res.rank:
         raise EmptyCode(f"shortening on {len(T)} coordinates leaves no nonzero codeword")
-    sub = linalg.matmul(C.field, msgs, C.generator)
-    keep = [j for j in range(C.n) if j not in set(T)]
-    basis = linalg.row_space_basis(sub[:, keep], C.field)
-    return LinearCode(C.field, _frozen(basis))
+    return LinearCode(C.field, _frozen(res.matrix[r : res.rank][:, keep]))
 
 
 def puncture(C: LinearCode, T) -> LinearCode:
@@ -155,7 +155,7 @@ def puncture(C: LinearCode, T) -> LinearCode:
     T = _check_coords(C, T)
     if not T:
         return C
-    keep = [j for j in range(C.n) if j not in set(T)]
+    keep = sorted(set(range(C.n)).difference(T))
     basis = linalg.row_space_basis(C.generator[:, keep], C.field)
     if basis.shape[0] == 0:
         raise EmptyCode("puncturing deleted every nonzero coordinate")

@@ -112,6 +112,8 @@ def extension_vector(C: LinearCode, vector, method: str) -> ExtensionVector:
     v = np.asarray(vector, dtype=np.uint8)
     if v.shape != (C.n,):
         raise ConstructError(f"extension vector has length {v.shape}, expected {C.n}")
+    if v.max(initial=0) >= C.field.order:
+        raise ConstructError(f"extension vector entry {int(v.max())} is not an element of {C.field.name}")
     if linalg.pairing_matrix(C.generator, v.reshape(1, -1), C.field).any():
         raise NotInDual("vector does not pair to zero with every generator row")
     w = int((v != 0).sum())
@@ -206,18 +208,17 @@ def pad_zero_column(C: LinearCode) -> LinearCode:
 def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """Split v = c + h with c in C and h in the dual; needs C LCD.
 
-    The LCD property makes the ambient space the direct sum of C and its
-    dual, so the split exists and is unique.
+    The ambient space is C ⊕ C^perp, so the split is unique: c = xG pairs
+    with G as v does, x Gram = (<v, G_j>)_j, and LCD makes Gram invertible.
     """
     if not is_lcd(C):
         raise NotLcd("the ambient space splits only for LCD codes")
     v = np.asarray(v, dtype=np.uint8)
-    dgen = dual(C).generator
-    stacked = np.vstack([C.generator, dgen]) if dgen.size else C.generator
-    coeffs = linalg.solve_rowspace(stacked, v, C.field)
-    if coeffs is None:
-        raise linalg.InvariantError("C + C^perp failed to span the ambient space")
-    c = linalg.matmul(C.field, coeffs[: C.k].reshape(1, -1), C.generator)[0]
+    G = C.generator
+    x = linalg.solve_rowspace(linalg.gram(G, C.field), linalg.pairing_matrix(v.reshape(1, -1), G, C.field)[0], C.field)
+    if x is None:
+        raise linalg.InvariantError("the Gram matrix of an LCD code failed to be invertible")
+    c = linalg.matmul(C.field, x.reshape(1, -1), G)[0]
     h = C.field.add_table[v, C.field.neg_table[c]]
     return c, h
 
@@ -225,11 +226,11 @@ def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
     """Invert method 1 on an odd-like binary LCD code.
 
-    Scans coordinates in increasing order for one whose shortening is an
-    LCD [n-1, k-1] code, then splits the residual generator row against
-    that shortening to recover an even-weight dual vector x such that
-    method 1 rebuilds a code equivalent to the input (equal up to moving
-    the chosen coordinate to the front).
+    Finds the first coordinate i whose shortening is an LCD [n-1, k-1]
+    code: one RREF scanning i first gives a row u with pivot i and, in its
+    other rows, that shortening.  u without coordinate i splits against it
+    into an even-weight dual part x, and method 1 on x rebuilds the input
+    with coordinate i moved to the front.
     """
     if Cp.field.order != 2:
         raise ConstructError("decomposition is defined for binary codes")
@@ -242,16 +243,15 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
     for i in range(Cp.n):
         if not Cp.generator[:, i].any():
             continue  # coordinate untouched by the code: no dimension drop
-        S = shorten(Cp, (i,))
-        if S.k != Cp.k - 1 or not is_lcd(S):
-            continue
-        order = [i] + [j for j in range(Cp.n) if j != i]
-        res = linalg.rref(Cp.generator, Cp.field, col_order=order)
+        res = linalg.rref(Cp.generator, Cp.field, col_order=[i] + [j for j in range(Cp.n) if j != i])
         if res.pivots[0] != i:
             raise linalg.InvariantError(f"coordinate {i} is not the first pivot of the generator")
-        u = res.matrix[0]
-        x_full = np.delete(u, i)
-        _, x = project_split(x_full, S)
+        rest = np.delete(res.matrix, i, axis=1)
+        rest.setflags(write=False)
+        S = LinearCode(Cp.field, rest[1:])
+        if not is_lcd(S):
+            continue
+        _, x = project_split(rest[0], S)
         if int((x != 0).sum()) % 2:
             raise linalg.InvariantError("the residual dual component has odd weight")
         return i, S, x

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used as test oracles.
 
 Everything here enumerates explicitly in the symbol domain (numpy uint8
-arrays) and never calls the packed enumeration paths, the Gram-based
-hull computation, or the construction shortcuts it is used to check.
+arrays) and never calls the packed enumeration paths, the one-elimination
+hull, shortening and LCD split, or the construction shortcuts it is used
+to check.
 """
 
 from __future__ import annotations
@@ -58,6 +59,77 @@ def table_rref(M: np.ndarray, field: FieldSpec, col_order=None):
         if r == rows:
             break
     return work, tuple(pivots), r
+
+
+def table_nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Basis of the plain right kernel {y : M y^T = 0}, one row per free column."""
+    work, pivots, _ = table_rref(M, field)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
+    for b, j in enumerate(free):
+        basis[b, j] = 1
+        for i, p in enumerate(pivots):
+            basis[b, p] = field.neg_table[work[i, j]]
+    return basis
+
+
+def table_gram(field: FieldSpec, G: np.ndarray) -> np.ndarray:
+    """<row_i(G), row_j(G)> under the field's flavor."""
+    return table_matmul(field, G, field.conj_table[G].T)
+
+
+def kernel_hull(C: LinearCode) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """(RREF basis, dimension, pivot set) of C ∩ C^perp as {xG : x Gram = 0}:
+    the left kernel of the Gram matrix times G, then reduced."""
+    kernel = table_nullspace(table_gram(C.field, C.generator).T, C.field)
+    basis, _, r = table_rref(table_matmul(C.field, kernel, C.generator), C.field)
+    basis = basis[:r]
+    return basis, r, tuple(int(np.nonzero(row)[0][0]) for row in basis)
+
+
+def kernel_shorten(C: LinearCode, T) -> np.ndarray | None:
+    """RREF generator of the shortening on T, from the messages whose
+    codewords vanish on T; None when only the zero codeword does."""
+    keep = [j for j in range(C.n) if j not in T]
+    msgs = table_nullspace(C.generator[:, list(T)].T, C.field)
+    if not len(msgs):
+        return None
+    basis, _, r = table_rref(table_matmul(C.field, msgs, C.generator)[:, keep], C.field)
+    return basis[:r]
+
+
+def stacked_split(v: np.ndarray, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """(c, h) with v = c + h, c in C and h in C^perp, for an LCD code C: one
+    solve of x [G; D] = v, with D a basis of the dual (h pairs to zero with
+    G iff conj(G) h^T = 0)."""
+    F, G, n = C.field, C.generator, C.n
+    stacked = np.vstack([G, table_nullspace(F.conj_table[G], F)])
+    work, pivots, _ = table_rref(np.concatenate([stacked.T, v.reshape(n, 1)], axis=1), F)
+    if n in pivots:
+        raise ValueError("C + C^perp does not span the ambient space: C is not LCD")
+    x = np.zeros(n, dtype=np.uint8)
+    for i, p in enumerate(pivots):
+        x[p] = work[i, n]
+    c = table_matmul(F, x[: C.k].reshape(1, -1), G)[0]
+    return c, F.add_table[v, F.neg_table[c]]
+
+
+def stacked_decompose_m1(C: LinearCode):
+    """(i, shortening generator, x) of method 1's inverse on an odd-like
+    binary LCD code, or None: the first coordinate i whose shortening is an
+    LCD [n-1, k-1] code, and x the dual part of the RREF row with pivot i
+    (coordinate i deleted) split against that shortening."""
+    F, G, k = C.field, C.generator, C.k
+    for i in range(C.n):
+        if not G[:, i].any():
+            continue
+        S = kernel_shorten(C, (i,))
+        if S is None or len(S) != k - 1 or table_rref(table_gram(F, S), F)[2] != k - 1:
+            continue
+        u = table_rref(G, F, col_order=[i] + [j for j in range(C.n) if j != i])[0][0]
+        _, x = stacked_split(np.delete(u, i), LinearCode(F, S))
+        return i, S, x
+    return None
 
 
 def intersect_row_spaces(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:

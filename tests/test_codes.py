@@ -161,6 +161,65 @@ def test_shorten_matches_bruteforce(f):
         assert oracles.codeword_set(s) == expected
 
 
+def hull_heavy_code(f, n, k, rng):
+    """A random [n, k] code whose first rows repeat a random block (twice
+    over a field of characteristic 2, three times over GF(3)): such rows pair
+    to zero with each other, so the hull is often large."""
+    reps = 3 if f.order == 3 else 2
+    m = n // reps
+    while True:
+        M = oracles.random_matrix(f, k, n, rng)
+        for i in range(rng.randint(0, min(k, m))):
+            M[i] = 0
+            M[i, : reps * m] = np.tile(oracles.random_matrix(f, 1, m, rng)[0], reps)
+        if linalg.rank(M, f) == k:
+            return new_code(f, M)
+
+
+def differential_codes(f, seed):
+    """Two seeded codes per [n, k] with n <= 14: one random, one hull-heavy."""
+    rng = random.Random(seed)
+    for n in range(1, 15):
+        for k in range(1, n + 1):
+            yield oracles.random_code(f, n, k, rng)
+            yield hull_heavy_code(f, n, k, rng)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_hull_and_shorten_equal_the_kernel_formulas(f):
+    """hull and shorten (one RREF each) are byte-identical to the Gram-kernel
+    hull and the nullspace-times-G shortening of tests/oracles.py."""
+    rng = random.Random(59)
+    dims = set()
+    for c in differential_codes(f, 61):
+        h = hull(c)
+        basis, dim, pivots = oracles.kernel_hull(c)
+        assert h.basis.dtype == np.uint8 and h.basis.shape == basis.shape
+        assert h.basis.tobytes() == basis.tobytes() and h.dim == dim and h.pivot_set == pivots
+        dims.add((dim > 0, dim == c.k))
+        sets = [h.pivot_set, tuple(sorted(rng.sample(range(c.n), rng.randint(1, c.n)))), tuple(range(c.n))]
+        for t in filter(None, sets):  # T = () returns C itself, RREF or not
+            want = oracles.kernel_shorten(c, t)
+            if want is None:
+                with pytest.raises(EmptyCode):
+                    shorten(c, t)
+                continue
+            s = shorten(c, t)
+            assert s.field == f and s.generator.shape == want.shape
+            assert s.generator.tobytes() == want.tobytes()
+        assert shorten(c, ()) is c
+    assert dims == {(False, False), (True, False), (True, True)}  # LCD, a proper hull, self-orthogonal
+
+
+@pytest.mark.parametrize("n", [1, 5, 14])
+def test_hull_of_zero_code_equals_the_kernel_formula(n):
+    for f in FIELDS:
+        z = dual(new_code(f, np.eye(n, dtype=np.uint8)))
+        h = hull(z)
+        basis, dim, pivots = oracles.kernel_hull(z)
+        assert h.basis.shape == basis.shape == (0, n) and h.dim == dim == 0 and h.pivot_set == pivots == ()
+
+
 def test_puncture_repetition():
     c = new_code(GF2, [[1, 1]])
     p = puncture(c, {1})

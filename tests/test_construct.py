@@ -16,6 +16,7 @@ from lcdkit.codes import (
     LinearCode,
     dual,
     hull,
+    is_even_like,
     is_lcd,
     min_weight,
     new_code,
@@ -28,6 +29,7 @@ from lcdkit.construct import (
     M2,
     ConstructError,
     NoCandidate,
+    NotDecomposable,
     NotInDual,
     NotLcd,
     WeightCondition,
@@ -334,6 +336,45 @@ def test_project_split_requires_lcd():
         project_split(np.zeros(3, dtype=np.uint8), c)
 
 
+def test_project_split_equals_the_stacked_dual_solve():
+    """project_split (one k x k Gram solve) is byte-identical to the solve
+    against [G; dual generator] of tests/oracles.py, for n <= 14 and every k."""
+    rng = random.Random(141)
+    for f in FIELDS:
+        for n in range(1, 15):
+            for k in range(1, n + 1):
+                c = oracles.random_lcd_code(f, n, k, rng)
+                v = np.array([rng.randrange(f.order) for _ in range(n)], dtype=np.uint8)
+                cc, hh = project_split(v, c)
+                want_c, want_h = oracles.stacked_split(v, c)
+                assert cc.dtype == hh.dtype == np.uint8
+                assert cc.tobytes() == want_c.tobytes() and hh.tobytes() == want_h.tobytes()
+
+
+def test_decompose_equals_the_shorten_and_split_formula():
+    """decompose_m1 (one RREF per coordinate) gives the coordinate, the
+    shortening and the dual vector of the nullspace shortening and the
+    stacked split, on seeded odd-like binary LCD codes."""
+    rng = random.Random(143)
+    seen = 0
+    for n in range(2, 15):
+        for k in range(2, n + 1):
+            for _ in range(2):
+                c = oracles.random_lcd_code(GF2, n, k, rng)
+                if is_even_like(c):
+                    continue
+                seen += 1
+                want = oracles.stacked_decompose_m1(c)
+                if want is None:
+                    with pytest.raises(NotDecomposable):
+                        decompose_m1(c)
+                    continue
+                i, S, x = decompose_m1(c)
+                assert i == want[0] and S.generator.shape == want[1].shape
+                assert S.generator.tobytes() == want[1].tobytes() and x.tobytes() == want[2].tobytes()
+    assert seen > 100
+
+
 def test_decompose_recovers_extension_at_front():
     rng = random.Random(139)
     for _ in range(25):
@@ -557,6 +598,21 @@ def test_extension_vector_validation():
     assert ev.weight == 3 and ev.method == M2
     with pytest.raises(ConstructError):
         extend_m1(c, ev)  # method mismatch
+
+
+@pytest.mark.parametrize("f", FIELDS + [GF4])
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extension_vector_rejects_symbols_outside_the_field(f, method):
+    # over GF(3) the entry 5 once reduced to 2 in the pairing, so [0,0,5,1]
+    # passed as a weight-2 dual vector and became a generator row
+    c = new_code(f, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert is_lcd(c)
+    for bad in (f.order, f.order + 2, 255):
+        y = np.array([0, 0, bad, 1], dtype=np.uint8)
+        with pytest.raises(ConstructError, match="not an element"):
+            extension_vector(c, y, method)
+        with pytest.raises(ConstructError, match="not an element"):
+            (extend_m1 if method == M1 else extend_m2)(c, y)
 
 
 # -- the pruned, projective search against the symbol-domain reference scorer
