@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Codewords per second of the exhaustive scans, one JSON line per field.
+"""Codewords per second of the exhaustive scans, one JSON line per field,
+then the minimum distance past the codeword cap, one JSON line per code.
 
 Times min_weight_exhaustive and weight_distribution_exhaustive, on one
 worker, on a seeded full-rank generator matrix per field (binary [40,23],
 ternary [30,14] and Hermitian quaternary [30,11], the sizes of the
 benchmark's distance workload), and prints the q^k codewords each scan
-decides divided by the median over rounds of its time.  Takes no options:
+decides divided by the median over rounds of its time.
+
+Then times codes.min_weight, default strategy and cap, on seeded codes
+with more codewords than the cap (binary [40,30] and [36,28], ternary
+[30,18], Hermitian quaternary [30,15]), which Brouwer-Zimmermann decides,
+and prints the median milliseconds per call with the answer: d and
+whether it is exact, or the best upper bound when the budget ran out.
+Takes no options:
 
     python3 scripts/bench_scan.py
 """
@@ -20,11 +28,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lcdkit import enumeration, gf, linalg  # noqa: E402
+from lcdkit import codes, enumeration, gf, linalg  # noqa: E402
 
 SEED = 2022
 ROUNDS = 7
 SIZES = {"gf2": (40, 23), "gf3": (30, 14), "gf4h": (30, 11)}
+PAST_CAP_SEED = 5
+PAST_CAP = [("gf2", 40, 30), ("gf2", 36, 28), ("gf3", 30, 18), ("gf4h", 30, 15)]
 
 
 def generator(field: gf.FieldSpec, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -34,13 +44,24 @@ def generator(field: gf.FieldSpec, n: int, k: int, rng: np.random.Generator) -> 
             return G
 
 
-def codewords_per_s(fn, codewords: int) -> float:
+def median_s(fn) -> float:
     rounds = []
     for _ in range(ROUNDS):
         t0 = time.perf_counter()
         fn()
         rounds.append(time.perf_counter() - t0)
-    return round(codewords / statistics.median(rounds))
+    return statistics.median(rounds)
+
+
+def codewords_per_s(fn, codewords: int) -> float:
+    return round(codewords / median_s(fn))
+
+
+def distance(C: codes.LinearCode) -> tuple[int | None, bool]:
+    try:
+        return codes.min_weight(C, threads=1), True
+    except codes.BudgetExceeded as exc:
+        return exc.best_upper, False
 
 
 def main() -> None:
@@ -58,6 +79,22 @@ def main() -> None:
             "weight_distribution_codewords_per_s": codewords_per_s(
                 lambda: enumeration.weight_distribution_exhaustive(field, G), codewords
             ),
+        }
+        print(json.dumps(line), flush=True)
+    rng = np.random.default_rng(PAST_CAP_SEED)
+    for name, n, k in PAST_CAP:
+        field = gf.field_by_name(name)
+        C = codes.new_code(field, generator(field, n, k, rng))
+        d, exact = distance(C)
+        line = {
+            "field": name,
+            "n": n,
+            "k": k,
+            "codewords": field.order**k,
+            "cap": enumeration.DEFAULT_CAPS[field.order],
+            "min_weight_ms": round(1e3 * median_s(lambda: distance(C)), 2),
+            "d": d,
+            "exact": exact,
         }
         print(json.dumps(line), flush=True)
 

@@ -5,9 +5,9 @@ or a budget ran out, 2 = usage error (bad arguments, unreadable file,
 malformed or rank-deficient matrix).
 
 Every reported distance carries an exactness marker; a distance computed
-under an exhausted budget is printed as ``d<=N exact=false`` and never as
-a bare number.  Identical invocations (including --seed) produce
-byte-identical output.
+under an exhausted budget is printed as ``d<=N exact=false`` (or
+``d=unknown exact=false`` without a bound) and never as a bare number.
+Identical invocations (including --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -62,6 +62,21 @@ def _wd_text(wd) -> str:
     return " ".join(f"{w}:{c}" for w, c in wd.nonzero())
 
 
+def _d_text(d: int | None, exact: bool) -> str:
+    """A reported distance with its exactness marker: d=N, d<=N or d=unknown."""
+    if exact:
+        return f"d={d} exact=true"
+    return ("d=unknown" if d is None else f"d<={d}") + " exact=false"
+
+
+def _distance(args, code, strategy: str = EXHAUSTIVE) -> tuple[str, BudgetExceeded | None]:
+    """min_weight under --cap and --threads as _d_text, with the budget error if it ran out."""
+    try:
+        return _d_text(min_weight(code, strategy, cap=args.cap, threads=args.threads), True), None
+    except BudgetExceeded as exc:
+        return _d_text(exc.best_upper, False), exc
+
+
 def cmd_verify(args) -> int:
     code = read_code_file(args.file)
     parts = [f"file={args.file}", f"field={code.field.name}", f"n={code.n}", f"k={code.k}"]
@@ -69,16 +84,11 @@ def cmd_verify(args) -> int:
     try:
         wd = weight_distribution(code, cap=args.cap, threads=args.threads)
     except BudgetExceeded:
-        try:
-            min_weight(code, cap=args.cap, threads=args.threads)
-            raise  # distribution budget differs from the min-weight one
-        except BudgetExceeded as exc:
-            bound = f"d<={exc.best_upper}" if exc.best_upper is not None else "d=unknown"
-            parts.append(f"{bound} exact=false")
-            print(" ".join(parts))
-            print(f"error: weight enumeration budget exhausted after {exc.steps} codewords", file=sys.stderr)
-            return 1
-    parts.append(f"d={wd.min_weight} exact=true")
+        parts.append(_distance(args, code)[0])
+        print(" ".join(parts))
+        print(f"error: weight distribution budget exhausted: {code.field.order}^{code.k} codewords", file=sys.stderr)
+        return 1
+    parts.append(_d_text(wd.min_weight, True))
     if code.field.order == 2:
         parts.append(f"odd-like={str(wd.odd_like).lower()}")
         parts.append(f"even-like={str(is_even_like(code)).lower()}")
@@ -97,14 +107,8 @@ def cmd_hull(args) -> int:
 
 
 def _print_result_code(args, code, label, t) -> int:
-    d_part = ""
-    try:
-        d = min_weight(code, cap=args.cap, threads=args.threads)
-        d_part = f" d={d} exact=true"
-    except BudgetExceeded as exc:
-        if exc.best_upper is not None:
-            d_part = f" d<={exc.best_upper} exact=false"
-    print(f"{label} n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()}{d_part} T={_coords_1based(t)}")
+    d_text = _distance(args, code)[0]
+    print(f"{label} n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()} {d_text} T={_coords_1based(t)}")
     if args.output:
         write_code_file(args.output, code)
         print(f"wrote {args.output}")
@@ -133,10 +137,9 @@ def cmd_extend(args) -> int:
     res = search_extend(
         code, method, target=args.target, budget=args.budget, seed=args.seed, cap=args.cap, threads=args.threads
     )
-    d_text = f"d={res.min_weight} exact=true" if res.exact else f"d<={res.min_weight} exact=false"
     print(
         f"search method={args.method} vector={format_vector(code.field, res.vector)} "
-        f"{d_text} exhaustive={str(res.exhaustive).lower()} candidates={res.candidates}"
+        f"{_d_text(res.min_weight, res.exact)} exhaustive={str(res.exhaustive).lower()} candidates={res.candidates}"
     )
     if args.target is not None:
         met = res.target_met
@@ -151,37 +154,25 @@ def cmd_extend(args) -> int:
 
 def cmd_minweight(args) -> int:
     code = read_code_file(args.file)
-    strategy = EXHAUSTIVE if args.strategy == "exhaustive" else BROUWER_ZIMMERMANN
-    try:
-        d = min_weight(code, strategy=strategy, cap=args.cap, threads=args.threads)
-    except BudgetExceeded as exc:
-        bound = f"d<={exc.best_upper}" if exc.best_upper is not None else "d=unknown"
-        print(f"file={args.file} strategy={args.strategy} {bound} exact=false")
+    d_text, exc = _distance(args, code, args.strategy)
+    print(f"file={args.file} strategy={args.strategy} {d_text}")
+    if exc is not None:
         print(f"error: budget exhausted after {exc.steps} steps", file=sys.stderr)
         return 1
-    print(f"file={args.file} strategy={args.strategy} d={d} exact=true")
     return 0
 
 
 def cmd_replay(args) -> int:
     with open(args.record, encoding="ascii") as fh:
         rec = parse_record(fh.read())
-    try:
-        base = corpus_mod.resolve_code(rec.base)
-    except corpus_mod.MissingBase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    base = corpus_mod.resolve_code(rec.base)  # main reports a missing base
     print(f"base {rec.base} n={base.n} k={base.k}")
     current = base
     for step, code in zip(rec.steps, apply_record(rec, base)):
         current = code
         arg = f" {step.arg}" if step.arg else ""
         print(f"step {step.op}{arg} -> n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()}")
-    try:
-        d = min_weight(current, cap=args.cap, threads=args.threads)
-        print(f"final n={current.n} k={current.k} d={d} exact=true")
-    except BudgetExceeded as exc:
-        print(f"final n={current.n} k={current.k} d<={exc.best_upper} exact=false")
+    print(f"final n={current.n} k={current.k} {_distance(args, current)[0]}")
     if args.output:
         write_code_file(args.output, current)
         print(f"wrote {args.output}")
@@ -313,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("minweight", help="exact minimum weight")
     sp.add_argument("file")
-    sp.add_argument("--strategy", choices=("exhaustive", "bz"), default="exhaustive")
+    sp.add_argument(
+        "--strategy",
+        choices=(EXHAUSTIVE, BROUWER_ZIMMERMANN),
+        default=EXHAUSTIVE,
+        help="exhaustive (default) scans every codeword within --cap, bz runs Brouwer-Zimmermann; "
+        "past --cap both run Brouwer-Zimmermann under the same cap",
+    )
     sp.set_defaults(fn=cmd_minweight)
 
     sp = sub.add_parser("replay", help="replay a construction record")
@@ -348,10 +345,7 @@ def main(argv=None) -> int:
         args.threads = _usable_cpus()
     try:
         return args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except corpus_mod.CorpusError as exc:
+    except (BudgetExceeded, corpus_mod.CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except USAGE_ERRORS as exc:

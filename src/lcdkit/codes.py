@@ -165,15 +165,18 @@ def puncture(C: LinearCode, T) -> LinearCode:
 def min_weight(C: LinearCode, strategy: str = EXHAUSTIVE, cap: int | None = None, threads: int = 1) -> int:
     """Exact minimum nonzero Hamming weight.
 
-    Both strategies are exact; ``bz`` typically touches far fewer
-    codewords.  On budget exhaustion BudgetExceeded carries the best
-    upper bound seen, explicitly flagged non-exact.
+    ``exhaustive`` scans all q^k codewords when they fit in ``cap``
+    (default enumeration.DEFAULT_CAPS); past the cap, and always for
+    ``bz``, Brouwer-Zimmermann decides under the same cap, typically
+    listing far fewer codewords.  When it lists more than the cap, it
+    raises BudgetExceeded carrying the best weight seen, an upper bound.
     """
-    if strategy == EXHAUSTIVE:
+    if strategy not in (EXHAUSTIVE, BROUWER_ZIMMERMANN):
+        raise CodeError(f"unknown strategy {strategy!r}")
+    cap = enumeration.DEFAULT_CAPS[C.field.order] if cap is None else cap
+    if strategy == EXHAUSTIVE and C.field.order**C.k <= cap:
         return enumeration.min_weight_exhaustive(C.field, C.generator, cap=cap, threads=threads)
-    if strategy == BROUWER_ZIMMERMANN:
-        return enumeration.min_weight_bz(C.field, C.generator, cap=cap)
-    raise CodeError(f"unknown strategy {strategy!r}")
+    return enumeration.min_weight_bz(C.field, C.generator, cap=cap)
 
 
 @dataclass(frozen=True)

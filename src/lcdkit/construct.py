@@ -31,8 +31,6 @@ import numpy as np
 
 from . import enumeration, linalg
 from .codes import (
-    BROUWER_ZIMMERMANN,
-    EXHAUSTIVE,
     EmptyCode,
     CodeError,
     LinearCode,
@@ -142,7 +140,7 @@ def puncture_to_lcd(C: LinearCode, cap: int | None = None, threads: int = 1) -> 
     """Puncture on the hull pivot set; LCD [n-l, k] with distance >= d-l.
 
     Requires l < d so the dimension survives; the minimum distance of C
-    is computed to check this precondition.
+    is computed (codes.min_weight under ``cap``) to check this precondition.
     """
     h = hull(C)
     if h.dim == 0:
@@ -249,9 +247,10 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
         rest = np.delete(res.matrix, i, axis=1)
         rest.setflags(write=False)
         S = LinearCode(Cp.field, rest[1:])
-        if not is_lcd(S):
+        try:
+            _, x = project_split(rest[0], S)
+        except NotLcd:
             continue
-        _, x = project_split(rest[0], S)
         if int((x != 0).sum()) % 2:
             raise linalg.InvariantError("the residual dual component has odd weight")
         return i, S, x
@@ -581,9 +580,8 @@ def search_extend(
     minimum distance of the extended code, min(d(C), the minimum weight of
     the coset x + C, plus 1 for method 1); ties break toward the
     lexicographically smallest vector, found on arrays by filtering the
-    tied candidates column by column (_smallest).  d(C) comes from the
-    exhaustive scan when C has at most ``cap`` codewords, otherwise from
-    Brouwer-Zimmermann listing at most ``cap``.  Cosets are scanned in
+    tied candidates column by column (_smallest).  d(C) comes from
+    codes.min_weight under ``cap``.  Cosets are scanned in
     Brouwer-Zimmermann order: for each matrix of C's information-set
     chain, x is reduced to the coset word that vanishes on the matrix's
     pivots, and the words of C of information weight 0, 1, ... are added,
@@ -626,9 +624,8 @@ def search_extend(
     if cand.shape[-1] == 0:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
 
-    strategy = EXHAUSTIVE if q**C.k <= cap else BROUWER_ZIMMERMANN
     try:
-        d_base, decided = min_weight(C, strategy, cap=cap, threads=threads), True
+        d_base, decided = min_weight(C, cap=cap, threads=threads), True
     except enumeration.BudgetExceeded as exc:
         d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
     best_score, top, complete = _best_scores(C, cand, room, d_base, 1 if method == M1 else 0, cap)

@@ -23,10 +23,11 @@ multiples, so GF(3) weighs about half and GF(4) a third of the codewords.
 A block of messages is a slice t of the table plus a high word h, and is
 weighed without forming the sums: wt(t + h) = d(t, -h), the popcount
 (np.bitwise_count, numpy >= 2.0) of the planes' differences, where -h
-swaps the GF(3) planes and is h in characteristic 2.  A truncated scan
-weighs the first codewords in message order the same way.  The ranges
-can be split across worker processes; min/sum reductions make the result
-identical for every worker count.
+swaps the GF(3) planes and is h in characteristic 2.  The ranges can be
+split across worker processes; min/sum reductions make the result
+identical for every worker count.  A code with more codewords than its
+cap is not scanned at all: past the cap, codes.min_weight decides the
+distance with Brouwer-Zimmermann.
 
 Brouwer-Zimmermann runs on the same kernel.  A level's codewords (w
 rows of a systematic generator, the first scaled by 1) come in batches of
@@ -381,17 +382,15 @@ def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int):
 def min_weight_exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None = None, threads: int = 1) -> int:
     """Exact minimum nonzero weight by scanning all q^k codewords.
 
-    Raises BudgetExceeded (carrying the best upper bound from a partial
-    scan of ``cap`` codewords) when q^k exceeds the cap.
+    Raises BudgetExceeded(None, 0), having weighed nothing, when q^k
+    exceeds the cap; codes.min_weight runs Brouwer-Zimmermann there.
     """
-    k, n = G.shape
+    k = G.shape[0]
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     cap = DEFAULT_CAPS[field.order] if cap is None else cap
     if field.order**k > cap:
-        # the first max(cap, 2) codewords in message order
-        best, _ = _scan_worker((field.order, codeword_tables(field, G), n, 0, max(cap, 2), False))
-        raise BudgetExceeded(best if best <= n else None, max(cap, 2))
+        raise BudgetExceeded(None, 0)
     return _scan(field, G, False, threads)[0]
 
 

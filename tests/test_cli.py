@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -50,9 +51,18 @@ def test_verify_budget_exhaustion_exits_1(capsys, tmp_path):
     from lcdkit.codes import format_code
     from lcdkit.gf import GF2
 
+    # past the cap there is no weight distribution; Brouwer-Zimmermann
+    # settles this [16,12] code's distance under the same cap ...
     c = oracles.random_code(GF2, 16, 12, random.Random(3))
     f = tmp_path / "big.code"
     f.write_text(format_code(c))
+    code, out, err = run(capsys, "--cap", "100", "verify", str(f))
+    assert code == 1
+    assert "budget" in err
+    assert "d=1 exact=true" in out
+    assert "wd=" not in out
+    # ... but not this [24,12] one's
+    f.write_text(format_code(oracles.random_code(GF2, 24, 12, random.Random(3))))
     code, out, err = run(capsys, "--cap", "100", "verify", str(f))
     assert code == 1
     assert "budget" in err
@@ -131,6 +141,40 @@ def test_minweight_bz_budget_exit_line(capsys):
         assert code == 1
         assert out == f"file={path} strategy=bz d<={bound} exact=false\n"
         assert err == f"error: budget exhausted after {cap + 1} steps\n"
+
+
+def test_replay_past_the_cap_prints_a_bound_or_unknown(capsys, monkeypatch):
+    path = corpus_file("records/t_23_9_9.rec")
+    code, out, err = run(capsys, "--cap", "0", "replay", path)
+    assert code == 0
+    assert "d<=None" not in out
+    final = out.splitlines()[-1]
+    assert final.startswith("final n=23 k=9 d<=") and final.endswith(" exact=false")
+    assert int(final.split("d<=")[1].split()[0]) >= 9
+    # a budget error without a bound prints d=unknown
+    def no_bound(*args, **kwargs):
+        raise cli.BudgetExceeded(None, 0)
+
+    monkeypatch.setattr(cli, "min_weight", no_bound)
+    code, out, err = run(capsys, "--cap", "0", "replay", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "final n=23 k=9 d=unknown exact=false"
+
+
+def test_corpus_check_reports_every_entry_past_a_broken_one(capsys, tmp_path, monkeypatch):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    (copy / "records" / "broken.rec").write_text("base no_such_entry\npad\n", encoding="ascii")
+    with open(copy / "manifest.csv", "a", encoding="ascii") as fh:
+        fh.write("broken,record,records/broken.rec,gf2,3,1,,,,test,no\n")
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    code, out, err = run(capsys, "corpus-check")
+    assert code == 1
+    assert err == ""
+    assert "ok b_14_8_4" in out
+    assert "skip ext_b_36_21_7" in out
+    assert "FAIL broken (unknown corpus entry 'no_such_entry')" in out.splitlines()
+    assert out.splitlines()[-1] == "summary verified=16 skipped=74 failed=1"
 
 
 def test_replay_record(capsys):

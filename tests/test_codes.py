@@ -9,6 +9,7 @@ import oracles
 from lcdkit import linalg
 from lcdkit.codes import (
     BROUWER_ZIMMERMANN,
+    EXHAUSTIVE,
     BudgetExceeded,
     CodeError,
     EmptyCode,
@@ -300,9 +301,39 @@ def test_min_weight_matches_bruteforce(f):
         assert min_weight(c, strategy=BROUWER_ZIMMERMANN) == expected
 
 
+def _min_weight_outcome(fn, *args, **kwargs):
+    try:
+        return ("d", fn(*args, **kwargs))
+    except BudgetExceeded as exc:
+        return ("budget", exc.best_upper, exc.steps)
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, GF4H])
+def test_min_weight_strategies_against_oracles_for_every_cap(f):
+    # within the cap an exhaustive scan, past it (and always for bz)
+    # Brouwer-Zimmermann under the same cap: exact or a sound upper bound
+    rng = random.Random(90 + f.order)
+    for _ in range(4):
+        k = rng.randrange(1, {2: 7, 3: 5, 4: 4}[f.order])
+        c = oracles.random_code(f, rng.randrange(k, 12), k, rng)
+        d = oracles.brute_min_weight(c)
+        for cap in range(f.order**k + 2):
+            for strategy in (EXHAUSTIVE, BROUWER_ZIMMERMANN):
+                got = _min_weight_outcome(min_weight, c, strategy, cap=cap)
+                if got[0] == "d":
+                    assert got[1] == d
+                else:
+                    assert got[1] is None or got[1] >= d
+                if strategy == BROUWER_ZIMMERMANN or cap < f.order**k:
+                    assert got == _min_weight_outcome(oracles.loop_bz_min_weight, f, c.generator, cap)
+
+
 def test_min_weight_budget_exceeded_carries_upper_bound():
-    rng = random.Random(71)
-    c = oracles.random_code(GF2, 14, 10, rng)
+    # past cap=100, Brouwer-Zimmermann settles this [14,10] code ...
+    c = oracles.random_code(GF2, 14, 10, random.Random(71))
+    assert min_weight(c, cap=100) == oracles.brute_min_weight(c)
+    # ... but not this [24,12] one, whose information-weight-2 level passes the cap
+    c = oracles.random_code(GF2, 24, 12, random.Random(3))
     with pytest.raises(BudgetExceeded) as exc:
         min_weight(c, cap=100)
     assert exc.value.best_upper is not None

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lcdkit import construct, corpus
+from lcdkit import construct, corpus, enumeration
 from lcdkit.codes import is_lcd, min_weight, weight_distribution
 from lcdkit.corpus import CorpusError, MissingBase, data_dir, load, manifest, replay, resolve_code, verify_entry
 
@@ -197,7 +197,46 @@ def test_check_all_cycle_text_names_each_entry_own_walk(tmp_path, monkeypatch):
         fh.write("cyc_a,record,records/cyc_a.rec,gf2,3,1,,,,test,yes\n")
         fh.write("cyc_b,record,records/cyc_b.rec,gf2,3,1,,,,test,no\n")
     monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
-    with pytest.raises(CorpusError, match="record base cycle through 'cyc_b'"):
-        corpus.check_all()
+    reports = {r.entry_id: r for r in corpus.check_all()}
+    assert not reports["cyc_a"].ok and reports["cyc_a"].messages == ["record base cycle through 'cyc_a'"]
+    assert not reports["cyc_b"].ok and reports["cyc_b"].messages == ["record base cycle through 'cyc_b'"]
     with pytest.raises(CorpusError, match="record base cycle through 'cyc_a'"):
         resolve_code("cyc_a")
+
+
+def test_verify_entry_fails_any_unresolved_entry(tmp_path, monkeypatch):
+    # only an optional entry with a missing base matrix is skipped
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    (copy / "records" / "broken.rec").write_text("base no_such_entry\npad\n", encoding="ascii")
+    (copy / "records" / "missing.rec").write_text("base ext_b_36_21_7\npad\n", encoding="ascii")
+    with open(copy / "manifest.csv", "a", encoding="ascii") as fh:
+        fh.write("broken,record,records/broken.rec,gf2,3,1,,,,test,no\n")
+        fh.write("broken_opt,record,records/broken.rec,gf2,3,1,,,,test,yes\n")
+        fh.write("missing_base,record,records/missing.rec,gf2,37,21,,,,test,no\n")
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    reports = {r.entry_id: r for r in corpus.check_all()}
+    for entry_id in ("broken", "broken_opt"):
+        rep = reports[entry_id]
+        assert (rep.ok, rep.skipped, rep.messages) == (False, False, ["unknown corpus entry 'no_such_entry'"])
+    rep = reports["missing_base"]
+    assert not rep.ok and not rep.skipped and rep.messages[0].startswith("missing base: ")
+    assert sum(r.ok and not r.skipped for r in reports.values()) == 16
+
+
+def test_verify_entry_scans_each_code_once_and_reports_budgets(monkeypatch):
+    entries = manifest()
+    for entry_id in ("b_14_8_4", "b_16_10_4"):
+        want = verify_entry(entries[entry_id], entries)
+        assert want.ok and any(m.startswith("min weight 4") for m in want.messages)
+        # d comes from the weight distribution, so no separate min-weight scan runs
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "min_weight", lambda *a, **kw: pytest.fail("second scan"))
+            assert verify_entry(entries[entry_id], entries) == want
+    # past the cap the distribution is inconclusive, and Brouwer-Zimmermann
+    # decides the distance under the same cap
+    monkeypatch.setitem(enumeration.DEFAULT_CAPS, 2, 100)
+    rep = verify_entry(entries["b_14_8_4"], entries)
+    assert not rep.ok and not rep.skipped
+    assert "min weight 4 (got 4): ok" in rep.messages
+    assert rep.messages[-1] == "weight distribution: inconclusive (2^8 codewords exceed the cap)"

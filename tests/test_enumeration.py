@@ -152,15 +152,11 @@ def test_kernel_against_oracles_across_word_boundary(f, n):
     d = oracles.brute_min_weight(c)
     assert min_weight_exhaustive(f, c.generator) == d
     assert weight_distribution_exhaustive(f, c.generator) == oracles.brute_weight_counts(c)
-    # a truncated scan covers the first max(cap, 2) codewords in message order
-    words = oracles.table_matmul(f, message_order(f, k), c.generator)
-    weights = (words != 0).sum(axis=1)
+    # past the cap nothing is scanned
     for cap in (1, 5, f.order**3, f.order**k - 1):
         with pytest.raises(BudgetExceeded) as exc:
             min_weight_exhaustive(f, c.generator, cap=cap)
-        assert exc.value.best_upper == int(weights[1 : max(cap, 2)].min())
-        assert exc.value.best_upper >= d
-        assert exc.value.steps == max(cap, 2)
+        assert (exc.value.best_upper, exc.value.steps) == (None, 0)
 
 
 @pytest.mark.parametrize("f", FLAVOURS)
@@ -187,17 +183,15 @@ def test_table_builder_and_one_table_scan_against_oracles(f, extra):
     inner = np.concatenate([w for _, w in codeword_blocks(q, tables, start, stop)], axis=-1)
     assert np.array_equal(unpack_matrix(inner, c.n), words[start:stop])
     d = oracles.brute_min_weight(c)
-    weights = (words != 0).sum(axis=1)
     assert min_weight_exhaustive(f, c.generator) == d
     for cap in (1, q + 1, total // 2, total - 1, total, total + 1):
         if cap >= total:
             assert min_weight_exhaustive(f, c.generator, cap=cap) == d
             continue
-        # a truncated scan weighs exactly the first max(cap, 2) codewords in message order
+        # past the cap nothing is scanned
         with pytest.raises(BudgetExceeded) as exc:
             min_weight_exhaustive(f, c.generator, cap=cap)
-        assert exc.value.best_upper == int(weights[1 : max(cap, 2)].min())
-        assert exc.value.steps == max(cap, 2)
+        assert (exc.value.best_upper, exc.value.steps) == (None, 0)
 
 
 def test_worker_pool_matches_serial_scan(monkeypatch):
@@ -326,9 +320,8 @@ def test_caps_and_budget():
         weight_distribution_exhaustive(GF2, c.generator, cap=10)
     with pytest.raises(BudgetExceeded) as exc:
         min_weight_exhaustive(GF2, c.generator, cap=16)
-    assert exc.value.best_upper is not None
-    d = min_weight_exhaustive(GF2, c.generator)
-    assert exc.value.best_upper >= d
+    assert (exc.value.best_upper, exc.value.steps) == (None, 0)
+    assert min_weight_exhaustive(GF2, c.generator, cap=2**9) == oracles.brute_min_weight(c)
 
 
 def test_support_blocks_cover_combinations_in_order():
