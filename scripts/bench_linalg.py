@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Per-call cost of the small-code algebra, one JSON line per field.
 
-Times rref, rank, nullspace, gram, codeword_tables and
+Times rref (in natural and in reversed column order), rank, nullspace,
+gram, matmul of the Gram shape (k x n times n x k), codeword_tables and
 min_weight_exhaustive on seeded full-rank generator matrices of every
 size in the benchmark's algebra grid (4 <= n <= 12, 1 <= k <= min(6, n - 1)),
-and the hull-side queries on the codes they generate: hull on every code,
+and the queries on the codes they generate: is_lcd and hull on every code,
 shorten on the hull pivot set of the codes with 0 < hull dimension < k,
 and project_split of a seeded vector on the LCD codes.  It prints the
 median over rounds of the microseconds per call, taken over all sizes,
@@ -59,6 +60,7 @@ def main() -> None:
         field = gf.field_by_name(name)
         mats = matrices(field, rng)
         grams = [linalg.gram(G, field) for G in mats]
+        reversed_orders = [(G, list(range(G.shape[1] - 1, -1, -1))) for G in mats]
         code_list = [codes.new_code(field, G) for G in mats]
         hulls = [(C, codes.hull(C).pivot_set) for C in code_list]
         shortenable = [(C, T) for C, T in hulls if 0 < len(T) < C.k]
@@ -69,11 +71,14 @@ def main() -> None:
             "field": name,
             "matrices": len(mats),
             "rref_us": us_per_call(lambda M: linalg.rref(M, field), mats),
+            "rref_reversed_us": us_per_call(lambda a: linalg.rref(a[0], field, col_order=a[1]), reversed_orders),
             "rank_us": us_per_call(lambda M: linalg.rank(M, field), grams),
             "nullspace_us": us_per_call(lambda M: linalg.nullspace(M, field), mats),
             "gram_us": us_per_call(lambda M: linalg.gram(M, field), mats),
+            "matmul_us": us_per_call(lambda M: linalg.matmul(field, M, M.T), mats),
             "codeword_tables_us": us_per_call(lambda M: enumeration.codeword_tables(field, M), mats),
             "min_weight_exhaustive_us": us_per_call(lambda M: enumeration.min_weight_exhaustive(field, M), mats),
+            "is_lcd_us": us_per_call(codes.is_lcd, code_list),
             "hull_us": us_per_call(codes.hull, code_list),
             "shorten_codes": len(shortenable),
             "shorten_us": us_per_call(lambda a: codes.shorten(*a), shortenable),

@@ -226,7 +226,7 @@ def cmd_eaqecc(args) -> int:
 
 
 def cmd_corpus_check(args) -> int:
-    reports = corpus_mod.check_all(include_optional=args.include_optional, threads=args.threads)
+    reports = corpus_mod.check_all(threads=args.threads)
     failures = 0
     for rep in reports:
         if rep.skipped:
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_eaqecc)
 
     sp = sub.add_parser("corpus-check", help="verify every bundled reference entry")
-    sp.add_argument("--include-optional", action="store_true")
     sp.set_defaults(fn=cmd_corpus_check)
 
     return p

@@ -103,20 +103,14 @@ class HullInfo:
 
 
 def hull(C: LinearCode) -> HullInfo:
-    """C ∩ C^perp from one RREF of [Gram | G].
+    """C ∩ C^perp from one elimination of [Gram | G].
 
     xG pairs to zero with every row of G iff x Gram = 0, Hermitian flavor
-    included (Gram = G conj(G)^T).  Each RREF row stays [x Gram | xG], so
-    the rows past the Gram block's pivots are the hull's RREF basis.
+    included (Gram = G conj(G)^T), so the hull is {xG : x Gram = 0}
+    (linalg.kernel_image); an LCD code unpacks no row.
     """
-    k = C.k
-    aug = np.empty((k, k + C.n), dtype=np.uint8)
-    aug[:, :k] = linalg.gram(C.generator, C.field)
-    aug[:, k:] = C.generator
-    res = linalg.rref(aug, C.field)
-    r = sum(p < k for p in res.pivots)  # pivots in the Gram block come first
-    pivots = tuple(p - k for p in res.pivots[r:])
-    return HullInfo(_frozen(res.matrix[r : res.rank, k:]), len(pivots), pivots)
+    res = linalg.kernel_image(linalg.gram(C.generator, C.field), C.generator, C.field)
+    return HullInfo(_frozen(res.matrix), res.rank, res.pivots)
 
 
 def is_lcd(C: LinearCode) -> bool:
@@ -136,18 +130,18 @@ def _check_coords(C: LinearCode, T) -> tuple[int, ...]:
 def shorten(C: LinearCode, T) -> LinearCode:
     """Codewords vanishing on T, with the T coordinates deleted.
 
-    One RREF scanning T first: its rows with a pivot outside T, T deleted,
-    are the shortening's RREF (T = empty set returns C unchanged).
+    These are {xG' : xG_T = 0} for G' = G without the T columns, so one
+    elimination scanning T first gives the shortening's RREF
+    (linalg.kernel_image; T = empty set returns C unchanged).
     """
     T = _check_coords(C, T)
     if not T:
         return C
     keep = sorted(set(range(C.n)).difference(T))
-    res = linalg.rref(C.generator, C.field, col_order=T + tuple(keep))
-    r = len(set(T).intersection(res.pivots))  # pivots come in scan order, T first
-    if r == res.rank:
+    res = linalg.kernel_image(C.generator[:, T], C.generator[:, keep], C.field)
+    if res.rank == 0:
         raise EmptyCode(f"shortening on {len(T)} coordinates leaves no nonzero codeword")
-    return LinearCode(C.field, _frozen(res.matrix[r : res.rank][:, keep]))
+    return LinearCode(C.field, _frozen(res.matrix))
 
 
 def puncture(C: LinearCode, T) -> LinearCode:

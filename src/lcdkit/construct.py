@@ -400,13 +400,14 @@ def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
     return _add(q, x, enumeration.codewords_of(q, link.negated, enumeration._symbols(x, link.pivots).T))
 
 
-def _level_words(q: int, k: int, link: _Link, W: int):
+def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
     """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
-    every nonzero scalar tuple: the BZ level batches and their multiples."""
+    every nonzero scalar tuple: the BZ level batches and their multiples.
+    ``tables`` shares the support tables between the chain's matrices."""
     if W >= 0:
         yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
     for w in range(1, W + 1):
-        for words in enumeration._bz_level(q, k, w, link.scaled):
+        for words in enumeration._bz_level(q, k, w, link.scaled, tables):
             for a in range(1, q):
                 yield enumeration._scale(q, a, words)
 
@@ -439,7 +440,8 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     complete = len(links) * sizes[W] <= cap
     if not complete:
         links, W = chain[:1], sum(size <= cap for size in sizes) - 1
-    return [(link, _level_words(q, k, link, W)) for link in links], complete
+    tables: dict = {}
+    return [(link, _level_words(q, k, link, W, tables)) for link in links], complete
 
 
 def _coset_floor(

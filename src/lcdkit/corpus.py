@@ -223,9 +223,8 @@ def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1, _memo=None)
     return VerificationReport(entry.id, ok, False, messages)
 
 
-def check_all(include_optional: bool = False, threads: int = 1) -> list[VerificationReport]:
-    """verify_entry on every entry; ``include_optional`` changes no report
-    (an optional entry with a missing base is skipped either way)."""
+def check_all(threads: int = 1) -> list[VerificationReport]:
+    """verify_entry on every entry; an optional entry with a missing base is skipped."""
     entries = manifest()
     memo: dict = {}
     return [verify_entry(entry, entries, threads=threads, _memo=memo) for entry in entries.values()]

@@ -446,19 +446,21 @@ def _combinations(m: int, r: int) -> np.ndarray:
     return table
 
 
-def _support_blocks(k: int, w: int, limit: int):
+def _support_blocks(k: int, w: int, limit: int, tables: dict | None = None):
     """Yield index arrays (w, N) of at most ``limit`` w-subsets of range(k)
     each, together itertools.combinations(range(k), w) in order.
 
     The subsets that share a prefix are filled in at once when they fit;
     a larger range splits on its next index.  The r-subsets of range(s, k)
     end with those of range(s', k) for every s' > s, so one generated
-    table of tails serves the prefixes after it.  Consecutive small ranges
-    share a block.  Every block is a view of one buffer, so it is
-    overwritten when the next block is asked for.
+    table of tails serves the prefixes after it.  ``tables`` keeps the
+    largest table of each (k, r) built so far; one dict passed to several
+    calls lets them share it.  Consecutive small ranges share a block.
+    Every block is a view of one buffer, so it is overwritten when the
+    next block is asked for.
     """
+    tables = {} if tables is None else tables
     out = np.empty((w, min(limit, comb(k, w))), dtype=np.intp)
-    tails = np.zeros((0, 0), dtype=np.intp)  # the last table of tails generated
     stack = [((), 0)]  # (prefix, first index the rest may use)
     held = 0
     while stack:
@@ -471,8 +473,9 @@ def _support_blocks(k: int, w: int, limit: int):
         if held + count > limit:
             yield out[:, :held]
             held = 0
-        if len(tails) != r or tails.shape[1] < count:
-            tails = _combinations(k - start, r) + start
+        tails = tables.get((k, r))
+        if tails is None or tails.shape[1] < count:
+            tails = tables[k, r] = _combinations(k - start, r) + start
         piece = out[:, held : held + count]
         piece[: len(prefix)] = np.array(prefix, dtype=np.intp)[:, None]
         piece[len(prefix) :] = tails[:, tails.shape[1] - count :]
@@ -487,17 +490,18 @@ def _scalar_rows(q: int, w: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.intp) // powers[:, None] % (q - 1) + 1
 
 
-def _bz_level(q: int, k: int, w: int, scaled: np.ndarray):
+def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, tables: dict | None = None):
     """Yield one matrix's level-w codewords in packed batches.
 
     Supports come in lex order and, within a support, scalar tuples in
     product order with the first scalar 1, at most BZ_CHUNK codewords per
-    batch.
+    batch.  ``tables`` shares the support tables between calls
+    (_support_blocks).
     """
     per_support = (q - 1) ** (w - 1)
     step = min(per_support, BZ_CHUNK)
     first = _scalar_rows(q, w, 0, step)
-    for supports in _support_blocks(k, w, max(1, BZ_CHUNK // per_support)):
+    for supports in _support_blocks(k, w, max(1, BZ_CHUNK // per_support), tables):
         for lo in range(0, per_support, step):
             scalars = first if lo == 0 else _scalar_rows(q, w, lo, min(lo + step, per_support))
             cw = None
@@ -524,11 +528,12 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
     cap = DEFAULT_CAPS[field.order] if cap is None else max(cap, 0)
     q = field.order
     chain = [(_pack_scaled(field, mat), deficit) for mat, _pivots, deficit in _information_set_chain(field, G)]
+    tables: dict = {}  # support tables, built once for every matrix of the chain
     best = n + 1
     work = 0
     for w in range(1, k + 1):
         for scaled, _deficit in chain:
-            for words in _bz_level(q, k, w, scaled):
+            for words in _bz_level(q, k, w, scaled, tables):
                 weights = _weigh(words)
                 take = min(weights.size, cap + 1 - work)  # up to the codeword past the cap
                 seen = weights[:take]

@@ -1,12 +1,16 @@
 """Matrix algebra over GF(2)/GF(3)/GF(4).
 
 Matrices at the API are 2-D numpy uint8 arrays of element indices, and
-every result is a fresh uint8 array.  Products are one whole-matrix numpy
-computation.  Elimination runs on packed rows, one Python int per bit
-plane in the layout of enumeration's kernel, so clearing a column is one
-whole-row operation.  One elimination loop serves both RREF and rank:
-rank clears only the rows below each pivot and never unpacks, and
-nullspace reads the kernel's RREF basis off one RREF of the reversed
+every result is a fresh uint8 array.  Products stay in uint8, with no
+int64 casts: GF(2) keeps the parity bit of a wrapping sum, GF(3) reduces
+blocks of at most 63 inner indices (4 * 63 < 256) and GF(4) XOR-reduces a
+multiplication-table gather.  Elimination runs on packed rows, one Python
+int per bit plane in the layout of enumeration's kernel, so clearing a
+column is one whole-row operation.  _eliminate has one loop per field,
+with the pivot scaling and row update written out on the planes, and
+serves RREF, rank and kernel_image: rank clears only the rows below each
+pivot and never unpacks, kernel_image unpacks only the rows it returns,
+and nullspace reads the kernel's RREF basis off one RREF of the reversed
 columns.  Everything here is a pure function of its inputs; results with
 a canonical form (RREF) are unique for a given row space, which
 downstream code relies on for deterministic coordinate choices.
@@ -14,6 +18,7 @@ downstream code relies on for deterministic coordinate choices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +53,15 @@ def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain (unconjugated) matrix product over the field."""
     if a.shape[1] != b.shape[0]:
         raise LinalgError(f"shape mismatch {a.shape} x {b.shape}")
-    if field.order != 4:
-        return ((a.astype(np.int64) @ b.astype(np.int64)) % field.order).astype(np.uint8)
+    if field.order == 2:
+        return (a @ b) & 1  # a uint8 sum wraps mod 256 and so keeps its parity
+    if field.order == 3:
+        # products are at most 4 and 4 * 63 = 252, so a block of 63 inner indices sums without wrapping
+        out = (a[:, :63] @ b[:63]) % 3
+        for s in range(63, a.shape[1], 63):
+            out += (a[:, s : s + 63] @ b[s : s + 63]) % 3
+            out %= 3
+        return out
     # GF(4) addition is XOR of element indices: gather every product, XOR-reduce the inner index
     return np.bitwise_xor.reduce(field.mul_table[a[:, :, None], b[None]], axis=1, initial=0)
 
@@ -63,11 +75,11 @@ class RrefResult:
 
 # -- packed rows -------------------------------------------------------------
 #
-# Elimination holds each row as a tuple of Python-int bit planes, bit j for
-# column j, in enumeration's layout: GF(2) (bits,), GF(3) (ones, twos),
-# GF(4) (lo, hi) with lo/hi the coefficients of 1/w.  In both two-plane
-# layouts the element index at a column is the plane-0 bit plus twice the
-# plane-1 bit.  A whole matrix packs through one int per plane, row i at
+# Elimination holds a matrix as one list of Python ints per bit plane, bit j
+# of a row's int for column j, in enumeration's layout: GF(2) [bits],
+# GF(3) [ones, twos], GF(4) [lo, hi] with lo/hi the coefficients of 1/w.  In
+# both two-plane layouts the element index at a column is the plane-0 bit
+# plus twice the plane-1 bit.  A whole plane packs through one int, row i at
 # bits i*cols .. (i+1)*cols - 1, so packing and unpacking cost a handful of
 # calls whatever the shape.
 
@@ -75,108 +87,138 @@ class RrefResult:
 # from that digit to the plane's share (0 or 1 << p) of the element index
 _DIGITS = tuple(bytes(48 + ((v >> p) & 1) for v in range(256)) for p in range(2))
 _SHARES = tuple(bytes.maketrans(b"01", bytes([0, 1 << p])) for p in range(2))
-_INV = {q: tuple(FieldSpec(q).inv_table.tolist()) for q in (2, 3, 4)}
-_NEG = {q: tuple(FieldSpec(q).neg_table.tolist()) for q in (2, 3, 4)}
 
 
-def _pack_rows(order: int, M: np.ndarray) -> list[tuple[int, ...]]:
-    """Packed planes of every row of a uint8 matrix with at least one column."""
+def _pack_rows(order: int, M: np.ndarray) -> list[list[int]]:
+    """Packed planes, one list of row ints each, of a uint8 matrix with at least one column."""
     rows, cols = M.shape
     text = M.tobytes()[::-1]  # last entry first: it is the top digit of int(text, 2)
     mask = (1 << cols) - 1
     starts = range(0, rows * cols, cols)
     lo = int(text.translate(_DIGITS[0]), 2)
     if order == 2:
-        return [(lo >> s & mask,) for s in starts]
+        return [[lo >> s & mask for s in starts]]
     hi = int(text.translate(_DIGITS[1]), 2)
-    return [(lo >> s & mask, hi >> s & mask) for s in starts]
+    return [[lo >> s & mask for s in starts], [hi >> s & mask for s in starts]]
 
 
-def _unpack_rows(packed: list[tuple[int, ...]], cols: int) -> np.ndarray:
-    """uint8 matrix of packed rows; the inverse of _pack_rows."""
-    rows = len(packed)
-    size = rows * cols
+def _unpack_rows(planes: list[list[int]], cols: int) -> np.ndarray:
+    """uint8 matrix of packed planes; the inverse of _pack_rows."""
+    size = len(planes[0]) * cols
     entries = 0  # one byte per entry, last entry in the top byte
-    for p in range(len(packed[0])):
+    for p, plane in enumerate(planes):
         whole = 0
-        for row in reversed(packed):
-            whole = whole << cols | row[p]
+        for w in reversed(plane):
+            whole = whole << cols | w
         entries |= int.from_bytes(format(whole, f"0{size}b").encode().translate(_SHARES[p]), "big")
-    return np.frombuffer(bytearray(entries.to_bytes(size, "little")), dtype=np.uint8).reshape(rows, cols)
+    return np.frombuffer(bytearray(entries.to_bytes(size, "little")), dtype=np.uint8).reshape(-1, cols)
 
 
-def _add_packed(order: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Sum of two packed vectors; zero padding stays zero.
-
-    XOR on every plane for GF(2) and GF(4); the six-operation bitsliced
-    add on (ones, twos) planes for GF(3).
-    """
-    if order == 2:
-        return (a[0] ^ b[0],)
-    if order == 4:
-        return (a[0] ^ b[0], a[1] ^ b[1])
-    a1, a2 = a
-    b1, b2 = b
-    t = (a1 | b2) ^ (a2 | b1)
-    return ((a2 | b2) ^ t, (a1 | b1) ^ t)
-
-
-def _scale_packed(order: int, a: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """s * a for a nonzero scalar s: at most a plane swap and one XOR."""
-    if s == 1:
-        return a
-    if order == 3:  # s = 2 = -1 swaps ones and twos
-        return (a[1], a[0])
-    lo, hi = a
-    return (hi, lo ^ hi) if s == 2 else (lo ^ hi, lo)  # times w, times w^2
-
-
-def _eliminate(q: int, work: list[tuple[int, ...]], scan: int, reduce: bool) -> list[int]:
+def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list[int]:
     """Eliminate packed rows in place on their first ``scan`` columns; return the pivot columns.
 
     The next pivot column is the lowest set bit of the rows not yet used as
-    pivots, scaling the pivot to 1 is a plane swap and clearing the column
-    from a row is one whole-row plane add.  The rows below a pivot are
-    cleared, and their support gathered for the next pivot, in one pass;
-    ``reduce`` also clears the rows above, which leaves the RREF, and
-    otherwise the result is an echelon form with the same pivots.
+    pivots.  The rows below a pivot are cleared, and their support gathered
+    for the next pivot, in one pass; ``reduce`` also clears the rows above,
+    which leaves the RREF, and otherwise the result is an echelon form with
+    the same pivots.  Each field has its own loop, with the pivot scaling
+    and the row update written out on the planes: GF(2) clears a column by
+    one XOR; GF(3) scales by a plane swap (2 = -1) and adds in six
+    bitsliced operations; GF(4) scales by the w/w^2 plane maps and adds by
+    XOR.
     """
-    inv, neg = _INV[q], _NEG[q]
-    # the entry at column c of a row w is (w[0] >> c & 1) | (w[-1] >> c & 1) << hi;
-    # a one-plane row reads its only plane twice
-    hi = 0 if q == 2 else 1
+    lo, hi = planes[0], planes[-1]  # a GF(2) matrix reads its one plane twice
+    rows = len(lo)
     window = (1 << scan) - 1
-    rows = len(work)
-    pivots: list[int] = []
     support = 0
-    for w in work:
-        support |= w[0] | w[-1]
+    for x1, x2 in zip(lo, hi):
+        support |= x1 | x2
     support &= window
+    pivots: list[int] = []
     r = 0
-    while support:  # rows r.. are zero left of the next pivot column
-        c = (support & -support).bit_length() - 1
-        pr = r
-        while not (work[pr][0] | work[pr][-1]) >> c & 1:
-            pr += 1
-        w = work[pr]
-        row = _scale_packed(q, w, inv[(w[0] >> c & 1) | (w[-1] >> c & 1) << hi])
-        work[pr] = work[r]
-        work[r] = row
-        for i in range(r if reduce else 0):
-            w = work[i]
-            a = (w[0] >> c & 1) | (w[-1] >> c & 1) << hi
-            if a:
-                work[i] = _add_packed(q, w, _scale_packed(q, row, neg[a]))
-        r += 1
-        support = 0
-        for i in range(r, rows):
-            w = work[i]
-            a = (w[0] >> c & 1) | (w[-1] >> c & 1) << hi
-            if a:
-                w = work[i] = _add_packed(q, w, _scale_packed(q, row, neg[a]))
-            support |= w[0] | w[-1]
-        support &= window
-        pivots.append(c)
+    if q == 2:
+        while support:  # rows r.. are zero left of the next pivot column
+            bit = support & -support
+            pr = r
+            while not lo[pr] & bit:
+                pr += 1
+            p = lo[pr]
+            lo[pr] = lo[r]
+            lo[r] = p
+            for i in range(r if reduce else 0):
+                if lo[i] & bit:
+                    lo[i] ^= p
+            r += 1
+            support = 0
+            for i in range(r, rows):
+                x = lo[i]
+                if x & bit:
+                    x = lo[i] = x ^ p
+                support |= x
+            support &= window
+            pivots.append(bit.bit_length() - 1)
+    elif q == 3:
+        # x[c] = 1 adds -p, which is p with its planes swapped; x[c] = 2 adds p
+        while support:
+            bit = support & -support
+            pr = r
+            while not (lo[pr] | hi[pr]) & bit:
+                pr += 1
+            p1, p2 = (lo[pr], hi[pr]) if lo[pr] & bit else (hi[pr], lo[pr])
+            lo[pr], hi[pr] = lo[r], hi[r]
+            lo[r], hi[r] = p1, p2
+            for i in range(r if reduce else 0):
+                x1, x2 = lo[i], hi[i]
+                if x1 & bit:
+                    t = (x1 | p1) ^ (x2 | p2)
+                    lo[i], hi[i] = (x2 | p1) ^ t, (x1 | p2) ^ t
+                elif x2 & bit:
+                    t = (x1 | p2) ^ (x2 | p1)
+                    lo[i], hi[i] = (x2 | p2) ^ t, (x1 | p1) ^ t
+            r += 1
+            support = 0
+            for i in range(r, rows):
+                x1, x2 = lo[i], hi[i]
+                if x1 & bit:
+                    t = (x1 | p1) ^ (x2 | p2)
+                    x1, x2 = lo[i], hi[i] = (x2 | p1) ^ t, (x1 | p2) ^ t
+                elif x2 & bit:
+                    t = (x1 | p2) ^ (x2 | p1)
+                    x1, x2 = lo[i], hi[i] = (x2 | p2) ^ t, (x1 | p1) ^ t
+                support |= x1 | x2
+            support &= window
+            pivots.append(bit.bit_length() - 1)
+    else:
+        # w * (lo, hi) = (hi, lo ^ hi) and w^2 * (lo, hi) = (lo ^ hi, lo); x += x[c] * p,
+        # since -a = a in characteristic 2
+        while support:
+            bit = support & -support
+            pr = r
+            while not (lo[pr] | hi[pr]) & bit:
+                pr += 1
+            p1, p2 = lo[pr], hi[pr]
+            if p2 & bit:  # p[c] = w^2 = 1 + w: times w; p[c] = w: times w^2
+                p1, p2 = (p2, p1 ^ p2) if p1 & bit else (p1 ^ p2, p1)
+            p3 = p1 ^ p2
+            lo[pr], hi[pr] = lo[r], hi[r]
+            lo[r], hi[r] = p1, p2
+            for i in range(r if reduce else 0):
+                x1, x2 = lo[i], hi[i]
+                if x1 & bit:
+                    lo[i], hi[i] = (x1 ^ p3, x2 ^ p1) if x2 & bit else (x1 ^ p1, x2 ^ p2)
+                elif x2 & bit:
+                    lo[i], hi[i] = x1 ^ p2, x2 ^ p3
+            r += 1
+            support = 0
+            for i in range(r, rows):
+                x1, x2 = lo[i], hi[i]
+                if x1 & bit:
+                    x1, x2 = lo[i], hi[i] = (x1 ^ p3, x2 ^ p1) if x2 & bit else (x1 ^ p1, x2 ^ p2)
+                elif x2 & bit:
+                    x1, x2 = lo[i], hi[i] = x1 ^ p2, x2 ^ p3
+                support |= x1 | x2
+            support &= window
+            pivots.append(bit.bit_length() - 1)
     return pivots
 
 
@@ -193,26 +235,50 @@ def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
     scan = cols
     if col_order is not None:
         # scan the permuted matrix left to right; unscanned columns go last
-        scan = len(col_order)
-        rest = sorted(set(range(cols)).difference(col_order))
-        if scan + len(rest) != cols:
+        perm = list(col_order)
+        scan = len(perm)
+        if scan < cols:
+            listed = set(perm)
+            perm += [c for c in range(cols) if c not in listed]
+        if sorted(perm) != list(range(cols)):
             raise LinalgError(f"col_order must list distinct columns of 0..{cols - 1}")
-        perm = list(col_order) + rest
     if rows == 0 or cols == 0:
         return RrefResult(M.copy(), (), 0)
     q = field.order
-    packed = _pack_rows(q, M if col_order is None else M[:, perm])
-    work = packed[:]
+    packed = _pack_rows(q, M if col_order is None else M.take(perm, axis=1))
+    work = [plane[:] for plane in packed]
     pivots = _eliminate(q, work, scan, True)
     if work == packed:  # M already is its own RREF
         R = M.copy()
-    else:
+    elif col_order is None:
         R = _unpack_rows(work, cols)
-        if col_order is not None:
-            R = R[:, np.argsort(perm)]
+    else:
+        where = [0] * cols  # the scan position of each column
+        for i, c in enumerate(perm):
+            where[c] = i
+        R = _unpack_rows(work, cols).take(where, axis=1)
     if col_order is not None:
         pivots = [perm[c] for c in pivots]
     return RrefResult(R, tuple(pivots), len(pivots))
+
+
+def kernel_image(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> RrefResult:
+    """RREF basis of {xB : xA = 0}, and its pivots, from one elimination of [A | B].
+
+    Each RREF row of [A | B] stays [xA | xB] for some x.  The rows past the
+    pivots in A's columns have xA = 0 and span every such xB, so their B
+    parts are the basis; only those rows are unpacked.
+    """
+    a = A.shape[1]
+    pivots = []
+    if len(A):
+        planes = _pack_rows(field.order, np.concatenate([A, B], axis=1))
+        pivots = _eliminate(field.order, planes, a + B.shape[1], True)
+    r = bisect_left(pivots, a)  # pivots in A's columns come first
+    if r == len(pivots):
+        return RrefResult(np.zeros((0, B.shape[1]), dtype=np.uint8), (), 0)
+    basis = _unpack_rows([[w >> a for w in plane[r : len(pivots)]] for plane in planes], B.shape[1])
+    return RrefResult(basis, tuple(p - a for p in pivots[r:]), len(pivots) - r)
 
 
 def rank(M: np.ndarray, field: FieldSpec) -> int:

@@ -255,13 +255,6 @@ def test_corpus_check_clean(capsys):
     assert "skip ext_b_36_21_7" in out
 
 
-def test_corpus_check_include_optional(capsys):
-    code, out, err = run(capsys, "corpus-check", "--include-optional")
-    assert code == 0
-    assert "summary verified=16" in out  # optional bases are still missing
-    assert "failed=0" in out
-
-
 def test_cli_determinism_verify(capsys):
     argv = ("verify", corpus_file("codes/t_19_6_9.code"))
     _, out1, _ = run(capsys, *argv)
@@ -349,7 +342,7 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
 
     # the default --threads is the usable CPU count at each call, not at parser build
     seen = []
-    monkeypatch.setattr(corpus_mod, "check_all", lambda include_optional, threads: seen.append(threads) or [])
+    monkeypatch.setattr(corpus_mod, "check_all", lambda threads: seen.append(threads) or [])
     for cpus in (3, 5):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert run(capsys, "corpus-check")[0] == 0

@@ -178,18 +178,21 @@ def hull_heavy_code(f, n, k, rng):
 
 
 def differential_codes(f, seed):
-    """Two seeded codes per [n, k] with n <= 14: one random, one hull-heavy."""
+    """Two seeded codes per [n, k], one random and one hull-heavy: every
+    n <= 14, then n around and past one 64-bit word, where [Gram | G] is
+    wider than 64 columns and the hull rows sit k bits up."""
     rng = random.Random(seed)
-    for n in range(1, 15):
-        for k in range(1, n + 1):
-            yield oracles.random_code(f, n, k, rng)
-            yield hull_heavy_code(f, n, k, rng)
+    sizes = [(n, k) for n in range(1, 15) for k in range(1, n + 1)]
+    for n, k in sizes + [(n, k) for n in (63, 64, 65, 80) for k in (1, 5, 12)]:
+        yield oracles.random_code(f, n, k, rng)
+        yield hull_heavy_code(f, n, k, rng)
 
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_hull_and_shorten_equal_the_kernel_formulas(f):
-    """hull and shorten (one RREF each) are byte-identical to the Gram-kernel
-    hull and the nullspace-times-G shortening of tests/oracles.py."""
+    """hull and shorten (one elimination each) are byte-identical to the
+    Gram-kernel hull and the nullspace-times-G shortening of tests/oracles.py,
+    and dual to the RREF of the table nullspace of conj(G)."""
     rng = random.Random(59)
     dims = set()
     for c in differential_codes(f, 61):
@@ -209,6 +212,9 @@ def test_hull_and_shorten_equal_the_kernel_formulas(f):
             assert s.field == f and s.generator.shape == want.shape
             assert s.generator.tobytes() == want.tobytes()
         assert shorten(c, ()) is c
+        want = oracles.table_rref(oracles.table_nullspace(f.conj_table[c.generator], f), f)[0]
+        D = dual(c).generator
+        assert D.shape == want.shape and D.tobytes() == want.tobytes()
     assert dims == {(False, False), (True, False), (True, True)}  # LCD, a proper hull, self-orthogonal
 
 

@@ -166,15 +166,14 @@ def _record_steps_over_resolvable_bases(entries):
     return total
 
 
-@pytest.mark.parametrize("include_optional", [False, True])
-def test_check_all_resolves_each_entry_once(monkeypatch, include_optional):
+def test_check_all_resolves_each_entry_once(monkeypatch):
     entries = manifest()
     want_steps = _record_steps_over_resolvable_bases(entries)
     unmemoized = [verify_entry(e, entries) for e in entries.values()]
     calls = []
     apply_step = construct.apply_step
     monkeypatch.setattr(construct, "apply_step", lambda C, step: calls.append(step) or apply_step(C, step))
-    reports = corpus.check_all(include_optional=include_optional)
+    reports = corpus.check_all()
     assert len(calls) == want_steps
     assert reports == unmemoized
     for rep in reports:

@@ -33,14 +33,14 @@ from lcdkit.enumeration import (
     weight_distribution_exhaustive,
 )
 from lcdkit.gf import GF2, GF3, GF4, GF4H
-from lcdkit.linalg import _add_packed, _pack_rows, rank, row_spaces_equal
+from lcdkit.linalg import _pack_rows, rank, row_spaces_equal
 
 FLAVOURS = [GF2, GF3, GF4, GF4H]
 
 
 def pack_vector(f, vec):
     """Python-int planes of one vector, as linalg's elimination packs its rows."""
-    return _pack_rows(f.order, np.array([vec], dtype=np.uint8))[0]
+    return tuple(plane[0] for plane in _pack_rows(f.order, np.array([vec], dtype=np.uint8)))
 
 
 def message_order(f, k):
@@ -57,12 +57,6 @@ def test_pack_vector_weight():
 def test_add_packed_matches_field_add():
     rng = random.Random(21)
     for f in (GF2, GF3, GF4H):
-        for _ in range(100):
-            a = [rng.randrange(f.order) for _ in range(12)]
-            b = [rng.randrange(f.order) for _ in range(12)]
-            expect = [int(f.add(x, y)) for x, y in zip(a, b)]
-            got = _add_packed(f.order, pack_vector(f, a), pack_vector(f, b))
-            assert got == pack_vector(f, expect)
         # the batch add, word against batch and batch against batch, past one word
         A, B = oracles.random_matrix(f, 40, 70, rng), oracles.random_matrix(f, 40, 70, rng)
         pa, pb = pack_matrix(f.order, A), pack_matrix(f.order, B)

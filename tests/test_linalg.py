@@ -332,6 +332,18 @@ def test_matmul_matches_table_oracle(f, rows, inner, cols, seed):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("inner", [62, 63, 64, 126, 127, 255, 256, 257])
+def test_matmul_largest_sums_match_table_oracle(f, inner):
+    # every entry q - 1 makes every inner sum as large as it gets, and the
+    # widths sit on both sides of 63 and 256: a GF(3) block wider than 63
+    # inner indices, or a GF(2) sum read past its parity bit, wraps wrongly
+    a = np.full((3, inner), f.order - 1, dtype=np.uint8)
+    b = np.full((inner, 2), f.order - 1, dtype=np.uint8)
+    got = matmul(f, a, b)
+    assert got.dtype == np.uint8 and np.array_equal(got, oracles.table_matmul(f, a, b))
+
+
 def test_rref_rejects_repeated_scan_columns():
     with pytest.raises(LinalgError):
         rref(np.eye(3, dtype=np.uint8), GF2, col_order=[0, 0, 1])
