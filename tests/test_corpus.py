@@ -166,14 +166,16 @@ def _record_steps_over_resolvable_bases(entries):
     return total
 
 
-def test_check_all_resolves_each_entry_once(monkeypatch):
+@pytest.mark.parametrize("threaded", [False, True])
+def test_check_all_resolves_each_entry_once(monkeypatch, threaded):
+    # the memo must hold with a worker pool for minimum distances too
     entries = manifest()
     want_steps = _record_steps_over_resolvable_bases(entries)
     unmemoized = [verify_entry(e, entries) for e in entries.values()]
     calls = []
     apply_step = construct.apply_step
     monkeypatch.setattr(construct, "apply_step", lambda C, step: calls.append(step) or apply_step(C, step))
-    reports = corpus.check_all()
+    reports = corpus.check_all(threads=2 if threaded else 1)
     assert len(calls) == want_steps
     assert reports == unmemoized
     for rep in reports:
