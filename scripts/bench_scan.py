@@ -3,10 +3,15 @@
 then the minimum distance past the codeword cap, one JSON line per code.
 
 Times min_weight_exhaustive and weight_distribution_exhaustive, on one
-worker, on a seeded full-rank generator matrix per field (binary [40,23],
-ternary [30,14] and Hermitian quaternary [30,11], the sizes of the
-benchmark's distance workload), and prints the q^k codewords each scan
-decides divided by the median over rounds of its time.
+worker, on seeded full-rank generator matrices: per field one code that
+is scanned directly (binary [48,23], ternary [30,14], Hermitian
+quaternary [30,11]) and one high-rate code scanned through its dual
+(binary [40,23], ternary [24,14], Hermitian quaternary [20,12]); the
+ternary [30,14], the quaternary [30,11] and the binary [40,23] are the
+sizes of the benchmark's distance workload.  Each line gives the scan's
+route (enumeration.scan_plan), the q^k codewords it decides, the
+codewords it actually weighs, and the codewords decided divided by the
+median over rounds of each function's time.
 
 Then times codes.min_weight, default strategy and cap, on seeded codes
 with more codewords than the cap (binary [40,30] and [36,28], ternary
@@ -32,7 +37,7 @@ from lcdkit import codes, enumeration, gf, linalg  # noqa: E402
 
 SEED = 2022
 ROUNDS = 7
-SIZES = {"gf2": (40, 23), "gf3": (30, 14), "gf4h": (30, 11)}
+SIZES = [("gf2", 48, 23), ("gf3", 30, 14), ("gf4h", 30, 11), ("gf2", 40, 23), ("gf3", 24, 14), ("gf4h", 20, 12)]
 PAST_CAP_SEED = 5
 PAST_CAP = [("gf2", 40, 30), ("gf2", 36, 28), ("gf3", 30, 18), ("gf4h", 30, 15)]
 
@@ -66,15 +71,18 @@ def distance(C: codes.LinearCode) -> tuple[int | None, bool]:
 
 def main() -> None:
     rng = np.random.default_rng(SEED)
-    for name, (n, k) in SIZES.items():
+    for name, n, k in SIZES:
         field = gf.field_by_name(name)
         G = generator(field, n, k, rng)
         codewords = field.order**k
+        route, weighed = enumeration.scan_plan(field.order, n, k)
         line = {
             "field": name,
             "n": n,
             "k": k,
+            "route": route,
             "codewords": codewords,
+            "weighed": weighed,
             "min_weight_codewords_per_s": codewords_per_s(lambda: enumeration.min_weight_exhaustive(field, G), codewords),
             "weight_distribution_codewords_per_s": codewords_per_s(
                 lambda: enumeration.weight_distribution_exhaustive(field, G), codewords

@@ -14,12 +14,11 @@ with published tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from . import enumeration, linalg
-from .gf import FieldError, FieldSpec, field_by_name
+from .gf import GF2, FieldError, FieldSpec, field_by_name
 
 # re-exported: callers catch budget errors from this module
 BudgetExceeded = enumeration.BudgetExceeded
@@ -159,8 +158,11 @@ def puncture(C: LinearCode, T) -> LinearCode:
 def min_weight(C: LinearCode, strategy: str = EXHAUSTIVE, cap: int | None = None, threads: int = 1) -> int:
     """Exact minimum nonzero Hamming weight.
 
-    ``exhaustive`` scans all q^k codewords when they fit in ``cap``
-    (default enumeration.DEFAULT_CAPS); past the cap, and always for
+    ``exhaustive`` enumerates the smaller of C and its dual when C's q^k
+    codewords fit in ``cap`` (default enumeration.DEFAULT_CAPS); a scan of
+    the dual goes through the MacWilliams transform, checked for
+    non-negative integer counts, A_0 = 1 and sum q^k
+    (enumeration.min_weight_exhaustive).  Past the cap, and always for
     ``bz``, Brouwer-Zimmermann decides under the same cap, typically
     listing far fewer codewords.  When it lists more than the cap, it
     raises BudgetExceeded carrying the best weight seen, an upper bound.
@@ -204,22 +206,13 @@ def is_even_like(C: LinearCode) -> bool:
     return all(int(row.sum()) % 2 == 0 for row in C.generator)
 
 
-def macwilliams_dual_counts(counts, n: int, k: int) -> list[int]:
-    """Weight distribution of the dual of a binary code from the primal one."""
-    size = 2**k
-    out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, a in enumerate(counts):
-            if not a:
-                continue
-            kraw = sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(0, min(i, j) + 1))
-            acc += a * kraw
-        q, r = divmod(acc, size)
-        if r:
-            raise CodeError("MacWilliams transform did not divide evenly; input is not a weight distribution")
-        out.append(q)
-    return out
+def macwilliams_dual_counts(counts, n: int, k: int, field: FieldSpec = GF2) -> list[int]:
+    """Weight distribution of the dual of an [n, k] code over ``field`` from
+    the code's own (enumeration.macwilliams_transform)."""
+    try:
+        return enumeration.macwilliams_transform(field.order, n, k, counts)
+    except linalg.InvariantError:
+        raise CodeError(f"input is not the weight distribution of an [{n},{k}] code over {field.name}") from None
 
 
 # -- text file format ------------------------------------------------------

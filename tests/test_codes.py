@@ -423,6 +423,20 @@ def test_macwilliams_consistency_binary():
         assert direct == transformed
 
 
+@pytest.mark.parametrize("f", [GF3, GF4, GF4H])
+def test_macwilliams_consistency_every_field(f):
+    # the Hermitian dual is the conjugate of the Euclidean one, with its weights
+    rng = random.Random(91 + f.order)
+    for _ in range(12):
+        k = rng.randrange(1, 5)
+        n = rng.randrange(k + 1, 9)
+        c = oracles.random_code(f, n, k, rng)
+        primal = weight_distribution(c)
+        assert macwilliams_dual_counts(primal.counts, n, k, f) == oracles.brute_weight_counts(dual(c))
+    with pytest.raises(CodeError, match="not the weight distribution"):
+        macwilliams_dual_counts([1, 1, 0], 2, 1, f)
+
+
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=24))
 def test_ternary_self_pairing_is_weight_mod_3(vec):
     v = np.array(vec, dtype=np.uint8)

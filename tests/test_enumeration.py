@@ -25,15 +25,17 @@ from lcdkit.enumeration import (
     codeword_blocks,
     codeword_tables,
     codewords_of,
+    macwilliams_transform,
     min_weight_bz,
     min_weight_exhaustive,
     pack_matrix,
     packed_weight,
+    scan_plan,
     unpack_matrix,
     weight_distribution_exhaustive,
 )
 from lcdkit.gf import GF2, GF3, GF4, GF4H
-from lcdkit.linalg import _pack_rows, rank, row_spaces_equal
+from lcdkit.linalg import InvariantError, _pack_rows, rank, row_spaces_equal
 
 FLAVOURS = [GF2, GF3, GF4, GF4H]
 
@@ -269,6 +271,109 @@ def test_projective_scan_matches_message_order_scan(f, extra, monkeypatch):
             assert weight_distribution_exhaustive(f, c.generator, threads=threads) == counts.tolist()
 
 
+# (n, k, route) on both sides of each field's crossover; n - k = 0 and 1 at
+# the smallest size that takes the dual route
+ROUTE_CASES = {
+    2: [(30, 16, "direct"), (35, 18, "direct"), (36, 20, "dual"), (17, 17, "dual"), (18, 17, "dual")],
+    3: [(16, 9, "direct"), (20, 10, "direct"), (19, 10, "dual"), (10, 10, "dual"), (11, 10, "dual")],
+    4: [(14, 8, "direct"), (18, 9, "direct"), (17, 9, "dual"), (9, 9, "dual"), (10, 9, "dual")],
+}
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_dual_route_matches_direct_scan(f, monkeypatch):
+    # min weight and counts through the dual equal a direct scan of the
+    # code itself, for 1 to 3 workers (the pool forced on every scan)
+    q = f.order
+    rng = random.Random(1100 + 10 * q + len(f.name))
+    monkeypatch.setattr(enumeration, "PARALLEL_THRESHOLD", 1)
+    for n, k, route in ROUTE_CASES[q]:
+        assert scan_plan(q, n, k)[0] == route
+        G = oracles.random_code(f, n, k, rng).generator
+        best, counts = enumeration._scan(f, G, True, 1)
+        for threads in (1, 2, 3):
+            assert min_weight_exhaustive(f, G, threads=threads) == best
+            assert weight_distribution_exhaustive(f, G, threads=threads) == counts.tolist()
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_dual_route_against_oracles(f, monkeypatch):
+    # small codes forced onto the dual route, n - k = 0 and 1 included
+    q = f.order
+    rng = random.Random(1200 + 10 * q + len(f.name))
+    monkeypatch.setitem(enumeration.DUAL_MIN_CODEWORDS, q, 1)
+    for n, k in [(2, 2), (5, 5), (6, 5), (8, 6), (9, 7), (11, 8)]:
+        if q**k > 4**7:
+            continue
+        c = oracles.random_code(f, n, k, rng)
+        assert scan_plan(q, n, k) == ("dual", q ** (n - k))
+        for threads in (1, 2, 3):
+            assert min_weight_exhaustive(f, c.generator, threads=threads) == oracles.brute_min_weight(c)
+            assert weight_distribution_exhaustive(f, c.generator, threads=threads) == oracles.brute_weight_counts(c)
+
+
+def test_scan_plan_counts_weighed_codewords():
+    # a one-table scan weighs every word; past it, the first table and one
+    # word per projective class (_projective_ranges), of the side scanned
+    for q in (2, 3, 4):
+        L = enumeration.TABLE_ROWS[q]
+
+        def weighed(m):
+            ranges = enumeration._projective_ranges(q, m, L) if m > L else [(0, q**m)]
+            return sum(hi - lo for lo, hi in ranges)
+
+        for m in range(1, L + 4):
+            assert scan_plan(q, 3 * m, m) == ("direct", weighed(m))
+            past = q ** (2 * m) >= enumeration.DUAL_MIN_CODEWORDS[q]
+            assert scan_plan(q, 3 * m, 2 * m) == (("dual", weighed(m)) if past else ("direct", weighed(2 * m)))
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_dual_route_budget_counts_the_code(f):
+    # the cap counts the code's q^k words, also when its dual's would fit
+    q = f.order
+    rng = random.Random(1300 + q)
+    k = {2: 17, 3: 10, 4: 9}[q]
+    G = oracles.random_code(f, k + 1, k, rng).generator
+    assert scan_plan(q, k + 1, k)[0] == "dual"
+    for cap in (1, q, q**k - 1):
+        for fn in (min_weight_exhaustive, weight_distribution_exhaustive):
+            with pytest.raises(BudgetExceeded) as exc:
+                fn(f, G, cap=cap)
+            assert (exc.value.best_upper, exc.value.steps) == (None, 0)
+    assert min_weight_exhaustive(f, G, cap=q**k) == enumeration._scan(f, G, False, 1)[0]
+    # past the default cap, with a dual of q words
+    big = {2: 27, 3: 17, 4: 14}[q]
+    G = oracles.random_code(f, big + 1, big, rng).generator
+    assert q**big > enumeration.DEFAULT_CAPS[q] and scan_plan(q, big + 1, big)[0] == "dual"
+    for fn in (min_weight_exhaustive, weight_distribution_exhaustive):
+        with pytest.raises(BudgetExceeded) as exc:
+            fn(f, G)
+        assert (exc.value.best_upper, exc.value.steps) == (None, 0)
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_corrupted_dual_counts_raise(f, monkeypatch):
+    # one dual count off by one, or missing, fails the transform's checks
+    q = f.order
+    monkeypatch.setitem(enumeration.DUAL_MIN_CODEWORDS, q, 1)
+    n, k = 9, 6
+    G = oracles.random_code(f, n, k, random.Random(1400 + q)).generator
+    real_scan = enumeration._scan
+    dual_counts = real_scan(f, enumeration.nullspace(G, f), True, 1)[1]
+    assert macwilliams_transform(q, n, n - k, dual_counts.tolist()) == real_scan(f, G, True, 1)[1].tolist()
+    for j in np.flatnonzero(dual_counts).tolist():
+        for corrupt in ("plus one", "minus one", "missing"):
+            bad = dual_counts.copy()
+            bad[j] = {"plus one": bad[j] + 1, "minus one": bad[j] - 1, "missing": 0}[corrupt]
+            monkeypatch.setattr(enumeration, "_scan", lambda *args, bad=bad: (0, bad))
+            for fn in (min_weight_exhaustive, weight_distribution_exhaustive):
+                with pytest.raises(InvariantError):
+                    fn(f, G)
+            with pytest.raises(InvariantError):
+                macwilliams_transform(q, n, n - k, bad.tolist())
+
+
 def test_information_set_chain_disjoint_blocks():
     rng = random.Random(33)
     for f in (GF2, GF3, GF4H):
@@ -345,6 +450,19 @@ def test_bz_level_batches_follow_loop_order(f, chunk):
             assert all(0 < b.size <= chunk for b in batches)
             want = [np.count_nonzero(cw) for cw in oracles.loop_bz_level(f, mat, w)]
             assert np.concatenate(batches).tolist() == want
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, GF4H])
+def test_bz_level_words_are_nonzero_on_w_pivots(f):
+    # a chain matrix is the identity on its pivots, so each level-w word has
+    # w nonzero pivot symbols and weight >= w: a batch holds no zero word
+    c = oracles.random_code(f, 16, 9, random.Random(87 + f.order))
+    for mat, pivots, _deficit in _information_set_chain(f, c.generator):
+        scaled = enumeration._pack_scaled(f, mat)
+        for w in range(1, 10):
+            for batch in enumeration._bz_level(f.order, 9, w, scaled):
+                assert (_weigh(batch) >= w).all()
+                assert ((_symbols(batch, list(pivots)) != 0).sum(axis=0) == w).all()
 
 
 def _bz_outcome(fn, field, G, cap):
