@@ -13,13 +13,18 @@ those of the real call:
 
 * draw: the sampled messages (_draw_messages);
 * dedupe: the distinct sampled candidates (_distinct);
-* scoring: d(C) (min_weight) and the coset scoring (_best_scores);
+* distance: d(C) (min_weight);
+* scoring: the coset scoring (_best_scores);
 * tie_break: the smallest tied candidate (_smallest);
 * extend: building and checking the extended code;
 * build: the rest, i.e. the dual, its codewords and the weight condition.
 
 Each time is the median over rounds in ms; the line also gives the
-candidate, distinct and tied counts.  Takes no options:
+candidate, distinct and tied counts.  One more, untimed, round counts the
+coset scorer's work: ``reduced``, the candidates reduced onto a chain
+matrix's pivots (construct._reduce), and ``pairs``, the candidate-word
+distances taken inside _best_scores (enumeration._distance);
+``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
 
     python3 scripts/bench_search.py
 """
@@ -37,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import inputs  # noqa: E402
 import refalg  # noqa: E402
 
-from lcdkit import construct, corpus, gf  # noqa: E402
+from lcdkit import construct, corpus, enumeration, gf  # noqa: E402
 import numpy as np  # noqa: E402
 
 from lcdkit.codes import new_code, parse_vector, puncture  # noqa: E402
@@ -49,7 +54,7 @@ ROUNDS = 5
 TIMED = [
     (construct, "_draw_messages", "draw"),
     (construct, "_distinct", "dedupe"),
-    (construct, "min_weight", "scoring"),
+    (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),
     (construct, "_smallest", "tie_break"),
     (construct, "extend_m1", "extend"),
@@ -81,27 +86,65 @@ def cases():
 
 
 @contextmanager
-def timed(spent: dict, seen: dict):
-    """Wrap each TIMED helper so its time adds to its stage and its result is kept in ``seen``."""
-    saved = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in TIMED]
-
-    def wrap(fn, attr, stage):
-        def timer(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
-            seen[attr] = out
-            return out
-
-        return timer
-
-    for (mod, attr, stage), (_, _, fn) in zip(TIMED, saved):
-        setattr(mod, attr, wrap(fn, attr, stage))
+def patched(wrappers):
+    """Replace each (module, attribute) with wrap(original) for the duration."""
+    saved = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in wrappers]
+    for (mod, attr, wrap), (_, _, fn) in zip(wrappers, saved):
+        setattr(mod, attr, wrap(fn))
     try:
         yield
     finally:
         for mod, attr, fn in saved:
             setattr(mod, attr, fn)
+
+
+def timed(spent: dict, seen: dict):
+    """Wrap each TIMED helper so its time adds to its stage and its result is kept in ``seen``."""
+
+    def wrap(attr, stage):
+        def wrapper(fn):
+            def timer(*args, **kwargs):
+                t0 = time.perf_counter()
+                out = fn(*args, **kwargs)
+                spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
+                seen[attr] = out
+                return out
+
+            return timer
+
+        return wrapper
+
+    return patched([(mod, attr, wrap(attr, stage)) for mod, attr, stage in TIMED])
+
+
+def counted(work: dict):
+    """Count the candidates _reduce is given and, inside _best_scores (d(C)
+    may scan with it too), the distances _distance returns, into
+    work["reduced"] and work["pairs"]."""
+
+    def reduce(fn):
+        def call(q, x, link):
+            work["reduced"] += x.shape[-1]
+            return fn(q, x, link)
+
+        return call
+
+    def distance(fn):
+        def call(a, b):
+            out = fn(a, b)
+            work["pairs"] += out.size
+            return out
+
+        return call
+
+    def best_scores(fn):
+        def call(*args, **kwargs):
+            with patched([(enumeration, "_distance", distance)]):
+                return fn(*args, **kwargs)
+
+        return call
+
+    return patched([(construct, "_best_scores", best_scores), (construct, "_reduce", reduce)])
 
 
 def main() -> None:
@@ -116,13 +159,18 @@ def main() -> None:
             spent["build"] = total - sum(spent.values())
             spent["total"] = total
             rounds.append(spent)
+        work = {"reduced": 0, "pairs": 0}
+        with counted(work):
+            construct.search_extend(C, construct.M1, budget=budget, seed=seed)
         line = {"case": name, "field": C.field.name, "n": C.n, "k": C.k, "budget": budget}
-        for stage in ("draw", "dedupe", "build", "scoring", "tie_break", "extend", "total"):
+        for stage in ("draw", "dedupe", "build", "distance", "scoring", "tie_break", "extend", "total"):
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
         line["distinct"] = seen["_distinct"].shape[-1] if "_distinct" in seen else None
         line["tied"] = seen["_best_scores"][1].size
         line["min_weight"] = res.min_weight
+        line.update(work)
+        line["pairs_per_s"] = round(work["pairs"] / statistics.median(r["scoring"] for r in rounds))
         print(json.dumps(line), flush=True)
 
 

@@ -379,25 +379,76 @@ def _smallest(field: FieldSpec, batch: np.ndarray, n: int, multiples: bool) -> n
 
 @dataclass(frozen=True, eq=False)
 class _Link:
-    """One matrix G_j of C's information-set chain, ready to scan cosets."""
+    """One matrix G_j of C's information-set chain, ready to scan cosets.
+
+    ``lookups`` holds, for each negated table, the bytes of a packed vector
+    that hold its rows' pivots, spots[i] = (plane, word, byte), and what
+    each adds to the table index: parts[i][v] when byte spots[i] reads v
+    (_pivot_lookups, _reduce).
+    """
 
     pivots: tuple[int, ...]
     deficit: int
     negated: list[np.ndarray]  # codeword tables of -G_j
+    lookups: list[tuple[tuple[tuple[int, int, int], ...], np.ndarray]]  # per table: spots, uint16 parts (spots, 256)
     scaled: np.ndarray  # enumeration._pack_scaled(G_j)
 
 
+# bit b of each byte value, one row per value: a byte's lookup is this times its bits' weights
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+
+
+def _pivot_lookups(q: int, n: int, pivots) -> list:
+    """_Link.lookups for the pivots p_0, p_1, ... of a chain matrix of length n.
+
+    Pivot i is digit i % TABLE_ROWS of table i // TABLE_ROWS, so bit b of
+    its symbol, on plane b, adds 2^b q^(i % TABLE_ROWS) to that table's
+    index.  The pivot columns are the same on every plane, so plane b's
+    parts are plane 0's times 2^b.  A part is at most (q^TABLE_ROWS - 1) /
+    (q - 1), twice that on plane 1, and the parts of a vector sum to its
+    index, below q^TABLE_ROWS <= 3^9: uint16 holds them.
+    """
+    L, planes = enumeration.TABLE_ROWS[q], (1 if q == 2 else 2)
+    digit = np.arange(len(pivots))
+    weight = np.zeros((-(-len(pivots) // L), -(-n // 64) * 8, 8), dtype=np.int64)  # per table: plane 0's bits, by byte
+    weight.reshape(len(weight), -1)[digit // L, np.asarray(pivots, dtype=np.intp)] = q ** (digit % L)
+    lookups = []
+    for table in weight:
+        held = np.flatnonzero(table.any(axis=1)).tolist()  # the bytes that hold a pivot
+        parts = table[held] @ _BYTE_BITS.T
+        spots = tuple((p, b // 8, b % 8) for p in range(planes) for b in held)
+        lookups.append((spots, np.concatenate([parts << p for p in range(planes)]).astype(np.uint16)))
+    return lookups
+
+
 def _coset_chain(C: LinearCode) -> list[_Link]:
-    neg = C.field.neg_table
+    field = C.field
     return [
-        _Link(pivots, deficit, enumeration.codeword_tables(C.field, neg[mat]), enumeration._pack_scaled(C.field, mat))
-        for mat, pivots, deficit in enumeration._information_set_chain(C.field, C.generator)
+        _Link(
+            pivots,
+            deficit,
+            enumeration.codeword_tables(field, field.neg_table[mat]),
+            _pivot_lookups(field.order, C.n, pivots),
+            enumeration._pack_scaled(field, mat),
+        )
+        for mat, pivots, deficit in enumeration._information_set_chain(field, C.generator)
     ]
 
 
 def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
-    """x - sum_i x[p_i] row_i over G_j's pivots p_i: the word of x + C that vanishes on them."""
-    return _add(q, x, enumeration.codewords_of(q, link.negated, enumeration._symbols(x, link.pivots).T))
+    """x - sum_i x[p_i] row_i over G_j's pivots p_i: the word of x + C that vanishes on them.
+
+    For each negated table, the index of x's pivot symbols in it is the
+    uint16 sum of a few 256-entry lookups (_Link.lookups), one per byte of
+    x that holds a pivot, read as uint8; one gather of the table at those
+    indices is added to x.  The batch's last axis must be contiguous.
+    """
+    # byte c % 64 // 8 of word c // 64 holds column c, little-endian
+    octets = x.astype("<u8", copy=False).view(np.uint8).reshape(x.shape + (8,))
+    for table, (spots, parts) in zip(link.negated, link.lookups):
+        index = sum(np.take(part, octets[plane, word, :, byte]) for (plane, word, byte), part in zip(spots, parts))
+        x = _add(q, x, np.take(table, index, axis=-1))
+    return x
 
 
 def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
@@ -453,9 +504,12 @@ def _coset_floor(
     ``stages`` yields (link, batches) pairs.  For each link, every
     candidate still scored is first replaced, in one working copy and a
     chunk at a time, by the word of its coset that vanishes on the link's
-    pivots.  Then each candidate is compared with every packed word c of the
-    batches, at most SCORE_CHUNK pairs per pass: the distance from x to c
-    is the weight of the coset word x - c.  A candidate stops being scored
+    pivots (_reduce).  Then each candidate is compared with every packed
+    word c of the batches, at most SCORE_CHUNK pairs per pass: the distance
+    from x to c is the weight of the coset word x - c.  A pass lays its
+    pairs out words x candidates, so the minimum over its words is an
+    elementwise minimum across rows; with one word per pass (the candidates
+    fill it) there is none to take.  A candidate stops being scored
     once its running minimum falls below ``floor``.  The result bounds each
     coset minimum from above, and is below ``floor`` exactly where some
     listed word is.
@@ -483,11 +537,12 @@ def _coset_floor(
             s = 0
             while s < words.shape[-1]:
                 group = max(1, SCORE_CHUNK // run.size)  # words per pass; one when the candidates fill a pass
-                part = words[..., None, s : s + group]
+                part = words[..., s : s + group, None]
                 s += group
                 for lo in range(0, run.size, SCORE_CHUNK // group):
                     hi = lo + SCORE_CHUNK // group
-                    np.minimum(run[lo:hi], enumeration._distance(x[..., lo:hi, None], part).min(axis=-1), out=run[lo:hi])
+                    dist = enumeration._distance(x[..., None, lo:hi], part)  # words x candidates
+                    np.minimum(run[lo:hi], dist[0] if group == 1 else dist.min(axis=0), out=run[lo:hi])
                 dead = run < floor
                 died = np.count_nonzero(dead)
                 if died and died >= COMPACT_SHARE * run.size:

@@ -42,9 +42,16 @@ rows of a systematic generator, the first scaled by 1) come in batches of
 at most BZ_CHUNK: their index rows are generated a range of supports at a
 time, each batch gathers its scaled rows from one pack with np.take, adds
 them and is weighed once.  A level's C(k, w) supports are never held whole.
-The extension search lists the words of cosets x + C from the same batches
-and their scalar multiples, and compares them with the candidates by
-Hamming distance (construct._bz_order).
+The extension search lists the words of cosets x + C from the same
+batches and their scalar multiples (construct._bz_order).  For each chain
+matrix it first moves every candidate to the word of its coset that
+vanishes on the pivots: the pivot symbols' index in a negated codeword
+table is a sum of 256-entry lookups on the candidate's bytes, and one
+gather from the table is added (construct._reduce).  It then compares the
+candidates with the listed words by Hamming distance, a pass laid out
+words x candidates, so that the minimum over the words is an elementwise
+minimum across rows.  The popcounts of a vector's words are added in
+uint16, exact since pack_matrix keeps n < 2^15.
 """
 
 from __future__ import annotations
@@ -164,20 +171,6 @@ def _scale(order: int, a: int, batch: np.ndarray) -> np.ndarray:
     return np.stack([hi, lo ^ hi] if a == 2 else [lo ^ hi, lo])
 
 
-def _symbols(batch: np.ndarray, cols) -> np.ndarray:
-    """Element indices at columns ``cols`` of every vector of a packed batch,
-    as uint8 of shape (len(cols), N); the batch's last axis must be contiguous."""
-    cols = np.asarray(cols, dtype=np.intp)
-    # byte c % 64 // 8 of word c // 64 holds column c, little-endian
-    octets = batch.astype("<u8", copy=False).view(np.uint8).reshape(batch.shape + (8,))
-    octets = octets[:, cols // 64, :, cols % 64 // 8]  # (len(cols), P, N)
-    bits = octets >> (cols % 8).astype(np.uint8)[:, None, None] & 1
-    out = bits[:, 0]
-    for p in range(1, bits.shape[1]):
-        out = out | bits[:, p] << p
-    return out
-
-
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamming distance between the vectors of two packed batches (shapes
     broadcast), as in _popcount.  Each layout encodes a symbol injectively
@@ -197,9 +190,15 @@ def _weigh(batch: np.ndarray) -> np.ndarray:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each vector of W words (axis 0): uint8 when W = 1, else uint16."""
+    """Set bits of each vector of W words (axis 0): uint8 when W = 1, else
+    uint16, the words' counts added one word at a time."""
     bits = np.bitwise_count(words)
-    return bits[0] if len(bits) == 1 else bits.sum(axis=0, dtype=np.uint16)
+    if len(bits) == 1:
+        return bits[0]
+    total = bits[0].astype(np.uint16)  # pack_matrix keeps n < 2^15, so the sums are exact
+    for word in bits[1:]:
+        total += word
+    return total
 
 
 def _pack_scaled(field: FieldSpec, G: np.ndarray) -> np.ndarray:

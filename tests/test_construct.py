@@ -866,6 +866,70 @@ def test_coset_scorer_in_shared_room(f, n, k, monkeypatch):
     assert np.array_equal(cand, packed)  # scoring leaves the candidates alone
 
 
+@pytest.mark.parametrize("f", [GF2, GF3, GF4, GF4H])
+@pytest.mark.parametrize("n", [19, 63, 64, 65, 130])
+def test_pivot_reduction_matches_symbol_arithmetic(f, n):
+    # the byte-lookup reduction of every link of the chain against table
+    # arithmetic: x - sum_i x[p_i] row_i, zero on the pivots, and x minus it
+    # a codeword.  k above TABLE_ROWS gives two negated tables, and the
+    # chain's pivots cover every column, so some sit in a word's last byte
+    # and on both sides of a word boundary.  Batches: whole, and sliced out
+    # of a wider buffer like the scorer's working copy
+    rng = random.Random(n * 13 + f.order)
+    k = min({2: 20, 3: 10, 4: 8}[f.order], n - 3)
+    C = oracles.random_code(f, n, k, rng)
+    X = oracles.random_matrix(f, 40, n, rng)
+    packed = enumeration.pack_matrix(f.order, X)
+    wide = np.zeros(packed.shape[:-1] + (50,), dtype=np.uint64)
+    wide[..., 5:45] = packed
+    R, basis_pivots, _ = oracles.table_rref(C.generator, f)
+    add, neg = f.add_table, f.neg_table
+    chain = construct._coset_chain(C)
+    matrices = enumeration._information_set_chain(f, C.generator)
+    assert len(chain) == len(matrices)
+    assert set().union(*(link.pivots for link in chain)) == set(range(n))
+    for link, (mat, pivots, _deficit) in zip(chain, matrices):
+        assert link.pivots == pivots and len(link.negated) == 2
+        pivots = list(pivots)
+        want = add[X, neg[oracles.table_matmul(f, X[:, pivots], mat)]]
+        assert not want[:, pivots].any()
+        coset_step = add[X, neg[want]]  # x minus the reduced word lies in C
+        assert np.array_equal(oracles.table_matmul(f, coset_step[:, list(basis_pivots)], R), coset_step)
+        for batch, rows in ((packed, slice(None)), (wide[..., 5:45], slice(None)), (packed[..., 3:20], slice(3, 20))):
+            got = enumeration.unpack_matrix(construct._reduce(f.order, batch, link), n)
+            assert not got[:, pivots].any()
+            assert np.array_equal(got, want[rows])
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("chunk", [2, construct.SCORE_CHUNK])
+def test_coset_scorer_weighs_long_vectors_exactly(f, chunk, monkeypatch):
+    # n = 300: coset weights past 255 (a uint8 sum would wrap) are exact,
+    # one word per pass (chunk 2) and words x candidates in one pass.  With
+    # every codeword listed, a surviving candidate's minimum is its coset's
+    monkeypatch.setattr(construct, "SCORE_CHUNK", chunk)
+    rng = random.Random(300 + f.order)
+    G = np.zeros((2, 300), dtype=np.uint8)
+    G[0, 0:4], G[1, 250:256] = 1, f.order - 1  # light rows keep the cosets heavy
+    C = new_code(f, G)
+    cands = oracles.random_matrix(f, 5, 300, rng)
+    cands[0], cands[1] = f.order - 1, 0
+    truth = oracles.coset_min_weights(C, cands)
+    assert truth.max() >= 256
+    packed = enumeration.pack_matrix(f.order, cands)
+    chain = construct._coset_chain(C)
+    every = enumeration.pack_matrix(f.order, oracles.codeword_array(C))
+    for floor in (1, 200, int(truth.max()), int(truth.max()) + 1):
+        stages, complete = construct._bz_order(f.order, 2, chain, floor, f.order**2)
+        low = construct._coset_floor(f.order, packed, None, floor, stages)
+        assert complete and np.array_equal(low >= floor, truth >= floor)
+        assert (low >= truth).all()
+        low = construct._coset_floor(f.order, packed, None, floor, [(chain[0], [every])])
+        alive = low >= floor
+        assert np.array_equal(alive, truth >= floor) and np.array_equal(low[alive], truth[alive])
+        assert (low >= truth).all()
+
+
 def test_bz_order_schedule():
     # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 stops after level 2 of the
     # first three matrices, 3 * (1 + 12 + 60) words; floor 1 after level 0

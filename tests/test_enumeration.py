@@ -20,7 +20,6 @@ from lcdkit.enumeration import (
     _scale,
     _scan_worker,
     _support_blocks,
-    _symbols,
     _weigh,
     codeword_blocks,
     codeword_tables,
@@ -76,12 +75,29 @@ def test_packed_scale_symbols_and_distance(f):
     pa, pb = pack_matrix(f.order, A), pack_matrix(f.order, B)
     for a in range(1, f.order):
         assert np.array_equal(unpack_matrix(_scale(f.order, a, pa), 70), f.mul_table[a][A])
-    cols = [69, 0, 64, 63, 5]
-    assert np.array_equal(_symbols(pa, cols), A[:, cols].T)
-    assert np.array_equal(_symbols(pa[..., 3:20], cols), A[3:20, cols].T)
+    assert np.array_equal(unpack_matrix(pa, 70), A)
+    assert np.array_equal(unpack_matrix(pa[..., 3:20], 70), A[3:20])
     assert np.array_equal(_distance(pa, pb), (A != B).sum(axis=1))
     pairs = _distance(pa[..., :, None], pb[..., None, :5])
     assert np.array_equal(pairs, (A[:, None] != B[None, :5]).sum(axis=2))
+
+
+@pytest.mark.parametrize("f", FLAVOURS)
+def test_long_vector_weights_are_exact(f):
+    # n = 300 spans five words per plane: the per-word counts are summed in
+    # uint16, where a uint8 sum of the all-nonzero vector would wrap to 44
+    rng = random.Random(43)
+    n = 300
+    A = oracles.random_matrix(f, 6, n, rng)
+    A[0], A[1], A[2] = f.order - 1, 0, 1
+    A[3] = np.arange(n) < 257  # weight 257, one past 256
+    pa, zero = pack_matrix(f.order, A), pack_matrix(f.order, A[1:2])
+    assert np.array_equal(_weigh(pa), (A != 0).sum(axis=1))
+    assert _weigh(pa)[0] == n and _weigh(pa).dtype == np.uint16
+    assert np.array_equal(_distance(pa, zero), (A != 0).sum(axis=1))
+    assert np.array_equal(_distance(pa[..., :1], pa[..., 2:3]), [n if f.order > 2 else 0])
+    pairs = _distance(pa[..., None, :], pa[..., :, None])  # words x candidates, as the coset scorer lays them out
+    assert np.array_equal(pairs, (A[:, None] != A[None, :]).sum(axis=2))
 
 
 @pytest.mark.parametrize("f,k,n", [(GF2, 9, 14), (GF3, 6, 11), (GF4H, 5, 10), (GF2, 18, 70), (GF3, 11, 66)])
@@ -462,7 +478,7 @@ def test_bz_level_words_are_nonzero_on_w_pivots(f):
         for w in range(1, 10):
             for batch in enumeration._bz_level(f.order, 9, w, scaled):
                 assert (_weigh(batch) >= w).all()
-                assert ((_symbols(batch, list(pivots)) != 0).sum(axis=0) == w).all()
+                assert ((unpack_matrix(batch, 16)[:, list(pivots)] != 0).sum(axis=1) == w).all()
 
 
 def _bz_outcome(fn, field, G, cap):
