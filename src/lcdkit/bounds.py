@@ -33,6 +33,10 @@ class ConflictError(ValueError):
     pass
 
 
+class SeedError(ValueError):
+    """A seed file that cannot be read into a table."""
+
+
 @dataclass(frozen=True)
 class Provenance:
     kind: str  # seed kind, or "rule"
@@ -76,31 +80,23 @@ class BoundsTable:
             return f"{b.value} via rule {p.detail} from {list(p.sources)}"
         return f"{b.value} ({p.kind}: {p.detail})"
 
-    def improve_lower(self, n: int, k: int, value: int, prov: Provenance) -> bool:
+    def improve(self, n: int, k: int, side: str, value: int, prov: Provenance) -> bool:
+        """Set the ``side`` ("lower" or "upper") bound of [n, k] to ``value``
+        if that is stronger; True if it changed.  ConflictError if ``value``
+        is out of range or crosses the cell's other bound."""
         if not 1 <= k <= n or not 1 <= value <= n:
-            raise ConflictError(f"lower bound {value} out of range for [{n},{k}]")
+            raise ConflictError(f"{side} bound {value} out of range for [{n},{k}]")
         c = self._cell(n, k)
-        if c.upper is not None and value > c.upper.value:
+        other = "upper" if side == "lower" else "lower"
+        against = getattr(c, other)
+        if against is not None and not _as_strong(other, value, against.value):
             raise ConflictError(
-                f"[{n},{k}] {self.field_name}: new lower {self._describe(Bound(value, prov))} "
-                f"exceeds upper {self._describe(c.upper)}"
+                f"[{n},{k}] {self.field_name}: new {side} {self._describe(Bound(value, prov))} "
+                f"{'exceeds' if side == 'lower' else 'is below'} {other} {self._describe(against)}"
             )
-        if c.lower is None or value > c.lower.value:
-            c.lower = Bound(value, prov)
-            return True
-        return False
-
-    def improve_upper(self, n: int, k: int, value: int, prov: Provenance) -> bool:
-        if not 1 <= k <= n or not 1 <= value <= n:
-            raise ConflictError(f"upper bound {value} out of range for [{n},{k}]")
-        c = self._cell(n, k)
-        if c.lower is not None and value < c.lower.value:
-            raise ConflictError(
-                f"[{n},{k}] {self.field_name}: new upper {self._describe(Bound(value, prov))} "
-                f"is below lower {self._describe(c.lower)}"
-            )
-        if c.upper is None or value < c.upper.value:
-            c.upper = Bound(value, prov)
+        now = getattr(c, side)
+        if now is None or not _as_strong(side, now.value, value):
+            setattr(c, side, Bound(value, prov))
             return True
         return False
 
@@ -108,10 +104,9 @@ class BoundsTable:
         if kind not in SEED_KINDS:
             raise ValueError(f"unknown seed kind {kind!r}")
         changed = False
-        if lower is not None:
-            changed |= self.improve_lower(n, k, lower, Provenance(kind, provenance))
-        if upper is not None:
-            changed |= self.improve_upper(n, k, upper, Provenance(kind, provenance))
+        for side, value in (("lower", lower), ("upper", upper)):
+            if value is not None:
+                changed |= self.improve(n, k, side, value, Provenance(kind, provenance))
         return changed
 
     def bounding_box(self):
@@ -212,7 +207,7 @@ def _shots(rule: Rule, table: BoundsTable, box) -> list:
     return out
 
 
-def propagate(table: BoundsTable, box=None, rules=None) -> int:
+def propagate(table: BoundsTable, box=None) -> int:
     """Apply rules until no bound changes; returns the number of updates.
 
     ``box`` = (n_min, n_max, k_min, k_max) limits which cells may be
@@ -221,20 +216,19 @@ def propagate(table: BoundsTable, box=None, rules=None) -> int:
     if not table.cells:
         return 0
     box = table.bounding_box() if box is None else box
-    rules = rules_for(table.field_name) if rules is None else rules
+    rules = rules_for(table.field_name)
     total = 0
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            improve = table.improve_lower if rule.side == "lower" else table.improve_upper
             for n, k, value, sources in _shots(rule, table, box):
                 now = _bound(table, n, k, rule.side)
                 if now is not None and _as_strong(rule.side, now.value, value):
-                    # improve_* would return False: the cell's lower <= upper
+                    # improve would return False: the cell's lower <= upper
                     # holds, so a value no stronger than its bound cannot conflict
                     continue
-                if improve(n, k, value, Provenance("rule", rule.id, sources)):
+                if table.improve(n, k, rule.side, value, Provenance("rule", rule.id, sources)):
                     changed = True
                     total += 1
     return total
@@ -308,23 +302,31 @@ def seed_ternary_exact(table: BoundsTable, n_range) -> None:
 # -- seed file and grid I/O ---------------------------------------------------
 
 
-def read_seed_csv(path, field_name: str) -> list[dict]:
-    rows = []
-    with open(path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            if row["field"] != field_name:
-                continue
-            rows.append(row)
-    return rows
-
-
 def seed_from_csv(table: BoundsTable, path) -> int:
+    """Seed ``table`` from the rows for its field of a seed CSV (columns
+    field, n, k, lower, upper, kind, provenance); returns how many.
+
+    SeedError names the file, and the line where one is known, when the
+    file is not ASCII, lacks a column or has a row that cannot seed: a
+    cell that is not an integer, an unknown kind, or a bound out of range
+    or in conflict with another seed.
+    """
     count = 0
-    for row in read_seed_csv(path, table.field_name):
-        lower = int(row["lower"]) if row["lower"] else None
-        upper = int(row["upper"]) if row["upper"] else None
-        table.seed(int(row["n"]), int(row["k"]), lower=lower, upper=upper, kind=row["kind"], provenance=row["provenance"])
-        count += 1
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.DictReader(fh, restval="")
+        try:
+            for row in reader:
+                if row["field"] != table.field_name:
+                    continue
+                lower, upper = (int(row[side]) if row[side] else None for side in ("lower", "upper"))
+                table.seed(int(row["n"]), int(row["k"]), lower, upper, row["kind"], row["provenance"])
+                count += 1
+        except KeyError as exc:
+            raise SeedError(f"{path}: no column {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SeedError(f"{path}: not an ASCII text file ({exc})") from None
+        except ValueError as exc:  # ConflictError too
+            raise SeedError(f"{path} line {reader.line_num}: {exc}") from None
     return count
 
 

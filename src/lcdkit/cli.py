@@ -31,6 +31,7 @@ from .codes import (
     hull,
     min_weight,
     parse_vector,
+    read_ascii,
     read_code_file,
     weight_distribution,
     write_code_file,
@@ -51,7 +52,7 @@ from .eaqecc import ParamError, family, from_hermitian_lcd
 from .gf import FieldError
 from .linalg import LinalgError
 
-USAGE_ERRORS = (CodeError, ConstructError, FieldError, LinalgError, ParamError, OSError)
+USAGE_ERRORS = (CodeError, ConstructError, FieldError, LinalgError, ParamError, bounds_mod.SeedError, OSError)
 
 
 def _coords_1based(coords) -> str:
@@ -163,8 +164,7 @@ def cmd_minweight(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.record, encoding="ascii") as fh:
-        rec = parse_record(fh.read())
+    rec = parse_record(read_ascii(args.record))
     base = corpus_mod.resolve_code(rec.base)  # main reports a missing base
     print(f"base {rec.base} n={base.n} k={base.k}")
     current = base
@@ -186,6 +186,8 @@ def _parse_range(text: str):
         k1, k2 = (int(v) for v in k_part.split(".."))
     except ValueError:
         raise CodeError(f"malformed range {text!r}; expected n1..n2,k1..k2") from None
+    if n2 < n1 or k2 < k1:
+        raise CodeError(f"empty range {text!r}; expected n1 <= n2 and k1 <= k2")
     return range(n1, n2 + 1), range(k1, k2 + 1)
 
 

@@ -262,9 +262,17 @@ def format_code(C: LinearCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_ascii(path) -> str:
+    """The text of an ASCII file; CodeError if it holds any other byte."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CodeError(f"{path}: not an ASCII text file ({exc})") from None
+
+
 def read_code_file(path) -> LinearCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_code(fh.read())
+    return parse_code(read_ascii(path))
 
 
 def write_code_file(path, C: LinearCode) -> None:

@@ -251,7 +251,7 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
             _, x = project_split(rest[0], S)
         except NotLcd:
             continue
-        if int((x != 0).sum()) % 2:
+        if not weight_condition(Cp.field, M1, int((x != 0).sum())):
             raise linalg.InvariantError("the residual dual component has odd weight")
         return i, S, x
     raise NotDecomposable("no coordinate shortens to an LCD code")
@@ -427,7 +427,7 @@ def _coset_chain(C: LinearCode) -> list[_Link]:
         _Link(
             pivots,
             deficit,
-            enumeration.codeword_tables(field, field.neg_table[mat]),
+            [enumeration._negate(field.order, t) for t in enumeration.codeword_tables(field, mat)],
             _pivot_lookups(field.order, C.n, pivots),
             enumeration._pack_scaled(field, mat),
         )
@@ -471,20 +471,19 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     under negation, so the words x_j - c are the words of the coset x + C
     of information weight at most W on G_j.
 
-    After level W every coset word not listed has information weight > W
-    on each listed G_j, so at least W + 1 - deficit_j nonzero symbols
-    inside G_j's own column block; the blocks are disjoint, so it weighs at
-    least the sum.  W is the first level at which that sum reaches
-    ``floor`` (matrices with deficit > W add nothing and are left out), or
-    k, where G_1's levels are the whole coset; G_1 alone also serves
-    whenever the levels would list more than q^k words.
+    After level W every coset word not listed weighs at least the chain's
+    Brouwer-Zimmermann bound (enumeration._bz_lower).  W is the first level
+    at which that bound reaches ``floor`` (matrices with deficit > W add
+    nothing and are left out), or k, where G_1's levels are the whole
+    coset; G_1 alone also serves whenever the levels would list more than
+    q^k words.
 
     The listing is complete when it has at most ``cap`` words; otherwise
     G_1's levels 0 .. W' that fit in ``cap`` are listed instead (none when
     cap < 1), which are closed under scalar multiples too.
     """
     sizes = list(accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1)))  # [W]: words in levels 0..W of a matrix
-    W = next((w for w in range(k) if sum(max(0, w + 1 - link.deficit) for link in chain) >= floor), k)
+    W = next((w for w in range(k) if enumeration._bz_lower(w, [link.deficit for link in chain]) >= floor), k)
     links = [link for link in chain if link.deficit <= W]
     if len(links) * sizes[W] > q**k:
         links, W = chain[:1], k  # sizes[k] = q^k

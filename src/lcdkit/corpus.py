@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .codes import BudgetExceeded, LinearCode, is_even_like, is_lcd, min_weight, read_code_file, weight_distribution
+from .codes import BudgetExceeded, LinearCode, is_even_like, is_lcd, min_weight, weight_distribution
+from .codes import read_ascii, read_code_file
 from .construct import ConstructionRecord, apply_record, parse_record
 
 
@@ -114,8 +115,7 @@ def load(entry_id: str, entries: dict[str, CorpusEntry] | None = None) -> Corpus
 def load_record(entry: CorpusEntry) -> ConstructionRecord:
     if entry.kind != "record":
         raise CorpusError(f"{entry.id} is not a record entry")
-    with open(data_dir() / entry.file, encoding="ascii") as fh:
-        return parse_record(fh.read())
+    return parse_record(read_ascii(data_dir() / entry.file))
 
 
 class _BaseCycle(CorpusError):

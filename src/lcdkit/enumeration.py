@@ -12,21 +12,23 @@ once.  The codewords of a generator come in message order (message
 index sum_j d_j q^j is the codeword sum_j d_j row_j) from a table of the
 codewords of the low rows, about 2^14 words, plus one high word per value
 of the high digits.  A table is one broadcast add of two sub-tables, each
-one gather of its rows' multiples by a small constant digit table; when
-all of a code's messages fit in one table, a scan weighs slices of it.
+one gather of its rows' multiples by a small constant digit table.
 
-A full scan weighs the first table whole and then, since a c and c have
-the same weight, one message of each projective class: for every high
-digit position j, the messages in [q^j, 2 q^j), whose top nonzero digit
-is 1 (_projective_ranges).  Their weight counts stand for all q - 1
-multiples, so GF(3) weighs about half and GF(4) a third of the codewords.
-A block of messages is a slice t of the table plus a high word h, and is
-weighed without forming the sums: wt(t + h) = d(t, -h), the popcount
+One walk (_blocks) hands out any message range as blocks: a slice t of
+the first table and the block's high word h, none for block 0, and none
+at all for a code whose messages fit in one table.  The extension
+search's candidate blocks are the sums t + h (codeword_blocks).  A scan
+weighs them without forming the sums: wt(t + h) = d(t, -h), the popcount
 (np.bitwise_count, numpy >= 2.0) of the planes' differences, where -h
-swaps the GF(3) planes and is h in characteristic 2.  The ranges can be
-split across worker processes; min/sum reductions make the result
-identical for every worker count.  A code with more codewords than its
-cap is not scanned at all: past the cap, codes.min_weight decides the
+swaps the GF(3) planes and is h in characteristic 2 (_negate).  A full
+scan weighs the first table whole and then, since a c and c have the same
+weight, one message of each projective class: for every high digit
+position j, the messages in [q^j, 2 q^j), whose top nonzero digit is 1
+(_projective_ranges).  Their weight counts stand for all q - 1 multiples,
+so GF(3) weighs about half and GF(4) a third of the codewords.  The
+ranges can be split across worker processes; min/sum reductions make the
+result identical for every worker count.  A code with more codewords than
+its cap is not scanned at all: past the cap, codes.min_weight decides the
 distance with Brouwer-Zimmermann.
 
 Exhaustive minimum weight and weight distribution enumerate the smaller
@@ -164,11 +166,17 @@ def _scale(order: int, a: int, batch: np.ndarray) -> np.ndarray:
     if a == 1:
         return batch
     if order == 3:
-        return batch[::-1]  # 2 = -1 swaps the ones and twos planes
+        return _negate(order, batch)  # 2 = -1
     # GF(4): index b0 + 2 b1 is b0 + b1 w with w^2 = w + 1, so
     # w (b0 + b1 w) = b1 + (b0 + b1) w and w^2 (b0 + b1 w) = (b0 + b1) + b0 w
     lo, hi = batch
     return np.stack([hi, lo ^ hi] if a == 2 else [lo ^ hi, lo])
+
+
+def _negate(order: int, batch: np.ndarray) -> np.ndarray:
+    """-v for every vector of a packed batch: the GF(3) planes swapped, the
+    batch itself in characteristic 2."""
+    return batch[::-1] if order == 3 else batch
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,30 +275,30 @@ def codewords_of(order: int, tables: list[np.ndarray], msgs: np.ndarray) -> np.n
     return out
 
 
-def _high_words(order: int, tables: list[np.ndarray], first: int, last: int) -> np.ndarray:
-    """Packed sums of the higher tables' words for message blocks first .. last - 1,
-    a block being the first table's size of consecutive messages."""
+def _blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
+    """Yield (first message, slice t of tables[0], high word h) covering
+    [start, stop) in message order, a block of messages being t + h.
+
+    h, the sum of the higher tables' words, is None for block 0, whose
+    high word is zero; high words are computed only past the first table.
+    """
     T = tables[0].shape[-1]
-    rest = np.arange(first, last, dtype=np.int64)
-    highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
-    for table in tables[1:]:
-        rest, digit = np.divmod(rest, T)
-        highs = _add(order, highs, np.take(table, digit, axis=-1))
-    return highs
+    first, last = start // T, -(-stop // T)
+    if last > 1:
+        rest = np.arange(first, last, dtype=np.int64)
+        highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
+        for table in tables[1:]:
+            rest, digit = np.divmod(rest, T)
+            highs = _add(order, highs, np.take(table, digit, axis=-1))
+    for b in range(first, last):
+        lo, hi = max(start - b * T, 0), min(stop - b * T, T)
+        yield b * T + lo, tables[0][..., lo:hi], None if b == 0 else highs[..., b - first : b - first + 1]
 
 
 def codeword_blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
-    """Yield (first message index, packed codewords) covering [start, stop) in message order."""
-    T = tables[0].shape[-1]
-    if len(tables) == 1:  # every message is one word of the table
-        if start < stop:
-            yield start, tables[0][..., start:stop]
-        return
-    first, last = start // T, -(-stop // T)
-    highs = _high_words(order, tables, first, last)
-    for h in range(first, last):
-        lo, hi = max(start - h * T, 0), min(stop - h * T, T)
-        yield h * T + lo, _add(order, tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
+    """Yield (first message index, packed codewords t + h) of each _blocks block of [start, stop)."""
+    for first, t, h in _blocks(order, tables, start, stop):
+        yield first, t if h is None else _add(order, t, h)
 
 
 def packed_weight(planes: tuple[int, ...]) -> int:
@@ -311,48 +319,23 @@ def _projective_ranges(q: int, k: int, low: int) -> list[tuple[int, int]]:
     return [(0, q**low)] + [(q**j, 2 * q**j) for j in range(low, k)]
 
 
-def _scan_worker(args):
-    """Minimum nonzero-message weight and (optionally) weight counts over [start, stop).
-
-    A block of messages is a slice t of the first table plus one high word
-    h; its weights are the distances wt(t + h) = d(t, -h), so the sums are
-    never formed.  -h swaps the GF(3) planes and is h in characteristic 2.
-    """
-    order, tables, n, start, stop, want_dist = args
+def _scan_jobs(args):
+    """Minimum nonzero-message weight and (optionally) weight counts over
+    (start, stop, multiplicity) message ranges, each range's counts taken
+    multiplicity times.  A _blocks block t + h is weighed without forming
+    the sums: as t in block 0, else as the distances d(t, -h)."""
+    order, tables, n, jobs, want_dist = args
     best = n + 1
     counts = np.zeros(n + 1, dtype=np.int64) if want_dist else None
-    T = tables[0].shape[-1]
-    first, last = start // T, -(-stop // T)
-    if last > 1:
-        highs = _high_words(order, tables, first, last)
-        if order == 3:
-            highs = highs[::-1]
-    for h in range(first, last):
-        lo, hi = max(start - h * T, 0), min(stop - h * T, T)
-        if h == 0:  # the high word of the first block is zero
-            w = _weigh(tables[0][..., lo:hi])
-        else:
-            w = _distance(tables[0][..., lo:hi], highs[..., h - first : h - first + 1])
-        if want_dist:
-            counts += np.bincount(w, minlength=n + 1)
-        if h == 0 and lo == 0:
-            w = w[1:]  # message 0 is the zero codeword
-        if w.size:
-            best = min(best, int(w.min()))
-    return best, counts
-
-
-def _scan_jobs(args):
-    """Minimum nonzero weight and (optionally) weight counts over a list of
-    (start, stop, multiplicity) message ranges: the counts of each range,
-    from _scan_worker, times its multiplicity."""
-    order, tables, n, jobs, want_dist = args
-    best, counts = n + 1, 0
     for start, stop, mult in jobs:
-        b, c = _scan_worker((order, tables, n, start, stop, want_dist))
-        best = min(best, b)
-        if want_dist:
-            counts = counts + mult * c
+        for first, t, h in _blocks(order, tables, start, stop):
+            w = _weigh(t) if h is None else _distance(t, _negate(order, h))
+            if want_dist:
+                counts += mult * np.bincount(w, minlength=n + 1)
+            if first == 0:
+                w = w[1:]  # message 0 is the zero codeword
+            if w.size:
+                best = min(best, int(w.min()))
     return best, counts
 
 
@@ -377,16 +360,13 @@ def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int):
     """Minimum nonzero weight and (optionally) weight counts, as an array,
     of all q^k codewords.
 
-    A one-table code weighs its table.  Otherwise, as a c has the weight
-    of c, only one message of each projective class past the first table
-    is weighed, and its counts stand for all q - 1.
+    As a c has the weight of c, only one message of each projective class
+    past the first table is weighed, and its counts stand for all q - 1.
     """
     q = field.order
     k, n = G.shape
     tables = codeword_tables(field, G)
-    if len(tables) == 1:  # every message is one word of the table
-        return _scan_worker((q, tables, n, 0, q**k, want_dist))
-    jobs = [(lo, hi, 1 if lo == 0 else q - 1) for lo, hi in _projective_ranges(q, k, TABLE_ROWS[q])]
+    jobs = [(lo, hi, 1 if lo == 0 else q - 1) for lo, hi in _projective_ranges(q, k, min(k, TABLE_ROWS[q]))]
     if threads > 1 and sum(hi - lo for lo, hi, _ in jobs) >= PARALLEL_THRESHOLD:
         args = [(q, tables, n, run, want_dist) for run in _split(jobs, threads, tables[0].shape[-1])]
         try:
@@ -394,21 +374,20 @@ def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int):
                 parts = pool.map(_scan_jobs, args)
         except (OSError, ValueError):
             parts = [_scan_jobs(a) for a in args]
-    else:
-        parts = [_scan_jobs((q, tables, n, jobs, want_dist))]
-    counts = sum(p[1] for p in parts) if want_dist else None
-    return min(p[0] for p in parts), counts
+        return min(p[0] for p in parts), sum(p[1] for p in parts) if want_dist else None
+    return _scan_jobs((q, tables, n, jobs, want_dist))
 
 
 def scan_plan(q: int, n: int, k: int) -> tuple[str, int]:
     """How an exhaustive scan decides an [n, k] code over GF(q): its route,
     "direct" or "dual" (past DUAL_MIN_CODEWORDS, when the dual has at most
-    1 / DUAL_RATIO of the codewords), and the codewords it weighs: every
-    word of a one-table code, else the first table and one word of each
-    projective class (_projective_ranges)."""
+    1 / DUAL_RATIO of the codewords), and the codewords it weighs: the
+    first table, of the low min(m, TABLE_ROWS) rows of the m scanned, and
+    one word of each projective class past it (_projective_ranges)."""
     dual = q**k >= max(DUAL_MIN_CODEWORDS[q], DUAL_RATIO * q ** (n - k))
-    m, L = (n - k if dual else k), TABLE_ROWS[q]
-    weighed = q**m if m <= L else q**L + (q**m - q**L) // (q - 1)
+    m = n - k if dual else k
+    low = min(m, TABLE_ROWS[q])
+    weighed = q**low + (q**m - q**low) // (q - 1)
     return ("dual" if dual else "direct"), weighed
 
 
@@ -588,6 +567,14 @@ def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, tables: dict | None = 
             yield cw
 
 
+def _bz_lower(w: int, deficits) -> int:
+    """Brouwer-Zimmermann lower bound on the words not listed after level w
+    of each chain matrix: information weight > w on a matrix leaves at least
+    w + 1 - deficit nonzero symbols in its own column block, and the blocks
+    are disjoint."""
+    return sum(max(0, w + 1 - deficit) for deficit in deficits)
+
+
 def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
     """Brouwer-Zimmermann minimum weight.
 
@@ -618,7 +605,6 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
                 work += take
                 if work > cap:
                     raise BudgetExceeded(best if best <= n else None, work)
-        lower = sum(max(0, w + 1 - deficit) for _scaled, deficit in chain)
-        if lower >= best:
+        if _bz_lower(w, [deficit for _scaled, deficit in chain]) >= best:
             return best
     return best

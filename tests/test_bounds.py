@@ -62,6 +62,22 @@ def test_conflict_error_lists_both_provenances():
     assert "new witness" in str(exc.value)
 
 
+def test_upper_below_lower_conflict_lists_both_provenances():
+    t = BoundsTable("gf3")
+    t.seed(12, 5, lower=5, kind="witness", provenance="a witness")
+    with pytest.raises(ConflictError) as exc:
+        t.seed(12, 5, upper=4, kind="literature-bound", provenance="a table")
+    assert str(exc.value) == "[12,5] gf3: new upper 4 (literature-bound: a table) is below lower 5 (witness: a witness)"
+    assert t.cell(12, 5).upper is None
+
+
+def test_cell_string_upper_only():
+    t = BoundsTable("gf2")
+    t.seed(9, 3, upper=4, kind="literature-bound", provenance="a table")
+    assert cell_string(t, 9, 3) == "-4"
+    assert cell_string(t, 9, 4) == ""
+
+
 def test_single_rule_applications_from_published_steps():
     # every published single-step derivation fires as exactly one rule shot
     with open(data_file("derivations_gf2.csv"), newline="", encoding="ascii") as fh:

@@ -7,7 +7,7 @@ import pytest
 from lcdkit import cli
 from lcdkit import corpus as corpus_mod
 from lcdkit.cli import build_parser, main
-from lcdkit.codes import read_code_file
+from lcdkit.codes import is_lcd, min_weight, read_code_file
 from lcdkit.corpus import data_dir
 
 
@@ -348,3 +348,90 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
         assert run(capsys, "corpus-check")[0] == 0
     run(capsys, "--threads", "2", "corpus-check")
     assert seen == [3, 5, 2]
+
+
+def test_non_ascii_code_file_exits_2(capsys, tmp_path):
+    f = tmp_path / "c.code"
+    f.write_bytes("gf2 3 2\n110\n001\n# café\n".encode("utf-8"))
+    code, out, err = run(capsys, "verify", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {f}: not an ASCII text file")
+
+
+def test_non_ascii_record_exits_2(capsys, tmp_path):
+    f = tmp_path / "r.rec"
+    f.write_bytes("base t_22_8_9\n# étape\npad\n".encode("utf-8"))
+    code, out, err = run(capsys, "replay", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {f}: not an ASCII text file")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("field,n,k,lower,kind,provenance\ngf2,10,5,4,witness,x\n", "no column 'upper'"),
+        ("field,n,k,lower,upper,kind,provenance\ngf2,10,5,four,,witness,x\n", "line 2: invalid literal for int()"),
+        ("field,n,k,lower,upper,kind,provenance\ngf2,10,5,4,,guess,x\n", "line 2: unknown seed kind 'guess'"),
+        ("field,n,k,lower,upper,kind,provenance\ngf2,10,5,4,,witness,x\ngf2,10,5,11,,witness,y\n", "line 3: lower bound 11 out of range for [10,5]"),
+        ("field,n,k,lower,upper,kind,provenance\ngf2,10,5,5,,witness,x\ngf2,10,5,,4,literature-bound,y\n", "line 3: [10,5] gf2: new upper 4"),
+        ("field,n,k,lower,upper,kind,provenance\ngf2,10,5,4,,witness,café\n", "not an ASCII text file"),
+    ],
+)
+def test_malformed_seed_file_exits_2(capsys, tmp_path, rows, message):
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text(rows, encoding="utf-8")
+    code, out, err = run(capsys, "bounds", "--field", "gf2", "--seeds", str(seeds))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5..3,1..2", "1..2,5..3"])
+def test_bounds_empty_range_exits_2(capsys, text):
+    code, out, err = run(capsys, "bounds", "--field", "gf3", "--range", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: empty range {text!r}; expected n1 <= n2 and k1 <= k2\n"
+
+
+def test_bounds_conflict_found_by_propagation_exits_1(capsys, tmp_path):
+    # each seed holds alone; padding a column carries the lower 5 to [11,5], above its upper 4
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text(
+        "field,n,k,lower,upper,kind,provenance\n"
+        "gf2,10,5,5,,witness,a code\n"
+        "gf2,11,5,,4,literature-bound,a table\n"
+    )
+    code, out, err = run(capsys, "bounds", "--field", "gf2", "--seeds", str(seeds), "--range", "10..11,5..5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [11,5] gf2: new lower 5 via rule pad-column") and "a table" in err
+
+
+def test_puncture_lcd_writes_its_code(capsys, tmp_path):
+    f = tmp_path / "c.code"
+    f.write_text("gf2 5 2\n00111\n11001\n")  # d = 3 above the hull dimension 1
+    outfile = tmp_path / "out.code"
+    code, out, err = run(capsys, "puncture-lcd", str(f), "-o", str(outfile))
+    assert code == 0
+    assert out.splitlines() == ["punctured n=4 k=2 lcd=true d=2 exact=true T=1", f"wrote {outfile}"]
+    assert read_code_file(outfile).params() == (4, 2)
+
+
+def test_extend_search_writes_the_extended_code(capsys, tmp_path):
+    f = tmp_path / "c.code"
+    f.write_text("gf3 6 2\n101120\n010210\n")
+    outfile = tmp_path / "ext.code"
+    args = ("extend", str(f), "--method", "1", "--search", "--budget", "2000", "--seed", "5")
+    code, plain, _ = run(capsys, *args)
+    code_o, out, err = run(capsys, *args, "-o", str(outfile))
+    assert code == code_o == 0
+    assert out == plain + f"wrote {outfile}\n"
+    ext = read_code_file(outfile)
+    assert ext.params() == (7, 3) and is_lcd(ext)
+
+
+def test_replay_writes_the_final_code(capsys, tmp_path):
+    outfile = tmp_path / "final.code"
+    code, out, err = run(capsys, "replay", corpus_file("records/t_23_9_9.rec"), "-o", str(outfile))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["final n=23 k=9 d=9 exact=true", f"wrote {outfile}"]
+    final = read_code_file(outfile)
+    assert final.params() == (23, 9) and min_weight(final) == 9

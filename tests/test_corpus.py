@@ -241,3 +241,14 @@ def test_verify_entry_scans_each_code_once_and_reports_budgets(monkeypatch):
     assert not rep.ok and not rep.skipped
     assert "min weight 4 (got 4): ok" in rep.messages
     assert rep.messages[-1] == "weight distribution: inconclusive (2^8 codewords exceed the cap)"
+
+
+def test_verify_entry_min_weight_inconclusive_past_a_tiny_cap(monkeypatch):
+    # b_13_7_4 claims d and no weight distribution; at cap 5 neither the
+    # scan nor Brouwer-Zimmermann decides it, so the claim fails as inconclusive
+    entries = manifest()
+    monkeypatch.setitem(enumeration.DEFAULT_CAPS, 2, 5)
+    rep = verify_entry(entries["b_13_7_4"], entries)
+    assert not rep.ok and not rep.skipped
+    assert "min weight: inconclusive (work budget exhausted after 6 steps; best upper bound so far 4)" in rep.messages
+    assert "lcd: ok" in rep.messages

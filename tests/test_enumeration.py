@@ -18,7 +18,7 @@ from lcdkit.enumeration import (
     _distance,
     _information_set_chain,
     _scale,
-    _scan_worker,
+    _scan_jobs,
     _support_blocks,
     _weigh,
     codeword_blocks,
@@ -110,12 +110,12 @@ def test_partitioned_scan_consistency(f, k, n):
     q = f.order
     total = q**k
     tables = codeword_tables(f, c.generator)
-    full_best, full_counts = _scan_worker((q, tables, n, 0, total, True))
+    full_best, full_counts = _scan_jobs((q, tables, n, [(0, total, 1)], True))
     if total <= 4**5:
         assert full_counts.tolist() == oracles.brute_weight_counts(c)
     for split in (1, q - 1, q**2, total // 3, total // 2 + 7, total - 1):
-        b1, c1 = _scan_worker((q, tables, n, 0, split, True))
-        b2, c2 = _scan_worker((q, tables, n, split, total, True))
+        b1, c1 = _scan_jobs((q, tables, n, [(0, split, 1)], True))
+        b2, c2 = _scan_jobs((q, tables, n, [(split, total, 1)], True))
         assert min(b1, b2) == full_best
         assert (c1 + c2).tolist() == full_counts.tolist()
 
@@ -220,6 +220,29 @@ def test_worker_pool_matches_serial_scan(monkeypatch):
             assert weight_distribution_exhaustive(f, c.generator, threads=threads) == serial[1]
 
 
+def test_pool_failure_falls_back_to_a_serial_scan(monkeypatch):
+    # a fork pool that cannot start (OSError) leaves the split runs to this
+    # process; the answers are those of one worker
+    rng = random.Random(73)
+    cases = [(f, oracles.random_code(f, n, k, rng)) for f, n, k in [(GF2, 40, 17), (GF3, 20, 10), (GF4H, 30, 8)]]
+    serial = [(min_weight_exhaustive(f, c.generator), weight_distribution_exhaustive(f, c.generator)) for f, c in cases]
+
+    def no_pool(method):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(enumeration, "PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(enumeration.multiprocessing, "get_context", no_pool)
+    for (f, c), want in zip(cases, serial):
+        got = min_weight_exhaustive(f, c.generator, threads=2), weight_distribution_exhaustive(f, c.generator, threads=3)
+        assert got == want
+
+
+def test_pack_matrix_rejects_lengths_past_uint16_weights():
+    assert pack_matrix(2, np.zeros((1, (1 << 15) - 1), dtype=np.uint8)).shape == (1, 512, 1)
+    with pytest.raises(ValueError, match="too long"):
+        pack_matrix(2, np.zeros((1, 1 << 15), dtype=np.uint8))
+
+
 def test_projective_ranges_hold_one_message_per_class():
     # the first range is every message below q^low; past it, each nonzero
     # message has exactly one of its q - 1 multiples in the ranges
@@ -274,12 +297,12 @@ def test_projective_scan_matches_message_order_scan(f, extra, monkeypatch):
     for n in (2 * k + 3, 64, 65, 130):
         c = oracles.random_code(f, n, k, rng)
         tables = codeword_tables(f, c.generator)
-        best, counts = _scan_worker((q, tables, n, 0, q**k, True))
+        best, counts = _scan_jobs((q, tables, n, [(0, q**k, 1)], True))
         if n == 2 * k + 3 and q**k <= 1 << 16:
             assert counts.tolist() == oracles.brute_weight_counts(c)
             weights = (oracles.message_order_codewords(c) != 0).sum(axis=1)
             for start, stop in [(1, 2), (T - 3, T + 5), (T + 1, q**k - 1)]:
-                got_best, got = _scan_worker((q, tables, n, start, stop, True))
+                got_best, got = _scan_jobs((q, tables, n, [(start, stop, 1)], True))
                 assert got_best == weights[start:stop].min()
                 assert got.tolist() == np.bincount(weights[start:stop], minlength=n + 1).tolist()
         for threads in (1, 2, 3):
