@@ -17,13 +17,16 @@ those of the real call:
 * scoring: the coset scoring (_best_scores);
 * tie_break: the smallest tied candidate (_smallest);
 * extend: building and checking the extended code;
-* build: the rest, i.e. the dual, its codewords and the weight condition.
+* build: the rest, i.e. the dual, its codewords, the weight condition and
+  C's coset chain (_coset_chain).
 
 Each time is the median over rounds in ms; the line also gives the
-candidate, distinct and tied counts.  One more, untimed, round counts the
-coset scorer's work: ``reduced``, the candidates reduced onto a chain
-matrix's pivots (construct._reduce), and ``pairs``, the candidate-word
-distances taken inside _best_scores (enumeration._distance);
+candidate and distinct counts, and ``tied``, the candidates reaching the
+best score summed over the batches an exhaustive search scores.  One
+more, untimed, round counts the coset scorer's work: ``reduced``, the
+candidates reduced onto a chain matrix's pivots (construct._reduce), and
+``pairs``, the candidate-word distances taken inside _best_scores
+(enumeration._distance);
 ``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
 
     python3 scripts/bench_search.py
@@ -99,7 +102,7 @@ def patched(wrappers):
 
 
 def timed(spent: dict, seen: dict):
-    """Wrap each TIMED helper so its time adds to its stage and its result is kept in ``seen``."""
+    """Wrap each TIMED helper so its time adds to its stage and its results are listed in ``seen``."""
 
     def wrap(attr, stage):
         def wrapper(fn):
@@ -107,7 +110,7 @@ def timed(spent: dict, seen: dict):
                 t0 = time.perf_counter()
                 out = fn(*args, **kwargs)
                 spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
-                seen[attr] = out
+                seen.setdefault(attr, []).append(out)
                 return out
 
             return timer
@@ -166,8 +169,8 @@ def main() -> None:
         for stage in ("draw", "dedupe", "build", "distance", "scoring", "tie_break", "extend", "total"):
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
-        line["distinct"] = seen["_distinct"].shape[-1] if "_distinct" in seen else None
-        line["tied"] = seen["_best_scores"][1].size
+        line["distinct"] = seen["_distinct"][0].shape[-1] if "_distinct" in seen else None
+        line["tied"] = sum(top.size for score, top, _ in seen["_best_scores"] if score == res.min_weight)
         line["min_weight"] = res.min_weight
         line.update(work)
         line["pairs_per_s"] = round(work["pairs"] / statistics.median(r["scoring"] for r in rounds))

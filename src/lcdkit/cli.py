@@ -188,6 +188,8 @@ def _parse_range(text: str):
         raise CodeError(f"malformed range {text!r}; expected n1..n2,k1..k2") from None
     if n2 < n1 or k2 < k1:
         raise CodeError(f"empty range {text!r}; expected n1 <= n2 and k1 <= k2")
+    if n1 < 1 or k1 < 1:
+        raise CodeError(f"range {text!r} starts below 1; n and k are at least 1")
     return range(n1, n2 + 1), range(k1, k2 + 1)
 
 

@@ -25,7 +25,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -275,6 +275,14 @@ class SearchResult:
 # enough that a pass's temporaries stay in cache
 SCORE_CHUNK = 1 << 14
 
+# candidates per batch of an exhaustive search, which is scored a batch at
+# a time; each batch lists the coset words again.  Exhaustive method-1
+# searches, median of 7 on a 2-core x86-64 host: t_19_6_9 (531,077
+# candidates) at 2^14 85.8 ms, 2^15 77.2, 2^16 68.4, 2^17 63.9, 2^18 66.3,
+# 2^19 73.9; a binary [32,10] (2^21 candidates) 973, 976, 926, 867, 879,
+# 871 ms
+SEARCH_BATCH = 1 << 17
+
 # compact the candidates still scored once this share of them has died.
 # Exhaustive method-1 search of t_19_6_9 (531,077 candidates scored in
 # Brouwer-Zimmermann order), median of 6 on a 2-core x86-64 host: at 5%
@@ -494,9 +502,7 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     return [(link, _level_words(q, k, link, W, tables)) for link in links], complete
 
 
-def _coset_floor(
-    q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages, room: np.ndarray | None = None
-) -> np.ndarray:
+def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages) -> np.ndarray:
     """Running minimum weight over the cosets x + C of the packed candidates
     x = cand[..., active], or of every candidate when ``active`` is None.
 
@@ -512,23 +518,11 @@ def _coset_floor(
     once its running minimum falls below ``floor``.  The result bounds each
     coset minimum from above, and is below ``floor`` exactly where some
     listed word is.
-
-    The working copy and the candidates' positions are views of ``room``
-    (see _with_room; allocated here when not given) and are compacted in
-    place, like the running minima.
     """
-    n = cand.shape[-1] if active is None else active.size
-    plane = cand.size // max(cand.shape[-1], 1)  # words per candidate
-    if room is None:
-        room = np.empty((plane + 1) * n, dtype=np.uint64)
-    x = room[: plane * n].reshape(cand.shape[:-1] + (n,))
-    where = room[plane * n : (plane + 1) * n].view(np.intp)
-    for lo in range(0, n, SCORE_CHUNK):
-        hi = min(lo + SCORE_CHUNK, n)
-        x[..., lo:hi] = cand[..., lo:hi] if active is None else np.take(cand, active[lo:hi], axis=-1)
-        where[lo:hi] = np.arange(lo, hi)
-    low = np.empty(n, dtype=np.uint16)
-    run = np.full(n, np.iinfo(np.uint16).max, dtype=np.uint16)
+    x = cand.copy() if active is None else np.take(cand, active, axis=-1)
+    where = np.arange(x.shape[-1])  # the position of each candidate still scored
+    low = np.empty(where.size, dtype=np.uint16)
+    run = np.full(where.size, np.iinfo(np.uint16).max, dtype=np.uint16)
     for link, batches in stages:
         for lo in range(0, run.size, SCORE_CHUNK):
             x[..., lo : lo + SCORE_CHUNK] = _reduce(q, x[..., lo : lo + SCORE_CHUNK], link)
@@ -545,49 +539,17 @@ def _coset_floor(
                 dead = run < floor
                 died = np.count_nonzero(dead)
                 if died and died >= COMPACT_SHARE * run.size:
-                    # np.compress: a random boolean mask indexes several times slower
-                    low[np.compress(dead, where)] = np.compress(dead, run)
-                    keep = ~dead
-                    where, run, x = _compact(where, keep), _compact(run, keep), _compact(x, keep)
+                    low[where] = run
+                    keep = np.flatnonzero(~dead)  # np.take: a random boolean mask indexes several times slower
+                    where, run, x = np.take(where, keep), np.take(run, keep), np.take(x, keep, axis=-1)
                     if not run.size:
                         return low
     low[where] = run
     return low
 
 
-def _compact(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """x[..., keep], written over the front of x a chunk at a time, so no second copy is made."""
-    m = 0
-    for lo in range(0, keep.size, SCORE_CHUNK):
-        part = np.compress(keep[lo : lo + SCORE_CHUNK], x[..., lo : lo + SCORE_CHUNK], axis=-1)
-        x[..., m : m + part.shape[-1]] = part
-        m += part.shape[-1]
-    return x[..., :m]
-
-
-def _with_room(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The packed batches concatenated, and after them, in the same
-    allocation, the room _coset_floor needs: a working copy and a position
-    per candidate.
-
-    The scorer compacts inside this room, so a search's candidate-sized
-    arrays are one block, the same for every search of the same code.
-    glibc's malloc keeps such a block's memory for the next search; the
-    separate arrays it replaces, reallocated smaller at every compaction,
-    left the heap to be trimmed and faulted in again on every call (about
-    5,300 page faults per exhaustive t_19_6_9 search, none after the first
-    few searches now).
-    """
-    shape = pieces[0].shape[:-1] + (sum(p.shape[-1] for p in pieces),)
-    size = prod(shape)
-    buf = np.empty(2 * size + shape[-1], dtype=np.uint64)
-    cand = buf[:size].reshape(shape)
-    np.concatenate(pieces, axis=-1, out=cand)
-    return cand, buf[size:]
-
-
 def _best_scores(
-    C: LinearCode, cand: np.ndarray, room: np.ndarray, d_base: int, bonus: int, cap: int
+    C: LinearCode, chain: list[_Link], cand: np.ndarray, d_base: int, bonus: int, cap: int, least: int
 ) -> tuple[int, np.ndarray, bool]:
     """The best score min(d_base, coset minimum + bonus), the candidates
     reaching it, and whether every coset listing was complete.
@@ -595,17 +557,18 @@ def _best_scores(
     Thresholds t count down from d_base, which caps every score; at each
     level only candidates whose known upper bound still reaches t are
     scanned, in Brouwer-Zimmermann order (_bz_order, floor t - bonus), and
-    the survivors of the first level that has any score exactly t.  With
-    every listing complete the scores are exact, otherwise upper bounds.
+    the survivors of the first level that has any score exactly t.  The
+    descent stops once t falls below ``least``, so a score returned below
+    ``least`` is only an upper bound on the best.  With every listing
+    complete the scores are exact, otherwise upper bounds.
     """
     q = C.field.order
-    chain = _coset_chain(C)
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
     t, active, complete = d_base, None, True  # the first level scans every candidate
-    while t > bonus:  # nothing can score below the bonus
+    while t > bonus and t >= least:  # nothing can score below the bonus
         stages, listed_all = _bz_order(q, C.k, chain, t - bonus, cap)
         complete &= listed_all
-        low = _coset_floor(q, cand, active, t - bonus, stages, room)
+        low = _coset_floor(q, cand, active, t - bonus, stages)
         alive = low >= t - bonus
         if alive.any():
             return t, np.flatnonzero(alive) if active is None else active[alive], complete
@@ -613,6 +576,18 @@ def _best_scores(
         t = int(bound.max())  # every bound is now below t
         active = np.flatnonzero(bound >= t)
     return t, np.flatnonzero(bound >= t), complete
+
+
+def _joined(pieces, size: int):
+    """The packed pieces concatenated into batches of at least ``size`` vectors, the last one possibly fewer."""
+    held: list[np.ndarray] = []
+    for piece in pieces:
+        held.append(piece)
+        if sum(p.shape[-1] for p in held) >= size:
+            yield np.concatenate(held, axis=-1)
+            held = []
+    if held:
+        yield np.concatenate(held, axis=-1)
 
 
 def search_extend(
@@ -653,7 +628,11 @@ def search_extend(
     multiple has 1 as its first nonzero symbol) and ``candidates`` still
     counts every vector.  Scoring is pruned by threshold: a candidate is
     dropped as soon as one of its coset words shows that it cannot reach
-    the best score still possible.  Results never depend on evaluation order.
+    the best score still possible.  An exhaustive search holds one batch
+    of at least SEARCH_BATCH candidates at a time, carrying the best score
+    and the smallest vector reaching it from batch to batch; a sampled
+    search holds its whole draw.  Results never depend on evaluation order
+    or batch size.
     """
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
@@ -662,6 +641,10 @@ def search_extend(
     m = dgen.shape[0]
     exhaustive = q**m <= budget
     cap = enumeration.DEFAULT_CAPS[q] if cap is None else cap
+    try:
+        d_base, decided = min_weight(C, cap=cap, threads=threads), True
+    except enumeration.BudgetExceeded as exc:
+        d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
     tables = enumeration.codeword_tables(C.field, dgen)
     if exhaustive:
         # message 0 and the messages whose top nonzero digit j is 1
@@ -669,23 +652,26 @@ def search_extend(
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
     else:
         blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]
-    pieces = [np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks]
-    if not exhaustive:
-        pieces = [_distinct(pieces[0], C.n)]  # the draws are one batch
-    cand, room = _with_room(pieces)
-    del pieces
-    candidates = cand.shape[-1]
+    pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
+    # one batch of the draws: _distinct needs them all
+    batches = _joined(pieces, SEARCH_BATCH) if exhaustive else [_distinct(next(pieces), C.n)]
+    chain = _coset_chain(C)
+    bonus = 1 if method == M1 else 0
+    best_score, best, complete, candidates = -1, None, True, 0
+    for cand in batches:
+        candidates += cand.shape[-1]
+        if not cand.shape[-1]:
+            continue
+        score, top, listed_all = _best_scores(C, chain, cand, d_base, bonus, cap, best_score)
+        complete &= listed_all
+        if score >= best_score:
+            x = _smallest(C.field, np.take(cand, top, axis=-1), C.n, exhaustive)
+            if score > best_score or tuple(x.tolist()) < tuple(best.tolist()):
+                best_score, best = score, x
+    if best is None:
+        raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples
         candidates = (q - 1) * candidates - (q - 2) * int(weight_condition(C.field, method, 0))
-    if cand.shape[-1] == 0:
-        raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
-
-    try:
-        d_base, decided = min_weight(C, cap=cap, threads=threads), True
-    except enumeration.BudgetExceeded as exc:
-        d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
-    best_score, top, complete = _best_scores(C, cand, room, d_base, 1 if method == M1 else 0, cap)
-    best = _smallest(C.field, np.take(cand, top, axis=-1), C.n, exhaustive)
     code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
     exact = decided and complete
     return SearchResult(

@@ -85,22 +85,21 @@ def manifest() -> dict[str, CorpusEntry]:
 @functools.lru_cache(maxsize=4)
 def _parse_manifest(path: Path, ino: int, mtime_ns: int, size: int) -> dict[str, CorpusEntry]:
     entries: dict[str, CorpusEntry] = {}
-    with open(path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            entry = CorpusEntry(
-                id=row["id"],
-                kind=row["kind"],
-                file=row["file"] or None,
-                field_name=row["field"],
-                n=int(row["n"]),
-                k=int(row["k"]),
-                d=int(row["d"]) if row["d"] else None,
-                properties=tuple(p for p in row["properties"].split(";") if p),
-                weights=_parse_weights(row["weights"]),
-                source=row["source"],
-                optional=row["optional"] == "yes",
-            )
-            entries[entry.id] = entry
+    for row in csv.DictReader(read_ascii(path).splitlines()):
+        entry = CorpusEntry(
+            id=row["id"],
+            kind=row["kind"],
+            file=row["file"] or None,
+            field_name=row["field"],
+            n=int(row["n"]),
+            k=int(row["k"]),
+            d=int(row["d"]) if row["d"] else None,
+            properties=tuple(p for p in row["properties"].split(";") if p),
+            weights=_parse_weights(row["weights"]),
+            source=row["source"],
+            optional=row["optional"] == "yes",
+        )
+        entries[entry.id] = entry
     return entries
 
 

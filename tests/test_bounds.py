@@ -171,6 +171,8 @@ def test_render_formats():
     csv_text = render(t, range(29, 31), range(11, 13), fmt="csv")
     assert csv_text.splitlines()[0] == "n\\k,11,12"
     assert csv_text.splitlines()[1] == "29,9,"
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        render(t, range(29, 31), range(11, 13), fmt="html")
 
 
 def test_binary_grid_fixpoint_matches_published_cells():

@@ -366,6 +366,17 @@ def test_non_ascii_record_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: {f}: not an ASCII text file")
 
 
+def test_non_ascii_manifest_exits_2(capsys, tmp_path, monkeypatch):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    with open(copy / "manifest.csv", "ab") as fh:
+        fh.write(b"\xc3\xa9\n")
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    code, out, err = run(capsys, "corpus-check")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {copy / 'manifest.csv'}: not an ASCII text file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -390,6 +401,14 @@ def test_bounds_empty_range_exits_2(capsys, text):
     code, out, err = run(capsys, "bounds", "--field", "gf3", "--range", text)
     assert (code, out) == (2, "")
     assert err == f"error: empty range {text!r}; expected n1 <= n2 and k1 <= k2\n"
+
+
+@pytest.mark.parametrize("text", ["0..2,0..2", "0..2,1..2", "1..2,0..2", "1..2,-1..1"])
+def test_bounds_range_below_1_exits_2(capsys, text):
+    # no code has n or k below 1, so such a row or column is refused, not printed
+    code, out, err = run(capsys, "bounds", "--field", "gf3", "--range", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: range {text!r} starts below 1; n and k are at least 1\n"
 
 
 def test_bounds_conflict_found_by_propagation_exits_1(capsys, tmp_path):

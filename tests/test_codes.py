@@ -395,6 +395,20 @@ def test_weight_distribution_of_zero_code_raises(f):
     assert str(from_distribution.value) == str(from_min.value) == "the zero code has no nonzero codewords"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: new_code(GF2, [[1, 0], [0, 1], [1, 1]]), "dimension 3 exceeds length 2"),
+        (lambda: shorten(new_code(GF2, np.eye(2, 4, dtype=np.uint8)), (1, 4)), "coordinate 4 out of range"),
+        (lambda: puncture(new_code(GF2, np.eye(2, 4, dtype=np.uint8)), (-1,)), "coordinate -1 out of range"),
+        (lambda: min_weight(new_code(GF2, [[1, 1]]), strategy="x"), "unknown strategy 'x'"),
+    ],
+)
+def test_malformed_input_raises_code_error(call, message):
+    with pytest.raises(CodeError, match=message):
+        call()
+
+
 def test_even_odd_like():
     assert is_even_like(new_code(GF2, [[1, 1]]))
     assert not is_even_like(new_code(GF2, [[1, 0]]))

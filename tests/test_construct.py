@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,10 @@ def test_record_parse_errors():
         parse_record("base a\nshorten 0\n")  # 1-based coordinates
     with pytest.raises(ConstructError):
         parse_record("base a\nfrobnicate 1\n")
+    with pytest.raises(ConstructError, match="pad takes no argument"):
+        parse_record("base a\npad 3\n")
+    with pytest.raises(ConstructError, match="extend-m1 needs an argument"):
+        parse_record("base a\nextend-m1\n")
     with pytest.raises(ConstructError):
         parse_record("")
 
@@ -664,6 +669,9 @@ def check_against_reference(C, method, budget, seed, cap):
 
 MAX_N = {2: 10, 3: 8, 4: 6}
 
+# candidates per batch of an exhaustive search
+BATCHES = st.sampled_from([1, 2, 7, construct.SEARCH_BATCH])
+
 
 @settings(max_examples=120, deadline=None)
 @given(
@@ -674,13 +682,16 @@ MAX_N = {2: 10, 3: 8, 4: 6}
     st.data(),
 )
 def test_search_matches_reference_scorer(f, method, mode, seed, data):
-    # exhaustive and sampled scans, both methods
+    # exhaustive and sampled scans, both methods, exhaustive ones in
+    # batches of a drawn size
     q = f.order
     n = data.draw(st.integers(3, MAX_N[q]))
     k = data.draw(st.integers(1, n - 1))
     C = oracles.random_lcd_code(f, n, k, random.Random(seed))
     budget = 10**9 if mode == "exhaustive" else data.draw(st.integers(1, q ** (n - k) - 1))
-    check_against_reference(C, method, budget, seed % 1000, 10**9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "SEARCH_BATCH", data.draw(BATCHES))
+        check_against_reference(C, method, budget, seed % 1000, 10**9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -695,7 +706,8 @@ def test_search_past_the_cap(f, method, mode, seed, data):
     # cap < q^k: d(C) comes from Brouwer-Zimmermann under the cap, and a
     # coset listing past the cap lists the first matrix's whole levels that
     # fit.  An exact answer is the uncapped search's; any other overstates
-    # the returned code's distance.  Both score the same candidates
+    # the returned code's distance.  Both score the same candidates, and
+    # the capped search gives the same answer in batches of a drawn size
     q = f.order
     n = data.draw(st.integers(3, MAX_N[q]))
     k = data.draw(st.integers(1, n - 1))
@@ -709,11 +721,32 @@ def test_search_past_the_cap(f, method, mode, seed, data):
             search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
         return
     res = search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "SEARCH_BATCH", data.draw(BATCHES))
+        again = search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
+    fields = ("min_weight", "exact", "exhaustive", "candidates")
+    assert [getattr(again, a) for a in fields] == [getattr(res, a) for a in fields]
+    assert np.array_equal(again.vector, res.vector)
     assert res.candidates == full.candidates and res.exhaustive == full.exhaustive
     if res.exact:
         assert (res.min_weight, tuple(res.vector.tolist())) == (full.min_weight, tuple(full.vector.tolist()))
     else:
         assert res.min_weight >= oracles.brute_min_weight(res.code)
+
+
+def test_exhaustive_search_memory_does_not_grow_with_the_dual():
+    # a binary [30,10] LCD code has a 2^20-vector dual, 2^19 candidates of
+    # even weight: the search holds a batch of them at a time, about 7 MiB
+    # of traced peak, where holding every candidate at once took 21.5 MiB
+    C = oracles.random_lcd_code(GF2, 30, 10, random.Random(7))
+    tracemalloc.start()
+    try:
+        res = search_extend(C, M1, budget=2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exhaustive and res.exact and res.candidates == 2**19
+    assert peak < 12 * 2**20
 
 
 def test_search_from_gf4h_k14_past_the_cap():
@@ -840,29 +873,27 @@ def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("f,n,k", [(GF2, 70, 8), (GF3, 12, 7), (GF4H, 65, 4)])
-def test_coset_scorer_in_shared_room(f, n, k, monkeypatch):
-    # the search concatenates its candidates into the front of one buffer
-    # and scores them in the room after it, first all of them at once
-    # (active None), then a subset; both agree with a scorer that
-    # allocates its own room, through compactions of a small chunk
+def test_coset_scorer_on_every_candidate_and_a_subset(f, n, k, monkeypatch):
+    # the search scores all of a batch's candidates at once (active None),
+    # then a subset; through compactions of a small chunk both agree with
+    # scoring the same positions listed explicitly, and neither writes to
+    # the candidates
     monkeypatch.setattr(construct, "SCORE_CHUNK", 5)
     rng = random.Random(n * 11 + k)
     C = oracles.random_code(f, n, k, rng)
     cands = coset_candidates(C, 40, rng)
     packed = enumeration.pack_matrix(f.order, cands)
-    cand, room = construct._with_room([packed[..., :17], packed[..., 17:]])
-    assert np.array_equal(cand, packed)
+    cand = packed.copy()
     chain = construct._coset_chain(C)
     subset = np.flatnonzero(np.arange(len(cands)) % 3 != 1)
     for floor in (1, 2, 3, 5, 8, 13, 21):
-        def scored(active, room):
+        def scored(active):
             stages, _ = construct._bz_order(f.order, k, chain, floor, f.order**k)
-            return construct._coset_floor(f.order, cand, active, floor, stages, room)
+            return construct._coset_floor(f.order, cand, active, floor, stages)
 
-        everyone = scored(np.arange(len(cands)), None)
-        assert np.array_equal(scored(None, room), everyone)
-        assert np.array_equal(scored(subset, room), scored(subset, None))
-        assert np.array_equal((scored(subset, room) >= floor), everyone[subset] >= floor)
+        everyone = scored(np.arange(len(cands)))
+        assert np.array_equal(scored(None), everyone)
+        assert np.array_equal((scored(subset) >= floor), everyone[subset] >= floor)
     assert np.array_equal(cand, packed)  # scoring leaves the candidates alone
 
 

@@ -146,6 +146,21 @@ def test_congruence_orthonormalize_small_example():
     assert np.array_equal(matmul(GF2, matmul(GF2, u, m), u.T), np.eye(2, dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: linalg.as_matrix(GF3, [[0, 1, 3]]), "entry 3 out of range for gf3"),
+        (lambda: linalg.as_matrix(GF2, np.zeros((2, 2, 2), dtype=np.uint8)), "expected a 2-D matrix, got ndim=3"),
+        (lambda: matmul(GF2, np.eye(2, 3, dtype=np.uint8), np.eye(2, dtype=np.uint8)), "shape mismatch"),
+        (lambda: congruence_orthonormalize(np.array([[1, 1], [0, 1]], dtype=np.uint8)), "symmetric square"),
+        (lambda: congruence_orthonormalize(np.ones((2, 2), dtype=np.uint8)), "singular"),
+    ],
+)
+def test_malformed_input_raises_linalg_error(call, message):
+    with pytest.raises(LinalgError, match=message):
+        call()
+
+
 def test_congruence_orthonormalize_alternating_rejected():
     with pytest.raises(NotOrthonormalizable):
         congruence_orthonormalize(np.array([[0, 1], [1, 0]], dtype=np.uint8))
