@@ -12,21 +12,22 @@ method 1).  The search's helpers are wrapped with timers, so the stages are
 those of the real call:
 
 * draw: the sampled messages (_draw_messages);
-* dedupe: the distinct sampled candidates (_distinct);
+* dedupe: the sampled messages that pass the weight condition,
+  deduplicated and sorted lexicographically (_sorted_unique);
 * distance: d(C) (min_weight);
 * scoring: the coset scoring (_best_scores);
-* tie_break: the smallest tied candidate (_smallest);
 * extend: building and checking the extended code;
 * build: the rest, i.e. the dual, its codewords, the weight condition and
   C's coset chain (_coset_chain).
 
 Each time is the median over rounds in ms; the line also gives the
-candidate and distinct counts, and ``tied``, the candidates reaching the
-best score summed over the batches an exhaustive search scores.  One
-more, untimed, round counts the coset scorer's work: ``reduced``, the
-candidates reduced onto a chain matrix's pivots (construct._reduce), and
-``pairs``, the candidate-word distances taken inside _best_scores
-(enumeration._distance);
+candidate count, ``distinct``, the distinct sampled messages that pass
+the weight condition, and ``tied``, the candidates reaching the best
+score in the batches the search scores (a batch scored only for a score
+above the best so far adds none).  One more, untimed, round counts the
+coset scorer's work: ``reduced``, the candidates reduced onto a chain
+matrix's pivots (construct._reduce), and ``pairs``, the candidate-word
+distances taken inside _best_scores (enumeration._distance);
 ``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
 
     python3 scripts/bench_search.py
@@ -56,12 +57,16 @@ ROUNDS = 5
 # helper -> stage; each is looked up as a module attribute by search_extend
 TIMED = [
     (construct, "_draw_messages", "draw"),
-    (construct, "_distinct", "dedupe"),
+    (construct, "_sorted_unique", "dedupe"),
     (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),
-    (construct, "_smallest", "tie_break"),
     (construct, "extend_m1", "extend"),
 ]
+
+
+# (module, attribute) of each helper that counted wraps: the scorer, the
+# pivot reduction, and the distance taken inside the scorer
+SCORER, REDUCER, DISTANCE = COUNTED = [(construct, "_best_scores"), (construct, "_reduce"), (enumeration, "_distance")]
 
 
 def cases():
@@ -102,7 +107,7 @@ def patched(wrappers):
 
 
 def timed(spent: dict, seen: dict):
-    """Wrap each TIMED helper so its time adds to its stage and its results are listed in ``seen``."""
+    """Wrap each TIMED helper so its time adds to its stage and its (arguments, result) pairs are listed in ``seen``."""
 
     def wrap(attr, stage):
         def wrapper(fn):
@@ -110,7 +115,7 @@ def timed(spent: dict, seen: dict):
                 t0 = time.perf_counter()
                 out = fn(*args, **kwargs)
                 spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
-                seen.setdefault(attr, []).append(out)
+                seen.setdefault(attr, []).append((args, out))
                 return out
 
             return timer
@@ -142,12 +147,12 @@ def counted(work: dict):
 
     def best_scores(fn):
         def call(*args, **kwargs):
-            with patched([(enumeration, "_distance", distance)]):
+            with patched([(*DISTANCE, distance)]):
                 return fn(*args, **kwargs)
 
         return call
 
-    return patched([(construct, "_best_scores", best_scores), (construct, "_reduce", reduce)])
+    return patched([(*SCORER, best_scores), (*REDUCER, reduce)])
 
 
 def main() -> None:
@@ -166,11 +171,13 @@ def main() -> None:
         with counted(work):
             construct.search_extend(C, construct.M1, budget=budget, seed=seed)
         line = {"case": name, "field": C.field.name, "n": C.n, "k": C.k, "budget": budget}
-        for stage in ("draw", "dedupe", "build", "distance", "scoring", "tie_break", "extend", "total"):
+        for stage in ("draw", "dedupe", "build", "distance", "scoring", "extend", "total"):
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
-        line["distinct"] = seen["_distinct"][0].shape[-1] if "_distinct" in seen else None
-        line["tied"] = sum(top.size for score, top, _ in seen["_best_scores"] if score == res.min_weight)
+        line["distinct"] = seen["_sorted_unique"][0][1].shape[0] if "_sorted_unique" in seen else None
+        # a score below the call's least (its last argument) is only an upper bound
+        scored = [(score, top) for args, (score, top, _) in seen["_best_scores"] if score >= args[-1]]
+        line["tied"] = sum(top.size for score, top in scored if score == res.min_weight)
         line["min_weight"] = res.min_weight
         line.update(work)
         line["pairs_per_s"] = round(work["pairs"] / statistics.median(r["scoring"] for r in rounds))

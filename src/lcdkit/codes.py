@@ -87,8 +87,10 @@ def new_code(field: FieldSpec, matrix) -> LinearCode:
 def dual(C: LinearCode) -> LinearCode:
     """The [n, n-k] dual under the code's inner-product flavor.
 
-    For k = n the result is the zero-dimensional code, which is legal
-    only as an output (its generator has no rows).
+    Its generator is the dual's RREF basis (linalg.nullspace), which the
+    extension search relies on to enumerate candidates in lexicographic
+    order.  For k = n the result is the zero-dimensional code, which is
+    legal only as an output (its generator has no rows).
     """
     basis = linalg.nullspace(C.generator, C.field)
     return LinearCode(C.field, _frozen(basis.reshape(-1, C.n)))

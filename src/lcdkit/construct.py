@@ -275,12 +275,14 @@ class SearchResult:
 # enough that a pass's temporaries stay in cache
 SCORE_CHUNK = 1 << 14
 
-# candidates per batch of an exhaustive search, which is scored a batch at
-# a time; each batch lists the coset words again.  Exhaustive method-1
-# searches, median of 7 on a 2-core x86-64 host: t_19_6_9 (531,077
-# candidates) at 2^14 85.8 ms, 2^15 77.2, 2^16 68.4, 2^17 63.9, 2^18 66.3,
-# 2^19 73.9; a binary [32,10] (2^21 candidates) 973, 976, 926, 867, 879,
-# 871 ms
+# candidates per batch of a search, which is scored a batch at a time; a
+# later batch is scored only for a score above the best so far.  A smaller
+# batch lets an early best prune more candidates, but lists the coset words
+# once per batch, more often.  Exhaustive searches, median of 5
+# on a 2-core x86-64 host, at 2^14 / 2^15 / 2^17: t_19_6_9 M1 13.7 / 13.1
+# / 29.4 ms (its first batch at 2^17 reaches d(C) = 9), M2 45.3 / 45.0 /
+# 53.2 ms; a binary [32,10] M1 34.8 / 38.7 / 70.8 ms.  t_20_6_10 M2 (best
+# 8, d(C) = 10), one run each: 0.24 s at 2^14, 0.22 s at 2^17
 SEARCH_BATCH = 1 << 17
 
 # compact the candidates still scored once this share of them has died.
@@ -333,56 +335,28 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     return out.reshape(count, m)
 
 
-def _distinct(cand: np.ndarray, n: int) -> np.ndarray:
-    """The distinct vectors of a packed batch of length-n vectors, in a fixed order.
+def _sorted_unique(q: int, msgs: np.ndarray) -> np.ndarray:
+    """The positions of one copy of each distinct row of a message matrix
+    (N x m), in the rows' lexicographic order.
 
-    When a vector's planes fit one 64-bit word together (planes x n <= 64),
-    plane p shifted left by p n, the vectors are sorted by that one key
-    with np.argsort (np.unique is several times slower); wider vectors are
-    sorted by all their words with np.lexsort.  Equal neighbours are then
-    dropped.
+    While q^m fits 63 bits, each row is one int64 key, its digits read as a
+    base-q number with digit 0 on top, and the keys are sorted with
+    np.argsort; longer rows are sorted by all their digits with np.lexsort.
+    Equal neighbours are then dropped.  On 33,000 ternary rows of 13
+    digits (2-core x86-64 host): np.argsort 0.55 ms, np.lexsort on the
+    digits 1.6 ms, np.unique(axis=0) on the rows 80 ms.
     """
-    N = cand.shape[-1]
-    if N < 2:
-        return cand
-    if cand.shape[0] * n <= 64:
-        keys = (cand[0, 0] if cand.shape[0] == 1 else cand[0, 0] | cand[1, 0] << n)[None]
+    N, m = msgs.shape
+    if q**m <= 1 << 63:
+        keys = (msgs @ q ** np.arange(m - 1, -1, -1, dtype=np.int64))[None]
         order = np.argsort(keys[0])
     else:
-        keys = cand.reshape(-1, N)
-        order = np.lexsort(keys)
+        keys = msgs.T
+        order = np.lexsort(keys[::-1])
     keys = np.take(keys, order, axis=-1)
     fresh = np.ones(N, dtype=bool)
     fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return np.take(cand, np.compress(fresh, order), axis=-1)
-
-
-def _smallest(field: FieldSpec, batch: np.ndarray, n: int, multiples: bool) -> np.ndarray:
-    """The lexicographically smallest vector of a packed batch of length-n
-    vectors, or of their nonzero multiples when ``multiples`` is set, as a
-    symbol row.
-
-    A vector's smallest multiple is the one whose first nonzero symbol is
-    1, i.e. the vector times the inverse of that symbol (the zero vector
-    stays zero).  The vectors are filtered column by column, keeping those
-    whose symbol there, so scaled, is the smallest, until one is left; each
-    vector's scale is fixed at its first nonzero symbol.
-    """
-    rows = np.arange(batch.shape[-1])
-    scale = np.full(rows.size, 0 if multiples else 1, dtype=np.uint8)  # 0 until the first nonzero symbol
-    for c in range(n):
-        if rows.size == 1:
-            break
-        sym = np.zeros(rows.size, dtype=np.uint8)
-        for p, plane in enumerate(batch[:, c // 64]):
-            sym |= (plane[rows] >> (c % 64) & 1).astype(np.uint8) << p
-        first = (scale == 0) & (sym != 0)
-        scale[first] = field.inv_table[sym[first]]
-        sym = field.mul_table[scale, sym]
-        keep = sym == sym.min()
-        rows, scale = rows[keep], scale[keep]
-    x = enumeration.unpack_matrix(np.take(batch, rows[:1], axis=-1), n)[0]
-    return field.mul_table[field.inv_table[x[np.argmax(x != 0)]], x] if multiples else x
+    return np.compress(fresh, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,37 +579,45 @@ def search_extend(
     otherwise draws ``budget`` messages with ``random.Random(seed)``, digit
     by digit as ``randrange(q)`` would; the digits are read in bulk from
     numpy's MT19937 loaded with that generator's state (_draw_messages).
-    Duplicates are scored once: the drawn candidates are sorted in a fixed
-    order, by one key per vector when its planes fit 64 bits (_distinct).
-    Every candidate that passes the weight condition is scored with the
-    minimum distance of the extended code, min(d(C), the minimum weight of
-    the coset x + C, plus 1 for method 1); ties break toward the
-    lexicographically smallest vector, found on arrays by filtering the
-    tied candidates column by column (_smallest).  d(C) comes from
-    codes.min_weight under ``cap``.  Cosets are scanned in
-    Brouwer-Zimmermann order: for each matrix of C's information-set
-    chain, x is reduced to the coset word that vanishes on the matrix's
-    pivots, and the words of C of information weight 0, 1, ... are added,
-    every scalar tuple, until the chain's lower bound on the words not yet
-    listed reaches the threshold.  A listing past ``cap`` words is cut to
-    the first matrix's levels that fit (_bz_order) and scores upper bounds;
-    the result is exact when d(C) was decided and no listing was cut.
+    ``budget`` below 1 raises ConstructError.  Every candidate that passes
+    the weight condition is scored with the minimum distance of the
+    extended code, min(d(C), the minimum weight of the coset x + C, plus 1
+    for method 1), and ties break toward the lexicographically smallest
+    vector.  d(C) comes from codes.min_weight under ``cap``.  Cosets are
+    scanned in Brouwer-Zimmermann order: for each matrix of C's
+    information-set chain, x is reduced to the coset word that vanishes on
+    the matrix's pivots, and the words of C of information weight 0, 1, ...
+    are added, every scalar tuple, until the chain's lower bound on the
+    words not yet listed reaches the threshold.  A listing past ``cap``
+    words is cut to the first matrix's levels that fit (_bz_order) and
+    scores upper bounds; the result is exact when d(C) was decided and no
+    listing was cut.
 
-    An exhaustive search scores one candidate per projective class x, 2x,
-    ... (message 0 and the messages whose top nonzero digit is 1): scaling
-    preserves the weight, and every listing is closed under scaling, so
-    the tie-break runs over the winners' multiples too (a vector's smallest
-    multiple has 1 as its first nonzero symbol) and ``candidates`` still
-    counts every vector.  Scoring is pruned by threshold: a candidate is
-    dropped as soon as one of its coset words shows that it cannot reach
-    the best score still possible.  An exhaustive search holds one batch
-    of at least SEARCH_BATCH candidates at a time, carrying the best score
-    and the smallest vector reaching it from batch to batch; a sampled
-    search holds its whole draw.  Results never depend on evaluation order
-    or batch size.
+    Candidates are scored in lexicographic order, so the winner is the
+    first one to reach the best score.  The dual's generator is its RREF
+    (codes.dual), so a codeword's symbol at row i's pivot is its digit d_i
+    and its symbols before row i + 1's pivot depend on d_0 .. d_i only:
+    codewords compare as their digit tuples (d_0, ..., d_m-1) do.  An
+    exhaustive search builds its codeword tables from the rows reversed,
+    so message order is that order, and scores one candidate per
+    projective class x, 2x, ... (message 0 and the messages whose top
+    nonzero digit is 1).  That candidate's first nonzero symbol is 1, so it
+    is the smallest of its class; scaling preserves the weight and every
+    listing is closed under scaling, so its multiples tie with it, and
+    ``candidates`` still counts every vector.  A sampled search drops
+    duplicate draws and sorts the rest lexicographically (_sorted_unique).
+
+    Scoring is pruned by threshold: a candidate is dropped as soon as one
+    of its coset words shows that it cannot reach the best score still
+    possible.  The candidates are scored a batch of at least SEARCH_BATCH
+    at a time; a later batch is scored only for a score above the best so
+    far, and once that best is d(C) the rest are counted, not scored.
+    Results never depend on batch size.
     """
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
+    if budget < 1:
+        raise ConstructError(f"search budget must be at least 1, got {budget}")
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]
@@ -645,29 +627,29 @@ def search_extend(
         d_base, decided = min_weight(C, cap=cap, threads=threads), True
     except enumeration.BudgetExceeded as exc:
         d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
-    tables = enumeration.codeword_tables(C.field, dgen)
+    # digit j multiplies row m - 1 - j, so message order is lexicographic order
+    tables = enumeration.codeword_tables(C.field, dgen[::-1])
     if exhaustive:
-        # message 0 and the messages whose top nonzero digit j is 1
+        # message 0 and the messages whose top nonzero digit is 1
         ranges = enumeration._projective_ranges(q, m, 0)
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
+        pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
     else:
-        blocks = [enumeration.codewords_of(q, tables, _draw_messages(q, m, budget, seed))]
-    pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
-    # one batch of the draws: _distinct needs them all
-    batches = _joined(pieces, SEARCH_BATCH) if exhaustive else [_distinct(next(pieces), C.n)]
+        msgs = _draw_messages(q, m, budget, seed)  # digit j multiplies dual row j
+        words = enumeration.codewords_of(q, tables, msgs[:, ::-1])
+        ok = np.flatnonzero(weight_condition(C.field, method, _weigh(words)))
+        pieces = [np.take(words, ok[_sorted_unique(q, msgs[ok])], axis=-1)]
     chain = _coset_chain(C)
     bonus = 1 if method == M1 else 0
     best_score, best, complete, candidates = -1, None, True, 0
-    for cand in batches:
+    for cand in _joined(pieces, SEARCH_BATCH):
         candidates += cand.shape[-1]
-        if not cand.shape[-1]:
+        if not cand.shape[-1] or best_score == d_base:  # nothing scores above d_base
             continue
-        score, top, listed_all = _best_scores(C, chain, cand, d_base, bonus, cap, best_score)
+        score, top, listed_all = _best_scores(C, chain, cand, d_base, bonus, cap, best_score + 1)
         complete &= listed_all
-        if score >= best_score:
-            x = _smallest(C.field, np.take(cand, top, axis=-1), C.n, exhaustive)
-            if score > best_score or tuple(x.tolist()) < tuple(best.tolist()):
-                best_score, best = score, x
+        if score > best_score:
+            best_score, best = score, enumeration.unpack_matrix(np.take(cand, top[:1], axis=-1), C.n)[0]
     if best is None:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples

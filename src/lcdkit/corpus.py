@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .codes import BudgetExceeded, LinearCode, is_even_like, is_lcd, min_weight, weight_distribution
+from .codes import BudgetExceeded, CodeError, LinearCode, is_even_like, is_lcd, min_weight, weight_distribution
 from .codes import read_ascii, read_code_file
 from .construct import ConstructionRecord, apply_record, parse_record
 
@@ -84,22 +84,30 @@ def manifest() -> dict[str, CorpusEntry]:
 
 @functools.lru_cache(maxsize=4)
 def _parse_manifest(path: Path, ino: int, mtime_ns: int, size: int) -> dict[str, CorpusEntry]:
+    """The manifest's entries; CodeError names the file, and the line where
+    one is known, when a column is missing or a cell does not parse."""
     entries: dict[str, CorpusEntry] = {}
-    for row in csv.DictReader(read_ascii(path).splitlines()):
-        entry = CorpusEntry(
-            id=row["id"],
-            kind=row["kind"],
-            file=row["file"] or None,
-            field_name=row["field"],
-            n=int(row["n"]),
-            k=int(row["k"]),
-            d=int(row["d"]) if row["d"] else None,
-            properties=tuple(p for p in row["properties"].split(";") if p),
-            weights=_parse_weights(row["weights"]),
-            source=row["source"],
-            optional=row["optional"] == "yes",
-        )
-        entries[entry.id] = entry
+    reader = csv.DictReader(read_ascii(path).splitlines(), restval="")
+    try:
+        for row in reader:
+            entry = CorpusEntry(
+                id=row["id"],
+                kind=row["kind"],
+                file=row["file"] or None,
+                field_name=row["field"],
+                n=int(row["n"]),
+                k=int(row["k"]),
+                d=int(row["d"]) if row["d"] else None,
+                properties=tuple(p for p in row["properties"].split(";") if p),
+                weights=_parse_weights(row["weights"]),
+                source=row["source"],
+                optional=row["optional"] == "yes",
+            )
+            entries[entry.id] = entry
+    except KeyError as exc:
+        raise CodeError(f"{path}: no column {exc}") from None
+    except ValueError as exc:
+        raise CodeError(f"{path} line {reader.line_num}: {exc}") from None
     return entries
 
 

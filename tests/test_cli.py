@@ -378,6 +378,41 @@ def test_non_ascii_manifest_exits_2(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[1].__setitem__(4, "x"), "line 2: invalid literal for int() with base 10: 'x'"),
+        (lambda rows: rows[8].__setitem__(8, "0:1 3:x"), "line 9: invalid literal for int() with base 10: 'x'"),
+        (lambda rows: rows[8].__setitem__(8, "3"), "line 9: not enough values to unpack"),
+        (lambda rows: [row.pop() for row in rows], "no column 'optional'"),
+    ],
+)
+def test_malformed_manifest_exits_2(capsys, tmp_path, monkeypatch, edit, message):
+    # a bad cell (n, a weight) or a missing column names the file, and the
+    # line where there is one
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    path = copy / "manifest.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0][4] == "n" and rows[0][8] == "weights" and rows[0][-1] == "optional"
+    edit(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    code, out, err = run(capsys, "corpus-check")
+    assert (code, out) == (2, "")
+    prefix = f"error: {path}: " if message.startswith("no column") else f"error: {path} "
+    assert err.startswith(prefix + message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_extend_search_budget_below_1_exits_2(capsys, budget):
+    # the dual of b_13_7_4 has method-1 vectors, so the error must name the budget
+    argv = ("extend", corpus_file("codes/b_13_7_4.code"), "--method", "1", "--search", "--budget", budget)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: search budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize(
     "rows, message",
     [
         ("field,n,k,lower,kind,provenance\ngf2,10,5,4,witness,x\n", "no column 'upper'"),

@@ -809,24 +809,53 @@ def test_search_tie_break_among_many(method, budget):
 
 
 @pytest.mark.parametrize("f", FIELDS)
-def test_smallest_matches_tuple_min(f):
-    # the array tie-break against min over the tuples of every vector and,
-    # for a projective search, every nonzero multiple; leading zeros are
-    # common so that the column filter keeps many vectors for long
-    rng = np.random.default_rng(f.order)
-    for n in (1, 5, 18, 64, 65, 130):
-        for N in (1, 2, 7, 400):
-            for has_zero in (False, True):
-                M = rng.integers(0, f.order, size=(N, n), dtype=np.uint8)
-                M[:, : n // 2] *= rng.random((N, n // 2)) < 0.2
-                if has_zero:
-                    M[rng.integers(N)] = 0
-                packed = enumeration.pack_matrix(f.order, M)
-                for multiples in (False, True):
-                    scalars = range(1, f.order) if multiples else (1,)
-                    want = min(map(tuple, np.concatenate([f.mul_table[a][M] for a in scalars]).tolist()))
-                    got = construct._smallest(f, packed, n, multiples)
-                    assert got.dtype == np.uint8 and tuple(got.tolist()) == want
+def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
+    # the batches an exhaustive search joins hold one vector per projective
+    # class of the dual that passes the weight condition, each class once,
+    # its smallest vector (first nonzero symbol 1), in strictly increasing
+    # lexicographic order across batches
+    rng = random.Random(f.order)
+    monkeypatch.setattr(construct, "SEARCH_BATCH", 5)
+    joined, seen = construct._joined, []
+    monkeypatch.setattr(construct, "_joined", lambda pieces, size: (seen.append(b) or b for b in joined(pieces, size)))
+    for _ in range(12):
+        n = rng.randrange(3, MAX_N[f.order] + 1)
+        C = oracles.random_lcd_code(f, n, rng.randrange(1, n), rng)
+        for method in (M1, M2):
+            seen.clear()
+            try:
+                search_extend(C, method, budget=10**9)
+            except NoCandidate:
+                pass
+            got = [tuple(v) for b in seen for v in enumeration.unpack_matrix(b, n).tolist()]
+            assert got == sorted(set(got))
+            assert all(next((s for s in v if s), 1) == 1 for v in got)
+            words = oracles.table_matmul(f, oracles.all_messages(f.order, n - C.k), dual(C).generator)
+            classes = {min(tuple(f.mul_table[a][w].tolist()) for a in range(1, f.order)) for w in words}
+            assert set(got) == {v for v in classes if weight_condition(f, method, sum(map(bool, v)))}
+
+
+def test_headline_search_scores_one_batch(monkeypatch):
+    # the first batch of the t_19_6_9 search already reaches d(C) = 9, so the
+    # later batches are counted but not scored
+    from lcdkit import corpus
+
+    calls = []
+    best_scores = construct._best_scores
+    monkeypatch.setattr(construct, "_best_scores", lambda *args: calls.append(args) or best_scores(*args))
+    res = search_extend(corpus.resolve_code("t_19_6_9"), M1, budget=3**13, seed=0)
+    assert (res.min_weight, res.candidates, len(calls)) == (9, 1_062_153, 1)
+
+
+@pytest.mark.parametrize("budget", [0, -1, -(10**6)])
+def test_search_budget_below_1_is_refused(budget):
+    # the dual has method-1 vectors, so the old "no dual vector satisfies"
+    # answer was false; a budget below 1 is refused as such
+    from lcdkit import corpus
+
+    C = corpus.resolve_code("b_13_7_4")
+    with pytest.raises(ConstructError, match="budget must be at least 1"):
+        search_extend(C, M1, budget=budget)
 
 
 # -- coset scoring in Brouwer-Zimmermann order against the oracle's coset minima
@@ -1015,27 +1044,27 @@ def test_draw_messages_matches_randrange(q, m, monkeypatch):
                 assert got.tolist() == want
 
 
-@pytest.mark.parametrize("f,n", [(GF2, 64), (GF2, 65), (GF3, 32), (GF3, 33), (GF4H, 32), (GF4H, 33)])
-def test_distinct_matches_set_of_tuples(f, n):
-    # one sort key per vector while planes x n <= 64, lexsort beyond: both
-    # sides of the switch against a set of tuples, on batches of 0, 1 and
-    # 2 vectors, an all-equal batch, one whose vectors repeat or differ in
-    # a single symbol, and every vector supported on the first two and last
-    # two columns, twice: a key that overlaps or drops planes' bits merges some
-    rng = np.random.default_rng(n * f.order)
-    base = rng.integers(0, f.order, size=(40, n), dtype=np.uint8)
+@pytest.mark.parametrize("q,m", [(2, 63), (2, 64), (3, 39), (3, 40), (4, 31), (4, 32), (2, 150), (4, 150)])
+def test_sorted_unique_matches_sorted_set(q, m):
+    # one int64 key per message while q^m <= 2^63, lexsort beyond: both
+    # sides of the switch against a sorted set of tuples, on batches of 0, 1
+    # and 2 messages, an all-equal batch, one whose messages repeat or
+    # differ in a single digit, and messages supported on the first two and
+    # last two digits, twice: a key that overflows or drops digits merges
+    # or misorders some
+    rng = np.random.default_rng(m * q)
+    base = rng.integers(0, q, size=(40, m), dtype=np.uint8)
     near = base[:20].copy()
-    near[np.arange(20), rng.integers(n, size=20)] = rng.integers(0, f.order, size=20)
+    near[np.arange(20), rng.integers(m, size=20)] = rng.integers(0, q, size=20)
     mixed = np.vstack([base, near, base[rng.integers(40, size=200)]])
-    ends = np.zeros((f.order**4, n), dtype=np.uint8)
-    ends[:, [0, 1, n - 2, n - 1]] = oracles.all_messages(f.order, 4)
+    ends = np.zeros((q**4, m), dtype=np.uint8)
+    ends[:, [0, 1, m - 2, m - 1]] = oracles.all_messages(q, 4)
     ends = np.vstack([ends, ends])
     batches = [base[:0], base[:1], base[:2], np.repeat(base[:1], 9, axis=0)]
     batches += [mixed[rng.permutation(len(mixed))], ends[rng.permutation(len(ends))]]
     for M in batches:
-        got = enumeration.unpack_matrix(construct._distinct(enumeration.pack_matrix(f.order, M), n), n)
-        assert len(got) == len(set(map(tuple, M.tolist())))
-        assert set(map(tuple, got.tolist())) == set(map(tuple, M.tolist()))
+        got = M[construct._sorted_unique(q, M)]
+        assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, M.tolist())))
 
 
 def test_euclidean_gf4_extension_is_refused():

@@ -99,6 +99,7 @@ def test_nullspace_random_orthogonality(f):
             pair = matmul(f, m, f.conj_table[ns].T)
             assert not pair.any()
             assert rank(ns, f) == ns.shape[0]
+            assert np.array_equal(rref(ns, f).matrix, ns)
 
 
 def test_gram_examples():
