@@ -449,31 +449,37 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     """(link, batches) stages that list coset words, and whether the listing is complete.
 
     Each stage gives, for a matrix G_j, its codewords c of information
-    weight 0, 1, ..., W, every nonzero scalar tuple.  The set is closed
+    weight 0, 1, ..., W_j, every nonzero scalar tuple.  The set is closed
     under negation, so the words x_j - c are the words of the coset x + C
-    of information weight at most W on G_j.
+    of information weight at most W_j on G_j.
 
-    After level W every coset word not listed weighs at least the chain's
-    Brouwer-Zimmermann bound (enumeration._bz_lower).  W is the first level
-    at which that bound reaches ``floor`` (matrices with deficit > W add
-    nothing and are left out), or k, where G_1's levels are the whole
-    coset; G_1 alone also serves whenever the levels would list more than
-    q^k words.
+    Every coset word not listed weighs at least sum_j max(0, W_j + 1 -
+    deficit_j), the chain's Brouwer-Zimmermann bound.  W is the first common
+    level W_j = W at which it reaches ``floor`` (enumeration._bz_lower), or
+    k, where G_1's levels are the whole coset.  Up to W, the W_j rise one
+    unit of the bound at a time, each where it adds the fewest words; G_1
+    alone serves whenever they would list more than q^k words.
 
-    The listing is complete when it has at most ``cap`` words; otherwise
-    G_1's levels 0 .. W' that fit in ``cap`` are listed instead (none when
-    cap < 1), which are closed under scalar multiples too.
+    The listing is complete when the common-level one (deficit <= W through
+    level W, or G_1 whole if fewer words) has at most ``cap`` words, so the
+    W_j never change a result; otherwise G_1's levels 0 .. W' that fit in
+    ``cap`` are listed instead (none when cap < 1), closed under multiples.
     """
-    sizes = list(accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1)))  # [W]: words in levels 0..W of a matrix
+    sizes = [0, *accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1))]  # [W + 1]: words in levels 0..W of a matrix
     W = next((w for w in range(k) if enumeration._bz_lower(w, [link.deficit for link in chain]) >= floor), k)
-    links = [link for link in chain if link.deficit <= W]
-    if len(links) * sizes[W] > q**k:
-        links, W = chain[:1], k  # sizes[k] = q^k
-    complete = len(links) * sizes[W] <= cap
+    complete = min(sum(sizes[W + 1] for link in chain if link.deficit <= W), q**k) <= cap
+    tops = [-1] * len(chain)  # W_j, -1 while G_j lists nothing
+    for _ in range(floor if W < k else 0):
+        up = [max(t + 1, link.deficit) for t, link in zip(tops, chain)]  # the level that adds 1 to the bound
+        j = min((sizes[u + 1] - sizes[t + 1], j) for j, (t, u) in enumerate(zip(tops, up)) if u <= W)[1]
+        tops[j] = up[j]
+    listed = [(link, t) for link, t in zip(chain, tops) if t >= 0]
+    if W == k or sum(sizes[t + 1] for _, t in listed) > q**k:
+        listed = [(chain[0], k)]
     if not complete:
-        links, W = chain[:1], sum(size <= cap for size in sizes) - 1
+        listed = [(chain[0], sum(size <= cap for size in sizes[1:]) - 1)]
     tables: dict = {}
-    return [(link, _level_words(q, k, link, W, tables)) for link in links], complete
+    return [(link, _level_words(q, k, link, t, tables)) for link, t in listed], complete
 
 
 def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -991,24 +992,47 @@ def test_coset_scorer_weighs_long_vectors_exactly(f, chunk, monkeypatch):
 
 
 def test_bz_order_schedule():
-    # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 stops after level 2 of the
-    # first three matrices, 3 * (1 + 12 + 60) words; floor 1 after level 0
-    # of those three; floor 13 would need level 4 of three matrices, more
-    # than the 3^6 words of the coset, so G_1 is scanned whole.  Past the
-    # cap the listing is G_1's levels that fit: 1 + 12 + 60 words under a
-    # cap of 218, the zero word under a cap of 1, nothing under 0
+    # t_19_6_9 has deficits (0, 0, 0, 5): floor 8 needs level 2 of the first
+    # three matrices, but the bound reaches 8 with levels 0..2, 0..2 and
+    # 0..1 of them, 2 * (1 + 12 + 60) + 13 words; floor 1 with level 0 of
+    # the first; floor 13 would need level 4 of three matrices, more than
+    # the 3^6 words of the coset, so G_1 is scanned whole.  Completeness is
+    # the common-level listing's (219 words at floor 8, 3 at floor 1) under
+    # the cap.  Past the cap the listing is G_1's levels that fit: 1 + 12 +
+    # 60 words under a cap of 218, the zero word under a cap of 2, nothing under 0
     from lcdkit import corpus
 
     C = corpus.resolve_code("t_19_6_9")
     chain = construct._coset_chain(C)
     assert [link.deficit for link in chain] == [0, 0, 0, 5]
-    cases = [(8, 3**6, chain[:3], 219, True), (1, 3**6, chain[:3], 3, True), (13, 3**6, chain[:1], 3**6, True)]
-    cases += [(8, 219, chain[:3], 219, True), (8, 218, chain[:1], 73, False), (13, 3**6 - 1, chain[:1], 665, False)]
+    cases = [(8, 3**6, chain[:3], 159, True), (1, 3**6, chain[:1], 1, True), (13, 3**6, chain[:1], 3**6, True)]
+    cases += [(8, 219, chain[:3], 159, True), (8, 218, chain[:1], 73, False), (13, 3**6 - 1, chain[:1], 665, False)]
     cases += [(1, 2, chain[:1], 1, False), (1, 0, chain[:1], 0, False)]
     for floor, cap, links, words, complete in cases:
         stages, listed_all = construct._bz_order(3, 6, chain, floor, cap)
         assert [link for link, _ in stages] == links and listed_all == complete
         assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
+    stages, _ = construct._bz_order(3, 6, chain, 8, 3**6)
+    assert [sum(w.shape[-1] for w in batches) for _, batches in stages] == [73, 73, 13]
+
+
+@pytest.mark.parametrize("f,n,k", [(GF2, 70, 10), (GF2, 24, 12), (GF3, 19, 6), (GF4H, 30, 5)])
+def test_bz_order_lists_no_more_than_the_common_level(f, n, k):
+    # the per-matrix levels stop within the first common level W whose
+    # bound reaches the floor, so they never list more words than every
+    # matrix through level W, or the whole code when that is fewer; that
+    # count, not the trimmed one, decides completeness under the cap
+    q = f.order
+    C = oracles.random_code(f, n, k, random.Random(n * 17 + k))
+    chain = construct._coset_chain(C)
+    deficits = [link.deficit for link in chain]
+    sizes = np.cumsum([math.comb(k, w) * (q - 1) ** w for w in range(k + 1)])
+    for floor in range(1, n + 2):
+        W = next((w for w in range(k) if enumeration._bz_lower(w, deficits) >= floor), k)
+        common = min(sum(int(sizes[W]) for d in deficits if d <= W), q**k)
+        stages, complete = construct._bz_order(q, k, chain, floor, common)
+        assert complete and sum(w.shape[-1] for _, batches in stages for w in batches) <= common
+        assert not construct._bz_order(q, k, chain, floor, common - 1)[1]
 
 
 @pytest.mark.parametrize(
