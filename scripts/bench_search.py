@@ -26,7 +26,7 @@ the weight condition, and ``tied``, the candidates reaching the best
 score in the batches the search scores (a batch scored only for a score
 above the best so far adds none).  One more, untimed, round counts the
 coset scorer's work: ``reduced``, the candidates reduced onto a chain
-matrix's pivots (construct._reduce), and ``pairs``, the candidate-word
+matrix's pivots (enumeration._reduce), and ``pairs``, the candidate-word
 distances taken inside _best_scores (enumeration._distance);
 ``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
 
@@ -66,7 +66,7 @@ TIMED = [
 
 # (module, attribute) of each helper that counted wraps: the scorer, the
 # pivot reduction, and the distance taken inside the scorer
-SCORER, REDUCER, DISTANCE = COUNTED = [(construct, "_best_scores"), (construct, "_reduce"), (enumeration, "_distance")]
+SCORER, REDUCER, DISTANCE = COUNTED = [(construct, "_best_scores"), (enumeration, "_reduce"), (enumeration, "_distance")]
 
 
 def cases():

@@ -5,10 +5,11 @@ x86-64 host with numpy 2.4, one run per fresh process).  One vector per
 projective class is scored, in lexicographic order, and a candidate is
 dropped as soon as its coset holds a word of weight below 8, because it
 can then no longer reach distance 9.  Each coset is scanned in
-Brouwer-Zimmermann order: up to information weight 2 in the three
-information sets of the code, at most 219 coset words per candidate
-instead of all 729.  The first batch of candidates already reaches 9, the
-base code's distance, so the later batches are counted but not scored.
+Brouwer-Zimmermann order: information weights 0..2, 0..2 and 0..1 in
+the first three information sets of the code, at most 159 coset words
+per candidate instead of all 729.  The first batch of candidates already
+reaches 9, the base code's distance, so the later batches are counted but
+not scored.
 
 The best reachable minimum distance is 9, giving a [20,7,9] LCD code.
 """

@@ -230,7 +230,7 @@ def cmd_eaqecc(args) -> int:
 
 
 def cmd_corpus_check(args) -> int:
-    reports = corpus_mod.check_all(threads=args.threads)
+    reports = corpus_mod.check_all(threads=args.threads, cap=args.cap)
     failures = 0
     for rep in reports:
         if rep.skipped:

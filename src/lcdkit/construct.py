@@ -24,8 +24,6 @@ import random
 import threading
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
-from math import comb
 
 import numpy as np
 
@@ -43,7 +41,7 @@ from .codes import (
     shorten,
     puncture,
 )
-from .enumeration import _add, _weigh
+from .enumeration import _weigh
 from .gf import EUCLIDEAN, FieldSpec
 
 M1 = "m1"
@@ -271,10 +269,6 @@ class SearchResult:
     target_met: bool | None
 
 
-# candidate-word pairs per pass, and candidates per chunk of a scorer: small
-# enough that a pass's temporaries stay in cache
-SCORE_CHUNK = 1 << 14
-
 # candidates per batch of a search, which is scored a batch at a time; a
 # later batch is scored only for a score above the best so far.  A smaller
 # batch lets an early best prune more candidates, but lists the coset words
@@ -284,13 +278,6 @@ SCORE_CHUNK = 1 << 14
 # 53.2 ms; a binary [32,10] M1 34.8 / 38.7 / 70.8 ms.  t_20_6_10 M2 (best
 # 8, d(C) = 10), one run each: 0.24 s at 2^14, 0.22 s at 2^17
 SEARCH_BATCH = 1 << 17
-
-# compact the candidates still scored once this share of them has died.
-# Exhaustive method-1 search of t_19_6_9 (531,077 candidates scored in
-# Brouwer-Zimmermann order), median of 6 on a 2-core x86-64 host: at 5%
-# 0.112 s, 10% 0.103 s, 25% 0.088 s, 50% 0.079 s, 75% 0.075 s, 90% 0.086 s;
-# t_20_8_8 behaves alike
-COMPACT_SHARE = 0.5
 
 # 32-bit words per chunk of the sampled draw.  random_raw hands them out as
 # uint64, so a chunk's temporaries stay within 512 KiB, in cache, however
@@ -359,196 +346,27 @@ def _sorted_unique(q: int, msgs: np.ndarray) -> np.ndarray:
     return np.compress(fresh, order)
 
 
-@dataclass(frozen=True, eq=False)
-class _Link:
-    """One matrix G_j of C's information-set chain, ready to scan cosets.
-
-    ``lookups`` holds, for each negated table, the bytes of a packed vector
-    that hold its rows' pivots, spots[i] = (plane, word, byte), and what
-    each adds to the table index: parts[i][v] when byte spots[i] reads v
-    (_pivot_lookups, _reduce).
-    """
-
-    pivots: tuple[int, ...]
-    deficit: int
-    negated: list[np.ndarray]  # codeword tables of -G_j
-    lookups: list[tuple[tuple[tuple[int, int, int], ...], np.ndarray]]  # per table: spots, uint16 parts (spots, 256)
-    scaled: np.ndarray  # enumeration._pack_scaled(G_j)
-
-
-# bit b of each byte value, one row per value: a byte's lookup is this times its bits' weights
-_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
-
-
-def _pivot_lookups(q: int, n: int, pivots) -> list:
-    """_Link.lookups for the pivots p_0, p_1, ... of a chain matrix of length n.
-
-    Pivot i is digit i % TABLE_ROWS of table i // TABLE_ROWS, so bit b of
-    its symbol, on plane b, adds 2^b q^(i % TABLE_ROWS) to that table's
-    index.  The pivot columns are the same on every plane, so plane b's
-    parts are plane 0's times 2^b.  A part is at most (q^TABLE_ROWS - 1) /
-    (q - 1), twice that on plane 1, and the parts of a vector sum to its
-    index, below q^TABLE_ROWS <= 3^9: uint16 holds them.
-    """
-    L, planes = enumeration.TABLE_ROWS[q], (1 if q == 2 else 2)
-    digit = np.arange(len(pivots))
-    weight = np.zeros((-(-len(pivots) // L), -(-n // 64) * 8, 8), dtype=np.int64)  # per table: plane 0's bits, by byte
-    weight.reshape(len(weight), -1)[digit // L, np.asarray(pivots, dtype=np.intp)] = q ** (digit % L)
-    lookups = []
-    for table in weight:
-        held = np.flatnonzero(table.any(axis=1)).tolist()  # the bytes that hold a pivot
-        parts = table[held] @ _BYTE_BITS.T
-        spots = tuple((p, b // 8, b % 8) for p in range(planes) for b in held)
-        lookups.append((spots, np.concatenate([parts << p for p in range(planes)]).astype(np.uint16)))
-    return lookups
-
-
-def _coset_chain(C: LinearCode) -> list[_Link]:
-    field = C.field
-    return [
-        _Link(
-            pivots,
-            deficit,
-            [enumeration._negate(field.order, t) for t in enumeration.codeword_tables(field, mat)],
-            _pivot_lookups(field.order, C.n, pivots),
-            enumeration._pack_scaled(field, mat),
-        )
-        for mat, pivots, deficit in enumeration._information_set_chain(field, C.generator)
-    ]
-
-
-def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
-    """x - sum_i x[p_i] row_i over G_j's pivots p_i: the word of x + C that vanishes on them.
-
-    For each negated table, the index of x's pivot symbols in it is the
-    uint16 sum of a few 256-entry lookups (_Link.lookups), one per byte of
-    x that holds a pivot, read as uint8; one gather of the table at those
-    indices is added to x.  The batch's last axis must be contiguous.
-    """
-    # byte c % 64 // 8 of word c // 64 holds column c, little-endian
-    octets = x.astype("<u8", copy=False).view(np.uint8).reshape(x.shape + (8,))
-    for table, (spots, parts) in zip(link.negated, link.lookups):
-        index = sum(np.take(part, octets[plane, word, :, byte]) for (plane, word, byte), part in zip(spots, parts))
-        x = _add(q, x, np.take(table, index, axis=-1))
-    return x
-
-
-def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
-    """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
-    every nonzero scalar tuple: the BZ level batches and their multiples.
-    ``tables`` shares the support tables between the chain's matrices."""
-    if W >= 0:
-        yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
-    for w in range(1, W + 1):
-        for words in enumeration._bz_level(q, k, w, link.scaled, tables):
-            for a in range(1, q):
-                yield enumeration._scale(q, a, words)
-
-
-def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple[list, bool]:
-    """(link, batches) stages that list coset words, and whether the listing is complete.
-
-    Each stage gives, for a matrix G_j, its codewords c of information
-    weight 0, 1, ..., W_j, every nonzero scalar tuple.  The set is closed
-    under negation, so the words x_j - c are the words of the coset x + C
-    of information weight at most W_j on G_j.
-
-    Every coset word not listed weighs at least sum_j max(0, W_j + 1 -
-    deficit_j), the chain's Brouwer-Zimmermann bound.  W is the first common
-    level W_j = W at which it reaches ``floor`` (enumeration._bz_lower), or
-    k, where G_1's levels are the whole coset.  Up to W, the W_j rise one
-    unit of the bound at a time, each where it adds the fewest words; G_1
-    alone serves whenever they would list more than q^k words.
-
-    The listing is complete when the common-level one (deficit <= W through
-    level W, or G_1 whole if fewer words) has at most ``cap`` words, so the
-    W_j never change a result; otherwise G_1's levels 0 .. W' that fit in
-    ``cap`` are listed instead (none when cap < 1), closed under multiples.
-    """
-    sizes = [0, *accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1))]  # [W + 1]: words in levels 0..W of a matrix
-    W = next((w for w in range(k) if enumeration._bz_lower(w, [link.deficit for link in chain]) >= floor), k)
-    complete = min(sum(sizes[W + 1] for link in chain if link.deficit <= W), q**k) <= cap
-    tops = [-1] * len(chain)  # W_j, -1 while G_j lists nothing
-    for _ in range(floor if W < k else 0):
-        up = [max(t + 1, link.deficit) for t, link in zip(tops, chain)]  # the level that adds 1 to the bound
-        j = min((sizes[u + 1] - sizes[t + 1], j) for j, (t, u) in enumerate(zip(tops, up)) if u <= W)[1]
-        tops[j] = up[j]
-    listed = [(link, t) for link, t in zip(chain, tops) if t >= 0]
-    if W == k or sum(sizes[t + 1] for _, t in listed) > q**k:
-        listed = [(chain[0], k)]
-    if not complete:
-        listed = [(chain[0], sum(size <= cap for size in sizes[1:]) - 1)]
-    tables: dict = {}
-    return [(link, _level_words(q, k, link, t, tables)) for link, t in listed], complete
-
-
-def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages) -> np.ndarray:
-    """Running minimum weight over the cosets x + C of the packed candidates
-    x = cand[..., active], or of every candidate when ``active`` is None.
-
-    ``stages`` yields (link, batches) pairs.  For each link, every
-    candidate still scored is first replaced, in one working copy and a
-    chunk at a time, by the word of its coset that vanishes on the link's
-    pivots (_reduce).  Then each candidate is compared with every packed
-    word c of the batches, at most SCORE_CHUNK pairs per pass: the distance
-    from x to c is the weight of the coset word x - c.  A pass lays its
-    pairs out words x candidates, so the minimum over its words is an
-    elementwise minimum across rows; with one word per pass (the candidates
-    fill it) there is none to take.  A candidate stops being scored
-    once its running minimum falls below ``floor``.  The result bounds each
-    coset minimum from above, and is below ``floor`` exactly where some
-    listed word is.
-    """
-    x = cand.copy() if active is None else np.take(cand, active, axis=-1)
-    where = np.arange(x.shape[-1])  # the position of each candidate still scored
-    low = np.empty(where.size, dtype=np.uint16)
-    run = np.full(where.size, np.iinfo(np.uint16).max, dtype=np.uint16)
-    for link, batches in stages:
-        for lo in range(0, run.size, SCORE_CHUNK):
-            x[..., lo : lo + SCORE_CHUNK] = _reduce(q, x[..., lo : lo + SCORE_CHUNK], link)
-        for words in batches:
-            s = 0
-            while s < words.shape[-1]:
-                group = max(1, SCORE_CHUNK // run.size)  # words per pass; one when the candidates fill a pass
-                part = words[..., s : s + group, None]
-                s += group
-                for lo in range(0, run.size, SCORE_CHUNK // group):
-                    hi = lo + SCORE_CHUNK // group
-                    dist = enumeration._distance(x[..., None, lo:hi], part)  # words x candidates
-                    np.minimum(run[lo:hi], dist[0] if group == 1 else dist.min(axis=0), out=run[lo:hi])
-                dead = run < floor
-                died = np.count_nonzero(dead)
-                if died and died >= COMPACT_SHARE * run.size:
-                    low[where] = run
-                    keep = np.flatnonzero(~dead)  # np.take: a random boolean mask indexes several times slower
-                    where, run, x = np.take(where, keep), np.take(run, keep), np.take(x, keep, axis=-1)
-                    if not run.size:
-                        return low
-    low[where] = run
-    return low
-
-
 def _best_scores(
-    C: LinearCode, chain: list[_Link], cand: np.ndarray, d_base: int, bonus: int, cap: int, least: int
+    C: LinearCode, chain: list[enumeration._Link], cand: np.ndarray, d_base: int, bonus: int, cap: int, least: int
 ) -> tuple[int, np.ndarray, bool]:
     """The best score min(d_base, coset minimum + bonus), the candidates
     reaching it, and whether every coset listing was complete.
 
     Thresholds t count down from d_base, which caps every score; at each
     level only candidates whose known upper bound still reaches t are
-    scanned, in Brouwer-Zimmermann order (_bz_order, floor t - bonus), and
-    the survivors of the first level that has any score exactly t.  The
-    descent stops once t falls below ``least``, so a score returned below
-    ``least`` is only an upper bound on the best.  With every listing
-    complete the scores are exact, otherwise upper bounds.
+    scanned, in Brouwer-Zimmermann order (enumeration._bz_order, floor
+    t - bonus), and the survivors of the first level that has any score
+    exactly t.  The descent stops once t falls below ``least``, so a score
+    returned below ``least`` is only an upper bound on the best.  With
+    every listing complete the scores are exact, otherwise upper bounds.
     """
     q = C.field.order
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
     t, active, complete = d_base, None, True  # the first level scans every candidate
     while t > bonus and t >= least:  # nothing can score below the bonus
-        stages, listed_all = _bz_order(q, C.k, chain, t - bonus, cap)
+        stages, listed_all = enumeration._bz_order(q, C.k, chain, t - bonus, cap)
         complete &= listed_all
-        low = _coset_floor(q, cand, active, t - bonus, stages)
+        low = enumeration._coset_floor(q, cand, active, t - bonus, stages)
         alive = low >= t - bonus
         if alive.any():
             return t, np.flatnonzero(alive) if active is None else active[alive], complete
@@ -595,9 +413,9 @@ def search_extend(
     the matrix's pivots, and the words of C of information weight 0, 1, ...
     are added, every scalar tuple, until the chain's lower bound on the
     words not yet listed reaches the threshold.  A listing past ``cap``
-    words is cut to the first matrix's levels that fit (_bz_order) and
-    scores upper bounds; the result is exact when d(C) was decided and no
-    listing was cut.
+    words is cut to the first matrix's levels that fit
+    (enumeration._bz_order) and scores upper bounds; the result is exact
+    when d(C) was decided and no listing was cut.
 
     Candidates are scored in lexicographic order, so the winner is the
     first one to reach the best score.  The dual's generator is its RREF
@@ -620,6 +438,7 @@ def search_extend(
     far, and once that best is d(C) the rest are counted, not scored.
     Results never depend on batch size.
     """
+    zero_passes = weight_condition(C.field, method, 0)  # an unknown method or field fails before any work
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
     if budget < 1:
@@ -645,7 +464,7 @@ def search_extend(
         words = enumeration.codewords_of(q, tables, msgs[:, ::-1])
         ok = np.flatnonzero(weight_condition(C.field, method, _weigh(words)))
         pieces = [np.take(words, ok[_sorted_unique(q, msgs[ok])], axis=-1)]
-    chain = _coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     bonus = 1 if method == M1 else 0
     best_score, best, complete, candidates = -1, None, True, 0
     for cand in _joined(pieces, SEARCH_BATCH):
@@ -659,7 +478,7 @@ def search_extend(
     if best is None:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples
-        candidates = (q - 1) * candidates - (q - 2) * int(weight_condition(C.field, method, 0))
+        candidates = (q - 1) * candidates - (q - 2) * int(zero_passes)
     code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
     exact = decided and complete
     return SearchResult(

@@ -28,6 +28,8 @@ from types import MappingProxyType
 from .codes import BudgetExceeded, CodeError, LinearCode, is_even_like, is_lcd, min_weight, weight_distribution
 from .codes import read_ascii, read_code_file
 from .construct import ConstructionRecord, apply_record, parse_record
+from .gf import FieldError
+from .linalg import LinalgError
 
 
 class CorpusError(ValueError):
@@ -122,6 +124,8 @@ def load(entry_id: str, entries: dict[str, CorpusEntry] | None = None) -> Corpus
 def load_record(entry: CorpusEntry) -> ConstructionRecord:
     if entry.kind != "record":
         raise CorpusError(f"{entry.id} is not a record entry")
+    if entry.file is None:
+        raise CorpusError(f"{entry.id}: the manifest names no record file")
     return parse_record(read_ascii(data_dir() / entry.file))
 
 
@@ -130,7 +134,11 @@ class _BaseCycle(CorpusError):
 
 
 def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _seen=(), _memo=None) -> LinearCode:
-    """Materialize an entry as a code, replaying records recursively; ``_memo`` maps an id to its code or error."""
+    """Materialize an entry as a code, replaying records recursively; ``_memo`` maps an id to its code or error.
+
+    An entry whose file is missing or malformed, or whose record step no
+    longer applies, raises CorpusError("<entry id>: <reason>"), and so does
+    every entry built on it."""
     entries = manifest() if entries is None else entries
     memo = {} if _memo is None else _memo
     if entry_id in _seen:
@@ -142,6 +150,8 @@ def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _
             raise
         except CorpusError as exc:
             memo[entry_id] = exc
+        except (OSError, CodeError, FieldError, LinalgError) as exc:  # a missing or malformed file, a step that fails
+            memo[entry_id] = CorpusError(f"{entry_id}: {exc}")
     hit = memo[entry_id]
     if isinstance(hit, CorpusError):
         raise hit
@@ -183,8 +193,10 @@ class VerificationReport:
     messages: list[str]
 
 
-def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1, _memo=None) -> VerificationReport:
-    """Check every claim the manifest makes about one entry.
+def verify_entry(
+    entry: CorpusEntry, entries=None, threads: int = 1, _memo=None, cap: int | None = None
+) -> VerificationReport:
+    """Check every claim the manifest makes about one entry; scans run under ``cap``.
 
     An entry that does not resolve fails (an optional one with a missing
     base is skipped), and so does a claim whose scan runs out of budget.
@@ -212,12 +224,12 @@ def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1, _memo=None)
     wd = None
     if entry.weights is not None:
         try:
-            wd = weight_distribution(code, threads=threads)
+            wd = weight_distribution(code, cap=cap, threads=threads)
         except BudgetExceeded:
             pass  # reported in the weight distribution's place below
     if entry.d is not None:
         try:  # d from the weight distribution when there is one, so no code is scanned twice
-            d = min_weight(code, threads=threads) if wd is None else wd.min_weight
+            d = min_weight(code, cap=cap, threads=threads) if wd is None else wd.min_weight
             check(d == entry.d, f"min weight {entry.d} (got {d})")
         except BudgetExceeded as exc:
             check(False, "min weight", f"inconclusive ({exc})")
@@ -230,8 +242,8 @@ def verify_entry(entry: CorpusEntry, entries=None, threads: int = 1, _memo=None)
     return VerificationReport(entry.id, ok, False, messages)
 
 
-def check_all(threads: int = 1) -> list[VerificationReport]:
+def check_all(threads: int = 1, cap: int | None = None) -> list[VerificationReport]:
     """verify_entry on every entry; an optional entry with a missing base is skipped."""
     entries = manifest()
     memo: dict = {}
-    return [verify_entry(entry, entries, threads=threads, _memo=memo) for entry in entries.values()]
+    return [verify_entry(entry, entries, threads=threads, _memo=memo, cap=cap) for entry in entries.values()]

@@ -39,27 +39,25 @@ identity (macwilliams_transform): exact integers, checked (every A_i a
 non-negative integer, A_0 = 1, sum A_i = q^k) or InvariantError.  The
 cap still counts C's q^k codewords, whichever side is scanned.
 
-Brouwer-Zimmermann runs on the same kernel.  A level's codewords (w
-rows of a systematic generator, the first scaled by 1) come in batches of
-at most BZ_CHUNK: their index rows are generated a range of supports at a
-time, each batch gathers its scaled rows from one pack with np.take, adds
-them and is weighed once.  A level's C(k, w) supports are never held whole.
-The extension search lists the words of cosets x + C from the same
-batches and their scalar multiples (construct._bz_order).  For each chain
-matrix it first moves every candidate to the word of its coset that
-vanishes on the pivots: the pivot symbols' index in a negated codeword
-table is a sum of 256-entry lookups on the candidate's bytes, and one
-gather from the table is added (construct._reduce).  It then compares the
-candidates with the listed words by Hamming distance, a pass laid out
-words x candidates, so that the minimum over the words is an elementwise
-minimum across rows.  The popcounts of a vector's words are added in
-uint16, exact since pack_matrix keeps n < 2^15.
+Brouwer-Zimmermann runs on the same kernel, on C (min_weight_bz) and on
+the cosets x + C that the extension search scores (_coset_floor).  A
+level's codewords (w rows of a systematic generator, the first scaled by
+1) come in batches of at most BZ_CHUNK: their index rows are generated a
+range of supports at a time, each batch gathers its scaled rows from one
+pack with np.take, adds them and is weighed once.  A level's C(k, w)
+supports are never held whole.  A coset's words are listed from the same
+batches and their scalar multiples, level by level per chain matrix
+(_bz_order), once each candidate is moved to the word of its coset that
+vanishes on the matrix's pivots (_reduce).  The popcounts of a vector's
+words are added in uint16, exact since pack_matrix keeps n < 2^15.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -95,9 +93,17 @@ PARALLEL_THRESHOLD = 1 << 25
 # temporaries near 128 KiB per plane, so they stay cheap to allocate and in cache
 TABLE_ROWS = {2: 14, 3: 9, 4: 7}
 
-# codewords per Brouwer-Zimmermann batch, like construct.SCORE_CHUNK: a
-# batch's index rows and planes stay small, whatever C(k, w) is
+# codewords per Brouwer-Zimmermann batch, candidate-word pairs per pass of
+# the coset scorer and candidates per chunk of its reduction: small enough
+# that a pass's temporaries stay in cache, whatever C(k, w) is
 BZ_CHUNK = 1 << 14
+
+# compact the candidates still scored once this share of them has died.
+# Exhaustive method-1 search of t_19_6_9 (531,077 candidates scored in
+# Brouwer-Zimmermann order), median of 6 on a 2-core x86-64 host: at 5%
+# 0.112 s, 10% 0.103 s, 25% 0.088 s, 50% 0.079 s, 75% 0.075 s, 90% 0.086 s;
+# t_20_8_8 behaves alike
+COMPACT_SHARE = 0.5
 
 
 class BudgetExceeded(Exception):
@@ -248,9 +254,11 @@ def codeword_tables(field: FieldSpec, G: np.ndarray) -> list[np.ndarray]:
     low and high rows; each of those has at most q^ceil(TABLE_ROWS / 2)
     words and comes from one gather.
     """
-    q = field.order
-    k = G.shape[0]
-    scaled = _pack_scaled(field, G)
+    return _tables(field.order, _pack_scaled(field, G), G.shape[0])
+
+
+def _tables(q: int, scaled: np.ndarray, k: int) -> list[np.ndarray]:
+    """codeword_tables of the k rows of G from their scaled pack (_pack_scaled)."""
     L = TABLE_ROWS[q]
     tables = []
     for lo in range(0, max(k, 1), L):
@@ -608,3 +616,172 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
         if _bz_lower(w, [deficit for _scaled, deficit in chain]) >= best:
             return best
     return best
+
+
+# -- coset listing for the extension search ----------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Link:
+    """One matrix G_j of C's information-set chain, ready to scan cosets.
+
+    ``lookups`` holds, for each negated table, the bytes of a packed vector
+    that hold its rows' pivots, spots[i] = (plane, word, byte), and what
+    each adds to the table index: parts[i][v] when byte spots[i] reads v
+    (_pivot_lookups, _reduce).
+    """
+
+    pivots: tuple[int, ...]
+    deficit: int
+    negated: list[np.ndarray]  # codeword tables of -G_j
+    lookups: list[tuple[tuple[tuple[int, int, int], ...], np.ndarray]]  # per table: spots, uint16 parts (spots, 256)
+    scaled: np.ndarray  # _pack_scaled(G_j)
+
+
+# bit b of each byte value, one row per value: a byte's lookup is this times its bits' weights
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+
+
+def _pivot_lookups(q: int, n: int, pivots) -> list:
+    """_Link.lookups for the pivots p_0, p_1, ... of a chain matrix of length n.
+
+    Pivot i is digit i % TABLE_ROWS of table i // TABLE_ROWS, so bit b of
+    its symbol, on plane b, adds 2^b q^(i % TABLE_ROWS) to that table's
+    index.  The pivot columns are the same on every plane, so plane b's
+    parts are plane 0's times 2^b.  A part is at most (q^TABLE_ROWS - 1) /
+    (q - 1), twice that on plane 1, and the parts of a vector sum to its
+    index, below q^TABLE_ROWS <= 3^9: uint16 holds them.
+    """
+    L, planes = TABLE_ROWS[q], (1 if q == 2 else 2)
+    digit = np.arange(len(pivots))
+    weight = np.zeros((-(-len(pivots) // L), -(-n // 64) * 8, 8), dtype=np.int64)  # per table: plane 0's bits, by byte
+    weight.reshape(len(weight), -1)[digit // L, np.asarray(pivots, dtype=np.intp)] = q ** (digit % L)
+    lookups = []
+    for table in weight:
+        held = np.flatnonzero(table.any(axis=1)).tolist()  # the bytes that hold a pivot
+        parts = table[held] @ _BYTE_BITS.T
+        spots = tuple((p, b // 8, b % 8) for p in range(planes) for b in held)
+        lookups.append((spots, np.concatenate([parts << p for p in range(planes)]).astype(np.uint16)))
+    return lookups
+
+
+def _coset_chain(field: FieldSpec, G: np.ndarray) -> list[_Link]:
+    """The _Link of each matrix of G's information-set chain; each matrix is packed once."""
+    q = field.order
+    chain = []
+    for mat, pivots, deficit in _information_set_chain(field, G):
+        scaled = _pack_scaled(field, mat)
+        negated = [_negate(q, t) for t in _tables(q, scaled, mat.shape[0])]
+        chain.append(_Link(pivots, deficit, negated, _pivot_lookups(q, G.shape[1], pivots), scaled))
+    return chain
+
+
+def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
+    """x - sum_i x[p_i] row_i over G_j's pivots p_i: the word of x + C that vanishes on them.
+
+    For each negated table, the index of x's pivot symbols in it is the
+    uint16 sum of a few 256-entry lookups (_Link.lookups), one per byte of
+    x that holds a pivot, read as uint8; one gather of the table at those
+    indices is added to x.  The batch's last axis must be contiguous.
+    """
+    # byte c % 64 // 8 of word c // 64 holds column c, little-endian
+    octets = x.astype("<u8", copy=False).view(np.uint8).reshape(x.shape + (8,))
+    for table, (spots, parts) in zip(link.negated, link.lookups):
+        index = sum(np.take(part, octets[plane, word, :, byte]) for (plane, word, byte), part in zip(spots, parts))
+        x = _add(q, x, np.take(table, index, axis=-1))
+    return x
+
+
+def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
+    """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
+    every nonzero scalar tuple: the BZ level batches and their multiples.
+    ``tables`` shares the support tables between the chain's matrices."""
+    if W >= 0:
+        yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
+    for w in range(1, W + 1):
+        for words in _bz_level(q, k, w, link.scaled, tables):
+            for a in range(1, q):
+                yield _scale(q, a, words)
+
+
+def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple[list, bool]:
+    """(link, batches) stages that list coset words, and whether the listing is complete.
+
+    Each stage gives, for a matrix G_j, its codewords c of information
+    weight 0, 1, ..., W_j, every nonzero scalar tuple.  The set is closed
+    under negation, so the words x_j - c are the words of the coset x + C
+    of information weight at most W_j on G_j.
+
+    Every coset word not listed weighs at least sum_j max(0, W_j + 1 -
+    deficit_j), the chain's Brouwer-Zimmermann bound.  W is the first common
+    level W_j = W at which it reaches ``floor`` (_bz_lower), or k, where
+    G_1's levels are the whole coset.  Up to W, the W_j rise one unit of
+    the bound at a time, each where it adds the fewest words; G_1 alone
+    serves whenever they would list more than q^k words.
+
+    The listing is complete when the common-level one (deficit <= W through
+    level W, or G_1 whole if fewer words) has at most ``cap`` words, so the
+    W_j never change a result; otherwise G_1's levels 0 .. W' that fit in
+    ``cap`` are listed instead (none when cap < 1), closed under multiples.
+    """
+    sizes = [0, *accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1))]  # [W + 1]: words in levels 0..W of a matrix
+    W = next((w for w in range(k) if _bz_lower(w, [link.deficit for link in chain]) >= floor), k)
+    complete = min(sum(sizes[W + 1] for link in chain if link.deficit <= W), q**k) <= cap
+    tops = [-1] * len(chain)  # W_j, -1 while G_j lists nothing
+    for _ in range(floor if W < k else 0):
+        up = [max(t + 1, link.deficit) for t, link in zip(tops, chain)]  # the level that adds 1 to the bound
+        j = min((sizes[u + 1] - sizes[t + 1], j) for j, (t, u) in enumerate(zip(tops, up)) if u <= W)[1]
+        tops[j] = up[j]
+    listed = [(link, t) for link, t in zip(chain, tops) if t >= 0]
+    if W == k or sum(sizes[t + 1] for _, t in listed) > q**k:
+        listed = [(chain[0], k)]
+    if not complete:
+        listed = [(chain[0], sum(size <= cap for size in sizes[1:]) - 1)]
+    tables: dict = {}
+    return [(link, _level_words(q, k, link, t, tables)) for link, t in listed], complete
+
+
+def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages) -> np.ndarray:
+    """Running minimum weight over the cosets x + C of the packed candidates
+    x = cand[..., active], or of every candidate when ``active`` is None.
+
+    ``stages`` yields (link, batches) pairs.  For each link, every
+    candidate still scored is first replaced, in one working copy and a
+    chunk at a time, by the word of its coset that vanishes on the link's
+    pivots (_reduce).  Then each candidate is compared with every packed
+    word c of the batches, at most BZ_CHUNK pairs per pass: the distance
+    from x to c is the weight of the coset word x - c.  A pass lays its
+    pairs out words x candidates, so the minimum over its words is an
+    elementwise minimum across rows; with one word per pass (the candidates
+    fill it) there is none to take.  A candidate stops being scored
+    once its running minimum falls below ``floor``.  The result bounds each
+    coset minimum from above, and is below ``floor`` exactly where some
+    listed word is.
+    """
+    x = cand.copy() if active is None else np.take(cand, active, axis=-1)
+    where = np.arange(x.shape[-1])  # the position of each candidate still scored
+    low = np.empty(where.size, dtype=np.uint16)
+    run = np.full(where.size, np.iinfo(np.uint16).max, dtype=np.uint16)
+    for link, batches in stages:
+        for lo in range(0, run.size, BZ_CHUNK):
+            x[..., lo : lo + BZ_CHUNK] = _reduce(q, x[..., lo : lo + BZ_CHUNK], link)
+        for words in batches:
+            s = 0
+            while s < words.shape[-1]:
+                group = max(1, BZ_CHUNK // run.size)  # words per pass; one when the candidates fill a pass
+                part = words[..., s : s + group, None]
+                s += group
+                for lo in range(0, run.size, BZ_CHUNK // group):
+                    hi = lo + BZ_CHUNK // group
+                    dist = _distance(x[..., None, lo:hi], part)  # words x candidates
+                    np.minimum(run[lo:hi], dist[0] if group == 1 else dist.min(axis=0), out=run[lo:hi])
+                dead = run < floor
+                died = np.count_nonzero(dead)
+                if died and died >= COMPACT_SHARE * run.size:
+                    low[where] = run
+                    keep = np.flatnonzero(~dead)  # np.take: a random boolean mask indexes several times slower
+                    where, run, x = np.take(where, keep), np.take(run, keep), np.take(x, keep, axis=-1)
+                    if not run.size:
+                        return low
+    low[where] = run
+    return low

@@ -177,6 +177,44 @@ def test_corpus_check_reports_every_entry_past_a_broken_one(capsys, tmp_path, mo
     assert out.splitlines()[-1] == "summary verified=16 skipped=74 failed=1"
 
 
+def test_corpus_check_fails_broken_entries_and_checks_the_rest(capsys, tmp_path, monkeypatch):
+    # a record whose vector no longer lies in the dual, and a deleted code
+    # file: both entries fail, so does the record built on the deleted one,
+    # and every other entry is still checked
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    rec = copy / "records" / "b_14_8_4.rec"
+    rec.write_text(rec.read_text(encoding="ascii").replace("extend-m1 1001110001100", "extend-m1 1001110001101"))
+    (copy / "codes" / "t_20_8_8.code").unlink()
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    code, out, err = run(capsys, "corpus-check")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    missing = f"t_20_8_8: [Errno 2] No such file or directory: '{copy / 'codes' / 't_20_8_8.code'}'"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL t_20_8_8 ({missing})",
+        "FAIL b_14_8_4 (b_14_8_4: vector does not pair to zero with every generator row)",
+        f"FAIL t_21_9_8 ({missing})",
+    ]
+    assert "ok b_16_10_4" in lines and "ok t_23_9_9" in lines
+    assert lines[-1] == "summary verified=13 skipped=74 failed=3"
+
+
+def test_corpus_check_runs_under_the_cap(capsys):
+    # every verified entry has more than 10 codewords, so at --cap 10 each
+    # claim on d or on the weights is inconclusive; without --cap all pass
+    code, out, err = run(capsys, "--cap", "10", "corpus-check")
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 16 and all("min weight: inconclusive" in line for line in fails)
+    assert "weight distribution: inconclusive (2^8 codewords exceed the cap)" in next(
+        line for line in fails if line.startswith("FAIL b_14_8_4 ")
+    )
+    assert out.splitlines()[-1] == "summary verified=0 skipped=74 failed=16"
+    code, out, err = run(capsys, "corpus-check")
+    assert (code, err, out.splitlines()[-1]) == (0, "", "summary verified=16 skipped=74 failed=0")
+
+
 def test_replay_record(capsys):
     code, out, err = run(capsys, "replay", corpus_file("records/t_23_9_9.rec"))
     assert code == 0
@@ -342,7 +380,7 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
 
     # the default --threads is the usable CPU count at each call, not at parser build
     seen = []
-    monkeypatch.setattr(corpus_mod, "check_all", lambda threads: seen.append(threads) or [])
+    monkeypatch.setattr(corpus_mod, "check_all", lambda threads, cap: seen.append(threads) or [])
     for cpus in (3, 5):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert run(capsys, "corpus-check")[0] == 0

@@ -859,6 +859,20 @@ def test_search_budget_below_1_is_refused(budget):
         search_extend(C, M1, budget=budget)
 
 
+@pytest.mark.parametrize("field,method", [(GF3, "m3"), (GF4, M1), (GF4, M2)])
+def test_search_that_cannot_run_fails_before_any_work(field, method, monkeypatch):
+    # an unknown method, or Euclidean GF(4), which has no weight condition,
+    # raises before d(C), the dual's tables or the coset chain are computed
+    C = oracles.random_lcd_code(field, 12, 5, random.Random(12))
+    with pytest.raises(ConstructError) as want:
+        weight_condition(field, method, 0)
+    for mod, attr in ((construct, "min_weight"), (enumeration, "codeword_tables"), (enumeration, "_coset_chain")):
+        monkeypatch.setattr(mod, attr, lambda *a, attr=attr, **kw: pytest.fail(f"{attr} ran"))
+    with pytest.raises(ConstructError) as got:
+        search_extend(C, method, budget=10**6)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 # -- coset scoring in Brouwer-Zimmermann order against the oracle's coset minima
 
 
@@ -878,25 +892,25 @@ def coset_candidates(C, count, rng):
 @pytest.mark.parametrize(
     "f,n,k", [(GF2, 70, 8), (GF3, 66, 5), (GF4H, 65, 4), (GF2, 16, 10), (GF3, 12, 7), (GF4H, 10, 6), (GF3, 9, 3)]
 )
-@pytest.mark.parametrize("chunk", [5, 64, construct.SCORE_CHUNK])
+@pytest.mark.parametrize("chunk", [5, 64, enumeration.BZ_CHUNK])
 def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
     # n > 64 spans two words per plane, k > n / 2 gives the chain deficits,
     # and small chunks split passes, reductions and compactions.  A
     # candidate stays alive exactly when its coset minimum reaches the
     # floor, and a dropped one reports an upper bound on it below the floor
-    monkeypatch.setattr(construct, "SCORE_CHUNK", chunk)
+    monkeypatch.setattr(enumeration, "BZ_CHUNK", chunk)
     rng = random.Random(n * 7 + k)
     C = oracles.random_code(f, n, k, rng)
     cands = coset_candidates(C, 40, rng)
     truth = oracles.coset_min_weights(C, cands)
     packed = enumeration.pack_matrix(f.order, cands)
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     active = np.flatnonzero(np.arange(len(cands)) % 5 != 3)  # scorers see a subset of the candidates
     want = truth[active]
     for floor in range(1, int(truth.max()) + 2):
-        stages, complete = construct._bz_order(f.order, k, chain, floor, f.order**k)
+        stages, complete = enumeration._bz_order(f.order, k, chain, floor, f.order**k)
         assert complete
-        low = construct._coset_floor(f.order, packed, active, floor, stages)
+        low = enumeration._coset_floor(f.order, packed, active, floor, stages)
         alive = low >= floor
         assert np.array_equal(alive, want >= floor)
         assert (low >= want).all()
@@ -908,18 +922,18 @@ def test_coset_scorer_on_every_candidate_and_a_subset(f, n, k, monkeypatch):
     # then a subset; through compactions of a small chunk both agree with
     # scoring the same positions listed explicitly, and neither writes to
     # the candidates
-    monkeypatch.setattr(construct, "SCORE_CHUNK", 5)
+    monkeypatch.setattr(enumeration, "BZ_CHUNK", 5)
     rng = random.Random(n * 11 + k)
     C = oracles.random_code(f, n, k, rng)
     cands = coset_candidates(C, 40, rng)
     packed = enumeration.pack_matrix(f.order, cands)
     cand = packed.copy()
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     subset = np.flatnonzero(np.arange(len(cands)) % 3 != 1)
     for floor in (1, 2, 3, 5, 8, 13, 21):
         def scored(active):
-            stages, _ = construct._bz_order(f.order, k, chain, floor, f.order**k)
-            return construct._coset_floor(f.order, cand, active, floor, stages)
+            stages, _ = enumeration._bz_order(f.order, k, chain, floor, f.order**k)
+            return enumeration._coset_floor(f.order, cand, active, floor, stages)
 
         everyone = scored(np.arange(len(cands)))
         assert np.array_equal(scored(None), everyone)
@@ -945,7 +959,7 @@ def test_pivot_reduction_matches_symbol_arithmetic(f, n):
     wide[..., 5:45] = packed
     R, basis_pivots, _ = oracles.table_rref(C.generator, f)
     add, neg = f.add_table, f.neg_table
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     matrices = enumeration._information_set_chain(f, C.generator)
     assert len(chain) == len(matrices)
     assert set().union(*(link.pivots for link in chain)) == set(range(n))
@@ -957,18 +971,31 @@ def test_pivot_reduction_matches_symbol_arithmetic(f, n):
         coset_step = add[X, neg[want]]  # x minus the reduced word lies in C
         assert np.array_equal(oracles.table_matmul(f, coset_step[:, list(basis_pivots)], R), coset_step)
         for batch, rows in ((packed, slice(None)), (wide[..., 5:45], slice(None)), (packed[..., 3:20], slice(3, 20))):
-            got = enumeration.unpack_matrix(construct._reduce(f.order, batch, link), n)
+            got = enumeration.unpack_matrix(enumeration._reduce(f.order, batch, link), n)
             assert not got[:, pivots].any()
             assert np.array_equal(got, want[rows])
 
 
+@pytest.mark.parametrize("f,n,k", [(GF2, 70, 20), (GF3, 19, 6), (GF4H, 30, 12)])
+def test_coset_chain_packs_each_matrix_once(f, n, k, monkeypatch):
+    # one scaled pack per chain matrix serves its negated tables and its BZ levels
+    C = oracles.random_code(f, n, k, random.Random(n + k))
+    packed = []
+    pack_scaled = enumeration._pack_scaled
+    monkeypatch.setattr(enumeration, "_pack_scaled", lambda field, G: packed.append(G) or pack_scaled(field, G))
+    chain = enumeration._coset_chain(f, C.generator)
+    assert len(chain) >= 2 and len(packed) == len(chain)
+    for link, G in zip(chain, packed):
+        assert np.array_equal(link.scaled, pack_scaled(f, G))
+
+
 @pytest.mark.parametrize("f", FIELDS)
-@pytest.mark.parametrize("chunk", [2, construct.SCORE_CHUNK])
+@pytest.mark.parametrize("chunk", [2, enumeration.BZ_CHUNK])
 def test_coset_scorer_weighs_long_vectors_exactly(f, chunk, monkeypatch):
     # n = 300: coset weights past 255 (a uint8 sum would wrap) are exact,
     # one word per pass (chunk 2) and words x candidates in one pass.  With
     # every codeword listed, a surviving candidate's minimum is its coset's
-    monkeypatch.setattr(construct, "SCORE_CHUNK", chunk)
+    monkeypatch.setattr(enumeration, "BZ_CHUNK", chunk)
     rng = random.Random(300 + f.order)
     G = np.zeros((2, 300), dtype=np.uint8)
     G[0, 0:4], G[1, 250:256] = 1, f.order - 1  # light rows keep the cosets heavy
@@ -978,14 +1005,14 @@ def test_coset_scorer_weighs_long_vectors_exactly(f, chunk, monkeypatch):
     truth = oracles.coset_min_weights(C, cands)
     assert truth.max() >= 256
     packed = enumeration.pack_matrix(f.order, cands)
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     every = enumeration.pack_matrix(f.order, oracles.codeword_array(C))
     for floor in (1, 200, int(truth.max()), int(truth.max()) + 1):
-        stages, complete = construct._bz_order(f.order, 2, chain, floor, f.order**2)
-        low = construct._coset_floor(f.order, packed, None, floor, stages)
+        stages, complete = enumeration._bz_order(f.order, 2, chain, floor, f.order**2)
+        low = enumeration._coset_floor(f.order, packed, None, floor, stages)
         assert complete and np.array_equal(low >= floor, truth >= floor)
         assert (low >= truth).all()
-        low = construct._coset_floor(f.order, packed, None, floor, [(chain[0], [every])])
+        low = enumeration._coset_floor(f.order, packed, None, floor, [(chain[0], [every])])
         alive = low >= floor
         assert np.array_equal(alive, truth >= floor) and np.array_equal(low[alive], truth[alive])
         assert (low >= truth).all()
@@ -1003,16 +1030,16 @@ def test_bz_order_schedule():
     from lcdkit import corpus
 
     C = corpus.resolve_code("t_19_6_9")
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     assert [link.deficit for link in chain] == [0, 0, 0, 5]
     cases = [(8, 3**6, chain[:3], 159, True), (1, 3**6, chain[:1], 1, True), (13, 3**6, chain[:1], 3**6, True)]
     cases += [(8, 219, chain[:3], 159, True), (8, 218, chain[:1], 73, False), (13, 3**6 - 1, chain[:1], 665, False)]
     cases += [(1, 2, chain[:1], 1, False), (1, 0, chain[:1], 0, False)]
     for floor, cap, links, words, complete in cases:
-        stages, listed_all = construct._bz_order(3, 6, chain, floor, cap)
+        stages, listed_all = enumeration._bz_order(3, 6, chain, floor, cap)
         assert [link for link, _ in stages] == links and listed_all == complete
         assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
-    stages, _ = construct._bz_order(3, 6, chain, 8, 3**6)
+    stages, _ = enumeration._bz_order(3, 6, chain, 8, 3**6)
     assert [sum(w.shape[-1] for w in batches) for _, batches in stages] == [73, 73, 13]
 
 
@@ -1024,15 +1051,15 @@ def test_bz_order_lists_no_more_than_the_common_level(f, n, k):
     # count, not the trimmed one, decides completeness under the cap
     q = f.order
     C = oracles.random_code(f, n, k, random.Random(n * 17 + k))
-    chain = construct._coset_chain(C)
+    chain = enumeration._coset_chain(C.field, C.generator)
     deficits = [link.deficit for link in chain]
     sizes = np.cumsum([math.comb(k, w) * (q - 1) ** w for w in range(k + 1)])
     for floor in range(1, n + 2):
         W = next((w for w in range(k) if enumeration._bz_lower(w, deficits) >= floor), k)
         common = min(sum(int(sizes[W]) for d in deficits if d <= W), q**k)
-        stages, complete = construct._bz_order(q, k, chain, floor, common)
+        stages, complete = enumeration._bz_order(q, k, chain, floor, common)
         assert complete and sum(w.shape[-1] for _, batches in stages for w in batches) <= common
-        assert not construct._bz_order(q, k, chain, floor, common - 1)[1]
+        assert not enumeration._bz_order(q, k, chain, floor, common - 1)[1]
 
 
 @pytest.mark.parametrize(

@@ -252,3 +252,16 @@ def test_verify_entry_min_weight_inconclusive_past_a_tiny_cap(monkeypatch):
     assert not rep.ok and not rep.skipped
     assert "min weight: inconclusive (work budget exhausted after 6 steps; best upper bound so far 4)" in rep.messages
     assert "lcd: ok" in rep.messages
+
+
+def test_record_entry_without_a_file_fails(tmp_path, monkeypatch):
+    # an empty file cell on a record row fails that entry, not the whole check
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    with open(copy / "manifest.csv", "a", encoding="ascii") as fh:
+        fh.write("nofile,record,,gf2,3,1,,,,test,no\n")
+    monkeypatch.setenv("LCDKIT_CORPUS", str(copy))
+    reports = {r.entry_id: r for r in corpus.check_all()}
+    rep = reports["nofile"]
+    assert (rep.ok, rep.skipped, rep.messages) == (False, False, ["nofile: the manifest names no record file"])
+    assert sum(r.ok and not r.skipped for r in reports.values()) == 16
