@@ -60,7 +60,7 @@ TIMED = [
     (construct, "_sorted_unique", "dedupe"),
     (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),
-    (construct, "extend_m1", "extend"),
+    (construct, "extend", "extend"),
 ]
 
 

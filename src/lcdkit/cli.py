@@ -40,8 +40,7 @@ from .construct import (
     M1,
     M2,
     ConstructError,
-    extend_m1,
-    extend_m2,
+    extend,
     parse_record,
     apply_record,
     puncture_to_lcd,
@@ -132,8 +131,7 @@ def cmd_extend(args) -> int:
     code = read_code_file(args.file)
     method = M1 if args.method == 1 else M2
     if args.vector is not None:
-        vec = parse_vector(code.field, args.vector)
-        out = extend_m1(code, vec) if method == M1 else extend_m2(code, vec)
+        out = extend(code, parse_vector(code.field, args.vector), method)
         return _print_result_code(args, out, f"extended method={args.method}", ())
     res = search_extend(
         code, method, target=args.target, budget=args.budget, seed=args.seed, cap=args.cap, threads=args.threads
@@ -263,17 +261,22 @@ def _usable_cpus() -> int:
     return max(1, min(cpus, math.ceil(quota / period)))
 
 
-def _threads(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
-    return int(text)
+def _at_least(minimum: int):
+    """An argparse type: a whole number of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be a whole number of at least {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 @functools.cache  # one parser per process, so no default may depend on the call; main resolves --threads
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lcdkit", description="LCD code construction and verification toolkit")
-    p.add_argument("--threads", type=_threads, help="worker processes for enumeration (default: usable CPUs)")
-    p.add_argument("--cap", type=int, default=None, help="enumeration work budget (codewords)")
+    p.add_argument("--threads", type=_at_least(1), help="worker processes for enumeration (default: usable CPUs)")
+    p.add_argument("--cap", type=_at_least(0), default=None, help="enumeration work budget (codewords)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="rank, LCD, minimum weight, distribution, even/odd-like")

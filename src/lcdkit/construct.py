@@ -6,11 +6,12 @@ Contents:
   an LCD [n-l, k-l, >=d] shortening on the hull's pivot coordinates;
 * hull-guided puncturing: when l < d, puncturing the same coordinate set
   keeps the dimension and yields an LCD [n-l, k, >=d-l] code;
-* two extension methods: method 1 prepends a coordinate and a dual row
-  (1|x; 0|G), method 2 stacks a dual row y on top of G.  Over GF(2),
-  GF(3) and Hermitian GF(4) each is LCD exactly when the extension
-  vector's weight satisfies a per-field condition, and each odd-like
-  binary LCD code arises this way (decompose_m1 inverts method 1);
+* two extension methods, both built by extend: method 1 prepends a
+  coordinate and a dual row (1|x; 0|G), method 2 stacks a dual row y on
+  top of G.  Over GF(2), GF(3) and Hermitian GF(4) each is LCD exactly
+  when the new row's self-pairing, a function of the extension vector's
+  weight, is nonzero, and each odd-like binary LCD code arises this way
+  (decompose_m1 inverts method 1);
 * a deterministic search over extension vectors, ranked by the exact
   minimum distance they achieve.
 
@@ -75,36 +76,24 @@ class NoCandidate(ConstructError):
 def weight_condition(field: FieldSpec, method: str, weight: int) -> bool:
     """The weight test that makes an extension LCD.
 
-    Method 1 adds 1 to the self-pairing of the extension vector, method 2
-    uses the self-pairing itself; self-pairings reduce to the weight mod
-    the characteristic-like modulus of each field.  ``weight`` may also be
-    a numpy array of weights, tested elementwise.
+    The new row pairs to zero with C, so the extension is LCD exactly when
+    the row's self-pairing is nonzero: its weight mod p (3 over GF(3), 2
+    over GF(2) and Hermitian GF(4)), plus 1 for method 1's leading 1.
+    ``weight`` may also be a numpy array of weights, tested elementwise.
 
     Euclidean GF(4) has no such test: there x.x = (sum of x_i)^2, which the
     weight does not decide, so it raises ConstructError.
     """
     if field.order == 4 and field.flavor == EUCLIDEAN:
         raise ConstructError("the extension weight condition needs Hermitian GF(4) (gf4h), not Euclidean gf4")
-    if method == M1:
-        if field.order == 3:
-            return weight % 3 != 2
-        return weight % 2 == 0
-    if method == M2:
-        if field.order == 3:
-            return weight % 3 != 0
-        return weight % 2 == 1
-    raise ConstructError(f"unknown method {method!r}")
+    if method not in (M1, M2):
+        raise ConstructError(f"unknown method {method!r}")
+    p = 3 if field.order == 3 else 2
+    return weight % p != (p - 1 if method == M1 else 0)
 
 
-@dataclass(frozen=True)
-class ExtensionVector:
-    vector: np.ndarray
-    method: str
-    weight: int
-
-
-def extension_vector(C: LinearCode, vector, method: str) -> ExtensionVector:
-    """Validate dual membership and the method's weight condition."""
+def extension_vector(C: LinearCode, vector, method: str) -> np.ndarray:
+    """The vector as uint8, checked for length, symbols, dual membership and the weight condition."""
     v = np.asarray(vector, dtype=np.uint8)
     if v.shape != (C.n,):
         raise ConstructError(f"extension vector has length {v.shape}, expected {C.n}")
@@ -115,7 +104,7 @@ def extension_vector(C: LinearCode, vector, method: str) -> ExtensionVector:
     w = int((v != 0).sum())
     if not weight_condition(C.field, method, w):
         raise WeightCondition(f"weight {w} violates the method-{method[1]} condition for {C.field.name}")
-    return ExtensionVector(v, method, w)
+    return v
 
 
 # -- hull-based constructions ---------------------------------------------
@@ -155,39 +144,40 @@ def puncture_to_lcd(C: LinearCode, cap: int | None = None, threads: int = 1) -> 
 # -- extension methods ------------------------------------------------------
 
 
-def extend_m1(C: LinearCode, x) -> LinearCode:
-    """[n+1, k+1] LCD extension with generator (1 x; 0 G)."""
+def extend(C: LinearCode, x, method: str) -> LinearCode:
+    """LCD extension of C by the dual vector x: [n+1, k+1] (1 x; 0 G) for method 1, [n, k+1]
+    (x; G) for method 2.  An unknown method or Euclidean GF(4) raises extension_vector's error
+    for x without C's LCD test, so a bad vector is reported as extension_vector reports it."""
+    try:
+        weight_condition(C.field, method, 0)
+    except ConstructError:
+        extension_vector(C, x, method)
+        raise
     if not is_lcd(C):
-        raise NotLcd("method 1 extends LCD codes only")
-    ev = x if isinstance(x, ExtensionVector) else extension_vector(C, x, M1)
-    if ev.method != M1:
-        raise ConstructError("extension vector was validated for the other method")
-    if ev.weight == 0:
+        raise NotLcd(f"method {method[1]} extends LCD codes only")
+    v = extension_vector(C, x, method)
+    lead = 1 if method == M1 else 0  # method 1's new first coordinate
+    if lead and not v.any():
         warnings.warn("all-zero extension vector: the result is LCD but its minimum distance is 1")
-    g = np.zeros((C.k + 1, C.n + 1), dtype=np.uint8)
-    g[0, 0] = 1
-    g[0, 1:] = ev.vector
-    g[1:, 1:] = C.generator
+    g = np.zeros((C.k + 1, C.n + lead), dtype=np.uint8)
+    g[0, :lead] = 1
+    g[0, lead:] = v
+    g[1:, lead:] = C.generator
     g.setflags(write=False)
     out = LinearCode(C.field, g)
     if not is_lcd(out):
-        raise linalg.InvariantError("the method-1 extension is not LCD")
+        raise linalg.InvariantError(f"the method-{method[1]} extension is not LCD")
     return out
+
+
+def extend_m1(C: LinearCode, x) -> LinearCode:
+    """[n+1, k+1] LCD extension with generator (1 x; 0 G)."""
+    return extend(C, x, M1)
 
 
 def extend_m2(C: LinearCode, y) -> LinearCode:
     """[n, k+1] LCD extension with generator (y; G)."""
-    if not is_lcd(C):
-        raise NotLcd("method 2 extends LCD codes only")
-    ev = y if isinstance(y, ExtensionVector) else extension_vector(C, y, M2)
-    if ev.method != M2:
-        raise ConstructError("extension vector was validated for the other method")
-    g = np.vstack([ev.vector.reshape(1, -1), C.generator])
-    g.setflags(write=False)
-    out = LinearCode(C.field, g)
-    if not is_lcd(out):
-        raise linalg.InvariantError("the method-2 extension is not LCD")
-    return out
+    return extend(C, y, M2)
 
 
 def pad_zero_column(C: LinearCode) -> LinearCode:
@@ -479,7 +469,7 @@ def search_extend(
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples
         candidates = (q - 1) * candidates - (q - 2) * int(zero_passes)
-    code = extend_m1(C, best) if method == M1 else extend_m2(C, best)
+    code = extend(C, best, method)
     exact = decided and complete
     return SearchResult(
         vector=best,
@@ -571,10 +561,8 @@ def apply_step(C: LinearCode, step: Step) -> LinearCode:
         return shorten(C, _coords_from_text(step.arg))
     if step.op == "puncture":
         return puncture(C, _coords_from_text(step.arg))
-    if step.op == "extend-m1":
-        return extend_m1(C, parse_vector(C.field, step.arg))
-    if step.op == "extend-m2":
-        return extend_m2(C, parse_vector(C.field, step.arg))
+    if step.op in ("extend-m1", "extend-m2"):
+        return extend(C, parse_vector(C.field, step.arg), step.op[len("extend-") :])
     if step.op == "pad":
         return pad_zero_column(C)
     raise ConstructError(f"unknown step {step.op!r}")

@@ -63,7 +63,7 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec
-from .linalg import InvariantError, nullspace, rref
+from .linalg import InvariantError, LinalgError, nullspace, rref
 
 DEFAULT_CAPS = {2: 2**26, 3: 3**16, 4: 4**13}
 
@@ -124,7 +124,7 @@ def pack_matrix(order: int, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.uint8)
     N, n = M.shape
     if n >= 1 << 15:
-        raise ValueError(f"length {n} is too long for the uint16 weights of a packed batch")
+        raise LinalgError(f"length {n} is too long for the uint16 weights of a packed batch")
     P = 1 if order == 2 else 2
     W = -(-n // 64)
     bits = np.zeros((P, N, W * 64), dtype=np.uint8)

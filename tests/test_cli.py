@@ -322,6 +322,29 @@ def test_threads_below_one_is_a_usage_error(capsys, value, command):
     assert f"lcdkit: error: argument --threads: must be a whole number of at least 1, got '{value}'\n" in out.err
 
 
+@pytest.mark.parametrize(
+    "command", [("minweight", "codes/b_13_7_4.code"), ("extend", "codes/b_13_7_4.code", "--method", "1", "--search")]
+)
+def test_cap_below_zero_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", "-3", command[0], corpus_file(command[1]), *command[2:]])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "lcdkit: error: argument --cap: must be a whole number of at least 0, got '-3'\n" in out.err
+
+
+@pytest.mark.parametrize("command", ["verify", "minweight"])
+def test_length_past_packed_weights_is_a_usage_error(capsys, tmp_path, command):
+    # packed batches count weights in uint16, so n = 2^15 cannot be scanned
+    f = tmp_path / "long.code"
+    f.write_text("gf2 32768 1\n" + "1" * 32768 + "\n")
+    code, out, err = run(capsys, "--threads", "1", command, str(f))
+    assert code == 2
+    assert out == ""
+    assert err == "error: length 32768 is too long for the uint16 weights of a packed batch\n"
+
+
 def test_threads_values_at_parse_level():
     # large counts are only parsed here: running them would fork one worker each
     parser = build_parser()

@@ -37,6 +37,7 @@ from lcdkit.construct import (
     WeightCondition,
     apply_record,
     decompose_m1,
+    extend,
     extend_m1,
     extend_m2,
     extension_vector,
@@ -598,12 +599,46 @@ def test_record_parse_errors():
         parse_record("")
 
 
-def test_extension_vector_validation():
-    c = new_code(GF2, [[1, 0, 1], [0, 1, 1]])
-    ev = extension_vector(c, [1, 1, 1], M2)
-    assert ev.weight == 3 and ev.method == M2
-    with pytest.raises(ConstructError):
-        extend_m1(c, ev)  # method mismatch
+@pytest.mark.parametrize("f", FIELDS)
+def test_weight_condition_is_the_new_rows_self_pairing(f):
+    # method 1's row (1 x) pairs with itself as a method-2 row of one more
+    # nonzero symbol; an array of weights, as the search passes, gives the
+    # scalar answers
+    for w in range(41):
+        assert weight_condition(f, M1, w) == weight_condition(f, M2, w + 1)
+    for method in (M1, M2):
+        want = [weight_condition(f, method, w) for w in range(41)]
+        for dtype in (np.uint16, np.int64):
+            assert weight_condition(f, method, np.arange(41, dtype=dtype)).tolist() == want
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_extend_builds_both_methods(f):
+    rng = random.Random(151)
+    built = {M1: 0, M2: 0}
+    while min(built.values()) < 20:
+        k = rng.randrange(1, 5)
+        c = oracles.random_lcd_code(f, rng.randrange(k + 1, 10), k, rng)
+        v = random_dual_vector(c, rng)
+        for method, named in ((M1, extend_m1), (M2, extend_m2)):
+            if not weight_condition(f, method, int((v != 0).sum())):
+                continue
+            built[method] += 1
+            got = extend(c, v, method)
+            assert np.array_equal(got.generator, raw_extension_matrix(c, v, method))
+            assert np.array_equal(named(c, v).generator, got.generator)
+
+
+@pytest.mark.parametrize("field,method", [(GF3, "m3"), (GF2, "M1"), (GF4, M1), (GF4, M2)])
+def test_extension_that_cannot_run_fails_before_any_work(field, method, monkeypatch):
+    # an unknown method, or Euclidean GF(4), raises before C's LCD test
+    c = new_code(field, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(ConstructError) as want:
+        weight_condition(field, method, 0)
+    monkeypatch.setattr(construct, "is_lcd", lambda C: pytest.fail("is_lcd ran"))
+    with pytest.raises(ConstructError) as got:
+        extend(c, np.array([0, 0, 1, 1], dtype=np.uint8), method)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @pytest.mark.parametrize("f", FIELDS + [GF4])
