@@ -303,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--vector", help="extension vector symbols")
     group.add_argument("--search", action="store_true", help="search for the best vector")
-    sp.add_argument("--target", type=int, default=None, help="target minimum distance for --search")
-    sp.add_argument("--budget", type=int, default=100_000, help="candidate budget for --search")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed for --search")
+    sp.add_argument("--target", type=_at_least(1), default=None, help="target minimum distance for --search")
+    sp.add_argument("--budget", type=_at_least(1), default=100_000, help="candidate budget for --search")
+    sp.add_argument("--seed", type=_at_least(0), default=0, help="sampling seed for --search")
     sp.add_argument("--output", "-o")
     sp.set_defaults(fn=cmd_extend)
 

@@ -96,7 +96,8 @@ def extension_vector(C: LinearCode, vector, method: str) -> np.ndarray:
     """The vector as uint8, checked for length, symbols, dual membership and the weight condition."""
     v = np.asarray(vector, dtype=np.uint8)
     if v.shape != (C.n,):
-        raise ConstructError(f"extension vector has length {v.shape}, expected {C.n}")
+        got = f"{v.size} symbols" if v.ndim == 1 else f"shape {v.shape}"
+        raise ConstructError(f"extension vector has {got}, expected {C.n}")
     if v.max(initial=0) >= C.field.order:
         raise ConstructError(f"extension vector entry {int(v.max())} is not an element of {C.field.name}")
     if linalg.pairing_matrix(C.generator, v.reshape(1, -1), C.field).any():
@@ -212,11 +213,11 @@ def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
     """Invert method 1 on an odd-like binary LCD code.
 
-    Finds the first coordinate i whose shortening is an LCD [n-1, k-1]
-    code: one RREF scanning i first gives a row u with pivot i and, in its
-    other rows, that shortening.  u without coordinate i splits against it
-    into an even-weight dual part x, and method 1 on x rebuilds the input
-    with coordinate i moved to the front.
+    Finds the first coordinate i whose shortening S (codes.shorten) is an
+    LCD [n-1, k-1] code.  A generator row u that is 1 at i, without
+    coordinate i, splits against S into an even-weight dual part x, and
+    method 1 on x rebuilds the input with coordinate i moved to the front.
+    Two such rows differ by a word of S, so x does not depend on the row.
     """
     if Cp.field.order != 2:
         raise ConstructError("decomposition is defined for binary codes")
@@ -227,16 +228,15 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
     if is_even_like(Cp):
         raise ConstructError("input must be odd-like")
     for i in range(Cp.n):
-        if not Cp.generator[:, i].any():
+        column = Cp.generator[:, i]
+        if not column.any():
             continue  # coordinate untouched by the code: no dimension drop
-        res = linalg.rref(Cp.generator, Cp.field, col_order=[i] + [j for j in range(Cp.n) if j != i])
-        if res.pivots[0] != i:
-            raise linalg.InvariantError(f"coordinate {i} is not the first pivot of the generator")
-        rest = np.delete(res.matrix, i, axis=1)
-        rest.setflags(write=False)
-        S = LinearCode(Cp.field, rest[1:])
+        S = shorten(Cp, (i,))
+        if S.k != Cp.k - 1:
+            raise linalg.InvariantError(f"shortening on coordinate {i} has dimension {S.k}, not {Cp.k - 1}")
+        u = np.delete(Cp.generator[column.argmax()], i)  # the first row that is 1 at i
         try:
-            _, x = project_split(rest[0], S)
+            _, x = project_split(u, S)
         except NotLcd:
             continue
         if not weight_condition(Cp.field, M1, int((x != 0).sum())):
@@ -390,22 +390,23 @@ def search_extend(
     """Deterministic search for the best extension vector.
 
     Enumerates the dual exhaustively when it fits in ``budget`` messages,
-    otherwise draws ``budget`` messages with ``random.Random(seed)``, digit
-    by digit as ``randrange(q)`` would; the digits are read in bulk from
-    numpy's MT19937 loaded with that generator's state (_draw_messages).
-    ``budget`` below 1 raises ConstructError.  Every candidate that passes
-    the weight condition is scored with the minimum distance of the
-    extended code, min(d(C), the minimum weight of the coset x + C, plus 1
-    for method 1), and ties break toward the lexicographically smallest
-    vector.  d(C) comes from codes.min_weight under ``cap``.  Cosets are
-    scanned in Brouwer-Zimmermann order: for each matrix of C's
-    information-set chain, x is reduced to the coset word that vanishes on
-    the matrix's pivots, and the words of C of information weight 0, 1, ...
-    are added, every scalar tuple, until the chain's lower bound on the
-    words not yet listed reaches the threshold.  A listing past ``cap``
-    words is cut to the first matrix's levels that fit
-    (enumeration._bz_order) and scores upper bounds; the result is exact
-    when d(C) was decided and no listing was cut.
+    otherwise draws ``budget`` messages with ``random.Random(seed)``,
+    digit by digit as ``randrange(q)`` would; the digits are read in bulk
+    from numpy's MT19937 loaded with that generator's state
+    (_draw_messages).  ``budget`` below 1 or ``seed`` below 0 raises
+    ConstructError.  Every candidate that passes the weight condition is
+    scored with the minimum distance of the extended code, min(d(C), the
+    minimum weight of the coset x + C, plus 1 for method 1), and ties
+    break toward the lexicographically smallest vector.  d(C) comes from
+    codes.min_weight under ``cap``.  Cosets are scanned in
+    Brouwer-Zimmermann order: for each matrix of C's information-set
+    chain, x is reduced to the coset word that vanishes on the matrix's
+    pivots, and the words of C of information weight 0, 1, ... are added,
+    every scalar tuple, until the chain's lower bound on the words not yet
+    listed reaches the threshold.  A listing past ``cap`` words is cut to
+    the first matrix's levels that fit (enumeration._bz_order) and scores
+    upper bounds; the result is exact when d(C) was decided and no listing
+    was cut.
 
     Candidates are scored in lexicographic order, so the winner is the
     first one to reach the best score.  The dual's generator is its RREF
@@ -433,6 +434,8 @@ def search_extend(
         raise NotLcd("search extends LCD codes only")
     if budget < 1:
         raise ConstructError(f"search budget must be at least 1, got {budget}")
+    if seed < 0:
+        raise ConstructError(f"search seed must be at least 0, got {seed}")
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]

@@ -6,11 +6,12 @@ with c = n - k ebits, and an infinite parameter family indexed by s >= 0:
 
     [[n + (4^k - 1)/3 * s,  k,  d + 4^(k-1) * s;  n + (4^k - 1)/3 * s - k]]
 
-All arithmetic uses Python integers, so 4^(k-1) never overflows.
+Python ints never overflow; a member too long to print raises ParamError.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -50,4 +51,7 @@ def family(n: int, k: int, d: int, s: int) -> EaqeccParams:
     step = (4**k - 1) // 3  # exact: 4 = 1 mod 3
     nn = n + step * s
     dd = d + 4 ** (k - 1) * s
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (or before Python 3.10.7): no limit
+    if limit and max(nn, dd) >= 10**limit:
+        raise ParamError(f"the s={s} member has more than {limit} digits, Python's int-to-str limit")
     return EaqeccParams(nn, k, dd, nn - k)

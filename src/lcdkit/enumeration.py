@@ -473,19 +473,21 @@ def _information_set_chain(field: FieldSpec, G: np.ndarray):
     Returns [(matrix, pivots, deficit)]: row i of the matrix is 1 at
     column pivots[i] and 0 at the other pivots; deficit = k minus the
     number of pivots inside the matrix's own (previously unused) column
-    block.
+    block.  Each matrix is the RREF of G with its columns permuted to the
+    unused ones, in order, then the used ones, mapped back to G's columns.
     """
     k, n = G.shape
     remaining = set(range(n))
     used: list[int] = []
     chain = []
     while remaining:
-        col_order = sorted(remaining) + used
-        res = rref(G, field, col_order=col_order)
-        new_piv = [p for p in res.pivots if p in remaining]
+        perm = sorted(remaining) + used
+        res = rref(G[:, perm], field)
+        pivots = tuple(perm[c] for c in res.pivots)
+        new_piv = [p for p in pivots if p in remaining]
         if not new_piv:
             break
-        chain.append((res.matrix, res.pivots, k - len(new_piv)))
+        chain.append((res.matrix[:, np.argsort(perm)], pivots, k - len(new_piv)))
         remaining -= set(new_piv)
         used.extend(sorted(new_piv))
     return chain

@@ -222,43 +222,18 @@ def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list
     return pivots
 
 
-def rref(M: np.ndarray, field: FieldSpec, col_order=None) -> RrefResult:
-    """Reduced row echelon form; canonical for a given row space.
-
-    ``col_order`` optionally gives the column scan order used for pivot
-    selection (distinct columns; the matrix itself is not permuted);
-    pivots are reported in scan order.  The elimination runs on packed
-    rows (see _eliminate).
+def rref(M: np.ndarray, field: FieldSpec) -> RrefResult:
+    """Reduced row echelon form, pivots chosen left to right; canonical for
+    a given row space.  The elimination runs on packed rows (see _eliminate).
     """
     M = np.asarray(M, dtype=np.uint8)
     rows, cols = M.shape
-    scan = cols
-    if col_order is not None:
-        # scan the permuted matrix left to right; unscanned columns go last
-        perm = list(col_order)
-        scan = len(perm)
-        if scan < cols:
-            listed = set(perm)
-            perm += [c for c in range(cols) if c not in listed]
-        if sorted(perm) != list(range(cols)):
-            raise LinalgError(f"col_order must list distinct columns of 0..{cols - 1}")
     if rows == 0 or cols == 0:
         return RrefResult(M.copy(), (), 0)
-    q = field.order
-    packed = _pack_rows(q, M if col_order is None else M.take(perm, axis=1))
+    packed = _pack_rows(field.order, M)
     work = [plane[:] for plane in packed]
-    pivots = _eliminate(q, work, scan, True)
-    if work == packed:  # M already is its own RREF
-        R = M.copy()
-    elif col_order is None:
-        R = _unpack_rows(work, cols)
-    else:
-        where = [0] * cols  # the scan position of each column
-        for i, c in enumerate(perm):
-            where[c] = i
-        R = _unpack_rows(work, cols).take(where, axis=1)
-    if col_order is not None:
-        pivots = [perm[c] for c in pivots]
+    pivots = _eliminate(field.order, work, cols, True)
+    R = M.copy() if work == packed else _unpack_rows(work, cols)  # M may already be its own RREF
     return RrefResult(R, tuple(pivots), len(pivots))
 
 

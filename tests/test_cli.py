@@ -282,6 +282,11 @@ def test_eaqecc_output(capsys):
     assert out.strip() == "[[5592427,12,4194311;5592415]]"
     code, out, err = run(capsys, "eaqecc", "5", "6", "1")
     assert code == 2
+    # a member past Python's int-to-str limit is refused, not printed as a traceback
+    code, out, err = run(capsys, "eaqecc", "20000", "8000", "3", "--s", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the s=1 member has more than 4300 digits, Python's int-to-str limit\n"
+    assert run(capsys, "eaqecc", "20000", "8000", "3") == (0, "[[20000,8000,3;12000]]\n", "")
 
 
 def test_corpus_check_clean(capsys):
@@ -466,11 +471,31 @@ def test_malformed_manifest_exits_2(capsys, tmp_path, monkeypatch, edit, message
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_extend_search_budget_below_1_exits_2(capsys, budget):
-    # the dual of b_13_7_4 has method-1 vectors, so the error must name the budget
+    # the dual of b_13_7_4 has method-1 vectors, so the error must name the budget;
+    # it is refused when parsed, before the code is read
     argv = ("extend", corpus_file("codes/b_13_7_4.code"), "--method", "1", "--search", "--budget", budget)
-    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert f"lcdkit extend: error: argument --budget: must be a whole number of at least 1, got '{budget}'\n" in out.err
+
+
+@pytest.mark.parametrize("option, value, minimum", [("--target", "-3", 1), ("--target", "0", 1), ("--seed", "-5", 0)])
+def test_extend_search_options_are_checked_when_parsed(capsys, option, value, minimum):
+    # a target below 1 was met by every search, and seed -s drew what seed s draws
+    argv = ["extend", corpus_file("codes/t_19_6_9.code"), "--method", "1", "--search", "--budget", "50", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert f"argument {option}: must be a whole number of at least {minimum}, got '{value}'\n" in out.err
+
+
+def test_extension_vector_length_error_counts_symbols(capsys):
+    code, out, err = run(capsys, "extend", corpus_file("codes/t_19_6_9.code"), "--method", "1", "--vector", "012")
     assert (code, out) == (2, "")
-    assert err == f"error: search budget must be at least 1, got {budget}\n"
+    assert err == "error: extension vector has 3 symbols, expected 19\n"
 
 
 @pytest.mark.parametrize(

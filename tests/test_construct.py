@@ -400,7 +400,8 @@ def test_project_split_span_failure_is_checked(monkeypatch):
         project_split(np.zeros(6, dtype=np.uint8), c)
 
 
-def test_decompose_pivot_invariant_is_checked(monkeypatch):
+def test_decompose_shortening_dimension_is_checked(monkeypatch):
+    # an explicit error rather than an assert, so it also runs under python -O
     rng = random.Random(139)
     while True:
         c = oracles.random_lcd_code(GF2, 8, 3, rng)
@@ -408,16 +409,9 @@ def test_decompose_pivot_invariant_is_checked(monkeypatch):
         if int((v != 0).sum()) % 2 == 0:
             break
     ext = extend_m1(c, v)
-    real = linalg.rref
-
-    def first_pivot_moved(M, field, col_order=None):
-        res = real(M, field, col_order)
-        if col_order is None:
-            return res
-        return linalg.RrefResult(res.matrix, res.pivots[1:] + res.pivots[:1], res.rank)
-
-    monkeypatch.setattr(linalg, "rref", first_pivot_moved)
-    with pytest.raises(linalg.InvariantError):
+    assert puncture(ext, (0,)).k == ext.k == 4
+    monkeypatch.setattr(construct, "shorten", puncture)  # dimension k on coordinate 0, not k - 1
+    with pytest.raises(linalg.InvariantError, match="shortening on coordinate 0 has dimension 4, not 3"):
         decompose_m1(ext)
 
 
@@ -892,6 +886,17 @@ def test_search_budget_below_1_is_refused(budget):
     C = corpus.resolve_code("b_13_7_4")
     with pytest.raises(ConstructError, match="budget must be at least 1"):
         search_extend(C, M1, budget=budget)
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_search_seed_below_0_is_refused(seed):
+    # random.Random(-s) has the state of random.Random(s), so a negative seed
+    # would repeat another seed's draw
+    from lcdkit import corpus
+
+    C = corpus.resolve_code("b_13_7_4")
+    with pytest.raises(ConstructError, match=f"search seed must be at least 0, got {seed}"):
+        search_extend(C, M1, budget=50, seed=seed)
 
 
 @pytest.mark.parametrize("field,method", [(GF3, "m3"), (GF4, M1), (GF4, M2)])

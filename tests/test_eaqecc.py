@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -68,3 +69,20 @@ def test_bad_inputs():
         from_hermitian_lcd(5, 3, 6)
     with pytest.raises(ParamError):
         family(5, 3, 2, -1)
+
+
+def test_family_past_the_int_to_str_limit_is_refused():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # Python's default
+        with pytest.raises(ParamError, match="more than 4300 digits"):
+            family(20000, 8000, 3, 1)  # d = 3 + 4^7999, 4816 digits
+        assert family(20000, 8000, 3, 0) == EaqeccParams(20000, 8000, 3, 12000)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert len(str(family(20000, 8000, 3, 1).d)) == 4816
+        sys.set_int_max_str_digits(640)  # the smallest limit there is: 640 digits still print
+        assert family(10**640 - 2, 1, 1, 1).n == 10**640 - 1
+        with pytest.raises(ParamError, match="more than 640 digits"):
+            family(10**640 - 1, 1, 1, 1)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -442,6 +442,25 @@ def test_information_set_chain_pivots():
         assert 2 * k <= n or any(deficit for *_, deficit in chain)
 
 
+@pytest.mark.parametrize(
+    "f, n, k",
+    [(GF2, 64, 9), (GF3, 65, 12), (GF4H, 130, 9), (GF2, 130, 70), (GF3, 64, 40), (GF4H, 65, 33), (GF2, 13, 5)],
+)
+def test_information_set_chain_matches_table_oracle(f, n, k):
+    # each link is the RREF scanning the unused columns, in order, then the
+    # used ones; the chain stops when that RREF has no pivot left to use
+    G = oracles.random_code(f, n, k, random.Random(n * 100 + k)).generator
+    remaining, used = set(range(n)), []
+    for mat, pivots, deficit in _information_set_chain(f, G):
+        want, want_pivots, _ = oracles.table_rref(G, f, col_order=sorted(remaining) + used)
+        assert np.array_equal(mat, want) and pivots == want_pivots
+        new_piv = sorted(remaining.intersection(pivots))
+        assert new_piv and deficit == k - len(new_piv)
+        remaining.difference_update(new_piv)
+        used += new_piv
+    assert not remaining or not remaining.intersection(oracles.table_rref(G, f, col_order=sorted(remaining) + used)[1])
+
+
 def test_bz_agrees_at_moderate_scale():
     # wide enough for two full-rank systematic blocks, so the early-stop
     # lower bound actually drives termination

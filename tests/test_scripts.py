@@ -1,17 +1,54 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def load_script(monkeypatch, name):
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the scripts prepend src/ (and perfbench/)
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def json_lines(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def test_bench_search_wraps_helpers_that_exist(monkeypatch):
     # bench_search.py patches search helpers by name, so a renamed or deleted
     # helper would only show as an AttributeError when the script runs
-    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends src/ and perfbench/
-    spec = importlib.util.spec_from_file_location("bench_search", SCRIPTS / "bench_search.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script(monkeypatch, "bench_search")
     targets = [(mod, attr) for mod, attr, _ in script.TIMED] + list(script.COUNTED)
     assert len(targets) == 8
     assert [(mod.__name__, attr) for mod, attr in targets if not hasattr(mod, attr)] == []
+
+
+def test_bench_linalg_runs(monkeypatch, capsys):
+    # one round of one pass, so a removed parameter or helper fails here
+    script = load_script(monkeypatch, "bench_linalg")
+    monkeypatch.setattr(script, "ROUNDS", 1)
+    monkeypatch.setattr(script, "REPEATS", 1)
+    script.main()
+    lines = json_lines(capsys.readouterr().out)
+    assert [line["field"] for line in lines] == ["gf2", "gf3", "gf4h"]
+    assert all(line["rref_reversed_us"] > 0 and line["matrices"] == 48 for line in lines)
+
+
+def test_bench_scan_runs(monkeypatch, capsys):
+    # small codes, one scanned through its dual, and codes just past the
+    # default codeword caps, which Brouwer-Zimmermann decides at once
+    script = load_script(monkeypatch, "bench_scan")
+    monkeypatch.setattr(script, "ROUNDS", 1)
+    monkeypatch.setattr(script, "SIZES", [("gf2", 12, 5), ("gf3", 8, 5), ("gf4h", 8, 3), ("gf2", 24, 18)])
+    monkeypatch.setattr(script, "PAST_CAP", [("gf2", 34, 27), ("gf3", 22, 17), ("gf4h", 18, 14)])
+    script.main()
+    lines = json_lines(capsys.readouterr().out)
+    scans, past_cap = lines[:4], lines[4:]
+    assert [(line["field"], line["n"], line["k"]) for line in lines] == script.SIZES + script.PAST_CAP
+    assert {line["route"] for line in scans} == {"direct", "dual"}
+    assert all(line["min_weight_codewords_per_s"] > 0 for line in scans)
+    assert all(line["codewords"] > line["cap"] and line["exact"] for line in past_cap)
