@@ -131,6 +131,8 @@ def cmd_extend(args) -> int:
     code = read_code_file(args.file)
     method = M1 if args.method == 1 else M2
     if args.vector is not None:
+        if args.target is not None:
+            raise CodeError("--target applies to --search only")
         out = extend(code, parse_vector(code.field, args.vector), method)
         return _print_result_code(args, out, f"extended method={args.method}", ())
     res = search_extend(
@@ -163,7 +165,12 @@ def cmd_minweight(args) -> int:
 
 def cmd_replay(args) -> int:
     rec = parse_record(read_ascii(args.record))
-    base = corpus_mod.resolve_code(rec.base)  # main reports a missing base
+    entries = corpus_mod.manifest()
+    local = os.path.join(os.path.dirname(args.record), rec.base)  # a code file beside the record
+    if rec.base not in entries and os.path.isfile(local):
+        base = read_code_file(local)
+    else:
+        base = corpus_mod.resolve_code(rec.base, entries)  # main reports a missing base
     print(f"base {rec.base} n={base.n} k={base.k}")
     current = base
     for step, code in zip(rec.steps, apply_record(rec, base)):

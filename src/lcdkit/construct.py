@@ -22,7 +22,6 @@ results can be replayed bit-exactly.
 from __future__ import annotations
 
 import random
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -195,19 +194,22 @@ def pad_zero_column(C: LinearCode) -> LinearCode:
 def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """Split v = c + h with c in C and h in the dual; needs C LCD.
 
-    The ambient space is C ⊕ C^perp, so the split is unique: c = xG pairs
-    with G as v does, x Gram = (<v, G_j>)_j, and LCD makes Gram invertible.
+    c = xG pairs with G as v does, so x Gram = <v, G>, and the split exists
+    and is unique exactly when Gram is invertible (C LCD).  One elimination
+    (linalg.kernel_image) of A = (Gram; <v, G>) beside B = (0 | G; 1 | 0)
+    spans {(t, xG) : x Gram + t <v, G> = 0}: for an LCD code that is the
+    single RREF row (1, -c), and otherwise two rows or a leading 0.
     """
-    if not is_lcd(C):
-        raise NotLcd("the ambient space splits only for LCD codes")
     v = np.asarray(v, dtype=np.uint8)
-    G = C.generator
-    x = linalg.solve_rowspace(linalg.gram(G, C.field), linalg.pairing_matrix(v.reshape(1, -1), G, C.field)[0], C.field)
-    if x is None:
-        raise linalg.InvariantError("the Gram matrix of an LCD code failed to be invertible")
-    c = linalg.matmul(C.field, x.reshape(1, -1), G)[0]
-    h = C.field.add_table[v, C.field.neg_table[c]]
-    return c, h
+    F, G = C.field, C.generator
+    B = np.zeros((C.k + 1, C.n + 1), dtype=np.uint8)
+    B[:-1, 1:] = G
+    B[-1, 0] = 1
+    res = linalg.kernel_image(linalg.pairing_matrix(np.vstack([G, v]), G, F), B, F)
+    if res.pivots != (0,):
+        raise NotLcd("the ambient space splits only for LCD codes")
+    row = res.matrix[0, 1:]
+    return F.neg_table[row], F.add_table[v, row]
 
 
 def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
@@ -218,6 +220,7 @@ def decompose_m1(Cp: LinearCode) -> tuple[int, LinearCode, np.ndarray]:
     coordinate i, splits against S into an even-weight dual part x, and
     method 1 on x rebuilds the input with coordinate i moved to the front.
     Two such rows differ by a word of S, so x does not depend on the row.
+    Per coordinate tried, one elimination shortens and one splits and tests S for LCD.
     """
     if Cp.field.order != 2:
         raise ConstructError("decomposition is defined for binary codes")
@@ -276,8 +279,6 @@ SEARCH_BATCH = 1 << 17
 # 2^18 9.1 ms, 2^20 (8 MiB) 16.5 ms
 DRAW_CHUNK_WORDS = 1 << 16
 
-_TWISTER = threading.local()  # .mt: the thread's MT19937, built on first use
-
 
 def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     """``count`` messages of ``m`` digits: the digits of ``count * m`` calls
@@ -288,13 +289,10 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     loaded with random.Random(seed)'s state, hands out the same words
     (random_raw), so the digit stream is read a chunk of words at a time,
     with no Python int per draw.  numpy.random is touched only here, since
-    numpy loads it on first use; each thread builds one generator and
-    reloads its state per call, a third of the cost of building one.
+    numpy loads it on first use.
     """
     key = random.Random(seed).getstate()[1]
-    mt = getattr(_TWISTER, "mt", None)
-    if mt is None:
-        mt = _TWISTER.mt = np.random.MT19937(0)
+    mt = np.random.MT19937(0)
     mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]}}
     bits = q.bit_length()
     count = max(count, 0)

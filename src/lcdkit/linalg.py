@@ -319,19 +319,6 @@ def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     return basis
 
 
-def solve_rowspace(A: np.ndarray, v: np.ndarray, field: FieldSpec):
-    """Coefficients x with x A = v, or None if v is outside the row space."""
-    k, n = A.shape
-    aug = np.concatenate([A.T, v.reshape(n, 1)], axis=1)
-    res = rref(aug, field)
-    if any(p == k for p in res.pivots):
-        return None
-    x = np.zeros(k, dtype=np.uint8)
-    for ri, c in enumerate(res.pivots):
-        x[c] = res.matrix[ri, k]
-    return x
-
-
 def congruence_orthonormalize(M: np.ndarray) -> np.ndarray:
     """Invertible U over GF(2) with U M U^T = I, for symmetric nonsingular M.
 

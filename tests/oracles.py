@@ -101,11 +101,11 @@ def kernel_shorten(C: LinearCode, T) -> np.ndarray | None:
 def stacked_split(v: np.ndarray, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """(c, h) with v = c + h, c in C and h in C^perp, for an LCD code C: one
     solve of x [G; D] = v, with D a basis of the dual (h pairs to zero with
-    G iff conj(G) h^T = 0)."""
+    G iff conj(G) h^T = 0).  ValueError for any other code, whatever v is."""
     F, G, n = C.field, C.generator, C.n
     stacked = np.vstack([G, table_nullspace(F.conj_table[G], F)])
     work, pivots, _ = table_rref(np.concatenate([stacked.T, v.reshape(n, 1)], axis=1), F)
-    if n in pivots:
+    if pivots[:n] != tuple(range(n)):  # [G; D] has rank below n
         raise ValueError("C + C^perp does not span the ambient space: C is not LCD")
     x = np.zeros(n, dtype=np.uint8)
     for i, p in enumerate(pivots):

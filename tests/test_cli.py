@@ -228,6 +228,23 @@ def test_replay_missing_base_exits_1(capsys):
     assert "not distributed" in err
 
 
+def test_replay_finds_a_base_code_file_beside_the_record(capsys, tmp_path):
+    # the base is looked up beside the record, not in the working directory
+    (tmp_path / "full.code").write_text("gf2 3 3\n100\n010\n001\n")
+    (tmp_path / "mine.rec").write_text("base full.code\npad\n")
+    code, out, err = run(capsys, "replay", str(tmp_path / "mine.rec"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["base full.code n=3 k=3", "step pad -> n=4 k=3 lcd=true"]
+
+
+def test_replay_prefers_an_entry_id_to_a_file_of_that_name(capsys, tmp_path):
+    (tmp_path / "t_22_8_9").write_text("gf3 2 1\n10\n")
+    (tmp_path / "mine.rec").write_text("base t_22_8_9\npad\n")
+    code, out, err = run(capsys, "replay", str(tmp_path / "mine.rec"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["base t_22_8_9 n=22 k=8", "step pad -> n=23 k=8 lcd=true"]
+
+
 def test_bounds_render_deterministic(capsys):
     args = ("bounds", "--field", "gf3", "--range", "20..25,4..25", "--format", "csv")
     code1, out1, _ = run(capsys, *args)
@@ -490,6 +507,15 @@ def test_extend_search_options_are_checked_when_parsed(capsys, option, value, mi
     out = capsys.readouterr()
     assert (exc.value.code, out.out) == (2, "")
     assert f"argument {option}: must be a whole number of at least {minimum}, got '{value}'\n" in out.err
+
+
+def test_extend_target_without_search_exits_2(capsys):
+    # --target was ignored next to --vector, and the run reported success
+    argv = ("extend", corpus_file("codes/t_19_6_9.code"), "--method", "1", "--vector", "0000102210220001222")
+    code, out, err = run(capsys, *argv, "--target", "30")
+    assert (code, out, err) == (2, "", "error: --target applies to --search only\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "d=9 exact=true" in out
 
 
 def test_extension_vector_length_error_counts_symbols(capsys):

@@ -330,7 +330,7 @@ def test_project_split_random():
             cc, hh = project_split(v, c)
             assert np.array_equal(f.add_table[cc, hh], v)
             assert not oracles.pairings_with_generator(c, hh.reshape(1, -1)).any()
-            assert linalg.solve_rowspace(c.generator, cc, f) is not None
+            assert linalg.rank(np.vstack([c.generator, cc]), f) == c.k
 
 
 def test_project_split_requires_lcd():
@@ -339,19 +339,69 @@ def test_project_split_requires_lcd():
         project_split(np.zeros(3, dtype=np.uint8), c)
 
 
+def split_or_refusal(split, v, c):
+    try:
+        cc, hh = split(v, c)
+    except (NotLcd, ValueError):  # the oracle refuses with ValueError
+        return None
+    assert cc.dtype == hh.dtype == np.uint8 and cc.shape == hh.shape == v.shape
+    return cc.tobytes(), hh.tobytes()
+
+
 def test_project_split_equals_the_stacked_dual_solve():
-    """project_split (one k x k Gram solve) is byte-identical to the solve
-    against [G; dual generator] of tests/oracles.py, for n <= 14 and every k."""
+    """project_split (one elimination) is byte-identical to the solve
+    against [G; dual generator] of tests/oracles.py, and refuses exactly the
+    codes the oracle refuses: LCD and random codes for n <= 14 and every k,
+    and n = 64, 65, 130, where a packed row spans several words."""
     rng = random.Random(141)
+    shapes = [(n, k) for n in range(1, 15) for k in range(1, n + 1)]
+    shapes += [(n, k) for n in (64, 65, 130) for k in (9, n // 2)]
+    refused = 0
     for f in FIELDS:
-        for n in range(1, 15):
-            for k in range(1, n + 1):
-                c = oracles.random_lcd_code(f, n, k, rng)
+        for n, k in shapes:
+            for c in (oracles.random_lcd_code(f, n, k, rng), oracles.random_code(f, n, k, rng)):
                 v = np.array([rng.randrange(f.order) for _ in range(n)], dtype=np.uint8)
-                cc, hh = project_split(v, c)
-                want_c, want_h = oracles.stacked_split(v, c)
-                assert cc.dtype == hh.dtype == np.uint8
-                assert cc.tobytes() == want_c.tobytes() and hh.tobytes() == want_h.tobytes()
+                # v = 0 pairs with G inside Gram's row space, so a non-LCD code leaves two kernel rows
+                for w in (v, np.zeros(n, dtype=np.uint8))[: 1 + (n < 15)]:
+                    want = split_or_refusal(oracles.stacked_split, w, c)
+                    assert split_or_refusal(project_split, w, c) == want
+                    if want is None:
+                        with pytest.raises(NotLcd, match="^the ambient space splits only for LCD codes$"):
+                            project_split(w, c)
+                        refused += 1
+    assert refused > 100
+
+
+def test_project_split_is_one_elimination(monkeypatch):
+    # one kernel_image elimination decides LCD and gives c: no is_lcd, no x G product
+    rng = random.Random(149)
+    cases = []
+    for f in FIELDS:
+        cases.append(oracles.random_lcd_code(f, 9, 4, rng))
+        cases.append(next(c for c in iter(lambda: oracles.random_code(f, 9, 4, rng), None) if not is_lcd(c)))
+    calls, products = [], []
+    eliminate, matmul = linalg._eliminate, linalg.matmul
+
+    def counted_eliminate(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    def logged_matmul(field, a, b):
+        products.append(b.shape[1])
+        return matmul(field, a, b)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(linalg, "matmul", logged_matmul)
+    monkeypatch.setattr(construct, "is_lcd", lambda C: pytest.fail("is_lcd ran"))
+    for lcd, c in zip([True, False] * len(FIELDS), cases):
+        calls.clear()
+        products.clear()
+        if lcd:
+            project_split(np.ones(c.n, dtype=np.uint8), c)
+        else:
+            with pytest.raises(NotLcd):
+                project_split(np.ones(c.n, dtype=np.uint8), c)
+        assert len(calls) == 1 and products and set(products) == {c.k}
 
 
 def test_decompose_equals_the_shorten_and_split_formula():
@@ -390,14 +440,6 @@ def test_decompose_recovers_extension_at_front():
         assert i == 0
         assert back.same_code(c)
         assert np.array_equal(x, v)
-
-
-def test_project_split_span_failure_is_checked(monkeypatch):
-    # an explicit error rather than an assert, so it also runs under python -O
-    c = oracles.random_lcd_code(GF2, 6, 2, random.Random(3))
-    monkeypatch.setattr(linalg, "solve_rowspace", lambda A, v, field: None)
-    with pytest.raises(linalg.InvariantError):
-        project_split(np.zeros(6, dtype=np.uint8), c)
 
 
 def test_decompose_shortening_dimension_is_checked(monkeypatch):

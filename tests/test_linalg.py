@@ -214,31 +214,6 @@ def test_congruence_random_sweep():
         done += 1
 
 
-def test_solve_rowspace():
-    rng = random.Random(31)
-    for f in FIELDS:
-        for _ in range(30):
-            c = oracles.random_code(f, 8, 3, rng)
-            coeffs = np.array([rng.randrange(f.order) for _ in range(3)], dtype=np.uint8)
-            v = oracles.table_matmul(f, coeffs.reshape(1, 3), c.generator)[0]
-            x = linalg.solve_rowspace(c.generator, v, f)
-            assert x is not None
-            assert np.array_equal(oracles.table_matmul(f, x.reshape(1, 3), c.generator)[0], v)
-
-
-def test_solve_rowspace_outside_the_row_space_is_none():
-    # a vector off the row space: the augmented column takes a pivot
-    rng = random.Random(37)
-    for f in FIELDS:
-        for _ in range(30):
-            c = oracles.random_code(f, 8, 3, rng)
-            while True:
-                v = np.array([rng.randrange(f.order) for _ in range(8)], dtype=np.uint8)
-                if rank(np.vstack([c.generator, v]), f) == 4:
-                    break
-            assert linalg.solve_rowspace(c.generator, v, f) is None
-
-
 def test_congruence_orthonormalize_postcondition_is_checked(monkeypatch):
     # the U M U^T = I check is an explicit error, so it also runs under python -O
     monkeypatch.setattr(linalg, "matmul", lambda f, a, b: np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8))

@@ -52,3 +52,18 @@ def test_bench_scan_runs(monkeypatch, capsys):
     assert {line["route"] for line in scans} == {"direct", "dual"}
     assert all(line["min_weight_codewords_per_s"] > 0 for line in scans)
     assert all(line["codewords"] > line["cap"] and line["exact"] for line in past_cap)
+
+
+def test_bench_search_runs(monkeypatch, capsys):
+    # one round of a small exhaustive and a small sampled search
+    script = load_script(monkeypatch, "bench_search")
+    b13, t19 = script.corpus.resolve_code("b_13_7_4"), script.corpus.resolve_code("t_19_6_9")
+    monkeypatch.setattr(script, "ROUNDS", 1)
+    monkeypatch.setattr(script, "cases", lambda: [("b13.exhaustive", b13, 2**6, 0), ("t19.sampled", t19, 300, 0)])
+    script.main()
+    lines = json_lines(capsys.readouterr().out)
+    assert [line["case"] for line in lines] == ["b13.exhaustive", "t19.sampled"]
+    stages = ("draw", "dedupe", "build", "distance", "scoring", "extend", "total")
+    assert all(f"{stage}_ms" in line for line in lines for stage in stages)
+    assert all(line["candidates"] > 0 and line["pairs"] > 0 for line in lines)
+    assert lines[0]["distinct"] is None and lines[1]["distinct"] > 0
