@@ -14,20 +14,23 @@ those of the real call:
 * draw: the sampled messages (_draw_messages);
 * dedupe: the sampled messages that pass the weight condition,
   deduplicated and sorted lexicographically (_sorted_unique);
+* count: the dual's weight distribution, from which an exhaustive search
+  counts its candidates (enumeration.weight_distribution_exhaustive);
 * distance: d(C) (min_weight);
 * scoring: the coset scoring (_best_scores);
 * extend: building and checking the extended code;
-* build: the rest, i.e. the dual, its codewords, the weight condition and
-  C's coset chain (_coset_chain).
+* build: the rest, i.e. the dual, the candidates' codewords up to the
+  batch where the search stops, the weight condition and C's coset chain
+  (_coset_chain).
 
 Each time is the median over rounds in ms; the line also gives the
 candidate count, ``distinct``, the distinct sampled messages that pass
 the weight condition, and ``tied``, the candidates reaching the best
-score in the batches the search scores (a batch scored only for a score
-above the best so far adds none).  One more, untimed, round counts the
-coset scorer's work: ``reduced``, the candidates reduced onto a chain
-matrix's pivots (enumeration._reduce), and ``pairs``, the candidate-word
-distances taken inside _best_scores (enumeration._distance);
+score in the batches scored before the search stops (a batch scored only
+for a score above the best so far adds none).  One more, untimed, round
+counts the coset scorer's work: ``reduced``, the candidates reduced onto
+a chain matrix's pivots (enumeration._reduce), and ``pairs``, the
+candidate-word distances taken inside _best_scores (enumeration._distance);
 ``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
 
     python3 scripts/bench_search.py
@@ -58,6 +61,7 @@ ROUNDS = 5
 TIMED = [
     (construct, "_draw_messages", "draw"),
     (construct, "_sorted_unique", "dedupe"),
+    (enumeration, "weight_distribution_exhaustive", "count"),
     (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),
     (construct, "extend", "extend"),
@@ -171,7 +175,7 @@ def main() -> None:
         with counted(work):
             construct.search_extend(C, construct.M1, budget=budget, seed=seed)
         line = {"case": name, "field": C.field.name, "n": C.n, "k": C.k, "budget": budget}
-        for stage in ("draw", "dedupe", "build", "distance", "scoring", "extend", "total"):
+        for stage in ("draw", "dedupe", "count", "build", "distance", "scoring", "extend", "total"):
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
         line["distinct"] = seen["_sorted_unique"][0][1].shape[0] if "_sorted_unique" in seen else None

@@ -262,14 +262,19 @@ class SearchResult:
     target_met: bool | None
 
 
-# candidates per batch of a search, which is scored a batch at a time; a
-# later batch is scored only for a score above the best so far.  A smaller
-# batch lets an early best prune more candidates, but lists the coset words
-# once per batch, more often.  Exhaustive searches, median of 5
-# on a 2-core x86-64 host, at 2^14 / 2^15 / 2^17: t_19_6_9 M1 13.7 / 13.1
-# / 29.4 ms (its first batch at 2^17 reaches d(C) = 9), M2 45.3 / 45.0 /
-# 53.2 ms; a binary [32,10] M1 34.8 / 38.7 / 70.8 ms.  t_20_6_10 M2 (best
-# 8, d(C) = 10), one run each: 0.24 s at 2^14, 0.22 s at 2^17
+# candidates in the first batch of a search, which is scored a batch at a
+# time; each later batch holds twice as many, up to SEARCH_BATCH, and is
+# scored only for a score above the best so far.  The search stops at the
+# first batch that reaches d(C).  A small first batch stops early where a
+# winner comes early; a larger batch lists the coset words fewer times, and
+# SEARCH_BATCH bounds an exhaustive search's memory.  Exhaustive searches,
+# median of 7 on a 2-core x86-64 host, first / largest batch 2^8 / 2^17,
+# 2^10 / 2^15, 2^10 / 2^17, 2^12 / 2^17 and 2^17 / 2^17: t_19_6_9 M1 7.3,
+# 7.7, 8.0, 4.3, 27.5 ms (its winner lies between candidates 3,072 and
+# 4,096); M2 (best 8) 64, 57, 63, 63, 70 ms; t_20_6_10 M2 (best 8, d(C) =
+# 10) 213, 251, 211, 211, 218 ms; a binary [32,10] M1 2.9, 3.1, 3.2, 3.9,
+# 31.2 ms
+FIRST_BATCH = 1 << 10
 SEARCH_BATCH = 1 << 17
 
 # 32-bit words per chunk of the sampled draw.  random_raw hands them out as
@@ -364,16 +369,57 @@ def _best_scores(
     return t, np.flatnonzero(bound >= t), complete
 
 
-def _joined(pieces, size: int):
-    """The packed pieces concatenated into batches of at least ``size`` vectors, the last one possibly fewer."""
-    held: list[np.ndarray] = []
+def _joined(pieces):
+    """The packed pieces concatenated and cut into batches, FIRST_BATCH
+    vectors first and each later batch twice the one before, up to
+    SEARCH_BATCH; the last batch may hold fewer.  A piece is read only
+    once the pieces before it cannot fill the batch."""
+    size, held, count = min(FIRST_BATCH, SEARCH_BATCH), [], 0
     for piece in pieces:
         held.append(piece)
-        if sum(p.shape[-1] for p in held) >= size:
-            yield np.concatenate(held, axis=-1)
-            held = []
-    if held:
+        count += piece.shape[-1]
+        if count < size:
+            continue
+        joined, start = held[0] if len(held) == 1 else np.concatenate(held, axis=-1), 0
+        while count - start >= size:
+            yield joined[..., start : start + size]
+            start += size
+            size = min(2 * size, SEARCH_BATCH)
+        held, count = [joined[..., start:]], count - start
+    if count:
         yield np.concatenate(held, axis=-1)
+
+
+def _candidates(C: LinearCode, method: str, budget: int, seed: int, threads: int):
+    """(count, batches): how many dual vectors pass the method's weight
+    condition, and the packed vectors the search scores, in lexicographic
+    order, in the batches of _joined.
+
+    With q^m <= ``budget`` (m = n - k, the dual's dimension) every dual
+    vector is a candidate, counted from the dual's weight distribution
+    (enumeration.weight_distribution_exhaustive), and one of each
+    projective class is scored: message 0 and the messages whose top
+    nonzero digit is 1, built a block at a time only as the batches are
+    read.  Otherwise ``budget`` messages are drawn (_draw_messages), and
+    the distinct ones that pass are counted and scored (_sorted_unique).
+    """
+    q = C.field.order
+    dgen = dual(C).generator
+    m = dgen.shape[0]
+    # digit j multiplies row m - 1 - j, so message order is lexicographic order
+    tables = enumeration.codeword_tables(C.field, dgen[::-1])
+    if q**m <= budget:
+        counts = enumeration.weight_distribution_exhaustive(C.field, dgen, cap=q**m, threads=threads)
+        count = sum(a for w, a in enumerate(counts) if weight_condition(C.field, method, w))
+        ranges = enumeration._projective_ranges(q, m, 0)
+        blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
+        pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
+        return count, _joined(pieces)
+    msgs = _draw_messages(q, m, budget, seed)  # digit j multiplies dual row j
+    words = enumeration.codewords_of(q, tables, msgs[:, ::-1])
+    ok = np.flatnonzero(weight_condition(C.field, method, _weigh(words)))
+    cand = np.take(words, ok[_sorted_unique(q, msgs[ok])], axis=-1)
+    return cand.shape[-1], _joined([cand])
 
 
 def search_extend(
@@ -416,18 +462,21 @@ def search_extend(
     projective class x, 2x, ... (message 0 and the messages whose top
     nonzero digit is 1).  That candidate's first nonzero symbol is 1, so it
     is the smallest of its class; scaling preserves the weight and every
-    listing is closed under scaling, so its multiples tie with it, and
-    ``candidates`` still counts every vector.  A sampled search drops
-    duplicate draws and sorts the rest lexicographically (_sorted_unique).
+    listing is closed under scaling, so its multiples tie with it.
+    ``candidates`` counts every dual vector that passes the weight
+    condition, from the dual's weight distribution, before any is scored.
+    A sampled search drops duplicate draws, sorts the rest
+    lexicographically (_sorted_unique) and counts them (_candidates).
 
     Scoring is pruned by threshold: a candidate is dropped as soon as one
     of its coset words shows that it cannot reach the best score still
-    possible.  The candidates are scored a batch of at least SEARCH_BATCH
-    at a time; a later batch is scored only for a score above the best so
-    far, and once that best is d(C) the rest are counted, not scored.
-    Results never depend on batch size.
+    possible.  The candidates are scored a batch at a time, FIRST_BATCH
+    first and each later batch twice the one before, up to SEARCH_BATCH; a
+    later batch is scored only for a score above the best so far, and the
+    search stops at the first batch that reaches d(C), since no score is
+    above it.  Results never depend on batch size.
     """
-    zero_passes = weight_condition(C.field, method, 0)  # an unknown method or field fails before any work
+    weight_condition(C.field, method, 0)  # an unknown method or field fails before any work
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
     if budget < 1:
@@ -435,41 +484,25 @@ def search_extend(
     if seed < 0:
         raise ConstructError(f"search seed must be at least 0, got {seed}")
     q = C.field.order
-    dgen = dual(C).generator
-    m = dgen.shape[0]
-    exhaustive = q**m <= budget
+    exhaustive = q ** (C.n - C.k) <= budget
+    candidates, batches = _candidates(C, method, budget, seed, threads)
+    if not candidates:
+        raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     cap = enumeration.DEFAULT_CAPS[q] if cap is None else cap
     try:
         d_base, decided = min_weight(C, cap=cap, threads=threads), True
     except enumeration.BudgetExceeded as exc:
         d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
-    # digit j multiplies row m - 1 - j, so message order is lexicographic order
-    tables = enumeration.codeword_tables(C.field, dgen[::-1])
-    if exhaustive:
-        # message 0 and the messages whose top nonzero digit is 1
-        ranges = enumeration._projective_ranges(q, m, 0)
-        blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
-        pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
-    else:
-        msgs = _draw_messages(q, m, budget, seed)  # digit j multiplies dual row j
-        words = enumeration.codewords_of(q, tables, msgs[:, ::-1])
-        ok = np.flatnonzero(weight_condition(C.field, method, _weigh(words)))
-        pieces = [np.take(words, ok[_sorted_unique(q, msgs[ok])], axis=-1)]
     chain = enumeration._coset_chain(C.field, C.generator)
     bonus = 1 if method == M1 else 0
-    best_score, best, complete, candidates = -1, None, True, 0
-    for cand in _joined(pieces, SEARCH_BATCH):
-        candidates += cand.shape[-1]
-        if not cand.shape[-1] or best_score == d_base:  # nothing scores above d_base
-            continue
+    best_score, best, complete = -1, None, True
+    for cand in batches:
         score, top, listed_all = _best_scores(C, chain, cand, d_base, bonus, cap, best_score + 1)
         complete &= listed_all
         if score > best_score:
             best_score, best = score, enumeration.unpack_matrix(np.take(cand, top[:1], axis=-1), C.n)[0]
-    if best is None:
-        raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
-    if exhaustive:  # each kept vector but the zero vector stands for its q - 1 multiples
-        candidates = (q - 1) * candidates - (q - 2) * int(zero_passes)
+        if best_score == d_base:  # nothing scores above d_base
+            break
     code = extend(C, best, method)
     exact = decided and complete
     return SearchResult(

@@ -741,8 +741,8 @@ def check_against_reference(C, method, budget, seed, cap):
 
 MAX_N = {2: 10, 3: 8, 4: 6}
 
-# candidates per batch of an exhaustive search
-BATCHES = st.sampled_from([1, 2, 7, construct.SEARCH_BATCH])
+# candidates in the first and in the largest batch of a search
+BATCHES = st.sampled_from([1, 2, 7, construct.FIRST_BATCH, construct.SEARCH_BATCH])
 
 
 @settings(max_examples=120, deadline=None)
@@ -754,14 +754,15 @@ BATCHES = st.sampled_from([1, 2, 7, construct.SEARCH_BATCH])
     st.data(),
 )
 def test_search_matches_reference_scorer(f, method, mode, seed, data):
-    # exhaustive and sampled scans, both methods, exhaustive ones in
-    # batches of a drawn size
+    # exhaustive and sampled scans, both methods, in batches that start at
+    # and grow to drawn sizes
     q = f.order
     n = data.draw(st.integers(3, MAX_N[q]))
     k = data.draw(st.integers(1, n - 1))
     C = oracles.random_lcd_code(f, n, k, random.Random(seed))
     budget = 10**9 if mode == "exhaustive" else data.draw(st.integers(1, q ** (n - k) - 1))
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "FIRST_BATCH", data.draw(BATCHES))
         patch.setattr(construct, "SEARCH_BATCH", data.draw(BATCHES))
         check_against_reference(C, method, budget, seed % 1000, 10**9)
 
@@ -779,7 +780,7 @@ def test_search_past_the_cap(f, method, mode, seed, data):
     # coset listing past the cap lists the first matrix's whole levels that
     # fit.  An exact answer is the uncapped search's; any other overstates
     # the returned code's distance.  Both score the same candidates, and
-    # the capped search gives the same answer in batches of a drawn size
+    # the capped search gives the same answer in batches of drawn sizes
     q = f.order
     n = data.draw(st.integers(3, MAX_N[q]))
     k = data.draw(st.integers(1, n - 1))
@@ -794,6 +795,7 @@ def test_search_past_the_cap(f, method, mode, seed, data):
         return
     res = search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "FIRST_BATCH", data.draw(BATCHES))
         patch.setattr(construct, "SEARCH_BATCH", data.draw(BATCHES))
         again = search_extend(C, method, budget=budget, seed=seed % 1000, cap=cap)
     fields = ("min_weight", "exact", "exhaustive", "candidates")
@@ -882,24 +884,19 @@ def test_search_tie_break_among_many(method, budget):
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
-    # the batches an exhaustive search joins hold one vector per projective
-    # class of the dual that passes the weight condition, each class once,
-    # its smallest vector (first nonzero symbol 1), in strictly increasing
-    # lexicographic order across batches
+    # the batches of an exhaustive search's candidate stream, read to its
+    # end, hold one vector per projective class of the dual that passes the
+    # weight condition, each class once, its smallest vector (first nonzero
+    # symbol 1), in strictly increasing lexicographic order across batches
     rng = random.Random(f.order)
+    monkeypatch.setattr(construct, "FIRST_BATCH", 2)
     monkeypatch.setattr(construct, "SEARCH_BATCH", 5)
-    joined, seen = construct._joined, []
-    monkeypatch.setattr(construct, "_joined", lambda pieces, size: (seen.append(b) or b for b in joined(pieces, size)))
     for _ in range(12):
         n = rng.randrange(3, MAX_N[f.order] + 1)
         C = oracles.random_lcd_code(f, n, rng.randrange(1, n), rng)
         for method in (M1, M2):
-            seen.clear()
-            try:
-                search_extend(C, method, budget=10**9)
-            except NoCandidate:
-                pass
-            got = [tuple(v) for b in seen for v in enumeration.unpack_matrix(b, n).tolist()]
+            _, batches = construct._candidates(C, method, 10**9, 0, 1)
+            got = [tuple(v) for b in batches for v in enumeration.unpack_matrix(b, n).tolist()]
             assert got == sorted(set(got))
             assert all(next((s for s in v if s), 1) == 1 for v in got)
             words = oracles.table_matmul(f, oracles.all_messages(f.order, n - C.k), dual(C).generator)
@@ -907,16 +904,52 @@ def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
             assert set(got) == {v for v in classes if weight_condition(f, method, sum(map(bool, v)))}
 
 
-def test_headline_search_scores_one_batch(monkeypatch):
-    # the first batch of the t_19_6_9 search already reaches d(C) = 9, so the
-    # later batches are counted but not scored
+def test_headline_search_stops_at_the_first_winning_batch(monkeypatch):
+    # the t_19_6_9 search first reaches d(C) = 9 in its third batch, so it
+    # scores 1,024 + 2,048 + 4,096 candidates and builds no candidate block
+    # past that batch's last candidate, yet counts every candidate
     from lcdkit import corpus
 
+    C = corpus.resolve_code("t_19_6_9")
+    calls, passing = [], []
+    best_scores, blocks = construct._best_scores, enumeration.codeword_blocks
+
+    def counted_blocks(*args):
+        for first, w in blocks(*args):
+            passing.append(int(np.count_nonzero(weight_condition(C.field, M1, enumeration._weigh(w)))))
+            yield first, w
+
+    monkeypatch.setattr(construct, "_best_scores", lambda *args: calls.append(args) or best_scores(*args))
+    monkeypatch.setattr(enumeration, "codeword_blocks", counted_blocks)
+    res = search_extend(C, M1, budget=3**13, seed=0)
+    assert (res.min_weight, res.candidates) == (9, 1_062_153)
+    assert [args[2].shape[-1] for args in calls] == [1_024, 2_048, 4_096]
+    assert sum(passing[:-1]) < 7_168 <= sum(passing)
+
+
+def test_sampled_search_counts_every_distinct_draw_past_an_early_stop(monkeypatch):
+    # a GF(4)H [9,2,5] code where thousands of dual vectors tie at d(C): the
+    # first batch of the sampled search already reaches d(C) and the search
+    # stops there, yet it counts every distinct draw that passes
+    C = oracles.random_lcd_code(GF4H, 9, 2, random.Random(0))
     calls = []
     best_scores = construct._best_scores
     monkeypatch.setattr(construct, "_best_scores", lambda *args: calls.append(args) or best_scores(*args))
-    res = search_extend(corpus.resolve_code("t_19_6_9"), M1, budget=3**13, seed=0)
-    assert (res.min_weight, res.candidates, len(calls)) == (9, 1_062_153, 1)
+    best, vector, count, d_base, _ = reference_search(C, M1, 6_000, 11)
+    res = search_extend(C, M1, budget=6_000, seed=11)
+    assert best == d_base and len(calls) == 1 and count > construct.FIRST_BATCH
+    assert (res.min_weight, tuple(res.vector.tolist()), res.candidates) == (best, vector, count)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_search_on_a_code_with_zero_dual(f):
+    # an [n, n] code has the dual {0}: method 1 extends by the zero vector,
+    # its one candidate, and method 2, which excludes it, has none
+    C = new_code(f, np.eye(4, dtype=np.uint8))
+    res = search_extend(C, M1, budget=1)
+    assert (tuple(res.vector.tolist()), res.candidates, res.exhaustive) == ((0,) * 4, 1, True)
+    with pytest.raises(NoCandidate):
+        search_extend(C, M2, budget=1)
 
 
 @pytest.mark.parametrize("budget", [0, -1, -(10**6)])

@@ -23,7 +23,7 @@ def test_bench_search_wraps_helpers_that_exist(monkeypatch):
     # helper would only show as an AttributeError when the script runs
     script = load_script(monkeypatch, "bench_search")
     targets = [(mod, attr) for mod, attr, _ in script.TIMED] + list(script.COUNTED)
-    assert len(targets) == 8
+    assert len(targets) == 9
     assert [(mod.__name__, attr) for mod, attr in targets if not hasattr(mod, attr)] == []
 
 
