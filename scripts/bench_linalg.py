@@ -7,10 +7,11 @@ gram, matmul of the Gram shape (k x n times n x k), codeword_tables and
 min_weight_exhaustive on seeded full-rank generator matrices of every size in
 the benchmark's algebra grid (4 <= n <= 12, 1 <= k <= min(6, n - 1)), and the
 queries on the codes they generate: is_lcd and hull on every code, shorten on
-the hull pivot set of the codes with 0 < hull dimension < k, and project_split
-of a seeded vector on the LCD codes.  It prints the median over rounds of the
-microseconds per call, taken over all sizes, and how many codes each hull-side
-query ran on.  Takes no options:
+the hull pivot set of the codes with 0 < hull dimension < k, project_split
+of a seeded vector on the LCD codes, and, on the binary line only,
+decompose_m1 on the odd-like LCD codes of dimension at least 2.  It prints
+the median over rounds of the microseconds per call, taken over all sizes,
+and how many codes each hull-side query ran on.  Takes no options:
 
     python3 scripts/bench_linalg.py
 """
@@ -86,6 +87,10 @@ def main() -> None:
             "project_split_codes": len(splits),
             "project_split_us": us_per_call(lambda a: construct.project_split(a[1], a[0]), splits),
         }
+        if field.order == 2:
+            odd_like = [C for C in code_list if C.k > 1 and codes.is_lcd(C) and not codes.is_even_like(C)]
+            line["decompose_codes"] = len(odd_like)
+            line["decompose_m1_us"] = us_per_call(construct.decompose_m1, odd_like)
         print(json.dumps(line), flush=True)
 
 

@@ -107,10 +107,12 @@ def hull(C: LinearCode) -> HullInfo:
     """C ∩ C^perp from one elimination of [Gram | G].
 
     xG pairs to zero with every row of G iff x Gram = 0, Hermitian flavor
-    included (Gram = G conj(G)^T), so the hull is {xG : x Gram = 0}
+    included (Gram = G conj(G)^T), so the hull is {xG : x Gram = 0}, the
+    kernel image of [Gram | G] split after its k Gram columns
     (linalg.kernel_image); an LCD code unpacks no row.
     """
-    res = linalg.kernel_image(linalg.gram(C.generator, C.field), C.generator, C.field)
+    M = np.concatenate([linalg.gram(C.generator, C.field), C.generator], axis=1)
+    res = linalg.kernel_image(M, C.k, C.field)
     return HullInfo(_frozen(res.matrix), res.rank, res.pivots)
 
 
@@ -120,26 +122,27 @@ def is_lcd(C: LinearCode) -> bool:
     return linalg.rank(linalg.gram(C.generator, C.field), C.field) == C.k
 
 
-def _check_coords(C: LinearCode, T) -> tuple[int, ...]:
-    T = tuple(sorted(set(int(t) for t in T)))
+def _check_coords(C: LinearCode, T) -> tuple[list[int], list[int]]:
+    """T sorted without repeats, and the coordinates it leaves, in order."""
+    T = sorted(set(int(t) for t in T))
     for t in T:
         if not 0 <= t < C.n:
             raise CodeError(f"coordinate {t} out of range for length {C.n}")
-    return T
+    return T, sorted(set(range(C.n)).difference(T))
 
 
 def shorten(C: LinearCode, T) -> LinearCode:
     """Codewords vanishing on T, with the T coordinates deleted.
 
     These are {xG' : xG_T = 0} for G' = G without the T columns, so one
-    elimination scanning T first gives the shortening's RREF
-    (linalg.kernel_image; T = empty set returns C unchanged).
+    elimination of the columns gathered once as [G_T | G'], split after
+    the T columns, gives the shortening's RREF (linalg.kernel_image;
+    T = empty set returns C unchanged).
     """
-    T = _check_coords(C, T)
+    T, keep = _check_coords(C, T)
     if not T:
         return C
-    keep = sorted(set(range(C.n)).difference(T))
-    res = linalg.kernel_image(C.generator[:, T], C.generator[:, keep], C.field)
+    res = linalg.kernel_image(C.generator[:, T + keep], len(T), C.field)
     if res.rank == 0:
         raise EmptyCode(f"shortening on {len(T)} coordinates leaves no nonzero codeword")
     return LinearCode(C.field, _frozen(res.matrix))
@@ -147,10 +150,9 @@ def shorten(C: LinearCode, T) -> LinearCode:
 
 def puncture(C: LinearCode, T) -> LinearCode:
     """Delete the T coordinates from every codeword (RREF generator)."""
-    T = _check_coords(C, T)
+    T, keep = _check_coords(C, T)
     if not T:
         return C
-    keep = sorted(set(range(C.n)).difference(T))
     basis = linalg.row_space_basis(C.generator[:, keep], C.field)
     if basis.shape[0] == 0:
         raise EmptyCode("puncturing deleted every nonzero coordinate")

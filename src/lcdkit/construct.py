@@ -196,16 +196,18 @@ def project_split(v, C: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 
     c = xG pairs with G as v does, so x Gram = <v, G>, and the split exists
     and is unique exactly when Gram is invertible (C LCD).  One elimination
-    (linalg.kernel_image) of A = (Gram; <v, G>) beside B = (0 | G; 1 | 0)
-    spans {(t, xG) : x Gram + t <v, G> = 0}: for an LCD code that is the
-    single RREF row (1, -c), and otherwise two rows or a leading 0.
+    (linalg.kernel_image) of the (k+1) x (k+1+n) matrix [Gram 0 G; <v, G> 1 0],
+    split after its k pairing columns, spans {(t, xG) : x Gram + t <v, G> = 0}:
+    for an LCD code that is the single RREF row (1, -c), and otherwise two
+    rows or a leading 0.
     """
     v = np.asarray(v, dtype=np.uint8)
-    F, G = C.field, C.generator
-    B = np.zeros((C.k + 1, C.n + 1), dtype=np.uint8)
-    B[:-1, 1:] = G
-    B[-1, 0] = 1
-    res = linalg.kernel_image(linalg.pairing_matrix(np.vstack([G, v]), G, F), B, F)
+    F, G, k = C.field, C.generator, C.k
+    M = np.zeros((k + 1, k + 1 + C.n), dtype=np.uint8)
+    M[:, :k] = linalg.pairing_matrix(np.vstack([G, v]), G, F)
+    M[:-1, k + 1 :] = G
+    M[-1, k] = 1
+    res = linalg.kernel_image(M, k, F)
     if res.pivots != (0,):
         raise NotLcd("the ambient space splits only for LCD codes")
     row = res.matrix[0, 1:]

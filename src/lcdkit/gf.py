@@ -27,7 +27,8 @@ class FieldError(ValueError):
     """Invalid field construction or mixed-field operands."""
 
 
-def _build_tables(order: int):
+@lru_cache(maxsize=None)
+def _tables(order: int):
     if order in (2, 3):
         add = np.fromfunction(lambda a, b: (a + b) % order, (order, order), dtype=np.int64)
         mul = np.fromfunction(lambda a, b: (a * b) % order, (order, order), dtype=np.int64)
@@ -57,11 +58,6 @@ def _build_tables(order: int):
         t.setflags(write=False)
         out[name] = t
     return out
-
-
-@lru_cache(maxsize=None)
-def _tables(order: int):
-    return _build_tables(order)
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,6 @@ class FieldSpec:
     # -- scalar arithmetic (also accepts numpy arrays) --------------------
     def add(self, a, b):
         return self.add_table[a, b]
-
-    def sub(self, a, b):
-        return self.add_table[a, self.neg_table[b]]
 
     def mul(self, a, b):
         return self.mul_table[a, b]

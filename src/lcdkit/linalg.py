@@ -9,11 +9,12 @@ int per bit plane in the layout of enumeration's kernel, so clearing a
 column is one whole-row operation.  _eliminate has one loop per field,
 with the pivot scaling and row update written out on the planes, and
 serves RREF, rank and kernel_image: rank clears only the rows below each
-pivot and never unpacks, kernel_image unpacks only the rows it returns,
-and nullspace reads the kernel's RREF basis off one RREF of the reversed
-columns.  Everything here is a pure function of its inputs; results with
-a canonical form (RREF) are unique for a given row space, which
-downstream code relies on for deterministic coordinate choices.
+pivot and never unpacks, kernel_image eliminates the one matrix [A | B]
+its caller builds, split after A's columns, and unpacks only the rows it
+returns, and nullspace reads the kernel's RREF basis off one RREF of the
+reversed columns.  Everything here is a pure function of its inputs;
+results with a canonical form (RREF) are unique for a given row space,
+which downstream code relies on for deterministic coordinate choices.
 """
 
 from __future__ import annotations
@@ -237,23 +238,24 @@ def rref(M: np.ndarray, field: FieldSpec) -> RrefResult:
     return RrefResult(R, tuple(pivots), len(pivots))
 
 
-def kernel_image(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> RrefResult:
-    """RREF basis of {xB : xA = 0}, and its pivots, from one elimination of [A | B].
+def kernel_image(M: np.ndarray, split: int, field: FieldSpec) -> RrefResult:
+    """RREF basis of {xB : xA = 0} for M = [A | B], A = M[:, :split], and its
+    pivots, from one elimination of M's packed rows.
 
-    Each RREF row of [A | B] stays [xA | xB] for some x.  The rows past the
-    pivots in A's columns have xA = 0 and span every such xB, so their B
-    parts are the basis; only those rows are unpacked.
+    Each RREF row of M stays [xA | xB] for some x.  The rows past the pivots
+    in A's columns have xA = 0 and span every such xB, so their B parts are
+    the basis; only those rows are unpacked.
     """
-    a = A.shape[1]
+    cols = M.shape[1] - split
     pivots = []
-    if len(A):
-        planes = _pack_rows(field.order, np.concatenate([A, B], axis=1))
-        pivots = _eliminate(field.order, planes, a + B.shape[1], True)
-    r = bisect_left(pivots, a)  # pivots in A's columns come first
+    if M.size:
+        planes = _pack_rows(field.order, M)
+        pivots = _eliminate(field.order, planes, M.shape[1], True)
+    r = bisect_left(pivots, split)  # pivots in A's columns come first
     if r == len(pivots):
-        return RrefResult(np.zeros((0, B.shape[1]), dtype=np.uint8), (), 0)
-    basis = _unpack_rows([[w >> a for w in plane[r : len(pivots)]] for plane in planes], B.shape[1])
-    return RrefResult(basis, tuple(p - a for p in pivots[r:]), len(pivots) - r)
+        return RrefResult(np.zeros((0, cols), dtype=np.uint8), (), 0)
+    basis = _unpack_rows([[w >> split for w in plane[r : len(pivots)]] for plane in planes], cols)
+    return RrefResult(basis, tuple(p - split for p in pivots[r:]), len(pivots) - r)
 
 
 def rank(M: np.ndarray, field: FieldSpec) -> int:
@@ -276,13 +278,9 @@ def row_spaces_equal(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
-def conj_matrix(M: np.ndarray, field: FieldSpec) -> np.ndarray:
-    return field.conj_table[M]
-
-
 def pairing_matrix(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     """All pairings <row_i(A), row_j(B)> under the field's flavor."""
-    return matmul(field, A, (B if field.flavor == EUCLIDEAN else conj_matrix(B, field)).T)
+    return matmul(field, A, (B if field.flavor == EUCLIDEAN else field.conj_table[B]).T)
 
 
 def gram(G: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -306,7 +304,7 @@ def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     already is the kernel's RREF.
     """
     cols = M.shape[1]
-    work = conj_matrix(M, field) if field.flavor != EUCLIDEAN else M
+    work = field.conj_table[M] if field.flavor != EUCLIDEAN else M
     res = rref(work[:, ::-1], field)
     pivset = set(res.pivots)
     # reversed column c is column cols - 1 - c; the free ones in increasing order

@@ -15,6 +15,7 @@ from lcdkit.linalg import (
     NotOrthonormalizable,
     congruence_orthonormalize,
     gram,
+    kernel_image,
     matmul,
     nullspace,
     rank,
@@ -298,6 +299,35 @@ def test_elimination_edge_shapes_match_table_oracle(f, rows, cols):
         b = oracles.random_matrix(f, cols, 3, rng).reshape(cols, 3)
         got = matmul(f, m, b)
         assert got.dtype == np.uint8 and np.array_equal(got, oracles.table_matmul(f, m, b))
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("n", [12, 63, 64, 65])
+def test_kernel_image_edge_splits_match_table_oracle(f, n):
+    """split = 0 is the RREF without its zero rows, split = n leaves a (0, 0)
+    basis, and a rank-deficient left block A gives the RREF of (left kernel
+    of A) times B, both computed by table arithmetic."""
+    rng = random.Random(n * 10 + f.order)
+    M = oracles.random_matrix(f, 8, n, rng).reshape(8, n)
+    M[-1] = M[0]  # a zero row in the RREF
+    before = M.copy()
+    whole = rref(M, f)
+    res = kernel_image(M, 0, f)
+    assert res.matrix.dtype == np.uint8 and np.array_equal(res.matrix, whole.matrix[: whole.rank])
+    assert res.pivots == whole.pivots and res.rank == whole.rank
+    res = kernel_image(M, n, f)
+    assert res.matrix.shape == (0, 0) and res.pivots == () and res.rank == 0
+    assert np.array_equal(M, before)
+    for split in (1, 5, n // 2, n - 1):
+        base = oracles.random_matrix(f, 3, split, rng).reshape(3, split)
+        M[:, :split] = oracles.table_matmul(f, oracles.random_matrix(f, 8, 3, rng).reshape(8, 3), base)
+        before = M.copy()
+        A, B = M[:, :split], M[:, split:]
+        want, pivots, r = oracles.table_rref(oracles.table_matmul(f, oracles.table_nullspace(A.T, f), B), f)
+        res = kernel_image(M, split, f)
+        assert 0 < r and res.matrix.shape == (r, n - split) and np.array_equal(res.matrix, want[:r])
+        assert res.pivots == pivots and res.rank == r
+        assert np.array_equal(M, before)
 
 
 @settings(max_examples=200, deadline=None)
