@@ -12,32 +12,42 @@ method 1).  The search's helpers are wrapped with timers, so the stages are
 those of the real call:
 
 * draw: the sampled messages (_draw_messages);
-* dedupe: the sampled messages that pass the weight condition,
-  deduplicated and sorted lexicographically (_sorted_unique);
-* count: the dual's weight distribution, from which an exhaustive search
-  counts its candidates (enumeration.weight_distribution_exhaustive);
+* dedupe: the sampled messages keyed by their message numbers, which are
+  sorted and deduplicated (_message_numbers);
+* count: the candidate count of an exhaustive search, from the dual's
+  weight distribution (_count_candidates);
 * distance: d(C) (min_weight);
 * scoring: the coset scoring (_best_scores);
 * extend: building and checking the extended code;
-* build: the rest, i.e. the dual, the candidates' codewords up to the
-  batch where the search stops, the weight condition and C's coset chain
-  (_coset_chain).
+* build: the rest, i.e. the dual, the candidates' codewords (up to the
+  batch where the search stops, or of every distinct sampled number), the
+  weight condition and C's coset chain (_coset_chain).
 
 Each time is the median over rounds in ms; the line also gives the
-candidate count, ``distinct``, the distinct sampled messages that pass
-the weight condition, and ``tied``, the candidates reaching the best
-score in the batches scored before the search stops (a batch scored only
-for a score above the best so far adds none).  One more, untimed, round
-counts the coset scorer's work: ``reduced``, the candidates reduced onto
-a chain matrix's pivots (enumeration._reduce), and ``pairs``, the
-candidate-word distances taken inside _best_scores (enumeration._distance);
-``pairs_per_s`` is pairs over the median scoring time.  Takes no options:
+candidate count, ``distinct``, the distinct sampled messages, and
+``tied``, the candidates reaching the best score in the batches scored
+before the search stops (a batch scored only for a score above the best
+so far adds none).  One more, untimed, round counts the coset scorer's
+work: ``reduced``, the candidates reduced onto a chain matrix's pivots
+(enumeration._reduce), and ``pairs``, the candidate-word distances taken
+inside _best_scores (enumeration._distance); ``pairs_per_s`` is pairs
+over the median scoring time.
 
     python3 scripts/bench_search.py
+    python3 scripts/bench_search.py --trees A B [--rounds 5]
+
+With --trees, each round runs the bench_search.py of every tree (say a
+parent and a changed checkout) in a fresh process, one per tree, and the
+order alternates from round to round, so a slow phase of the host hits
+both trees alike; separate invocations of one tree can move by 2x.  It
+then prints one line per tree and case: the medians over rounds of the
+tree's ``*_ms`` times and its answers.
 """
 
+import argparse
 import json
 import statistics
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -60,8 +70,8 @@ ROUNDS = 5
 # helper -> stage; each is looked up as a module attribute by search_extend
 TIMED = [
     (construct, "_draw_messages", "draw"),
-    (construct, "_sorted_unique", "dedupe"),
-    (enumeration, "weight_distribution_exhaustive", "count"),
+    (construct, "_message_numbers", "dedupe"),
+    (construct, "_count_candidates", "count"),
     (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),
     (construct, "extend", "extend"),
@@ -178,7 +188,7 @@ def main() -> None:
         for stage in ("draw", "dedupe", "count", "build", "distance", "scoring", "extend", "total"):
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
-        line["distinct"] = seen["_sorted_unique"][0][1].shape[0] if "_sorted_unique" in seen else None
+        line["distinct"] = seen["_message_numbers"][0][1].shape[-1] if "_message_numbers" in seen else None
         # a score below the call's least (its last argument) is only an upper bound
         scored = [(score, top) for args, (score, top, _) in seen["_best_scores"] if score >= args[-1]]
         line["tied"] = sum(top.size for score, top in scored if score == res.min_weight)
@@ -188,5 +198,33 @@ def main() -> None:
         print(json.dumps(line), flush=True)
 
 
+def interleaved(trees: list[Path], rounds: int) -> None:
+    """Run each tree's own bench_search.py ``rounds`` times, alternating
+    fresh processes (the tree order flips every round), and print each
+    tree's medians over rounds, one JSON line per tree and case."""
+    runs = {tree: [] for tree in trees}
+    for r in range(rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            script = tree / "scripts" / "bench_search.py"
+            out = subprocess.run([sys.executable, str(script)], cwd=tree, capture_output=True, text=True, check=True)
+            runs[tree].append([json.loads(line) for line in out.stdout.splitlines()])
+    for tree in trees:
+        for lines in zip(*runs[tree]):
+            line = {"tree": str(tree), "case": lines[0]["case"], "rounds": rounds}
+            for key in lines[0]:
+                if key.endswith("_ms"):
+                    line[key] = round(statistics.median(x[key] for x in lines), 3)
+            for key in ("candidates", "min_weight"):
+                line[key] = lines[0][key]
+            print(json.dumps(line), flush=True)
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Time of each stage of the extension search.")
+    parser.add_argument("--trees", nargs="+", type=Path, help="checkouts to run in alternating fresh processes")
+    parser.add_argument("--rounds", type=int, default=5, help="processes per tree with --trees")
+    args = parser.parse_args()
+    if args.trees:
+        interleaved([tree.resolve() for tree in args.trees], args.rounds)
+    else:
+        main()

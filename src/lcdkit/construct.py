@@ -282,8 +282,11 @@ SEARCH_BATCH = 1 << 17
 # 32-bit words per chunk of the sampled draw.  random_raw hands them out as
 # uint64, so a chunk's temporaries stay within 512 KiB, in cache, however
 # large the budget.  t_19_6_9's 50,000 sampled messages (866,730 words),
-# median of 30 on a 2-core x86-64 host: 2^14 words 9.2 ms, 2^16 8.6 ms,
-# 2^18 9.1 ms, 2^20 (8 MiB) 16.5 ms
+# median of 100 interleaved rounds on a 2-core x86-64 host: 2^14 words
+# 5.37 ms, 2^15 5.20, 2^16 5.07, 2^17 5.07, 2^18 5.51, 2^19 5.56, 2^20 (8
+# MiB) 5.86 ms.  The same words read as uint32 (a Generator's full-range
+# integers) halve the shift and cast but cost more to draw: 7.8 ms against
+# 7.4, slower in 312 of 400 interleaved pairs
 DRAW_CHUNK_WORDS = 1 << 16
 
 
@@ -317,28 +320,37 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     return out.reshape(count, m)
 
 
-def _sorted_unique(q: int, msgs: np.ndarray) -> np.ndarray:
-    """The positions of one copy of each distinct row of a message matrix
-    (N x m), in the rows' lexicographic order.
-
-    While q^m fits 63 bits, each row is one int64 key, its digits read as a
-    base-q number with digit 0 on top, and the keys are sorted with
-    np.argsort; longer rows are sorted by all their digits with np.lexsort.
-    Equal neighbours are then dropped.  On 33,000 ternary rows of 13
-    digits (2-core x86-64 host): np.argsort 0.55 ms, np.lexsort on the
-    digits 1.6 ms, np.unique(axis=0) on the rows 80 ms.
+def _message_numbers(q: int, msgs: np.ndarray) -> np.ndarray:
+    """The distinct rows of a message matrix (N x m, digit j multiplying
+    dual row j), sorted, as message numbers of the tables built from the
+    dual's rows reversed (enumeration.codewords_at): digit 0 on top, so
+    numeric order is lexicographic order.  Each table's index is read by
+    Horner over its digit columns in uint16, and the indices are joined
+    into one int64 number, sorted with np.sort (50,000 keys on a 2-core
+    x86-64 host: 0.44 ms; np.argsort 1.2, np.lexsort 5.4, np.unique 12 ms).
+    Past q^m > 2^63 the indices are the keys, sorted with np.lexsort, the
+    highest table's first.
     """
     N, m = msgs.shape
-    if q**m <= 1 << 63:
-        keys = (msgs @ q ** np.arange(m - 1, -1, -1, dtype=np.int64))[None]
-        order = np.argsort(keys[0])
+    L = enumeration.TABLE_ROWS[q]
+    wide = q**m > 1 << 63
+    keys = np.zeros((-(-m // L), N), dtype=np.uint16)  # q^TABLE_ROWS <= 3^9 < 2^16
+    for c, key in enumerate(keys):
+        for j in range(max(m - (c + 1) * L, 0), m - c * L):
+            key *= q
+            key += msgs[:, j]
+    if wide:
+        keys = np.take(keys, np.lexsort(keys), axis=-1)
     else:
-        keys = msgs.T
-        order = np.lexsort(keys[::-1])
-    keys = np.take(keys, order, axis=-1)
+        number = keys[-1].astype(np.int64)
+        for key in keys[-2::-1]:
+            number *= q**L
+            number += key
+        keys = np.sort(number)[None]
     fresh = np.ones(N, dtype=bool)
     fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return np.compress(fresh, order)
+    keys = np.compress(fresh, keys, axis=-1)
+    return keys if wide else keys[0]
 
 
 def _best_scores(
@@ -399,11 +411,12 @@ def _candidates(C: LinearCode, method: str, budget: int, seed: int, threads: int
 
     With q^m <= ``budget`` (m = n - k, the dual's dimension) every dual
     vector is a candidate, counted from the dual's weight distribution
-    (enumeration.weight_distribution_exhaustive), and one of each
-    projective class is scored: message 0 and the messages whose top
-    nonzero digit is 1, built a block at a time only as the batches are
-    read.  Otherwise ``budget`` messages are drawn (_draw_messages), and
-    the distinct ones that pass are counted and scored (_sorted_unique).
+    (_count_candidates), and one of each projective class is scored:
+    message 0 and the messages whose top nonzero digit is 1, built a block
+    at a time only as the batches are read.  Otherwise ``budget`` messages are drawn (_draw_messages), each
+    is keyed once by its message number (_message_numbers), and the
+    codewords of the distinct numbers (enumeration.codewords_at) that pass
+    are counted and scored.
     """
     q = C.field.order
     dgen = dual(C).generator
@@ -411,17 +424,23 @@ def _candidates(C: LinearCode, method: str, budget: int, seed: int, threads: int
     # digit j multiplies row m - 1 - j, so message order is lexicographic order
     tables = enumeration.codeword_tables(C.field, dgen[::-1])
     if q**m <= budget:
-        counts = enumeration.weight_distribution_exhaustive(C.field, dgen, cap=q**m, threads=threads)
-        count = sum(a for w, a in enumerate(counts) if weight_condition(C.field, method, w))
+        count = _count_candidates(C, method, dgen, tables, threads)
         ranges = enumeration._projective_ranges(q, m, 0)
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
         pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
         return count, _joined(pieces)
-    msgs = _draw_messages(q, m, budget, seed)  # digit j multiplies dual row j
-    words = enumeration.codewords_of(q, tables, msgs[:, ::-1])
-    ok = np.flatnonzero(weight_condition(C.field, method, _weigh(words)))
-    cand = np.take(words, ok[_sorted_unique(q, msgs[ok])], axis=-1)
+    numbers = _message_numbers(q, _draw_messages(q, m, budget, seed))
+    words = enumeration.codewords_at(q, tables, numbers)
+    cand = np.compress(weight_condition(C.field, method, _weigh(words)), words, axis=-1)
     return cand.shape[-1], _joined([cand])
+
+
+def _count_candidates(C: LinearCode, method: str, dgen: np.ndarray, tables: list[np.ndarray], threads: int) -> int:
+    """How many dual vectors pass the method's weight condition, from the
+    dual's weight distribution; a direct scan reads ``tables``, built from
+    dgen's rows in any order, as a distribution does not depend on it."""
+    counts = enumeration._exhaustive(C.field, dgen, C.field.order ** dgen.shape[0], True, threads, tables)[1]
+    return sum(a for w, a in enumerate(counts) if weight_condition(C.field, method, w))
 
 
 def search_extend(
@@ -467,8 +486,9 @@ def search_extend(
     listing is closed under scaling, so its multiples tie with it.
     ``candidates`` counts every dual vector that passes the weight
     condition, from the dual's weight distribution, before any is scored.
-    A sampled search drops duplicate draws, sorts the rest
-    lexicographically (_sorted_unique) and counts them (_candidates).
+    A sampled search keys each draw by its message number, drops duplicate
+    numbers, sorts the rest (_message_numbers) and counts the codewords
+    gathered for them that pass (_candidates).
 
     Scoring is pruned by threshold: a candidate is dropped as soon as one
     of its coset words shows that it cannot reach the best score still

@@ -272,13 +272,23 @@ def _tables(q: int, scaled: np.ndarray, k: int) -> list[np.ndarray]:
     return tables
 
 
-def codewords_of(order: int, tables: list[np.ndarray], msgs: np.ndarray) -> np.ndarray:
-    """Packed codewords of message digit rows (N x k, digit j multiplies row j)."""
-    L = TABLE_ROWS[order]
+def codewords_at(order: int, tables: list[np.ndarray], numbers: np.ndarray) -> np.ndarray:
+    """Packed codewords of the messages numbered ``numbers`` (int64; message
+    number sum_i d_i q^i, digit i multiplying row i).  Each table's index
+    is the next base-q^TABLE_ROWS digit of the number, low table first, and
+    the last table's is what is left.  A 2-D ``numbers`` holds those
+    indices instead, row c for table c, as for messages past 2^63."""
+    T = order ** TABLE_ROWS[order]
     out = None
     for c, table in enumerate(tables):
-        digits = msgs[:, c * L : (c + 1) * L].astype(np.int64)
-        words = np.take(table, digits @ order ** np.arange(digits.shape[1], dtype=np.int64), axis=-1)
+        if numbers.ndim == 2:
+            index = numbers[c]
+        elif c + 1 < len(tables):
+            high = numbers // T  # with the product and difference, half of np.divmod's time
+            index, numbers = numbers - high * T, high
+        else:
+            index = numbers
+        words = np.take(table, index, axis=-1)
         out = words if out is None else _add(order, out, words)
     return out
 
@@ -287,17 +297,14 @@ def _blocks(order: int, tables: list[np.ndarray], start: int, stop: int):
     """Yield (first message, slice t of tables[0], high word h) covering
     [start, stop) in message order, a block of messages being t + h.
 
-    h, the sum of the higher tables' words, is None for block 0, whose
-    high word is zero; high words are computed only past the first table.
+    h, the sum of the higher tables' words (codewords_at), is None for
+    block 0, whose high word is zero; high words are computed only past
+    the first table.
     """
     T = tables[0].shape[-1]
     first, last = start // T, -(-stop // T)
     if last > 1:
-        rest = np.arange(first, last, dtype=np.int64)
-        highs = np.zeros(tables[0].shape[:2] + rest.shape, dtype=np.uint64)
-        for table in tables[1:]:
-            rest, digit = np.divmod(rest, T)
-            highs = _add(order, highs, np.take(table, digit, axis=-1))
+        highs = codewords_at(order, tables[1:], np.arange(first, last, dtype=np.int64))
     for b in range(first, last):
         lo, hi = max(start - b * T, 0), min(stop - b * T, T)
         yield b * T + lo, tables[0][..., lo:hi], None if b == 0 else highs[..., b - first : b - first + 1]
@@ -364,16 +371,17 @@ def _split(jobs: list[tuple[int, int, int]], parts: int, T: int) -> list[list[tu
     return [run for run in runs if run]
 
 
-def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int):
+def _scan(field: FieldSpec, G: np.ndarray, want_dist: bool, threads: int, tables: list[np.ndarray] | None = None):
     """Minimum nonzero weight and (optionally) weight counts, as an array,
-    of all q^k codewords.
+    of all q^k codewords, from ``tables``, codeword tables of G's rows in
+    any order, or else from G's own.
 
     As a c has the weight of c, only one message of each projective class
     past the first table is weighed, and its counts stand for all q - 1.
     """
     q = field.order
     k, n = G.shape
-    tables = codeword_tables(field, G)
+    tables = codeword_tables(field, G) if tables is None else tables
     jobs = [(lo, hi, 1 if lo == 0 else q - 1) for lo, hi in _projective_ranges(q, k, min(k, TABLE_ROWS[q]))]
     if threads > 1 and sum(hi - lo for lo, hi, _ in jobs) >= PARALLEL_THRESHOLD:
         args = [(q, tables, n, run, want_dist) for run in _split(jobs, threads, tables[0].shape[-1])]
@@ -426,10 +434,13 @@ def macwilliams_transform(q: int, n: int, dim: int, counts) -> list[int]:
     return out
 
 
-def _exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None, want_dist: bool, threads: int):
+def _exhaustive(
+    field: FieldSpec, G: np.ndarray, cap: int | None, want_dist: bool, threads: int, tables: list[np.ndarray] | None = None
+):
     """Minimum nonzero weight and (optionally) the counts A_0 .. A_n of the
-    code of G, by scan_plan's route: a scan of C, or an exact-count scan of
-    its dual and C's checked MacWilliams transform."""
+    code of G, by scan_plan's route: a scan of C, from ``tables`` if the
+    caller holds them (_scan), or an exact-count scan of its dual and C's
+    checked MacWilliams transform."""
     q = field.order
     k, n = G.shape
     cap = DEFAULT_CAPS[q] if cap is None else cap
@@ -439,7 +450,7 @@ def _exhaustive(field: FieldSpec, G: np.ndarray, cap: int | None, want_dist: boo
         dual_counts = _scan(field, nullspace(G, field), True, threads)[1]
         counts = macwilliams_transform(q, n, n - k, dual_counts.tolist())
         return next(i for i in range(1, n + 1) if counts[i]), counts
-    best, counts = _scan(field, G, want_dist, threads)
+    best, counts = _scan(field, G, want_dist, threads, tables)
     return best, counts.tolist() if want_dist else None
 
 

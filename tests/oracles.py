@@ -51,9 +51,9 @@ def table_rref(M: np.ndarray, field: FieldSpec, col_order=None):
             work[[r, pr]] = work[[pr, r]]
         if work[r, c] != 1:
             work[r] = mul[inv[work[r, c]], work[r]]
-        for i in range(rows):
-            if i != r and work[i, c]:
-                work[i] = add[work[i], mul[neg[work[i, c]], work[r]]]
+        factors = neg[work[:, c]]
+        factors[r] = 0
+        work = add[work, mul[factors[:, None], work[r]]]  # clear column c from every other row
         pivots.append(c)
         r += 1
         if r == rows:

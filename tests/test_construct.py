@@ -883,6 +883,30 @@ def test_search_tie_break_among_many(method, budget):
 
 
 @pytest.mark.parametrize("f", FIELDS)
+def test_exhaustive_count_reads_the_candidate_tables(f, monkeypatch):
+    # a dual scanned directly is counted from the tables the candidate
+    # stream already holds (its rows reversed), so they are built once; the
+    # count is that of the dual's weight distribution on either route (the
+    # dual route, forced on small codes here, scans C's side)
+    rng = random.Random(30 + f.order)
+    monkeypatch.setitem(enumeration.DUAL_MIN_CODEWORDS, f.order, 1)
+    built, routes = [], set()
+    tables = enumeration.codeword_tables
+    monkeypatch.setattr(enumeration, "codeword_tables", lambda *args: built.append(1) or tables(*args))
+    for n, k in [(9, 4), (10, 3), (12, 9)]:
+        C = oracles.random_lcd_code(f, n, k, rng)
+        dist = oracles.brute_weight_counts(dual(C))
+        route = enumeration.scan_plan(f.order, n, n - k)[0]
+        routes.add(route)
+        for method in (M1, M2):
+            built.clear()
+            count, _ = construct._candidates(C, method, 10**9, 0, 1)
+            assert count == sum(a for w, a in enumerate(dist) if weight_condition(f, method, w))
+            assert len(built) == (1 if route == "direct" else 2)
+    assert routes == {"direct", "dual"}
+
+
+@pytest.mark.parametrize("f", FIELDS)
 def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
     # the batches of an exhaustive search's candidate stream, read to its
     # end, hold one vector per projective class of the dual that passes the
@@ -1212,12 +1236,14 @@ def test_draw_messages_matches_randrange(q, m, monkeypatch):
 
 @pytest.mark.parametrize("q,m", [(2, 63), (2, 64), (3, 39), (3, 40), (4, 31), (4, 32), (2, 150), (4, 150)])
 def test_sorted_unique_matches_sorted_set(q, m):
-    # one int64 key per message while q^m <= 2^63, lexsort beyond: both
-    # sides of the switch against a sorted set of tuples, on batches of 0, 1
-    # and 2 messages, an all-equal batch, one whose messages repeat or
-    # differ in a single digit, and messages supported on the first two and
-    # last two digits, twice: a key that overflows or drops digits merges
-    # or misorders some
+    # the sorted distinct messages of _message_numbers, one int64 message
+    # number per message while q^m <= 2^63, one key per table sorted with
+    # lexsort beyond: both sides of the switch against the numbers (digit 0
+    # on top, as the tables are built from the dual's rows reversed) of a
+    # sorted set of tuples, on batches of 0, 1 and 2 messages, an all-equal
+    # batch, one whose messages repeat or differ in a single digit, and
+    # messages supported on the first two and last two digits, twice: a
+    # number that overflows or drops digits merges or misorders some
     rng = np.random.default_rng(m * q)
     base = rng.integers(0, q, size=(40, m), dtype=np.uint8)
     near = base[:20].copy()
@@ -1228,9 +1254,38 @@ def test_sorted_unique_matches_sorted_set(q, m):
     ends = np.vstack([ends, ends])
     batches = [base[:0], base[:1], base[:2], np.repeat(base[:1], 9, axis=0)]
     batches += [mixed[rng.permutation(len(mixed))], ends[rng.permutation(len(ends))]]
+    T = q ** enumeration.TABLE_ROWS[q]
+    tables = -(-m // enumeration.TABLE_ROWS[q])
     for M in batches:
-        got = M[construct._sorted_unique(q, M)]
-        assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, M.tolist())))
+        got = construct._message_numbers(q, M)
+        want = [int("".join(map(str, t)), q) for t in sorted(set(map(tuple, M.tolist())))]
+        if q**m <= 1 << 63:
+            assert got.dtype == np.int64 and got.tolist() == want
+        else:
+            assert got.T.tolist() == [[w // T**c % T for c in range(tables)] for w in want]
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("method", [M1, M2])
+def test_sampled_candidates_match_oracle(f, method):
+    # the sampled candidate stream against a plain reference: the digits of
+    # randrange(q), a set of tuples of the distinct draws, sorted, their
+    # codewords by table arithmetic and the weight condition; where q^m is
+    # a little above the budget most draws repeat, and m on both sides of
+    # the int64 switch (binary 63/64, ternary 39/40, GF(4) 31/32)
+    q = f.order
+    rng = random.Random(40 + q)
+    small, switch = {2: (9, 63), 3: (6, 39), 4: (5, 31)}[q]
+    for m, budget in [(small, q**small - 2), (small + 1, q**small), (switch, 300), (switch + 1, 300)]:
+        C = oracles.random_code(f, m + 2, 2, rng)
+        for seed in (0, 7):
+            draw = random.Random(seed)
+            msgs = sorted({tuple(draw.randrange(q) for _ in range(m)) for _ in range(budget)})
+            words = oracles.table_matmul(f, np.array(msgs, dtype=np.uint8), dual(C).generator)
+            want = [w for w in words.tolist() if weight_condition(f, method, sum(map(bool, w)))]
+            count, batches = construct._candidates(C, method, budget, seed, 1)
+            got = [v for b in batches for v in enumeration.unpack_matrix(b, C.n).tolist()]
+            assert count == len(want) and got == want
 
 
 def test_euclidean_gf4_extension_is_refused():

@@ -23,7 +23,7 @@ from lcdkit.enumeration import (
     _weigh,
     codeword_blocks,
     codeword_tables,
-    codewords_of,
+    codewords_at,
     macwilliams_transform,
     min_weight_bz,
     min_weight_exhaustive,
@@ -136,23 +136,30 @@ def test_pack_round_trip_across_word_boundary(f):
 
 @pytest.mark.parametrize("f", FLAVOURS)
 def test_codewords_in_message_order(f):
-    # the tables' codewords, both scanned as blocks and gathered from
-    # message digits, are the oracle's codewords in message order
+    # the tables' codewords, both scanned as blocks and gathered by message
+    # number, are the oracle's codewords in message order; numbers past the
+    # first table are gathered from every table, also as per-table indices
     rng = random.Random(67)
-    for n, k in [(12, 3), (65, 4), (40, 16)]:
+    q = f.order
+    T = q ** enumeration.TABLE_ROWS[q]
+    for n, k in [(12, 3), (65, 4), (40, 16), (65, 17)]:
         c = oracles.random_code(f, n, k, rng)
         msgs = message_order(f, min(k, 6))
         G = c.generator[: msgs.shape[1]]
         tables = codeword_tables(f, G)
         expect = oracles.table_matmul(f, msgs, G)
-        scanned = np.concatenate([w for _, w in codeword_blocks(f.order, tables, 0, len(msgs))], axis=-1)
+        scanned = np.concatenate([w for _, w in codeword_blocks(q, tables, 0, len(msgs))], axis=-1)
         assert np.array_equal(unpack_matrix(scanned, n), expect)
-        gathered = codewords_of(f.order, tables, msgs)
+        gathered = codewords_at(q, tables, np.arange(len(msgs), dtype=np.int64))
         assert np.array_equal(unpack_matrix(gathered, n), expect)
         tables = codeword_tables(f, c.generator)
-        sample = np.array([[rng.randrange(f.order) for _ in range(k)] for _ in range(50)], dtype=np.uint8)
-        gathered = codewords_of(f.order, tables, sample)
-        assert np.array_equal(unpack_matrix(gathered, n), oracles.table_matmul(f, sample, c.generator))
+        numbers = [rng.randrange(q**k) for _ in range(50)] + [0, q**k - 1, min(T, q**k) - 1, min(T, q**k - 1)]
+        digits = np.array([[x // q**j % q for j in range(k)] for x in numbers], dtype=np.uint8)
+        expect = oracles.table_matmul(f, digits, c.generator)
+        gathered = codewords_at(q, tables, np.array(numbers, dtype=np.int64))
+        assert np.array_equal(unpack_matrix(gathered, n), expect)
+        indices = np.array([[x // T**t % T for x in numbers] for t in range(len(tables))], dtype=np.int64)
+        assert np.array_equal(unpack_matrix(codewords_at(q, tables, indices), n), expect)
 
 
 @pytest.mark.parametrize("f", FLAVOURS)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +68,25 @@ def test_bench_search_runs(monkeypatch, capsys):
     assert all(f"{stage}_ms" in line for line in lines for stage in stages)
     assert all(line["candidates"] > 0 and line["pairs"] > 0 for line in lines)
     assert lines[0]["distinct"] is None and lines[1]["distinct"] > 0
+
+
+def test_bench_search_interleaves_trees(monkeypatch, capsys, tmp_path):
+    # --trees runs each tree's own script in a fresh process per round, the
+    # tree order flipping every round, and prints each tree's medians
+    script = load_script(monkeypatch, "bench_search")
+    trees, calls = [tmp_path / "a", tmp_path / "b"], []
+
+    def run(cmd, cwd, **kwargs):
+        calls.append(cwd)
+        total = 10.0 * (cwd == trees[1]) + len(calls)
+        out = [{"case": case, "draw_ms": 1.0, "total_ms": total, "candidates": 7, "min_weight": 3} for case in ("x", "y")]
+        return subprocess.CompletedProcess(cmd, 0, stdout="".join(json.dumps(line) + "\n" for line in out))
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    script.interleaved(trees, 3)
+    assert calls == [trees[0], trees[1], trees[1], trees[0], trees[0], trees[1]]
+    lines = json_lines(capsys.readouterr().out)
+    assert [(line["tree"], line["case"]) for line in lines] == [(str(t), c) for t in trees for c in ("x", "y")]
+    # tree a ran as calls 1, 4 and 5, tree b as calls 2, 3 and 6
+    assert [line["total_ms"] for line in lines] == [4.0, 4.0, 13.0, 13.0]
+    assert all(line["draw_ms"] == 1.0 and line["rounds"] == 3 and line["candidates"] == 7 for line in lines)
