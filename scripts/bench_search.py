@@ -13,7 +13,7 @@ those of the real call:
 
 * draw: the sampled messages (_draw_messages);
 * dedupe: the sampled messages keyed by their message numbers, which are
-  sorted and deduplicated (_message_numbers);
+  sorted and deduplicated (enumeration._message_numbers);
 * count: the candidate count of an exhaustive search, from the dual's
   weight distribution (_count_candidates);
 * distance: d(C) (min_weight);
@@ -70,7 +70,7 @@ ROUNDS = 5
 # helper -> stage; each is looked up as a module attribute by search_extend
 TIMED = [
     (construct, "_draw_messages", "draw"),
-    (construct, "_message_numbers", "dedupe"),
+    (enumeration, "_message_numbers", "dedupe"),
     (construct, "_count_candidates", "count"),
     (construct, "min_weight", "distance"),
     (construct, "_best_scores", "scoring"),

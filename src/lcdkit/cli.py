@@ -26,7 +26,6 @@ from .codes import (
     BudgetExceeded,
     CodeError,
     format_vector,
-    is_even_like,
     is_lcd,
     hull,
     min_weight,
@@ -47,7 +46,7 @@ from .construct import (
     search_extend,
     shorten_to_lcd,
 )
-from .eaqecc import ParamError, family, from_hermitian_lcd
+from .eaqecc import ParamError, family
 from .gf import FieldError
 from .linalg import LinalgError
 
@@ -91,7 +90,7 @@ def cmd_verify(args) -> int:
     parts.append(_d_text(wd.min_weight, True))
     if code.field.order == 2:
         parts.append(f"odd-like={str(wd.odd_like).lower()}")
-        parts.append(f"even-like={str(is_even_like(code)).lower()}")
+        parts.append(f"even-like={str(not wd.odd_like).lower()}")
     parts.append(f"wd=[{_wd_text(wd)}]")
     print(" ".join(parts))
     return 0
@@ -106,12 +105,16 @@ def cmd_hull(args) -> int:
     return 0
 
 
-def _print_result_code(args, code, label, t) -> int:
-    d_text = _distance(args, code)[0]
-    print(f"{label} n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()} {d_text} T={_coords_1based(t)}")
+def _write_output(args, code) -> None:
     if args.output:
         write_code_file(args.output, code)
         print(f"wrote {args.output}")
+
+
+def _print_result_code(args, code, label, t) -> int:
+    d_text = _distance(args, code)[0]
+    print(f"{label} n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()} {d_text} T={_coords_1based(t)}")
+    _write_output(args, code)
     return 0
 
 
@@ -145,9 +148,7 @@ def cmd_extend(args) -> int:
     if args.target is not None:
         met = res.target_met
         print(f"target={args.target} met={str(bool(met)).lower()}")
-    if args.output:
-        write_code_file(args.output, res.code)
-        print(f"wrote {args.output}")
+    _write_output(args, res.code)
     if args.target is not None and not res.target_met:
         return 1
     return 0
@@ -178,9 +179,7 @@ def cmd_replay(args) -> int:
         arg = f" {step.arg}" if step.arg else ""
         print(f"step {step.op}{arg} -> n={code.n} k={code.k} lcd={str(is_lcd(code)).lower()}")
     print(f"final n={current.n} k={current.k} {_distance(args, current)[0]}")
-    if args.output:
-        write_code_file(args.output, current)
-        print(f"wrote {args.output}")
+    _write_output(args, current)
     return 0
 
 
@@ -229,27 +228,18 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_eaqecc(args) -> int:
-    params = family(args.n, args.k, args.d, args.s) if args.s else from_hermitian_lcd(args.n, args.k, args.d)
-    print(str(params))
+    print(str(family(args.n, args.k, args.d, args.s)))
     return 0
 
 
 def cmd_corpus_check(args) -> int:
     reports = corpus_mod.check_all(threads=args.threads, cap=args.cap)
-    failures = 0
-    for rep in reports:
-        if rep.skipped:
-            status = "skip"
-        elif rep.ok:
-            status = "ok"
-        else:
-            status = "FAIL"
-            failures += 1
-        note = "" if rep.ok and not rep.skipped else f" ({'; '.join(rep.messages)})"
-        print(f"{status} {rep.entry_id}{note}")
-    verified = sum(1 for r in reports if r.ok and not r.skipped)
-    skipped = sum(1 for r in reports if r.skipped)
-    print(f"summary verified={verified} skipped={skipped} failed={failures}")
+    status = ["skip" if r.skipped else "ok" if r.ok else "FAIL" for r in reports]
+    for rep, s in zip(reports, status):
+        note = "" if s == "ok" else f" ({'; '.join(rep.messages)})"
+        print(f"{s} {rep.entry_id}{note}")
+    failures = status.count("FAIL")
+    print(f"summary verified={status.count('ok')} skipped={status.count('skip')} failed={failures}")
     return 1 if failures else 0
 
 

@@ -146,16 +146,12 @@ def puncture_to_lcd(C: LinearCode, cap: int | None = None, threads: int = 1) -> 
 
 def extend(C: LinearCode, x, method: str) -> LinearCode:
     """LCD extension of C by the dual vector x: [n+1, k+1] (1 x; 0 G) for method 1, [n, k+1]
-    (x; G) for method 2.  An unknown method or Euclidean GF(4) raises extension_vector's error
-    for x without C's LCD test, so a bad vector is reported as extension_vector reports it."""
-    try:
-        weight_condition(C.field, method, 0)
-    except ConstructError:
-        extension_vector(C, x, method)
-        raise
+    (x; G) for method 2.  x is checked first (extension_vector: length, symbols, dual
+    membership, method and field, weight), then C's LCD test, so when both are bad the
+    vector's error is reported, not NotLcd."""
+    v = extension_vector(C, x, method)
     if not is_lcd(C):
         raise NotLcd(f"method {method[1]} extends LCD codes only")
-    v = extension_vector(C, x, method)
     lead = 1 if method == M1 else 0  # method 1's new first coordinate
     if lead and not v.any():
         warnings.warn("all-zero extension vector: the result is LCD but its minimum distance is 1")
@@ -320,39 +316,6 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
     return out.reshape(count, m)
 
 
-def _message_numbers(q: int, msgs: np.ndarray) -> np.ndarray:
-    """The distinct rows of a message matrix (N x m, digit j multiplying
-    dual row j), sorted, as message numbers of the tables built from the
-    dual's rows reversed (enumeration.codewords_at): digit 0 on top, so
-    numeric order is lexicographic order.  Each table's index is read by
-    Horner over its digit columns in uint16, and the indices are joined
-    into one int64 number, sorted with np.sort (50,000 keys on a 2-core
-    x86-64 host: 0.44 ms; np.argsort 1.2, np.lexsort 5.4, np.unique 12 ms).
-    Past q^m > 2^63 the indices are the keys, sorted with np.lexsort, the
-    highest table's first.
-    """
-    N, m = msgs.shape
-    L = enumeration.TABLE_ROWS[q]
-    wide = q**m > 1 << 63
-    keys = np.zeros((-(-m // L), N), dtype=np.uint16)  # q^TABLE_ROWS <= 3^9 < 2^16
-    for c, key in enumerate(keys):
-        for j in range(max(m - (c + 1) * L, 0), m - c * L):
-            key *= q
-            key += msgs[:, j]
-    if wide:
-        keys = np.take(keys, np.lexsort(keys), axis=-1)
-    else:
-        number = keys[-1].astype(np.int64)
-        for key in keys[-2::-1]:
-            number *= q**L
-            number += key
-        keys = np.sort(number)[None]
-    fresh = np.ones(N, dtype=bool)
-    fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    keys = np.compress(fresh, keys, axis=-1)
-    return keys if wide else keys[0]
-
-
 def _best_scores(
     C: LinearCode, chain: list[enumeration._Link], cand: np.ndarray, d_base: int, bonus: int, cap: int, least: int
 ) -> tuple[int, np.ndarray, bool]:
@@ -404,43 +367,45 @@ def _joined(pieces):
         yield np.concatenate(held, axis=-1)
 
 
-def _candidates(C: LinearCode, method: str, budget: int, seed: int, threads: int):
-    """(count, batches): how many dual vectors pass the method's weight
-    condition, and the packed vectors the search scores, in lexicographic
-    order, in the batches of _joined.
+def _candidates(C: LinearCode, passes: np.ndarray, budget: int, seed: int, threads: int):
+    """(exhaustive, count, batches): whether every dual vector is a
+    candidate, how many dual vectors pass (``passes[w]``, the weight
+    condition of weight w), and the packed passing vectors the search
+    scores, in lexicographic order, in the batches of _joined.
 
     With q^m <= ``budget`` (m = n - k, the dual's dimension) every dual
     vector is a candidate, counted from the dual's weight distribution
     (_count_candidates), and one of each projective class is scored:
     message 0 and the messages whose top nonzero digit is 1, built a block
-    at a time only as the batches are read.  Otherwise ``budget`` messages are drawn (_draw_messages), each
-    is keyed once by its message number (_message_numbers), and the
-    codewords of the distinct numbers (enumeration.codewords_at) that pass
-    are counted and scored.
+    at a time only as the batches are read.  Otherwise ``budget`` messages
+    are drawn (_draw_messages), each is keyed once by its message number
+    (enumeration._message_numbers), and the codewords of the distinct
+    numbers (enumeration.codewords_at) that pass are counted and scored.
     """
     q = C.field.order
     dgen = dual(C).generator
     m = dgen.shape[0]
     # digit j multiplies row m - 1 - j, so message order is lexicographic order
     tables = enumeration.codeword_tables(C.field, dgen[::-1])
+
+    def passing(words):
+        return np.compress(passes[_weigh(words)], words, axis=-1)
+
     if q**m <= budget:
-        count = _count_candidates(C, method, dgen, tables, threads)
         ranges = enumeration._projective_ranges(q, m, 0)
         blocks = (w for lo, hi in ranges for _, w in enumeration.codeword_blocks(q, tables, lo, hi))
-        pieces = (np.compress(weight_condition(C.field, method, _weigh(b)), b, axis=-1) for b in blocks)
-        return count, _joined(pieces)
-    numbers = _message_numbers(q, _draw_messages(q, m, budget, seed))
-    words = enumeration.codewords_at(q, tables, numbers)
-    cand = np.compress(weight_condition(C.field, method, _weigh(words)), words, axis=-1)
-    return cand.shape[-1], _joined([cand])
+        return True, _count_candidates(C.field, passes, dgen, tables, threads), _joined(map(passing, blocks))
+    numbers = enumeration._message_numbers(q, _draw_messages(q, m, budget, seed))
+    cand = passing(enumeration.codewords_at(q, tables, numbers))
+    return False, cand.shape[-1], _joined([cand])
 
 
-def _count_candidates(C: LinearCode, method: str, dgen: np.ndarray, tables: list[np.ndarray], threads: int) -> int:
-    """How many dual vectors pass the method's weight condition, from the
-    dual's weight distribution; a direct scan reads ``tables``, built from
-    dgen's rows in any order, as a distribution does not depend on it."""
-    counts = enumeration._exhaustive(C.field, dgen, C.field.order ** dgen.shape[0], True, threads, tables)[1]
-    return sum(a for w, a in enumerate(counts) if weight_condition(C.field, method, w))
+def _count_candidates(field: FieldSpec, passes: np.ndarray, dgen: np.ndarray, tables: list[np.ndarray], threads: int) -> int:
+    """How many dual vectors pass (``passes[w]``), from the dual's weight
+    distribution; a direct scan reads ``tables``, built from dgen's rows in
+    any order, as a distribution does not depend on it."""
+    counts = enumeration._exhaustive(field, dgen, field.order ** dgen.shape[0], True, threads, tables)[1]
+    return sum(a for a, ok in zip(counts, passes) if ok)
 
 
 def search_extend(
@@ -484,10 +449,11 @@ def search_extend(
     nonzero digit is 1).  That candidate's first nonzero symbol is 1, so it
     is the smallest of its class; scaling preserves the weight and every
     listing is closed under scaling, so its multiples tie with it.
-    ``candidates`` counts every dual vector that passes the weight
-    condition, from the dual's weight distribution, before any is scored.
-    A sampled search keys each draw by its message number, drops duplicate
-    numbers, sorts the rest (_message_numbers) and counts the codewords
+    The weight condition is decided once per search, for weights 0 .. n,
+    before any work.  ``candidates`` counts every dual vector that passes,
+    from the dual's weight distribution, before any is scored.  A sampled
+    search keys each draw by its message number, drops duplicate numbers,
+    sorts the rest (enumeration._message_numbers) and counts the codewords
     gathered for them that pass (_candidates).
 
     Scoring is pruned by threshold: a candidate is dropped as soon as one
@@ -498,7 +464,7 @@ def search_extend(
     search stops at the first batch that reaches d(C), since no score is
     above it.  Results never depend on batch size.
     """
-    weight_condition(C.field, method, 0)  # an unknown method or field fails before any work
+    passes = weight_condition(C.field, method, np.arange(C.n + 1))  # an unknown method or field fails before any work
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
     if budget < 1:
@@ -506,8 +472,7 @@ def search_extend(
     if seed < 0:
         raise ConstructError(f"search seed must be at least 0, got {seed}")
     q = C.field.order
-    exhaustive = q ** (C.n - C.k) <= budget
-    candidates, batches = _candidates(C, method, budget, seed, threads)
+    exhaustive, candidates, batches = _candidates(C, passes, budget, seed, threads)
     if not candidates:
         raise NoCandidate(f"no dual vector satisfies the method-{method[1]} weight condition")
     cap = enumeration.DEFAULT_CAPS[q] if cap is None else cap

@@ -39,15 +39,17 @@ def _check(n: int, k: int, d: int):
 
 def from_hermitian_lcd(n: int, k: int, d: int) -> EaqeccParams:
     """[[n, k, d; n-k]] from a Hermitian LCD [n,k,d] code."""
-    _check(n, k, d)
-    return EaqeccParams(n, k, d, n - k)
+    return family(n, k, d, 0)
 
 
 def family(n: int, k: int, d: int, s: int) -> EaqeccParams:
-    """The s-indexed family; s = 0 reduces to from_hermitian_lcd."""
+    """The s-indexed family; s = 0 is the code's own [[n, k, d; n-k]], found
+    without the powers 4^k, which take k / 4 bytes each."""
     _check(n, k, d)
     if s < 0:
         raise ParamError(f"s must be nonnegative, got {s}")
+    if s == 0:
+        return EaqeccParams(n, k, d, n - k)
     step = (4**k - 1) // 3  # exact: 4 = 1 mod 3
     nn = n + step * s
     dd = d + 4 ** (k - 1) * s

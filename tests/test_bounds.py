@@ -99,6 +99,11 @@ def test_grow_rules_need_odd_distance():
     assert got[(31, 11, "lower")] == 10
 
 
+def test_apply_rule_once_refuses_a_rule_of_another_field():
+    with pytest.raises(ValueError, match="^rule grow-even-k does not apply to gf3$"):
+        apply_rule_once("gf3", "grow-even-k", 31, 15, 7)
+
+
 def test_upper_rules():
     t = BoundsTable("gf2")
     t.seed(29, 9, upper=10, kind="literature-bound", provenance="grid")

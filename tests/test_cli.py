@@ -279,6 +279,20 @@ def test_bounds_custom_seed_file(capsys, tmp_path):
     assert lines[3] == "31,10-"  # odd-distance two-column growth
 
 
+def test_bounds_malformed_range_exits_2(capsys):
+    code, out, err = run(capsys, "bounds", "--field", "gf2", "--range", "1..x,2..3")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed range '1..x,2..3'; expected n1..n2,k1..k2\n"
+
+
+def test_bounds_seed_file_without_rows_for_the_field_exits_1(capsys, tmp_path):
+    # the file's rows are all gf2, so a gf4h table has no cell to propagate
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("field,n,k,lower,upper,kind,provenance\ngf2,29,11,9,9,literature-exact,known\n")
+    code, out, err = run(capsys, "bounds", "--field", "gf4h", "--seeds", str(seeds))
+    assert (code, out, err) == (1, "", "error: no seeds for this field\n")
+
+
 def test_bounds_without_bundled_grid_needs_seeds(capsys, tmp_path):
     # no grid ships for gf4h: the command says so instead of failing to open a file
     code, out, err = run(capsys, "--threads", "1", "bounds", "--field", "gf4h")
@@ -522,6 +536,16 @@ def test_extension_vector_length_error_counts_symbols(capsys):
     code, out, err = run(capsys, "extend", corpus_file("codes/t_19_6_9.code"), "--method", "1", "--vector", "012")
     assert (code, out) == (2, "")
     assert err == "error: extension vector has 3 symbols, expected 19\n"
+
+
+def test_extend_reports_the_vector_error_on_a_non_lcd_code(capsys, tmp_path):
+    # the vector is checked before the code's LCD test; both exit 2
+    path = tmp_path / "hull.code"
+    path.write_text("gf2 4 2\n1100\n0010\n")
+    code, out, err = run(capsys, "extend", str(path), "--method", "1", "--vector", "1000")
+    assert (code, out, err) == (2, "", "error: vector does not pair to zero with every generator row\n")
+    code, out, err = run(capsys, "extend", str(path), "--method", "1", "--vector", "1100")
+    assert (code, out, err) == (2, "", "error: method 1 extends LCD codes only\n")
 
 
 @pytest.mark.parametrize(

@@ -692,6 +692,47 @@ def test_extension_vector_rejects_symbols_outside_the_field(f, method):
             (extend_m1 if method == M1 else extend_m2)(c, y)
 
 
+@pytest.mark.parametrize("f", FIELDS + [GF4])
+@pytest.mark.parametrize("method", [M1, M2, "m3"])
+def test_extend_checks_the_vector_before_c_is_lcd(f, method):
+    # extend checks x first (extension_vector: length, symbols, dual
+    # membership, method and field, weight) and C's LCD test after, so on a
+    # non-LCD C every bad vector reports its own error and a good one NotLcd
+    C = new_code(f, [[1, 1, 1, 0], [0, 0, 0, 1]] if f.order == 3 else [[1, 1, 0, 0], [0, 0, 1, 0]])
+    assert not is_lcd(C)
+    vectors = list(oracles.all_messages(f.order, 4)) + [np.array([0, 0, f.order, 1]), np.zeros(3)]
+    kinds = set()
+    for v in vectors:
+        try:
+            extension_vector(C, v, method)
+            want = (NotLcd, f"method {method[1]} extends LCD codes only")
+        except ConstructError as exc:
+            want = (type(exc), str(exc))
+        with pytest.raises(ConstructError) as got:
+            extend(C, v, method)
+        assert (type(got.value), str(got.value)) == want
+        kinds.add(want[0])
+    assert NotInDual in kinds and (NotLcd in kinds) == (method != "m3" and f != GF4)
+    with pytest.raises(NotInDual):
+        extend(C, np.array([1, 0, 0, 0]), method)
+
+
+def test_decompose_and_search_refuse_a_non_lcd_code():
+    C = new_code(GF2, [[1, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(NotLcd, match="^input must be LCD$"):
+        decompose_m1(C)
+    for method in (M1, M2):
+        with pytest.raises(NotLcd, match="^search extends LCD codes only$"):
+            search_extend(C, method, budget=16)
+
+
+def test_apply_step_refuses_an_unknown_op():
+    # parse_record refuses unknown ops, but a Step can be built directly
+    C = new_code(GF2, [[1, 0, 1]])
+    with pytest.raises(ConstructError, match="^unknown step 'rotate'$"):
+        construct.apply_step(C, construct.Step("rotate", "1"))
+
+
 # -- the pruned, projective search against the symbol-domain reference scorer
 
 
@@ -900,7 +941,7 @@ def test_exhaustive_count_reads_the_candidate_tables(f, monkeypatch):
         routes.add(route)
         for method in (M1, M2):
             built.clear()
-            count, _ = construct._candidates(C, method, 10**9, 0, 1)
+            _, count, _ = construct._candidates(C, weight_condition(f, method, np.arange(n + 1)), 10**9, 0, 1)
             assert count == sum(a for w, a in enumerate(dist) if weight_condition(f, method, w))
             assert len(built) == (1 if route == "direct" else 2)
     assert routes == {"direct", "dual"}
@@ -919,7 +960,7 @@ def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
         n = rng.randrange(3, MAX_N[f.order] + 1)
         C = oracles.random_lcd_code(f, n, rng.randrange(1, n), rng)
         for method in (M1, M2):
-            _, batches = construct._candidates(C, method, 10**9, 0, 1)
+            _, _, batches = construct._candidates(C, weight_condition(f, method, np.arange(n + 1)), 10**9, 0, 1)
             got = [tuple(v) for b in batches for v in enumeration.unpack_matrix(b, n).tolist()]
             assert got == sorted(set(got))
             assert all(next((s for s in v if s), 1) == 1 for v in got)
@@ -1257,7 +1298,7 @@ def test_sorted_unique_matches_sorted_set(q, m):
     T = q ** enumeration.TABLE_ROWS[q]
     tables = -(-m // enumeration.TABLE_ROWS[q])
     for M in batches:
-        got = construct._message_numbers(q, M)
+        got = enumeration._message_numbers(q, M)
         want = [int("".join(map(str, t)), q) for t in sorted(set(map(tuple, M.tolist())))]
         if q**m <= 1 << 63:
             assert got.dtype == np.int64 and got.tolist() == want
@@ -1283,7 +1324,7 @@ def test_sampled_candidates_match_oracle(f, method):
             msgs = sorted({tuple(draw.randrange(q) for _ in range(m)) for _ in range(budget)})
             words = oracles.table_matmul(f, np.array(msgs, dtype=np.uint8), dual(C).generator)
             want = [w for w in words.tolist() if weight_condition(f, method, sum(map(bool, w)))]
-            count, batches = construct._candidates(C, method, budget, seed, 1)
+            _, count, batches = construct._candidates(C, weight_condition(f, method, np.arange(C.n + 1)), budget, seed, 1)
             got = [v for b in batches for v in enumeration.unpack_matrix(b, C.n).tolist()]
             assert count == len(want) and got == want
 

@@ -40,6 +40,17 @@ def test_printed_matrices_resolve():
         assert is_lcd(c)
 
 
+def test_load_record_refuses_a_code_entry():
+    with pytest.raises(CorpusError, match="^b_13_7_4 is not a record entry$"):
+        corpus.load_record(load("b_13_7_4"))
+
+
+def test_base_given_as_a_data_dir_path_resolves():
+    # a record may name its base by a path under the data directory
+    by_path = resolve_code("codes/b_13_7_4.code")
+    assert np.array_equal(by_path.generator, resolve_code("b_13_7_4").generator)
+
+
 def test_stored_matrices_kept_verbatim():
     c = resolve_code("b_13_7_4")
     assert np.array_equal(c.generator[:, :7], np.eye(7, dtype=np.uint8))

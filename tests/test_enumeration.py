@@ -571,6 +571,11 @@ def test_bz_matches_loop_oracle(case):
     assert got == _bz_outcome(oracles.loop_bz_min_weight, f, G, cap)
 
 
+def test_bz_refuses_the_zero_code():
+    with pytest.raises(ValueError, match="^the zero code has no nonzero codewords$"):
+        min_weight_bz(GF2, np.zeros((0, 5), dtype=np.uint8))
+
+
 def test_bz_budget_exit_on_wide_code_stays_small():
     # level 4 of a k = 60 code has C(60, 4) = 487,635 supports per matrix; the
     # cap falls inside it, and only bounded batches of it may be built

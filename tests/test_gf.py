@@ -79,6 +79,8 @@ def test_field_spec_invariants():
         FieldSpec(3, HERMITIAN)
     assert FieldSpec(4, HERMITIAN).flavor == HERMITIAN
     assert FieldSpec(3).flavor == EUCLIDEAN
+    with pytest.raises(FieldError, match="unknown flavor 'symplectic'"):
+        FieldSpec(2, "symplectic")
 
 
 def test_field_by_name_roundtrip():

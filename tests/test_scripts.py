@@ -28,6 +28,21 @@ def test_bench_search_wraps_helpers_that_exist(monkeypatch):
     assert [(mod.__name__, attr) for mod, attr in targets if not hasattr(mod, attr)] == []
 
 
+def test_rebuild_tables_runs(monkeypatch, capsys):
+    load_script(monkeypatch, "rebuild_tables").main()
+    out = capsys.readouterr().out.splitlines()
+    assert "== gf2: 263 published cells, 1 propagation updates ==" in out
+    assert "  [40,14]: published 11-13, derived 12-13" in out
+    assert "== gf3: 117 published cells, 14 propagation updates ==" in out
+
+
+def test_search_demo_runs(monkeypatch, capsys):
+    load_script(monkeypatch, "search_demo").main()
+    out = capsys.readouterr().out.splitlines()
+    assert "best vector: 0000102210220001222" in out
+    assert "extended code: [20,7,9] exact=True" in out
+
+
 def test_bench_linalg_runs(monkeypatch, capsys):
     # one round of one pass, so a removed parameter or helper fails here
     script = load_script(monkeypatch, "bench_linalg")
