@@ -8,9 +8,9 @@ Propagation applies the inequality rules until nothing changes; bounds
 move monotonically (lower up, upper down) and are capped by n, so a
 fixpoint is reached.
 
-The rules live in one table (RULES) that propagate, apply_rule_once and
-replay_chain all fire; replay_chain re-derives a bound from the source
-values recorded with it.
+The rules live in one table (RULES) that propagate and replay_chain
+both fire; replay_chain re-derives a bound from the source values
+recorded with it.
 
 Lower-bound rules follow the witness reading: each is backed by an
 explicit construction that turns an LCD [n,k,d] code into a larger one
@@ -232,20 +232,6 @@ def propagate(table: BoundsTable, box=None) -> int:
                     changed = True
                     total += 1
     return total
-
-
-def apply_rule_once(field_name: str, rule_id: str, n: int, k: int, d: int):
-    """Seed one witness and fire one rule; returns {(n,k,side): value}.
-
-    Used to replay published single-step derivations.
-    """
-    rule = RULES[rule_id]
-    if field_name not in rule.fields:
-        raise ValueError(f"rule {rule_id} does not apply to {field_name}")
-    table = BoundsTable(field_name)
-    table.seed(n, k, lower=d, kind="witness", provenance=f"given [{n},{k},{d}]")
-    box = (n, n + 2, max(1, k - 1), k + 1)
-    return {(tn, tk, rule.side): value for tn, tk, value, _src in _shots(rule, table, box)}
 
 
 def replay_chain(table: BoundsTable, n: int, k: int, side: str) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enumeration, linalg
-from .gf import GF2, FieldError, FieldSpec, field_by_name
+from .gf import FieldError, FieldSpec, field_by_name
 
 # re-exported: callers catch budget errors from this module
 BudgetExceeded = enumeration.BudgetExceeded
@@ -50,14 +50,6 @@ class LinearCode:
 
     def params(self) -> tuple[int, int]:
         return (self.n, self.k)
-
-    def same_code(self, other: "LinearCode") -> bool:
-        """Row-space equality (generators may differ)."""
-        return (
-            self.field == other.field
-            and self.n == other.n
-            and linalg.row_spaces_equal(self.generator, other.generator, self.field)
-        )
 
     def __repr__(self):
         return f"LinearCode({self.field.name}, [{self.n},{self.k}])"
@@ -208,15 +200,6 @@ def is_even_like(C: LinearCode) -> bool:
     if C.field.order != 2:
         raise CodeError("even/odd-like classification is defined for binary codes only")
     return all(int(row.sum()) % 2 == 0 for row in C.generator)
-
-
-def macwilliams_dual_counts(counts, n: int, k: int, field: FieldSpec = GF2) -> list[int]:
-    """Weight distribution of the dual of an [n, k] code over ``field`` from
-    the code's own (enumeration.macwilliams_transform)."""
-    try:
-        return enumeration.macwilliams_transform(field.order, n, k, counts)
-    except linalg.InvariantError:
-        raise CodeError(f"input is not the weight distribution of an [{n},{k}] code over {field.name}") from None
 
 
 # -- text file format ------------------------------------------------------

@@ -113,14 +113,6 @@ def _parse_manifest(path: Path, ino: int, mtime_ns: int, size: int) -> dict[str,
     return entries
 
 
-def load(entry_id: str, entries: dict[str, CorpusEntry] | None = None) -> CorpusEntry:
-    entries = manifest() if entries is None else entries
-    try:
-        return entries[entry_id]
-    except KeyError:
-        raise CorpusError(f"unknown corpus entry {entry_id!r}") from None
-
-
 def load_record(entry: CorpusEntry) -> ConstructionRecord:
     if entry.kind != "record":
         raise CorpusError(f"{entry.id} is not a record entry")
@@ -174,15 +166,6 @@ def _resolve(entry_id: str, entries: dict[str, CorpusEntry], seen, memo) -> Line
     base = resolve_code(rec.base, entries, seen + (entry_id,), memo)
     steps = apply_record(rec, base)
     return steps[-1] if steps else base
-
-
-def replay(entry_id: str, entries: dict[str, CorpusEntry] | None = None) -> list[LinearCode]:
-    """Replay a record entry, returning the code after every step."""
-    entries = manifest() if entries is None else entries
-    entry = load(entry_id, entries)
-    rec = load_record(entry)
-    base = resolve_code(rec.base, entries, (entry_id,))
-    return apply_record(rec, base)
 
 
 @dataclass

@@ -103,24 +103,6 @@ class FieldSpec:
             return _tables(self.order)["conj"]
         return np.arange(self.order, dtype=np.uint8)
 
-    # -- scalar arithmetic (also accepts numpy arrays) --------------------
-    def add(self, a, b):
-        return self.add_table[a, b]
-
-    def mul(self, a, b):
-        return self.mul_table[a, b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def inv(self, a):
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.inv_table[a]
-
-    def conj(self, a):
-        return self.conj_table[a]
-
     # -- text I/O ----------------------------------------------------------
     @property
     def alphabet(self) -> str:

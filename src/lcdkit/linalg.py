@@ -272,12 +272,6 @@ def row_space_basis(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     return res.matrix[: res.rank]
 
 
-def row_spaces_equal(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> bool:
-    a = row_space_basis(A, field) if A.size else A.reshape(0, B.shape[1] if B.size else 0)
-    b = row_space_basis(B, field) if B.size else B.reshape(0, A.shape[1] if A.size else 0)
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
 def pairing_matrix(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     """All pairings <row_i(A), row_j(B)> under the field's flavor."""
     return matmul(field, A, (B if field.flavor == EUCLIDEAN else field.conj_table[B]).T)

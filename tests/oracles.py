@@ -3,7 +3,8 @@
 Everything here enumerates explicitly in the symbol domain (numpy uint8
 arrays) and never calls the packed enumeration paths, the one-elimination
 hull, shortening and LCD split, or the construction shortcuts it is used
-to check.
+to check.  The one exception is same_row_space, which compares codes
+through linalg's RREF; test_linalg checks that RREF against table_rref.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from lcdkit.codes import LinearCode, new_code
 from lcdkit.gf import FieldSpec
+from lcdkit.linalg import row_space_basis
 
 
 def all_messages(q: int, k: int) -> np.ndarray:
@@ -209,6 +211,16 @@ def loop_bz_min_weight(field: FieldSpec, G: np.ndarray, cap: int | None = None) 
         if sum(max(0, w + 1 - deficit) for _mat, _pivots, deficit in chain) >= best:
             return best
     return best
+
+
+def same_row_space(A: LinearCode, B: LinearCode) -> bool:
+    """Code equality, generators aside: one field and one canonical RREF.
+
+    Comparing codeword sets would be independent of linalg, but makes the
+    property suites several times slower."""
+    return A.field == B.field and np.array_equal(
+        row_space_basis(A.generator, A.field), row_space_basis(B.generator, B.field)
+    )
 
 
 def codeword_set(C: LinearCode) -> set[tuple[int, ...]]:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from lcdkit import bounds
 from lcdkit.bounds import (
+    RULES,
     Bound,
     BoundsTable,
     ConflictError,
-    apply_rule_once,
+    Provenance,
     cell_string,
     load_grid,
     parse_cell_string,
@@ -86,22 +87,28 @@ def test_single_rule_applications_from_published_steps():
     for row in rows:
         n1, k1, d1 = int(row["n1"]), int(row["k1"]), int(row["d1"])
         n2, k2, d2 = int(row["n2"]), int(row["k2"]), int(row["d2"])
-        shots = apply_rule_once("gf2", row["rule"], n1, k1, d1)
-        assert (n2, k2, "lower") in shots, row
-        assert shots[(n2, k2, "lower")] == d2, row
+        rule = RULES[row["rule"]]
+        assert "gf2" in rule.fields and rule.side == "lower" and not rule.extra, row
+        assert (n1 + rule.target[0], k1 + rule.target[1]) == (n2, k2), row
+        assert rule.derive(n1, k1, d1) == d2, row
 
 
 def test_grow_rules_need_odd_distance():
-    assert apply_rule_once("gf2", "grow-even-k", 31, 16, 8) == {}
-    assert apply_rule_once("gf2", "grow-even-k", 31, 15, 7) == {}  # k odd
-    assert apply_rule_once("gf2", "grow-two-cols", 29, 11, 8) == {}
-    got = apply_rule_once("gf2", "grow-two-cols", 29, 11, 9)
-    assert got[(31, 11, "lower")] == 10
+    even_k, two_cols = RULES["grow-even-k"], RULES["grow-two-cols"]
+    assert even_k.derive(31, 16, 8) is None
+    assert even_k.derive(31, 15, 7) is None  # k odd
+    assert two_cols.derive(29, 11, 8) is None
+    assert two_cols.target == (2, 0) and two_cols.derive(29, 11, 9) == 10
 
 
-def test_apply_rule_once_refuses_a_rule_of_another_field():
-    with pytest.raises(ValueError, match="^rule grow-even-k does not apply to gf3$"):
-        apply_rule_once("gf3", "grow-even-k", 31, 15, 7)
+def test_propagation_fires_no_rule_of_another_field():
+    # rules_for is where propagation enforces a rule's field: over GF(3) the
+    # gf2-only grow-two-cols would lift [29,11,9] to [31,11,10]
+    assert not {"grow-even-k", "grow-two-cols", "drop-odd-k-upper"} & {r.id for r in rules_for("gf3")}
+    t = BoundsTable("gf3")
+    t.seed(29, 11, lower=9)
+    propagate(t, box=(29, 31, 11, 11))
+    assert t.cell(31, 11).lower == Bound(9, Provenance("rule", "pad-column", ((30, 11, "lower", 9),)))
 
 
 def test_upper_rules():
@@ -118,6 +125,7 @@ def test_upper_rules():
 
 def test_propagate_idempotent_and_monotone():
     t = BoundsTable("gf3")
+    assert propagate(t) == 0 and t.cells == {}  # nothing to propagate
     grid = load_grid(data_file("grid_gf3.csv"))
     seed_from_grid(t, grid, "grid")
     seed_ternary_exact(t, range(20, 26))
@@ -133,6 +141,14 @@ def test_propagate_idempotent_and_monotone():
             assert c.lower.value >= lo
         if hi is not None:
             assert c.upper.value <= hi
+
+
+def test_a_missing_bound_does_not_replay():
+    t = BoundsTable("gf2")
+    t.seed(9, 3, upper=4, kind="literature-bound", provenance="a table")
+    assert replay_chain(t, 9, 3, "upper")
+    assert not replay_chain(t, 9, 3, "lower")  # the cell has no lower bound
+    assert not replay_chain(t, 9, 4, "upper")  # no cell at all
 
 
 def test_every_chain_replays():

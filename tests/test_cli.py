@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,15 @@ def run(capsys, *argv):
 
 def corpus_file(rel):
     return str(data_dir() / rel)
+
+
+@pytest.mark.parametrize("module", ["lcdkit", "lcdkit.cli"])
+def test_python_m_runs_the_cli(module):
+    # README documents `python3 -m lcdkit`; both module entry points exit with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", module, "--threads", "1", "eaqecc", "5", "1", "5"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[[5,1,5;4]]\n", "")
 
 
 def test_verify_corpus_code(capsys):

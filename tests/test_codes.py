@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from lcdkit import linalg
+from lcdkit import enumeration, linalg
 from lcdkit.codes import (
     BROUWER_ZIMMERMANN,
     EXHAUSTIVE,
@@ -19,7 +19,6 @@ from lcdkit.codes import (
     hull,
     is_even_like,
     is_lcd,
-    macwilliams_dual_counts,
     min_weight,
     new_code,
     parse_code,
@@ -69,7 +68,7 @@ def test_dual_of_dual_is_original(f):
         k = rng.randrange(1, 5)
         n = rng.randrange(k + 1, 9)
         c = oracles.random_code(f, n, k, rng)
-        assert dual(dual(c)).same_code(c)
+        assert oracles.same_row_space(dual(dual(c)), c)
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -225,12 +224,14 @@ def test_hull_of_zero_code_equals_the_kernel_formula(n):
         h = hull(z)
         basis, dim, pivots = oracles.kernel_hull(z)
         assert h.basis.shape == basis.shape == (0, n) and h.dim == dim == 0 and h.pivot_set == pivots == ()
+        assert is_lcd(z)
 
 
 def test_puncture_repetition():
     c = new_code(GF2, [[1, 1]])
     p = puncture(c, {1})
     assert p.params() == (1, 1)
+    assert puncture(c, ()) is c
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -272,7 +273,7 @@ def test_shorten_puncture_duality_identities():
             rhs = dual(puncture(c, t))
             try:
                 lhs = shorten(dc, t)
-                assert lhs.same_code(rhs)
+                assert oracles.same_row_space(lhs, rhs)
             except EmptyCode:
                 assert rhs.k == 0
             # (C^perp)^T = (C_T)^perp
@@ -285,7 +286,7 @@ def test_shorten_puncture_duality_identities():
                 continue
             try:
                 lhs2 = puncture(dc, t)
-                assert lhs2.same_code(rhs2)
+                assert oracles.same_row_space(lhs2, rhs2)
             except EmptyCode:
                 assert rhs2.k == 0
 
@@ -433,7 +434,7 @@ def test_macwilliams_consistency_binary():
         primal = weight_distribution(c)
         d = dual(c)
         direct = oracles.brute_weight_counts(d)
-        transformed = macwilliams_dual_counts(primal.counts, n, k)
+        transformed = enumeration.macwilliams_transform(2, n, k, primal.counts)
         assert direct == transformed
 
 
@@ -446,19 +447,19 @@ def test_macwilliams_consistency_every_field(f):
         n = rng.randrange(k + 1, 9)
         c = oracles.random_code(f, n, k, rng)
         primal = weight_distribution(c)
-        assert macwilliams_dual_counts(primal.counts, n, k, f) == oracles.brute_weight_counts(dual(c))
-    with pytest.raises(CodeError, match="not the weight distribution"):
-        macwilliams_dual_counts([1, 1, 0], 2, 1, f)
+        assert enumeration.macwilliams_transform(f.order, n, k, primal.counts) == oracles.brute_weight_counts(dual(c))
+    with pytest.raises(linalg.InvariantError, match="not those of a"):
+        enumeration.macwilliams_transform(f.order, 2, 1, [1, 1, 0])
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=24))
 def test_ternary_self_pairing_is_weight_mod_3(vec):
     v = np.array(vec, dtype=np.uint8)
-    pairing = int(sum(int(GF3.mul(a, a)) for a in v) % 3)
+    pairing = int(sum(int(GF3.mul_table[a, a]) for a in v) % 3)
     # accumulate properly in the field
     acc = 0
     for a in v:
-        acc = int(GF3.add(acc, GF3.mul(int(a), int(a))))
+        acc = int(GF3.add_table[acc, GF3.mul_table[a, a]])
     assert acc == int((v != 0).sum()) % 3
     assert pairing == acc
 
@@ -468,7 +469,7 @@ def test_quaternary_hermitian_self_pairing_is_weight_mod_2(vec):
     v = np.array(vec, dtype=np.uint8)
     acc = 0
     for a in v:
-        acc = int(GF4H.add(acc, GF4H.mul(int(a), int(GF4H.conj(int(a))))))
+        acc = int(GF4H.add_table[acc, GF4H.mul_table[a, GF4H.conj_table[a]]])
     assert acc == int((v != 0).sum()) % 2
 
 
@@ -503,3 +504,5 @@ def test_code_file_errors():
         parse_code("gf2 2 1\n21\n")  # symbol outside alphabet
     with pytest.raises(CodeError, match="row 2"):
         parse_code("gf2 3 2\n110\n110\n")  # dependent row named
+    with pytest.raises(CodeError, match="^malformed header 'gf2 x 3'$"):
+        parse_code("gf2 x 3\n")

@@ -156,7 +156,14 @@ def test_puncture_to_lcd_contract_sweep(f):
             assert dual(got).k == 0  # dual was self-orthogonal
             continue
         assert t2 == t
-        assert dual(got).same_code(ds)
+        assert oracles.same_row_space(dual(got), ds)
+
+
+def test_puncture_to_lcd_of_an_lcd_code_is_the_code():
+    c = new_code(GF3, [[1, 0, 0], [0, 1, 1]])
+    assert is_lcd(c)
+    got, t = puncture_to_lcd(c)
+    assert got is c and t == ()
 
 
 def test_puncture_to_lcd_requires_hull_below_distance():
@@ -234,8 +241,8 @@ def test_extend_m1_gram_block_structure():
             g = linalg.gram(got.generator, f)
             self_pair = 0
             for a in v:
-                self_pair = int(f.add(self_pair, f.mul(int(a), int(f.conj(int(a))))))
-            assert g[0, 0] == f.add(1, self_pair) != 0
+                self_pair = int(f.add_table[self_pair, f.mul_table[a, f.conj_table[a]]])
+            assert g[0, 0] == f.add_table[1, self_pair] != 0
             assert not g[0, 1:].any() and not g[1:, 0].any()
             assert np.array_equal(g[1:, 1:], linalg.gram(c.generator, f))
 
@@ -249,7 +256,7 @@ def test_extension_round_trips():
             w = int((v != 0).sum())
             if weight_condition(f, M1, w):
                 ext = extend_m1(c, v)
-                assert shorten(ext, (0,)).same_code(c)
+                assert oracles.same_row_space(shorten(ext, (0,)), c)
             if w and weight_condition(f, M2, w):
                 ext = extend_m2(c, v)
                 assert np.array_equal(ext.generator[1:], c.generator)
@@ -438,7 +445,7 @@ def test_decompose_recovers_extension_at_front():
         ext = extend_m1(c, v)
         i, back, x = decompose_m1(ext)
         assert i == 0
-        assert back.same_code(c)
+        assert oracles.same_row_space(back, c)
         assert np.array_equal(x, v)
 
 
@@ -1454,3 +1461,45 @@ def test_no_assert_in_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# public functions kept although no program code calls them yet
+KEPT_WITHOUT_A_CALLER = {
+    "format_record",  # the witness sweep of ROADMAP item 4 writes its records with it
+    "replay_chain",  # the bound explanations of ROADMAP item 6 replay each chain they print
+    "from_hermitian_lcd",  # public and documented: an EAQECC from a Hermitian LCD code
+    "congruence_orthonormalize",  # acceptance criterion 8, and named in README's layout
+}
+
+
+def test_every_public_function_has_a_program_caller():
+    # API that only tests call is dead code; a reference is module.name,
+    # an import of the name, or a bare use inside its own module
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "lcdkit"
+    paths = [p for d in (src, root / "scripts", root / "perfbench") for p in sorted(d.glob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    refs = set()
+    for path, tree in trees.items():
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        alias = {a.asname or a.name: a.name.rsplit(".", 1)[-1] for node in imports for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                refs.add((alias.get(node.value.id, node.value.id), node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rsplit(".", 1)[-1]
+                refs.update((None if module in ("", "lcdkit") else module, a.name) for a in node.names)
+            elif isinstance(node, ast.Name) and path.parent == src:
+                refs.add((path.stem, node.id))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in KEPT_WITHOUT_A_CALLER
+        and not {(path.stem, node.name), (None, node.name)} & refs
+    ]
+    assert unused == [], f"public functions no program code calls: {unused}"

@@ -6,7 +6,7 @@ import pytest
 
 from lcdkit import construct, corpus, enumeration
 from lcdkit.codes import is_lcd, min_weight, weight_distribution
-from lcdkit.corpus import CorpusError, MissingBase, data_dir, load, manifest, replay, resolve_code, verify_entry
+from lcdkit.corpus import CorpusError, MissingBase, data_dir, manifest, resolve_code, verify_entry
 
 
 def test_manifest_loads():
@@ -22,8 +22,8 @@ def test_manifest_loads():
 
 
 def test_load_unknown_id():
-    with pytest.raises(CorpusError):
-        load("no_such_entry")
+    with pytest.raises(CorpusError, match="^unknown corpus entry 'no_such_entry'$"):
+        resolve_code("no_such_entry")
 
 
 def test_printed_matrices_resolve():
@@ -42,7 +42,7 @@ def test_printed_matrices_resolve():
 
 def test_load_record_refuses_a_code_entry():
     with pytest.raises(CorpusError, match="^b_13_7_4 is not a record entry$"):
-        corpus.load_record(load("b_13_7_4"))
+        corpus.load_record(manifest()["b_13_7_4"])
 
 
 def test_base_given_as_a_data_dir_path_resolves():
@@ -67,9 +67,8 @@ def test_printed_matrix_already_in_standard_form():
 
 
 def test_replay_single_extension():
-    steps = replay("t_20_7_9")
-    assert len(steps) == 1
-    final = steps[-1]
+    assert len(corpus.load_record(manifest()["t_20_7_9"]).steps) == 1
+    final = resolve_code("t_20_7_9")
     assert final.params() == (20, 7)
     assert is_lcd(final)
     assert min_weight(final) == 9

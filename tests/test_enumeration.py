@@ -34,7 +34,7 @@ from lcdkit.enumeration import (
     weight_distribution_exhaustive,
 )
 from lcdkit.gf import GF2, GF3, GF4, GF4H
-from lcdkit.linalg import InvariantError, _pack_rows, rank, row_spaces_equal
+from lcdkit.linalg import InvariantError, _pack_rows, rank, row_space_basis
 
 FLAVOURS = [GF2, GF3, GF4, GF4H]
 
@@ -61,8 +61,8 @@ def test_add_packed_matches_field_add():
         # the batch add, word against batch and batch against batch, past one word
         A, B = oracles.random_matrix(f, 40, 70, rng), oracles.random_matrix(f, 40, 70, rng)
         pa, pb = pack_matrix(f.order, A), pack_matrix(f.order, B)
-        assert np.array_equal(unpack_matrix(_add(f.order, pa, pb), 70), f.add(A, B))
-        assert np.array_equal(unpack_matrix(_add(f.order, pa, pb[..., :1]), 70), f.add(A, B[:1]))
+        assert np.array_equal(unpack_matrix(_add(f.order, pa, pb), 70), f.add_table[A, B])
+        assert np.array_equal(unpack_matrix(_add(f.order, pa, pb[..., :1]), 70), f.add_table[A, B[:1]])
         assert np.array_equal(_weigh(pa), (A != 0).sum(axis=1))
 
 
@@ -443,7 +443,7 @@ def test_information_set_chain_pivots():
         used = set()
         for mat, pivots, deficit in chain:
             assert np.array_equal(mat[:, list(pivots)], np.eye(k, dtype=np.uint8))
-            assert row_spaces_equal(mat, c.generator, f)
+            assert np.array_equal(row_space_basis(mat, f), row_space_basis(c.generator, f))
             assert deficit == len(used.intersection(pivots))
             used.update(pivots)
         assert 2 * k <= n or any(deficit for *_, deficit in chain)

@@ -78,7 +78,7 @@ def test_nullspace_hermitian_pair_by_exhaustion():
     m = np.array([[1, 2]], dtype=np.uint8)
     expected = set()
     for y1, y2 in itertools.product(range(4), repeat=2):
-        s = GF4H.add(GF4H.mul(1, GF4H.conj(y1)), GF4H.mul(2, GF4H.conj(y2)))
+        s = GF4H.add_table[GF4H.mul_table[1, GF4H.conj_table[y1]], GF4H.mul_table[2, GF4H.conj_table[y2]]]
         if s == 0:
             expected.add((y1, y2))
     ns = nullspace(m, GF4H)
@@ -138,8 +138,14 @@ def test_gram_rank_vs_intersection(f):
 
 
 def test_congruence_orthonormalize_identity():
-    u = congruence_orthonormalize(np.eye(4, dtype=np.uint8))
-    assert np.array_equal(u, np.eye(4, dtype=np.uint8))
+    for k in (0, 4):
+        u = congruence_orthonormalize(np.eye(k, dtype=np.uint8))
+        assert np.array_equal(u, np.eye(k, dtype=np.uint8)) and u.shape == (k, k)
+
+
+def test_as_matrix_reads_a_vector_as_one_row():
+    m = linalg.as_matrix(GF3, [1, 2, 0])
+    assert m.shape == (1, 3) and np.array_equal(m, [[1, 2, 0]])
 
 
 def test_congruence_orthonormalize_small_example():
