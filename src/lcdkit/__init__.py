@@ -6,7 +6,7 @@ propagation in lcdkit.bounds, embedded reference data in lcdkit.corpus,
 and the command line in lcdkit.cli.
 """
 
-from .gf import GF2, GF3, GF4, GF4H, FieldSpec, field_by_name
+from .gf import GF2, GF3, GF4H, FieldSpec, field_by_name
 from .codes import (
     BudgetExceeded,
     CodeError,
@@ -31,7 +31,6 @@ from .codes import (
 __all__ = [
     "GF2",
     "GF3",
-    "GF4",
     "GF4H",
     "FieldSpec",
     "field_by_name",

@@ -1,7 +1,7 @@
 """Fixpoint propagation of minimum-distance bounds for LCD codes.
 
 A BoundsTable holds, per (n, k), a lower and an upper bound on the
-largest minimum weight among all LCD [n, k] codes of one field/flavor,
+largest minimum weight among all LCD [n, k] codes over one field,
 each bound carrying its provenance: a seed kind, or for a derived bound
 the rule id plus the cell, side and value of every source it used.
 Propagation applies the inequality rules until nothing changes; bounds

@@ -47,7 +47,7 @@ from .construct import (
     shorten_to_lcd,
 )
 from .eaqecc import ParamError, family
-from .gf import FieldError
+from .gf import FIELDS_BY_NAME, FieldError
 from .linalg import LinalgError
 
 USAGE_ERRORS = (CodeError, ConstructError, FieldError, LinalgError, ParamError, bounds_mod.SeedError, OSError)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_replay)
 
     sp = sub.add_parser("bounds", help="propagate and render a bounds table")
-    sp.add_argument("--field", choices=("gf2", "gf3", "gf4h"), required=True)
+    sp.add_argument("--field", choices=tuple(FIELDS_BY_NAME), required=True)
     sp.add_argument("--seeds", help="seed CSV (field,n,k,lower,upper,kind,provenance); default: built-in grid")
     sp.add_argument("--range", help="n1..n2,k1..k2")
     sp.add_argument("--format", choices=("md", "csv"), default="md")

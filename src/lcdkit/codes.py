@@ -77,7 +77,7 @@ def new_code(field: FieldSpec, matrix) -> LinearCode:
 
 
 def dual(C: LinearCode) -> LinearCode:
-    """The [n, n-k] dual under the code's inner-product flavor.
+    """The [n, n-k] dual under the field's inner product (Hermitian over GF(4)).
 
     Its generator is the dual's RREF basis (linalg.nullspace), which the
     extension search relies on to enumerate candidates in lexicographic
@@ -98,7 +98,7 @@ class HullInfo:
 def hull(C: LinearCode) -> HullInfo:
     """C ∩ C^perp from one elimination of [Gram | G].
 
-    xG pairs to zero with every row of G iff x Gram = 0, Hermitian flavor
+    xG pairs to zero with every row of G iff x Gram = 0, Hermitian GF(4)
     included (Gram = G conj(G)^T), so the hull is {xG : x Gram = 0}, the
     kernel image of [Gram | G] split after its k Gram columns
     (linalg.kernel_image); an LCD code unpacks no row.
@@ -208,8 +208,6 @@ def is_even_like(C: LinearCode) -> bool:
 #   then k rows of n symbols (whitespace between symbols optional)
 #   '#' starts a comment line
 
-_FILE_FIELDS = ("gf2", "gf3", "gf4h")
-
 
 def parse_code(text: str) -> LinearCode:
     lines = [ln.strip() for ln in text.splitlines()]
@@ -220,11 +218,11 @@ def parse_code(text: str) -> LinearCode:
     if len(head) != 3:
         raise CodeError(f"malformed header {lines[0]!r}; expected 'field n k'")
     name, n_s, k_s = head
-    if name not in _FILE_FIELDS:
-        raise CodeError(f"unknown field {name!r}; expected one of {_FILE_FIELDS}")
-    field = field_by_name(name)
     try:
+        field = field_by_name(name)
         n, k = int(n_s), int(k_s)
+    except FieldError as exc:
+        raise CodeError(str(exc)) from None
     except ValueError:
         raise CodeError(f"malformed header {lines[0]!r}") from None
     if len(lines) - 1 != k:

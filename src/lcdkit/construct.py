@@ -42,7 +42,7 @@ from .codes import (
     puncture,
 )
 from .enumeration import _weigh
-from .gf import EUCLIDEAN, FieldSpec
+from .gf import FieldSpec
 
 M1 = "m1"
 M2 = "m2"
@@ -79,12 +79,7 @@ def weight_condition(field: FieldSpec, method: str, weight: int) -> bool:
     the row's self-pairing is nonzero: its weight mod p (3 over GF(3), 2
     over GF(2) and Hermitian GF(4)), plus 1 for method 1's leading 1.
     ``weight`` may also be a numpy array of weights, tested elementwise.
-
-    Euclidean GF(4) has no such test: there x.x = (sum of x_i)^2, which the
-    weight does not decide, so it raises ConstructError.
     """
-    if field.order == 4 and field.flavor == EUCLIDEAN:
-        raise ConstructError("the extension weight condition needs Hermitian GF(4) (gf4h), not Euclidean gf4")
     if method not in (M1, M2):
         raise ConstructError(f"unknown method {method!r}")
     p = 3 if field.order == 3 else 2
@@ -93,12 +88,14 @@ def weight_condition(field: FieldSpec, method: str, weight: int) -> bool:
 
 def extension_vector(C: LinearCode, vector, method: str) -> np.ndarray:
     """The vector as uint8, checked for length, symbols, dual membership and the weight condition."""
-    v = np.asarray(vector, dtype=np.uint8)
+    v = np.asarray(vector)
     if v.shape != (C.n,):
         got = f"{v.size} symbols" if v.ndim == 1 else f"shape {v.shape}"
         raise ConstructError(f"extension vector has {got}, expected {C.n}")
-    if v.max(initial=0) >= C.field.order:
-        raise ConstructError(f"extension vector entry {int(v.max())} is not an element of {C.field.name}")
+    try:
+        v = linalg.as_matrix(C.field, v)[0]
+    except linalg.LinalgError as exc:
+        raise ConstructError(f"extension vector entry is not an element of {C.field.name}: {exc}") from None
     if linalg.pairing_matrix(C.generator, v.reshape(1, -1), C.field).any():
         raise NotInDual("vector does not pair to zero with every generator row")
     w = int((v != 0).sum())
@@ -147,7 +144,7 @@ def puncture_to_lcd(C: LinearCode, cap: int | None = None, threads: int = 1) -> 
 def extend(C: LinearCode, x, method: str) -> LinearCode:
     """LCD extension of C by the dual vector x: [n+1, k+1] (1 x; 0 G) for method 1, [n, k+1]
     (x; G) for method 2.  x is checked first (extension_vector: length, symbols, dual
-    membership, method and field, weight), then C's LCD test, so when both are bad the
+    membership, method, weight), then C's LCD test, so when both are bad the
     vector's error is reported, not NotLcd."""
     v = extension_vector(C, x, method)
     if not is_lcd(C):
@@ -464,7 +461,7 @@ def search_extend(
     search stops at the first batch that reaches d(C), since no score is
     above it.  Results never depend on batch size.
     """
-    passes = weight_condition(C.field, method, np.arange(C.n + 1))  # an unknown method or field fails before any work
+    passes = weight_condition(C.field, method, np.arange(C.n + 1))  # an unknown method fails before any work
     if not is_lcd(C):
         raise NotLcd("search extends LCD codes only")
     if budget < 1:

@@ -1,5 +1,9 @@
 """Arithmetic for the three small fields used by the toolkit.
 
+GF(4) is always Hermitian GF(4): every pairing conjugates its right
+operand by x -> x^2 (every linear code over GF(q), q > 3, is equivalent to
+a Euclidean LCD code, so Euclidean GF(4) poses no bound problem).
+
 Field elements are integer indices 0..q-1.  For GF(4) the indices encode
 the polynomial basis over GF(2) with w = x mod (x^2 + x + 1):
 
@@ -15,9 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-EUCLIDEAN = "euclidean"
-HERMITIAN = "hermitian"
 
 # text alphabets, one symbol per element index
 _ALPHABETS = {2: "01", 3: "012", 4: "01wW"}
@@ -62,22 +63,13 @@ def _tables(order: int):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A field order in {2, 3, 4} plus the inner-product flavor.
-
-    The Hermitian flavor exists only for GF(4); it conjugates the right
-    operand of every pairing with x -> x^2.
-    """
+    """A field order in {2, 3, 4}; order 4 pairs against the conjugate x -> x^2."""
 
     order: int
-    flavor: str = EUCLIDEAN
 
     def __post_init__(self):
         if self.order not in (2, 3, 4):
             raise FieldError(f"unsupported field order {self.order}")
-        if self.flavor not in (EUCLIDEAN, HERMITIAN):
-            raise FieldError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == HERMITIAN and self.order != 4:
-            raise FieldError("Hermitian flavor requires order 4")
 
     # -- table access ----------------------------------------------------
     @property
@@ -98,10 +90,8 @@ class FieldSpec:
 
     @property
     def conj_table(self) -> np.ndarray:
-        """Coordinatewise conjugation; identity unless flavor is Hermitian."""
-        if self.flavor == HERMITIAN:
-            return _tables(self.order)["conj"]
-        return np.arange(self.order, dtype=np.uint8)
+        """Coordinatewise conjugation: x -> x^2 over GF(4), the identity below it."""
+        return _tables(self.order)["conj"]
 
     # -- text I/O ----------------------------------------------------------
     @property
@@ -110,15 +100,12 @@ class FieldSpec:
 
     @property
     def name(self) -> str:
-        if self.order == 4 and self.flavor == HERMITIAN:
-            return "gf4h"
-        return f"gf{self.order}"
+        return "gf4h" if self.order == 4 else f"gf{self.order}"
 
     def parse_symbol(self, ch: str) -> int:
-        try:
-            return self.alphabet.index(ch)
-        except ValueError:
-            raise FieldError(f"symbol {ch!r} not in alphabet {self.alphabet!r} of {self.name}") from None
+        if len(ch) != 1 or ch not in self.alphabet:
+            raise FieldError(f"symbol {ch!r} not in alphabet {self.alphabet!r} of {self.name}")
+        return self.alphabet.index(ch)
 
     def format_symbol(self, value: int) -> str:
         return self.alphabet[value]
@@ -129,10 +116,9 @@ class FieldSpec:
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
-GF4 = FieldSpec(4)
-GF4H = FieldSpec(4, HERMITIAN)
+GF4H = FieldSpec(4)
 
-FIELDS_BY_NAME = {"gf2": GF2, "gf3": GF3, "gf4": GF4, "gf4h": GF4H}
+FIELDS_BY_NAME = {"gf2": GF2, "gf3": GF3, "gf4h": GF4H}
 
 
 def field_by_name(name: str) -> FieldSpec:

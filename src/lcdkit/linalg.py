@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import EUCLIDEAN, FieldSpec, GF2
+from .gf import FieldSpec, GF2
 
 
 class LinalgError(ValueError):
@@ -40,14 +40,17 @@ class InvariantError(RuntimeError):
 
 
 def as_matrix(field: FieldSpec, rows) -> np.ndarray:
-    m = np.array(rows, dtype=np.uint8)
+    """A fresh uint8 copy of integer or bool entries, each checked to be an element index."""
+    m = np.asarray(rows)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:
         raise LinalgError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and m.max() >= field.order:
-        raise LinalgError(f"entry {int(m.max())} out of range for {field.name}")
-    return m
+    if m.size and m.dtype.kind not in "biu":
+        raise LinalgError(f"entries of dtype {m.dtype} are not element indices of {field.name}")
+    if m.size and (m.max() >= field.order or m.dtype.kind == "i" and m.min() < 0):
+        raise LinalgError(f"entry {int(m.max() if m.max() >= field.order else m.min())} out of range for {field.name}")
+    return m.astype(np.uint8)
 
 
 def matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,14 +276,14 @@ def row_space_basis(M: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def pairing_matrix(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """All pairings <row_i(A), row_j(B)> under the field's flavor."""
-    return matmul(field, A, (B if field.flavor == EUCLIDEAN else field.conj_table[B]).T)
+    """All pairings <row_i(A), row_j(B)>, conjugating B over GF(4)."""
+    return matmul(field, A, (field.conj_table[B] if field.order == 4 else B).T)
 
 
 def gram(G: np.ndarray, field: FieldSpec) -> np.ndarray:
     """k x k pairing matrix of the rows of G.
 
-    Euclidean flavor gives a symmetric matrix; Hermitian gives a
+    GF(2) and GF(3) give a symmetric matrix; Hermitian GF(4) gives a
     conjugate-symmetric one.
     """
     return pairing_matrix(G, G, field)
@@ -289,16 +292,16 @@ def gram(G: np.ndarray, field: FieldSpec) -> np.ndarray:
 def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Full-rank RREF basis of {y : M conj(y)^T = 0}, from one elimination.
 
-    For the Euclidean flavor this is the plain right kernel; for the
-    Hermitian flavor it equals the kernel of the entrywise-conjugated
-    matrix, since M conj(y)^T = 0 iff conj(M) y^T = 0.  The elimination
-    runs on the columns in reverse, so the basis vector of a free column j
+    Below GF(4) this is the plain right kernel; over Hermitian GF(4) it
+    equals the kernel of the entrywise-conjugated matrix, since
+    M conj(y)^T = 0 iff conj(M) y^T = 0.  The elimination runs on the
+    columns in reverse, so the basis vector of a free column j
     (1 at j, minus the RREF's column j on the pivot columns) is nonzero
     only at j and at pivot columns right of j: sorted by j, the basis
     already is the kernel's RREF.
     """
     cols = M.shape[1]
-    work = field.conj_table[M] if field.flavor != EUCLIDEAN else M
+    work = field.conj_table[M] if field.order == 4 else M
     res = rref(work[:, ::-1], field)
     pivset = set(res.pivots)
     # reversed column c is column cols - 1 - c; the free ones in increasing order

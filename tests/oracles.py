@@ -76,7 +76,7 @@ def table_nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def table_gram(field: FieldSpec, G: np.ndarray) -> np.ndarray:
-    """<row_i(G), row_j(G)> under the field's flavor."""
+    """<row_i(G), row_j(G)>, conjugating the right operand over GF(4)."""
     return table_matmul(field, G, field.conj_table[G].T)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ from lcdkit import corpus as corpus_mod
 from lcdkit.cli import build_parser, main
 from lcdkit.codes import is_lcd, min_weight, read_code_file
 from lcdkit.corpus import data_dir
+from lcdkit.gf import FIELDS_BY_NAME
 
 
 def run(capsys, *argv):
@@ -48,6 +50,20 @@ def test_verify_rank_deficient_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(bad))
     assert code == 2
     assert "row 2" in err
+
+
+def test_gf4_is_no_field_name(capsys, tmp_path):
+    # GF(4) is Hermitian GF(4), named gf4h: a code file or --field naming gf4 is a usage error
+    f = tmp_path / "e.code"
+    f.write_text("gf4 2 1\n11\n")
+    code, out, err = run(capsys, "verify", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown field name 'gf4'")
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--field", "gf4"])
+    assert exc.value.code == 2 and "invalid choice: 'gf4'" in capsys.readouterr().err
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices["bounds"]._option_string_actions["--field"].choices == tuple(FIELDS_BY_NAME)
 
 
 def test_verify_unreadable_exits_2(capsys):

@@ -1,25 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcdkit.gf import (
-    EUCLIDEAN,
-    HERMITIAN,
     GF2,
     GF3,
-    GF4,
     GF4H,
     FieldError,
     FieldSpec,
     field_by_name,
 )
 
-ALL_FIELDS = [GF2, GF3, GF4, GF4H]
+ALL_FIELDS = [GF2, GF3, GF4H]
 
 # element indices for GF(4)
 W, W2 = 2, 3
 
 
-@pytest.mark.parametrize("f", ALL_FIELDS)
+# ids skip the Euclidean GF(4) case that lcdkit no longer has
+@pytest.mark.parametrize("f", ALL_FIELDS, ids=["f0", "f1", "f3"])
 def test_field_axioms_exhaustive(f):
     q = f.order
     add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
@@ -41,13 +41,13 @@ def test_field_axioms_exhaustive(f):
 
 def test_specific_values():
     assert GF3.add_table[2, 2] == 1
-    assert GF4.add_table[W, W] == 0
-    assert GF4.add_table[W, 1] == W2
-    assert GF4.mul_table[W, W2] == 1
+    assert GF4H.add_table[W, W] == 0
+    assert GF4H.add_table[W, 1] == W2
+    assert GF4H.mul_table[W, W2] == 1
     assert GF3.inv_table[2] == 2
     assert GF2.mul_table[1, 1] == 1
     # w^2 = w + 1 under the minimal polynomial x^2 + x + 1
-    assert GF4.mul_table[W, W] == GF4.add_table[W, 1] == W2
+    assert GF4H.mul_table[W, W] == GF4H.add_table[W, 1] == W2
 
 
 def test_conjugation():
@@ -61,22 +61,17 @@ def test_conjugation():
         for b in range(4):
             assert conj[mul[a, b]] == mul[conj[a], conj[b]]
             assert conj[add[a, b]] == add[conj[a], conj[b]]
-    # Euclidean flavors conjugate trivially
-    for f in (GF2, GF3, GF4):
+    # conjugation is the identity below GF(4)
+    for f in (GF2, GF3):
         assert np.array_equal(f.conj_table, np.arange(f.order))
 
 
 def test_field_spec_invariants():
     with pytest.raises(FieldError):
         FieldSpec(5)
-    with pytest.raises(FieldError):
-        FieldSpec(2, HERMITIAN)
-    with pytest.raises(FieldError):
-        FieldSpec(3, HERMITIAN)
-    assert FieldSpec(4, HERMITIAN).flavor == HERMITIAN
-    assert FieldSpec(3).flavor == EUCLIDEAN
-    with pytest.raises(FieldError, match="unknown flavor 'symplectic'"):
-        FieldSpec(2, "symplectic")
+    # GF(4) is Hermitian GF(4): the order is the whole field description
+    assert [f.name for f in dataclasses.fields(FieldSpec)] == ["order"]
+    assert FieldSpec(4) == GF4H and GF4H.name == "gf4h"
 
 
 def test_field_by_name_roundtrip():
@@ -84,6 +79,9 @@ def test_field_by_name_roundtrip():
         assert field_by_name(f.name) == f
     with pytest.raises(FieldError):
         field_by_name("gf7")
+    # no Euclidean GF(4): the error names the three fields there are
+    with pytest.raises(FieldError, match=r"'gf4'; expected one of \['gf2', 'gf3', 'gf4h'\]"):
+        field_by_name("gf4")
 
 
 def test_alphabets():
@@ -93,5 +91,7 @@ def test_alphabets():
     for f in ALL_FIELDS:
         for v in range(f.order):
             assert f.parse_symbol(f.format_symbol(v)) == v
-    with pytest.raises(FieldError):
-        GF2.parse_symbol("2")
+    # a symbol is one character: "", "01" and "12" once parsed as substrings of the alphabet
+    for f, text in [(GF2, "2"), (GF2, ""), (GF2, "01"), (GF3, "12"), (GF4H, "wW"), (GF4H, "1 ")]:
+        with pytest.raises(FieldError, match="not in alphabet"):
+            f.parse_symbol(text)

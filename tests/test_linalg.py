@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lcdkit import linalg
-from lcdkit.gf import GF2, GF3, GF4, GF4H
+from lcdkit.gf import GF2, GF3, GF4H
 from lcdkit.linalg import (
     InvariantError,
     LinalgError,
@@ -22,7 +22,10 @@ from lcdkit.linalg import (
     rref,
 )
 
-FIELDS = [GF2, GF3, GF4, GF4H]
+FIELDS = [GF2, GF3, GF4H]
+# case ids skip f2, the Euclidean GF(4) that lcdkit no longer has, so the
+# GF(4) cases keep the names they have always had
+FIELD_IDS = ["f0", "f1", "f3"]
 
 
 def test_rref_identity():
@@ -87,7 +90,7 @@ def test_nullspace_hermitian_pair_by_exhaustion():
     assert spanned == expected
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 def test_nullspace_random_orthogonality(f):
     rng = random.Random(17)
     for _ in range(200):
@@ -118,7 +121,7 @@ def test_gram_symmetry():
             assert np.array_equal(g, f.conj_table[g].T)
 
 
-@pytest.mark.parametrize("f", [GF2, GF3, GF4, GF4H])
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 def test_gram_rank_vs_intersection(f):
     # rank(gram) = k - dim(rowspace ∩ nullspace), intersection enumerated
     rng = random.Random(23)
@@ -290,7 +293,7 @@ def test_nullspace_matches_table_oracle(fm):
     check_nullspace_against_oracle(*fm)
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("rows,cols", [(0, 5), (4, 0), (0, 0), (1, 1), (7, 3), (5, 63), (5, 64), (5, 65), (9, 130)])
 def test_elimination_edge_shapes_match_table_oracle(f, rows, cols):
     rng = random.Random(rows * 1000 + cols)
@@ -307,7 +310,7 @@ def test_elimination_edge_shapes_match_table_oracle(f, rows, cols):
         assert got.dtype == np.uint8 and np.array_equal(got, oracles.table_matmul(f, m, b))
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n", [12, 63, 64, 65])
 def test_kernel_image_edge_splits_match_table_oracle(f, n):
     """split = 0 is the RREF without its zero rows, split = n leaves a (0, 0)
@@ -350,7 +353,7 @@ def test_matmul_matches_table_oracle(f, rows, inner, cols, seed):
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("inner", [62, 63, 64, 126, 127, 255, 256, 257])
 def test_matmul_largest_sums_match_table_oracle(f, inner):
     # every entry q - 1 makes every inner sum as large as it gets, and the
@@ -362,7 +365,7 @@ def test_matmul_largest_sums_match_table_oracle(f, inner):
     assert got.dtype == np.uint8 and np.array_equal(got, oracles.table_matmul(f, a, b))
 
 
-@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("zeros", [(0,), (2,), (4,), (0, 4), (1, 2, 3), (0, 1, 2, 3, 4)])
 def test_rank_of_singular_gram_matches_table_oracle(f, zeros):
     # G = L H with L unit lower triangular and the rows of H on disjoint
