@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild the binary and ternary bounds grids from the bundled seeds.
 
-Seeds the published cell values plus the exact high-rate ternary values,
-propagates the inequality rules to a fixpoint, renders both grids, and
-reports any cell where propagation improves on the published value.
+Starts from lcdkit's bundled table (the published cell values plus the
+exact high-rate ternary values), adds the extra ternary seeds, propagates
+the inequality rules to a fixpoint, renders both grids, and reports any
+cell where propagation improves on the published value.
 """
 
 import sys
@@ -15,17 +16,16 @@ from lcdkit import bounds
 from lcdkit.corpus import data_dir
 
 
-def rebuild(field, n_range, k_range, extra_seeds=None, ternary_exact=None):
-    table = bounds.BoundsTable(field)
+def rebuild(field, extra_seeds=None):
+    """Propagate the bundled table and render it over the published grid's rows and columns."""
+    table = bounds.bundled_table(field)
     grid = bounds.load_grid(bounds.grid_path(field))
-    bounds.seed_from_grid(table, grid, "published grid")
     if extra_seeds:
         bounds.seed_from_csv(table, extra_seeds)
-    if ternary_exact:
-        bounds.seed_ternary_exact(table, ternary_exact)
     updates = bounds.propagate(table)
     print(f"== {field}: {len(grid)} published cells, {updates} propagation updates ==")
-    print(bounds.render(table, n_range, k_range, fmt="markdown"))
+    ns, ks = [n for n, _ in grid], [k for _, k in grid]
+    print(bounds.render(table, range(min(ns), max(ns) + 1), range(min(ks), max(ks) + 1), fmt="md"))
     improved = []
     for (n, k), cell in sorted(grid.items()):
         got = bounds.cell_string(table, n, k)
@@ -39,14 +39,8 @@ def rebuild(field, n_range, k_range, extra_seeds=None, ternary_exact=None):
 
 
 def main():
-    rebuild("gf2", range(29, 41), range(9, 31))
-    rebuild(
-        "gf3",
-        range(20, 26),
-        range(4, 26),
-        extra_seeds=data_dir() / "seeds_extra_gf3.csv",
-        ternary_exact=range(20, 26),
-    )
+    rebuild("gf2")
+    rebuild("gf3", extra_seeds=data_dir() / "seeds_extra_gf3.csv")
 
 
 if __name__ == "__main__":

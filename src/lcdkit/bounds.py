@@ -17,6 +17,10 @@ explicit construction that turns an LCD [n,k,d] code into a larger one
 (zero-column padding, an LCD subcode of codimension 1, or the
 parity-augmentation steps available over GF(2) when d is odd).
 Upper-bound rules come from shortening arguments.
+
+bundled_table is lcdkit's own table for a field, the one `lcdkit bounds`
+and scripts/rebuild_tables.py propagate: the bundled published grid
+plus, over GF(3), the exact high-rate values.
 """
 
 from __future__ import annotations
@@ -261,30 +265,6 @@ def replay_chain(table: BoundsTable, n: int, k: int, side: str) -> bool:
     return rule.derive(sn, sk, *(s[3] for s in p.sources)) == b.value
 
 
-def ternary_exact_seeds(n_range) -> list[tuple[int, int, int, str]]:
-    """Known exact values for very high-rate ternary LCD codes.
-
-    (n, n): the universe code is the unique [n,n] code, LCD with d = 1.
-    (n, n-1): 1 when 3 | n, else 2.  For 20 <= n <= 25 the values at
-    k = n-2, n-3, n-4 are 2, 2, 3.
-    """
-    seeds = []
-    for n in n_range:
-        seeds.append((n, n, 1, "universe code"))
-        if n >= 2:
-            seeds.append((n, n - 1, 1 if n % 3 == 0 else 2, "high-rate exact value"))
-        if 20 <= n <= 25:
-            seeds.append((n, n - 2, 2, "high-rate exact value"))
-            seeds.append((n, n - 3, 2, "high-rate exact value"))
-            seeds.append((n, n - 4, 3, "high-rate exact value"))
-    return seeds
-
-
-def seed_ternary_exact(table: BoundsTable, n_range) -> None:
-    for n, k, d, why in ternary_exact_seeds(n_range):
-        table.seed(n, k, lower=d, upper=d, kind="literature-exact", provenance=why)
-
-
 # -- seed file and grid I/O ---------------------------------------------------
 
 
@@ -339,11 +319,33 @@ def load_grid(path) -> dict[tuple[int, int], str]:
     return out
 
 
-def seed_from_grid(table: BoundsTable, grid: dict[tuple[int, int], str], provenance: str) -> None:
+def bundled_table(field_name: str) -> BoundsTable | None:
+    """lcdkit's table for a field before propagation; None if no grid is bundled for it.
+
+    Every published grid cell is a literature seed, exact where the cell
+    holds one value.  Over GF(3) each of the grid's rows n also takes the
+    known exact values at very high rates: (n, n) is the universe code, the
+    unique [n,n] code, LCD with d = 1; (n, n-1) is 1 when 3 | n, else 2;
+    and for 20 <= n <= 25 the values at k = n-2, n-3, n-4 are 2, 2, 3.
+    """
+    path = grid_path(field_name)
+    if not path.exists():
+        return None
+    table = BoundsTable(field_name)
+    grid = load_grid(path)
     for (n, k), cell in sorted(grid.items()):
         lo, hi = parse_cell_string(cell)
         kind = "literature-exact" if lo == hi else "literature-bound"
-        table.seed(n, k, lower=lo, upper=hi, kind=kind, provenance=f"{provenance} [{n},{k}]")
+        table.seed(n, k, lower=lo, upper=hi, kind=kind, provenance=f"published grid [{n},{k}]")
+    if field_name == "gf3":
+        for n in sorted({n for n, _ in grid}):
+            table.seed(n, n, lower=1, upper=1, kind="literature-exact", provenance="universe code")
+            high = [(n - 1, 1 if n % 3 == 0 else 2)] if n >= 2 else []
+            if 20 <= n <= 25:
+                high += [(n - 2, 2), (n - 3, 2), (n - 4, 3)]
+            for k, d in high:
+                table.seed(n, k, lower=d, upper=d, kind="literature-exact", provenance="high-rate exact value")
+    return table
 
 
 def cell_string(table: BoundsTable, n: int, k: int) -> str:
@@ -359,7 +361,7 @@ def cell_string(table: BoundsTable, n: int, k: int) -> str:
     return f"{c.lower.value}-{c.upper.value}"
 
 
-def render(table: BoundsTable, n_range, k_range, fmt: str = "markdown") -> str:
+def render(table: BoundsTable, n_range, k_range, fmt: str = "md") -> str:
     ns = list(n_range)
     ks = list(k_range)
     rows = [[str(n)] + [cell_string(table, n, k) for k in ks] for n in ns]
@@ -367,7 +369,7 @@ def render(table: BoundsTable, n_range, k_range, fmt: str = "markdown") -> str:
         lines = ["n\\k," + ",".join(str(k) for k in ks)]
         lines += [",".join(r) for r in rows]
         return "\n".join(lines) + "\n"
-    if fmt == "markdown":
+    if fmt == "md":
         header = "| n\\k | " + " | ".join(str(k) for k in ks) + " |"
         sep = "|" + "---|" * (len(ks) + 1)
         lines = [header, sep]

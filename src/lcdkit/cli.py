@@ -26,6 +26,7 @@ from .codes import (
     BudgetExceeded,
     CodeError,
     format_vector,
+    is_even_like,
     is_lcd,
     hull,
     min_weight,
@@ -89,8 +90,9 @@ def cmd_verify(args) -> int:
         return 1
     parts.append(_d_text(wd.min_weight, True))
     if code.field.order == 2:
-        parts.append(f"odd-like={str(wd.odd_like).lower()}")
-        parts.append(f"even-like={str(not wd.odd_like).lower()}")
+        even = is_even_like(code)
+        parts.append(f"odd-like={str(not even).lower()}")
+        parts.append(f"even-like={str(even).lower()}")
     parts.append(f"wd=[{_wd_text(wd)}]")
     print(" ".join(parts))
     return 0
@@ -198,17 +200,14 @@ def _parse_range(text: str):
 
 
 def cmd_bounds(args) -> int:
-    table = bounds_mod.BoundsTable(args.field)
     if args.seeds:
+        table = bounds_mod.BoundsTable(args.field)
         bounds_mod.seed_from_csv(table, args.seeds)
     else:
-        path = bounds_mod.grid_path(args.field)
-        if not path.exists():
+        table = bounds_mod.bundled_table(args.field)
+        if table is None:
             print(f"error: no bundled grid for {args.field}; pass --seeds FILE", file=sys.stderr)
             return 1
-        bounds_mod.seed_from_grid(table, bounds_mod.load_grid(path), "published grid")
-        if args.field == "gf3":
-            bounds_mod.seed_ternary_exact(table, range(20, 26))
     if not table.cells:
         print("error: no seeds for this field", file=sys.stderr)
         return 1
@@ -223,7 +222,7 @@ def cmd_bounds(args) -> int:
     except bounds_mod.ConflictError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(bounds_mod.render(table, n_range, k_range, fmt={"md": "markdown", "csv": "csv"}[args.format]))
+    sys.stdout.write(bounds_mod.render(table, n_range, k_range, fmt=args.format))
     return 0
 
 

@@ -175,7 +175,6 @@ def min_weight(C: LinearCode, strategy: str = EXHAUSTIVE, cap: int | None = None
 class WeightDistribution:
     counts: tuple[int, ...]  # A_0 .. A_n
     min_weight: int
-    odd_like: bool | None  # binary codes only, None otherwise
 
     def nonzero(self) -> list[tuple[int, int]]:
         return [(i, c) for i, c in enumerate(self.counts) if c]
@@ -186,10 +185,7 @@ def weight_distribution(C: LinearCode, cap: int | None = None, threads: int = 1)
         raise ValueError("the zero code has no nonzero codewords")
     counts = enumeration.weight_distribution_exhaustive(C.field, C.generator, cap=cap, threads=threads)
     d = next(i for i in range(1, len(counts)) if counts[i])
-    odd_like = None
-    if C.field.order == 2:
-        odd_like = any(counts[i] for i in range(1, len(counts), 2))
-    return WeightDistribution(tuple(counts), d, odd_like)
+    return WeightDistribution(tuple(counts), d)
 
 
 def is_even_like(C: LinearCode) -> bool:

@@ -152,10 +152,6 @@ def resolve_code(entry_id: str, entries: dict[str, CorpusEntry] | None = None, _
 
 def _resolve(entry_id: str, entries: dict[str, CorpusEntry], seen, memo) -> LinearCode:
     if entry_id not in entries:
-        # allow records to point straight at a code file path
-        path = data_dir() / entry_id
-        if path.exists():
-            return read_code_file(path)
         raise CorpusError(f"unknown corpus entry {entry_id!r}")
     entry = entries[entry_id]
     if entry.kind == "code":

@@ -118,8 +118,11 @@ def _unpack_rows(planes: list[list[int]], cols: int) -> np.ndarray:
     return np.frombuffer(bytearray(entries.to_bytes(size, "little")), dtype=np.uint8).reshape(-1, cols)
 
 
-def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list[int]:
-    """Eliminate packed rows in place on their first ``scan`` columns; return the pivot columns.
+def _eliminate(q: int, planes: list[list[int]], reduce: bool) -> list[int]:
+    """Eliminate packed rows in place; return the pivot columns.
+
+    Rows hold no bit past the matrix width, as _pack_rows leaves them, so
+    every set bit is a column to eliminate.
 
     The next pivot column is the lowest set bit of the rows not yet used as
     pivots.  The rows below a pivot are cleared, and their support gathered
@@ -133,11 +136,9 @@ def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list
     """
     lo, hi = planes[0], planes[-1]  # a GF(2) matrix reads its one plane twice
     rows = len(lo)
-    window = (1 << scan) - 1
     support = 0
     for x1, x2 in zip(lo, hi):
         support |= x1 | x2
-    support &= window
     pivots: list[int] = []
     r = 0
     if q == 2:
@@ -159,7 +160,6 @@ def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list
                 if x & bit:
                     x = lo[i] = x ^ p
                 support |= x
-            support &= window
             pivots.append(bit.bit_length() - 1)
     elif q == 3:
         # x[c] = 1 adds -p, which is p with its planes swapped; x[c] = 2 adds p
@@ -190,7 +190,6 @@ def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list
                     t = (x1 | p2) ^ (x2 | p1)
                     x1, x2 = lo[i], hi[i] = (x2 | p2) ^ t, (x1 | p1) ^ t
                 support |= x1 | x2
-            support &= window
             pivots.append(bit.bit_length() - 1)
     else:
         # w * (lo, hi) = (hi, lo ^ hi) and w^2 * (lo, hi) = (lo ^ hi, lo); x += x[c] * p,
@@ -221,7 +220,6 @@ def _eliminate(q: int, planes: list[list[int]], scan: int, reduce: bool) -> list
                 elif x2 & bit:
                     x1, x2 = lo[i], hi[i] = x1 ^ p2, x2 ^ p3
                 support |= x1 | x2
-            support &= window
             pivots.append(bit.bit_length() - 1)
     return pivots
 
@@ -236,7 +234,7 @@ def rref(M: np.ndarray, field: FieldSpec) -> RrefResult:
         return RrefResult(M.copy(), (), 0)
     packed = _pack_rows(field.order, M)
     work = [plane[:] for plane in packed]
-    pivots = _eliminate(field.order, work, cols, True)
+    pivots = _eliminate(field.order, work, True)
     R = M.copy() if work == packed else _unpack_rows(work, cols)  # M may already be its own RREF
     return RrefResult(R, tuple(pivots), len(pivots))
 
@@ -253,7 +251,7 @@ def kernel_image(M: np.ndarray, split: int, field: FieldSpec) -> RrefResult:
     pivots = []
     if M.size:
         planes = _pack_rows(field.order, M)
-        pivots = _eliminate(field.order, planes, M.shape[1], True)
+        pivots = _eliminate(field.order, planes, True)
     r = bisect_left(pivots, split)  # pivots in A's columns come first
     if r == len(pivots):
         return RrefResult(np.zeros((0, cols), dtype=np.uint8), (), 0)
@@ -266,7 +264,7 @@ def rank(M: np.ndarray, field: FieldSpec) -> int:
     M = np.asarray(M, dtype=np.uint8)
     if M.size == 0:
         return 0
-    return len(_eliminate(field.order, _pack_rows(field.order, M), M.shape[1], False))
+    return len(_eliminate(field.order, _pack_rows(field.order, M), False))
 
 
 def row_space_basis(M: np.ndarray, field: FieldSpec) -> np.ndarray:

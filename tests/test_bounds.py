@@ -14,6 +14,7 @@ from lcdkit.bounds import (
     BoundsTable,
     ConflictError,
     Provenance,
+    bundled_table,
     cell_string,
     load_grid,
     parse_cell_string,
@@ -21,9 +22,6 @@ from lcdkit.bounds import (
     render,
     replay_chain,
     rules_for,
-    seed_from_grid,
-    seed_ternary_exact,
-    ternary_exact_seeds,
 )
 
 
@@ -126,9 +124,7 @@ def test_upper_rules():
 def test_propagate_idempotent_and_monotone():
     t = BoundsTable("gf3")
     assert propagate(t) == 0 and t.cells == {}  # nothing to propagate
-    grid = load_grid(data_file("grid_gf3.csv"))
-    seed_from_grid(t, grid, "grid")
-    seed_ternary_exact(t, range(20, 26))
+    t = bundled_table("gf3")
     first = propagate(t)
     assert propagate(t) == 0  # fixpoint reached
     # adding a consistent seed never loosens existing bounds
@@ -152,11 +148,8 @@ def test_a_missing_bound_does_not_replay():
 
 
 def test_every_chain_replays():
-    for field, grid_name in [("gf2", "grid_gf2.csv"), ("gf3", "grid_gf3.csv")]:
-        t = BoundsTable(field)
-        seed_from_grid(t, load_grid(data_file(grid_name)), "grid")
-        if field == "gf3":
-            seed_ternary_exact(t, range(20, 26))
+    for field in ("gf2", "gf3"):
+        t = bundled_table(field)
         propagate(t)
         for (n, k), c in t.cells.items():
             if c.lower is not None:
@@ -166,13 +159,51 @@ def test_every_chain_replays():
 
 
 def test_ternary_exact_seed_values():
-    seeds = dict(((n, k), d) for n, k, d, _ in ternary_exact_seeds(range(20, 26)))
+    t = bundled_table("gf3")
+    seeds = {key: c.lower.value for key, c in t.cells.items() if c.exact}
     assert seeds[(21, 20)] == 1  # 21 divisible by 3
     assert seeds[(20, 19)] == 2
     assert seeds[(25, 24)] == 2
     assert seeds[(24, 23)] == 1
     assert seeds[(22, 20)] == 2 and seeds[(22, 19)] == 2 and seeds[(22, 18)] == 3
     assert seeds[(20, 20)] == 1
+
+
+def test_bundled_table_seeds_the_published_grid():
+    for field in ("gf2", "gf3"):
+        grid = load_grid(bounds.grid_path(field))
+        t = bundled_table(field)
+        for (n, k), cell in grid.items():
+            c = t.cell(n, k)
+            lo, hi = parse_cell_string(cell)
+            assert (c.lower.value, c.upper.value) == (lo, hi)
+            kind = "literature-exact" if lo == hi else "literature-bound"
+            assert c.lower.provenance == c.upper.provenance == Provenance(kind, f"published grid [{n},{k}]")
+        assert set(t.cells) == set(grid)  # the ternary high-rate cells are grid cells too
+    assert bundled_table("gf4h") is None
+
+
+def test_bundled_ternary_table_adds_high_rate_values_on_the_grid_rows(monkeypatch, tmp_path):
+    # every bundled high-rate cell is also a grid cell, so a grid of two rows
+    # with one cell each shows which values the ternary rows add
+    grid = tmp_path / "grid_gf3.csv"
+    grid.write_text("n,k,cell\n19,5,9\n21,5,11\n", encoding="ascii")
+    monkeypatch.setattr(bounds, "grid_path", lambda field_name: tmp_path / f"grid_{field_name}.csv")
+    t = bundled_table("gf3")
+    got = {key: (c.lower.value, c.upper.value, c.lower.provenance.detail) for key, c in t.cells.items()}
+    high = "high-rate exact value"
+    assert got == {
+        (19, 5): (9, 9, "published grid [19,5]"),
+        (21, 5): (11, 11, "published grid [21,5]"),
+        (19, 19): (1, 1, "universe code"),
+        (19, 18): (2, 2, high),  # the k = n-2..n-4 values hold for 20 <= n <= 25 only
+        (21, 21): (1, 1, "universe code"),
+        (21, 20): (1, 1, high),
+        (21, 19): (2, 2, high),
+        (21, 18): (2, 2, high),
+        (21, 17): (3, 3, high),
+    }
+    assert all(c.lower.provenance.kind == "literature-exact" for c in t.cells.values())
 
 
 def test_parse_cell_string():
@@ -187,7 +218,7 @@ def test_render_formats():
     assert cell_string(t, 29, 11) == "9"
     assert cell_string(t, 30, 11) == "9-10"
     assert cell_string(t, 31, 11) == ""
-    md = render(t, range(29, 31), range(11, 13), fmt="markdown")
+    md = render(t, range(29, 31), range(11, 13), fmt="md")
     assert "| 29 | 9 |  |" in md
     csv_text = render(t, range(29, 31), range(11, 13), fmt="csv")
     assert csv_text.splitlines()[0] == "n\\k,11,12"
@@ -197,9 +228,8 @@ def test_render_formats():
 
 
 def test_binary_grid_fixpoint_matches_published_cells():
-    t = BoundsTable("gf2")
+    t = bundled_table("gf2")
     grid = load_grid(data_file("grid_gf2.csv"))
-    seed_from_grid(t, grid, "grid")
     propagate(t)
     improvements = {}
     for (n, k), cell in grid.items():
@@ -219,11 +249,9 @@ def test_binary_grid_fixpoint_matches_published_cells():
 
 
 def test_ternary_grid_fixpoint_matches_published_cells():
-    t = BoundsTable("gf3")
+    t = bundled_table("gf3")
     grid = load_grid(data_file("grid_gf3.csv"))
-    seed_from_grid(t, grid, "grid")
     bounds.seed_from_csv(t, data_file("seeds_extra_gf3.csv"))
-    seed_ternary_exact(t, range(20, 26))
     propagate(t)
     for (n, k), cell in grid.items():
         assert cell_string(t, n, k) == cell, (n, k)

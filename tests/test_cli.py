@@ -44,6 +44,15 @@ def test_verify_corpus_code(capsys):
     assert "wd=[0:1 4:22" in out or "wd=[0:1 4:" in out
 
 
+def test_verify_even_like_binary_code(capsys, tmp_path):
+    # the [3,2,2] even-weight code is LCD: its Gram matrix [[0,1],[1,0]] is invertible
+    even = tmp_path / "even.code"
+    even.write_text("gf2 3 2\n110\n011\n")
+    code, out, err = run(capsys, "verify", str(even))
+    assert (code, err) == (0, "")
+    assert out == f"file={even} field=gf2 n=3 k=2 lcd=true d=2 exact=true odd-like=false even-like=true wd=[0:1 2:3]\n"
+
+
 def test_verify_rank_deficient_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.code"
     bad.write_text("gf2 3 2\n110\n110\n")
@@ -263,6 +272,15 @@ def test_replay_finds_a_base_code_file_beside_the_record(capsys, tmp_path):
     code, out, err = run(capsys, "replay", str(tmp_path / "mine.rec"))
     assert (code, err) == (0, "")
     assert out.splitlines()[:2] == ["base full.code n=3 k=3", "step pad -> n=4 k=3 lcd=true"]
+
+
+def test_replay_refuses_a_base_path_under_the_data_dir(capsys, tmp_path):
+    # a base that is no entry id is a code file beside the record or nothing:
+    # the data directory's file of that name is not read
+    assert (data_dir() / "codes" / "b_13_7_4.code").is_file()
+    (tmp_path / "mine.rec").write_text("base codes/b_13_7_4.code\npad\n")
+    code, out, err = run(capsys, "replay", str(tmp_path / "mine.rec"))
+    assert (code, out, err) == (1, "", "error: unknown corpus entry 'codes/b_13_7_4.code'\n")
 
 
 def test_replay_prefers_an_entry_id_to_a_file_of_that_name(capsys, tmp_path):

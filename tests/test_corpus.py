@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcdkit import construct, corpus, enumeration
-from lcdkit.codes import is_lcd, min_weight, weight_distribution
+from lcdkit.codes import is_even_like, is_lcd, min_weight, weight_distribution
 from lcdkit.corpus import CorpusError, MissingBase, data_dir, manifest, resolve_code, verify_entry
 
 
@@ -45,10 +45,12 @@ def test_load_record_refuses_a_code_entry():
         corpus.load_record(manifest()["b_13_7_4"])
 
 
-def test_base_given_as_a_data_dir_path_resolves():
-    # a record may name its base by a path under the data directory
-    by_path = resolve_code("codes/b_13_7_4.code")
-    assert np.array_equal(by_path.generator, resolve_code("b_13_7_4").generator)
+def test_base_given_as_a_data_dir_path_is_refused():
+    # a base is an entry id: a path under the data directory names no entry,
+    # even where a code file lies there
+    assert (data_dir() / "codes" / "b_13_7_4.code").is_file()
+    with pytest.raises(CorpusError, match="^unknown corpus entry 'codes/b_13_7_4.code'$"):
+        resolve_code("codes/b_13_7_4.code")
 
 
 def test_stored_matrices_kept_verbatim():
@@ -114,7 +116,7 @@ def test_counterexample_weight_distributions_match_claims():
         code = resolve_code(cid, entries)
         wd = weight_distribution(code)
         assert dict(wd.nonzero()) == e.weights
-        assert wd.odd_like is True
+        assert not is_even_like(code)
         assert wd.min_weight == e.d == 4
 
 

@@ -36,6 +36,64 @@ def test_rebuild_tables_runs(monkeypatch, capsys):
     assert "== gf3: 117 published cells, 14 propagation updates ==" in out
 
 
+def test_rebuild_tables_grids_equal_the_bounds_command(monkeypatch, capsys):
+    # the script and `lcdkit bounds` start from the same bundled table, so
+    # each grid the script renders is the command's stdout, byte for byte
+    from lcdkit.cli import main
+
+    load_script(monkeypatch, "rebuild_tables").main()
+    script_out = capsys.readouterr().out
+    for field in ("gf2", "gf3"):
+        assert main(["--threads", "1", "bounds", "--field", field]) == 0
+        grid = capsys.readouterr().out
+        assert grid.count("\n") > 5 and f"==\n{grid}\n" in script_out, field
+
+
+BENCH_LINES = [
+    "  algebra.wall_s     0.370000 s",
+    'op_s {"algebra.hull": 0.0002}',
+    'meta {"seed": 1, "workload": "all"}',
+    '{"correct": true, "attempted": 9, "failed": 0, "metrics": {"algebra.wall_s": {"value": 0.37, "unit": "s"}}}',
+]
+
+
+def bench_record(monkeypatch, tmp_path, returncode, stdout):
+    # bench_record.py in a repository root of its own, with run.py mocked
+    script = load_script(monkeypatch, "bench_record")
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"command": ["python3", "perfbench/run.py"], "run_seconds": 7}))
+    calls = []
+
+    def run(cmd, cwd, **kwargs):
+        calls.append((cmd, cwd))
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="run.py said so\n")
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    return script.record("x1"), calls
+
+
+def test_bench_record_writes_the_run(monkeypatch, capsys, tmp_path):
+    code, calls = bench_record(monkeypatch, tmp_path, 0, "\n".join(BENCH_LINES) + "\n")
+    argv = ["python3", "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "7"]
+    assert (code, calls) == (0, [(argv, tmp_path)])
+    assert capsys.readouterr().out == "wrote BENCH_x1.json\n"
+    assert json.loads((tmp_path / "BENCH_x1.json").read_text()) == {
+        "op_s": {"algebra.hull": 0.0002},
+        "meta": {"seed": 1, "workload": "all"},
+        "result": json.loads(BENCH_LINES[-1]),
+    }
+
+
+def test_bench_record_writes_nothing_for_a_failed_run(monkeypatch, capsys, tmp_path):
+    wrong = BENCH_LINES[:-1] + [BENCH_LINES[-1].replace("true", "false").replace('"failed": 0', '"failed": 1')]
+    for returncode, lines in [(1, BENCH_LINES), (0, wrong), (0, BENCH_LINES[:2]), (0, BENCH_LINES[:-1] + ["[]"])]:
+        code, calls = bench_record(monkeypatch, tmp_path, returncode, "\n".join(lines) + "\n")
+        assert (code, len(calls)) == (1, 1)
+        err = capsys.readouterr().err
+        assert err.startswith("run.py said so\n") and "nothing written" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+
+
 def test_search_demo_runs(monkeypatch, capsys):
     load_script(monkeypatch, "search_demo").main()
     out = capsys.readouterr().out.splitlines()
