@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Rebuild the binary and ternary bounds grids from the bundled seeds.
 
-Starts from lcdkit's bundled table (the published cell values plus the
-exact high-rate ternary values), adds the extra ternary seeds, propagates
-the inequality rules to a fixpoint, renders both grids, and reports any
-cell where propagation improves on the published value.
+Starts from lcdkit's bundled table (the published cell values; every
+exact high-rate ternary value it also seeds is a published cell already),
+adds the extra ternary seeds, propagates the inequality rules to a
+fixpoint, renders both grids, and reports any cell where propagation
+improves on the published value.
 """
 
 import sys

@@ -19,8 +19,10 @@ parity-augmentation steps available over GF(2) when d is odd).
 Upper-bound rules come from shortening arguments.
 
 bundled_table is lcdkit's own table for a field, the one `lcdkit bounds`
-and scripts/rebuild_tables.py propagate: the bundled published grid
-plus, over GF(3), the exact high-rate values.
+and scripts/rebuild_tables.py propagate: the bundled published grid.
+Over GF(3) it also seeds the exact high-rate values on the grid's rows,
+but the bundled ternary grid already holds each of those cells, so they
+act only on a grid row that lacks one.
 """
 
 from __future__ import annotations
@@ -180,8 +182,10 @@ def _as_strong(side: str, value: int, than: int) -> bool:
     return value >= than if side == "lower" else value <= than
 
 
-def _shots(rule: Rule, table: BoundsTable, box) -> list:
-    """[(n, k, value, sources)] for every bound ``rule`` derives inside ``box``.
+def _shots(rule: Rule, table: BoundsTable, box, keys=None) -> list:
+    """[(n, k, value, sources)] for every bound ``rule`` derives inside ``box``
+    from the cells ``keys`` (default: every cell, in insertion order) that is
+    stronger than its target's current bound.
 
     The first source's bound is read from the cell being iterated and only
     the extra sources are looked up: a lookup per cell for every source
@@ -190,23 +194,31 @@ def _shots(rule: Rule, table: BoundsTable, box) -> list:
     side, derive, extra = rule.side, rule.derive, rule.extra
     dn, dk = rule.target
     n_lo, n_hi, k_lo, k_hi = box
+    cells = table.cells
+    lower = side == "lower"
     out = []
-    for (n, k), c in table.cells.items():
-        b = c.lower if side == "lower" else c.upper
+    for n, k in cells if keys is None else keys:
+        c = cells[n, k]
+        b = c.lower if lower else c.upper
         tn, tk = n + dn, k + dk
         if b is None or not (n_lo <= tn <= n_hi and k_lo <= tk <= k_hi and 1 <= tk <= tn):
             continue
         values = (b.value,)
-        sources = ((n, k, side, b.value),)
         for en, ek in extra:
             e = _bound(table, n + en, k + ek, side)
             if e is None:
                 break
             values += (e.value,)
-            sources += ((n + en, k + ek, side, e.value),)
         else:
             value = derive(n, k, *values)
-            if value is not None:
+            if value is None:
+                continue
+            # the target's bound, read inline like the first source's: keep only a stronger value
+            t = cells.get((tn, tk))
+            now = None if t is None else t.lower if lower else t.upper
+            if now is None or (now.value < value if lower else now.value > value):
+                offsets = ((0, 0), *extra)
+                sources = tuple((n + en, k + ek, side, v) for (en, ek), v in zip(offsets, values))
                 out.append((tn, tk, value, sources))
     return out
 
@@ -216,23 +228,44 @@ def propagate(table: BoundsTable, box=None) -> int:
 
     ``box`` = (n_min, n_max, k_min, k_max) limits which cells may be
     created or updated (default: the bounding box of the seeds).
+
+    The rules fire in RULES order, round after round, until a round
+    changes nothing.  A rule's first firing derives from every cell; later
+    ones derive only from the cells whose bound on its side changed since
+    its previous firing, and, for a rule with extra sources, from the
+    cells that read such a cell as an extra source (semi-naive
+    evaluation): any other cell would derive the value it derived before,
+    which its target already holds.  A firing derives from the table as
+    it stands, visits its cells in the table's insertion order, and then
+    applies each derived value that is stronger than its target's bound.
     """
     if not table.cells:
         return 0
     box = table.bounding_box() if box is None else box
     rules = rules_for(table.field_name)
+    rank = {key: i for i, key in enumerate(table.cells)}  # insertion order of the cells
+    log = []  # (n, k, side) of every update, in the order applied
+    read = {}  # rule id -> len(log) at its last firing
     total = 0
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            for n, k, value, sources in _shots(rule, table, box):
+            keys = None
+            if rule.id in read:
+                moved = {(n, k) for n, k, side in log[read[rule.id] :] if side == rule.side}
+                readers = ({(n - en, k - ek) for n, k in moved} & rank.keys() for en, ek in rule.extra)
+                keys = sorted(moved.union(*readers), key=rank.__getitem__)
+            read[rule.id] = len(log)
+            for n, k, value, sources in _shots(rule, table, box, keys):
                 now = _bound(table, n, k, rule.side)
                 if now is not None and _as_strong(rule.side, now.value, value):
                     # improve would return False: the cell's lower <= upper
                     # holds, so a value no stronger than its bound cannot conflict
                     continue
                 if table.improve(n, k, rule.side, value, Provenance("rule", rule.id, sources)):
+                    rank.setdefault((n, k), len(rank))
+                    log.append((n, k, rule.side))
                     changed = True
                     total += 1
     return total
@@ -310,12 +343,15 @@ def grid_path(field_name: str) -> Path:
 
 
 def load_grid(path) -> dict[tuple[int, int], str]:
+    """{(n, k): cell string} for the nonblank cells of a grid CSV (columns n, k, cell)."""
     out = {}
     with open(path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            cell = row["cell"].strip()
-            if cell:
-                out[(int(row["n"]), int(row["k"]))] = cell
+        rows = csv.reader(fh)
+        header = next(rows)
+        i_n, i_k, i_cell = (header.index(name) for name in ("n", "k", "cell"))
+        for row in rows:
+            if row and (cell := row[i_cell].strip()):
+                out[(int(row[i_n]), int(row[i_k]))] = cell
     return out
 
 
@@ -327,6 +363,9 @@ def bundled_table(field_name: str) -> BoundsTable | None:
     known exact values at very high rates: (n, n) is the universe code, the
     unique [n,n] code, LCD with d = 1; (n, n-1) is 1 when 3 | n, else 2;
     and for 20 <= n <= 25 the values at k = n-2, n-3, n-4 are 2, 2, 3.
+    A cell keeps the provenance of its first seed, and the bundled ternary
+    grid has every one of these cells as a `published grid [n,k]` seed with
+    the same value, so they shape the table only on a row the grid lacks.
     """
     path = grid_path(field_name)
     if not path.exists():

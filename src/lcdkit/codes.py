@@ -223,16 +223,17 @@ def parse_code(text: str) -> LinearCode:
         raise CodeError(f"malformed header {lines[0]!r}") from None
     if len(lines) - 1 != k:
         raise CodeError(f"expected {k} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        symbols = ln.replace(" ", "").replace("\t", "")
-        if len(symbols) != n:
-            raise CodeError(f"row {len(rows) + 1} has {len(symbols)} symbols, expected {n}")
-        try:
-            rows.append([field.parse_symbol(ch) for ch in symbols])
-        except FieldError as exc:
-            raise CodeError(f"row {len(rows) + 1}: {exc}") from None
-    return new_code(field, rows)
+    rows = [ln.replace(" ", "").replace("\t", "") for ln in lines[1:]]
+    # a bad symbol above the first row of the wrong length is reported first
+    short = next((i for i, row in enumerate(rows) if len(row) != n), k)
+    try:
+        symbols = field.parse_symbols("".join(rows[:short]))
+    except FieldError as exc:
+        raise CodeError(f"row {exc.position // n + 1}: {exc}") from None
+    if short < k:
+        raise CodeError(f"row {short + 1} has {len(rows[short])} symbols, expected {n}")
+    # k = 0 leaves n unchecked (it may be negative); new_code refuses the empty matrix
+    return new_code(field, symbols.reshape(k, n) if k else symbols)
 
 
 def format_code(C: LinearCode) -> str:
@@ -262,8 +263,7 @@ def write_code_file(path, C: LinearCode) -> None:
 
 
 def parse_vector(field: FieldSpec, text: str) -> np.ndarray:
-    symbols = text.strip().replace(" ", "").replace("\t", "")
-    return np.array([field.parse_symbol(ch) for ch in symbols], dtype=np.uint8)
+    return field.parse_symbols(text.strip().replace(" ", "").replace("\t", ""))
 
 
 def format_vector(field: FieldSpec, vec) -> str:

@@ -40,11 +40,12 @@ class MissingBase(CorpusError):
     """The entry's base matrix is not distributed (external database code)."""
 
 
+_BUNDLED = Path(__file__).parent / "data"
+
+
 def data_dir() -> Path:
     override = os.environ.get("LCDKIT_CORPUS")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return Path(override) if override else _BUNDLED
 
 
 @dataclass(frozen=True)

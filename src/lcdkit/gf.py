@@ -28,6 +28,18 @@ class FieldError(ValueError):
     """Invalid field construction or mixed-field operands."""
 
 
+_FOREIGN = 0xFF  # the decode table's byte for a symbol outside the alphabet
+
+
+@lru_cache(maxsize=None)
+def _decode_table(order: int) -> bytes:
+    """A bytes.translate table: each alphabet byte to its element index, every other byte to _FOREIGN."""
+    table = bytearray([_FOREIGN]) * 256
+    for i, ch in enumerate(_ALPHABETS[order]):
+        table[ord(ch)] = i
+    return bytes(table)
+
+
 @lru_cache(maxsize=None)
 def _tables(order: int):
     if order in (2, 3):
@@ -102,10 +114,20 @@ class FieldSpec:
     def name(self) -> str:
         return "gf4h" if self.order == 4 else f"gf{self.order}"
 
-    def parse_symbol(self, ch: str) -> int:
-        if len(ch) != 1 or ch not in self.alphabet:
-            raise FieldError(f"symbol {ch!r} not in alphabet {self.alphabet!r} of {self.name}")
-        return self.alphabet.index(ch)
+    def parse_symbols(self, text: str) -> np.ndarray:
+        """The element indices of a string of symbols, as a fresh uint8 array.
+
+        FieldError names the first symbol outside the alphabet; its
+        ``position`` attribute is that symbol's index in ``text``.
+        """
+        # every character outside ASCII encodes to one '?', so byte i is character i
+        data = text.encode("ascii", "replace").translate(_decode_table(self.order))
+        bad = data.find(_FOREIGN)
+        if bad >= 0:
+            exc = FieldError(f"symbol {text[bad]!r} not in alphabet {self.alphabet!r} of {self.name}")
+            exc.position = bad
+            raise exc
+        return np.frombuffer(data, dtype=np.uint8).copy()
 
     def format_symbol(self, value: int) -> str:
         return self.alphabet[value]

@@ -5,6 +5,8 @@ arrays) and never calls the packed enumeration paths, the one-elimination
 hull, shortening and LCD split, or the construction shortcuts it is used
 to check.  The one exception is same_row_space, which compares codes
 through linalg's RREF; test_linalg checks that RREF against table_rref.
+full_sweep_propagate is bounds propagation without its semi-naive
+shortcut: every firing of every rule derives from every cell.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from lcdkit.bounds import BoundsTable, Provenance, rules_for
 from lcdkit.codes import LinearCode, new_code
 from lcdkit.gf import FieldSpec
 from lcdkit.linalg import row_space_basis
@@ -352,3 +355,53 @@ def true_binary_lcd_table(n_max: int) -> dict[tuple[int, int], int]:
                     best = d
             truth[(n, k)] = best
     return truth
+
+
+def _as_strong(side: str, value: int, than: int) -> bool:
+    return value >= than if side == "lower" else value <= than
+
+
+def _full_sweep_shots(rule, table: BoundsTable, box) -> list:
+    """[(n, k, value, sources)] for every bound ``rule`` derives from any cell inside ``box``."""
+    n_lo, n_hi, k_lo, k_hi = box
+    out = []
+    for (n, k), c in table.cells.items():
+        b = getattr(c, rule.side)
+        tn, tk = n + rule.target[0], k + rule.target[1]
+        if b is None or not (n_lo <= tn <= n_hi and k_lo <= tk <= k_hi and 1 <= tk <= tn):
+            continue
+        sources = [(n, k, rule.side, b.value)]
+        for en, ek in rule.extra:
+            e = table.cell(n + en, k + ek)
+            e = None if e is None else getattr(e, rule.side)
+            if e is None:
+                break
+            sources.append((n + en, k + ek, rule.side, e.value))
+        else:
+            value = rule.derive(n, k, *(s[3] for s in sources))
+            if value is not None:
+                out.append((tn, tk, value, tuple(sources)))
+    return out
+
+
+def full_sweep_propagate(table: BoundsTable, box=None) -> int:
+    """bounds.propagate as one loop: each round fires every rule on every cell
+    and applies each derived value that is stronger than its target's bound,
+    until a round changes nothing; returns the number of updates."""
+    if not table.cells:
+        return 0
+    box = table.bounding_box() if box is None else box
+    total = 0
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules_for(table.field_name):
+            for n, k, value, sources in _full_sweep_shots(rule, table, box):
+                now = table.cell(n, k)
+                now = None if now is None else getattr(now, rule.side)
+                if now is not None and _as_strong(rule.side, now.value, value):
+                    continue
+                if table.improve(n, k, rule.side, value, Provenance("rule", rule.id, sources)):
+                    changed = True
+                    total += 1
+    return total

@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,58 @@ def test_ternary_grid_fixpoint_matches_published_cells():
     propagate(t)
     for (n, k), cell in grid.items():
         assert cell_string(t, n, k) == cell, (n, k)
+
+
+def both_propagations(t, box=None):
+    """Propagate a copy of ``t`` with propagate and one with the full-sweep
+    oracle; each side is (cells in order, update count or ConflictError text)."""
+    out = []
+    for run in (propagate, oracles.full_sweep_propagate):
+        table = copy.deepcopy(t)
+        try:
+            result = run(table, box)
+        except ConflictError as exc:
+            result = str(exc)
+        out.append((list(table.cells.items()), result))
+    return out
+
+
+def random_seed_table(field, rng):
+    """A few random seeds over n <= 12; their bounds often conflict once propagated."""
+    t = BoundsTable(field)
+    for _ in range(rng.randint(1, 12)):
+        n = rng.randint(1, 12)
+        k = rng.randint(1, n)
+        lower, upper = (rng.choice([None, rng.randint(1, n)]) for _ in range(2))
+        try:
+            t.seed(n, k, lower=lower, upper=upper, kind="literature-bound", provenance=f"seed {len(t.cells)}")
+        except ConflictError:
+            pass
+    return t
+
+
+@pytest.mark.parametrize("field", ["gf2", "gf3", "gf4h"])
+def test_propagate_matches_the_full_sweep_on_random_seeds(field):
+    rng = random.Random(f"semi-naive {field}")
+    outcomes = set()
+    for _ in range(300):
+        t = random_seed_table(field, rng)
+        box = None if rng.random() < 0.7 else (1, rng.randint(6, 14), 1, rng.randint(3, 14))
+        fast, slow = both_propagations(t, box)
+        assert fast == slow
+        outcomes.add(type(fast[1]))
+    assert outcomes == {int, str}  # both fixpoints and conflicts were compared
+
+
+def test_propagate_matches_the_full_sweep_on_the_bundled_tables():
+    gf3_extra = bundled_table("gf3")
+    bounds.seed_from_csv(gf3_extra, data_file("seeds_extra_gf3.csv"))
+    counts = []
+    for t in (bundled_table("gf2"), bundled_table("gf3"), gf3_extra):
+        fast, slow = both_propagations(t)
+        assert fast == slow
+        counts.append(fast[1])
+    assert counts == [1, 0, 14]
 
 
 def test_ternary_corollary_upper_bounds():

@@ -11,9 +11,10 @@ import pytest
 from lcdkit import cli
 from lcdkit import corpus as corpus_mod
 from lcdkit.cli import build_parser, main
-from lcdkit.codes import is_lcd, min_weight, read_code_file
+from lcdkit.codes import CodeError, is_lcd, min_weight, parse_code, read_code_file
+from lcdkit.construct import apply_record, parse_record
 from lcdkit.corpus import data_dir
-from lcdkit.gf import FIELDS_BY_NAME
+from lcdkit.gf import FIELDS_BY_NAME, FieldError
 
 
 def run(capsys, *argv):
@@ -582,6 +583,40 @@ def test_extension_vector_length_error_counts_symbols(capsys):
     code, out, err = run(capsys, "extend", corpus_file("codes/t_19_6_9.code"), "--method", "1", "--vector", "012")
     assert (code, out) == (2, "")
     assert err == "error: extension vector has 3 symbols, expected 19\n"
+
+
+@pytest.mark.parametrize("symbol", ["x", "2", "w", "\u00e9"])  # foreign ASCII, GF(3) and GF(4) symbols, non-ASCII
+@pytest.mark.parametrize("where", ["code file", "record step", "--vector"])
+def test_a_symbol_outside_the_field_exits_2_naming_it(capsys, tmp_path, where, symbol):
+    error = f"symbol {symbol!r} not in alphabet '01' of gf2"
+    vector = f"10011100{symbol}1100"  # b_13_7_4.rec's extension vector with one symbol replaced
+    if where == "--vector":
+        argv, text = ("extend", corpus_file("codes/b_13_7_4.code"), "--method", "1", "--vector", vector), None
+        want_out, want_err = "", f"error: {error}\n"
+    elif where == "code file":
+        text = f"gf2 3 2\n101\n0{symbol}1\n"
+        argv = ("verify", str(tmp_path / "c.code"))
+        want_out, want_err = "", f"error: row 2: {error}\n"
+        with pytest.raises(CodeError) as exc:
+            parse_code(text)
+        assert str(exc.value) == f"row 2: {error}"
+    else:
+        text = f"base b_13_7_4\nextend-m1 {vector}\n"
+        argv = ("replay", str(tmp_path / "r.rec"))
+        want_out, want_err = "base b_13_7_4 n=13 k=7\n", f"error: {error}\n"
+        with pytest.raises(FieldError) as exc:
+            apply_record(parse_record(text), corpus_mod.resolve_code("b_13_7_4"))
+        assert str(exc.value) == error
+    if text is not None:
+        Path(argv[1]).write_bytes(text.encode())
+        if not symbol.isascii():  # the file is refused before any symbol is read
+            at = text.encode().index(symbol.encode())
+            want_out = ""
+            want_err = (
+                f"error: {argv[1]}: not an ASCII text file ('ascii' codec can't decode byte 0x{symbol.encode()[0]:x} "
+                f"in position {at}: ordinal not in range(128))\n"
+            )
+    assert run(capsys, *argv) == (2, want_out, want_err)
 
 
 def test_extend_reports_the_vector_error_on_a_non_lcd_code(capsys, tmp_path):

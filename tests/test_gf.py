@@ -89,9 +89,14 @@ def test_alphabets():
     assert GF3.alphabet == "012"
     assert GF4H.alphabet == "01wW"
     for f in ALL_FIELDS:
-        for v in range(f.order):
-            assert f.parse_symbol(f.format_symbol(v)) == v
-    # a symbol is one character: "", "01" and "12" once parsed as substrings of the alphabet
-    for f, text in [(GF2, "2"), (GF2, ""), (GF2, "01"), (GF3, "12"), (GF4H, "wW"), (GF4H, "1 ")]:
-        with pytest.raises(FieldError, match="not in alphabet"):
-            f.parse_symbol(text)
+        text = "".join(f.format_symbol(v) for v in range(f.order))
+        got = f.parse_symbols(text)
+        assert got.dtype == np.uint8 and got.tolist() == list(range(f.order))
+        assert f.parse_symbols("").shape == (0,)
+    # the first symbol outside the alphabet is named, with its position; a
+    # non-ASCII symbol too, though it encodes to more than one byte
+    for f, text, bad in [(GF2, "0120", 2), (GF3, "01w", 2), (GF4H, "1 w", 1), (GF2, "0\u00e91x", 1), (GF3, "\udcff", 0)]:
+        with pytest.raises(FieldError) as exc:
+            f.parse_symbols(text)
+        assert str(exc.value) == f"symbol {text[bad]!r} not in alphabet {f.alphabet!r} of {f.name}"
+        assert exc.value.position == bad
