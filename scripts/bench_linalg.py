@@ -8,14 +8,24 @@ min_weight_exhaustive on seeded full-rank generator matrices of every size in
 the benchmark's algebra grid (4 <= n <= 12, 1 <= k <= min(6, n - 1)), and the
 queries on the codes they generate: is_lcd and hull on every code, shorten on
 the hull pivot set of the codes with 0 < hull dimension < k, project_split
-of a seeded vector on the LCD codes, and, on the binary line only,
-decompose_m1 on the odd-like LCD codes of dimension at least 2.  It prints
-the median over rounds of the microseconds per call, taken over all sizes,
-and how many codes each hull-side query ran on.  Takes no options:
+of a seeded vector on the LCD codes, extend by method 1 and by method 2 on
+the LCD codes with a seeded nonzero dual vector that passes the method's
+weight test, and, on the binary line only, decompose_m1 on the odd-like LCD
+codes of dimension at least 2.  It prints the median over rounds of the
+microseconds per call, taken over all sizes, and how many codes each
+hull-side query ran on.
 
     python3 scripts/bench_linalg.py
+    python3 scripts/bench_linalg.py --trees A B [--rounds 5]
+
+With --trees, each round runs the bench_linalg.py of every tree (say a
+parent and a changed checkout) in a fresh process, one per tree, with the
+order alternating from round to round (interleave.py), and prints one line
+per tree and field: the medians over rounds of the tree's ``*_us`` times
+and its code counts.
 """
 
+import argparse
 import json
 import statistics
 import sys
@@ -24,8 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import interleave  # noqa: E402
 from lcdkit import codes, construct, enumeration, gf, linalg  # noqa: E402
 
 SEED = 2022
@@ -42,6 +54,22 @@ def matrices(field: gf.FieldSpec, rng: np.random.Generator) -> list[np.ndarray]:
                 if linalg.rank(G, field) == k:
                     out.append(G)
                     break
+    return out
+
+
+def extensions(code_list: list, method: str, rng: np.random.Generator) -> list:
+    """(C, x) for each LCD code with a nonzero dual vector x that passes the
+    method's weight test, the first of 20 seeded draws to do so."""
+    out = []
+    for C in code_list:
+        if not codes.is_lcd(C):
+            continue
+        D = codes.dual(C).generator  # k < n on the grid, so it has rows
+        for _ in range(20):
+            x = linalg.matmul(C.field, rng.integers(0, C.field.order, size=(1, D.shape[0]), dtype=np.uint8), D)[0]
+            if x.any() and construct.weight_condition(C.field, method, int((x != 0).sum())):
+                out.append((C, x))
+                break
     return out
 
 
@@ -69,6 +97,8 @@ def main() -> None:
         # a generator of its own, so the matrices stay those of earlier versions
         vectors = np.random.default_rng(SEED).integers(0, field.order, size=(len(mats), 12), dtype=np.uint8)
         splits = [(C, v[: C.n]) for C, v in zip(code_list, vectors) if codes.is_lcd(C)]
+        draws = np.random.default_rng(SEED + 1)  # its own generator too
+        extended = {method: extensions(code_list, method, draws) for method in (construct.M1, construct.M2)}
         line = {
             "field": name,
             "matrices": len(mats),
@@ -87,6 +117,9 @@ def main() -> None:
             "project_split_codes": len(splits),
             "project_split_us": us_per_call(lambda a: construct.project_split(a[1], a[0]), splits),
         }
+        for method, cases in extended.items():
+            line[f"extend_{method}_codes"] = len(cases)
+            line[f"extend_{method}_us"] = us_per_call(lambda a: construct.extend(a[0], a[1], method), cases)
         if field.order == 2:
             odd_like = [C for C in code_list if C.k > 1 and codes.is_lcd(C) and not codes.is_even_like(C)]
             line["decompose_codes"] = len(odd_like)
@@ -94,5 +127,19 @@ def main() -> None:
         print(json.dumps(line), flush=True)
 
 
+def interleaved(trees: list[Path], rounds: int) -> None:
+    """The --trees mode: this script in every tree, alternating fresh
+    processes (interleave.interleaved); one JSON line per tree and field."""
+    answers = ("matrices", "shorten_codes", "project_split_codes", "extend_m1_codes", "extend_m2_codes", "decompose_codes")
+    interleave.interleaved("bench_linalg.py", trees, rounds, "field", "_us", answers)
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Per-call cost of the small-code algebra.")
+    parser.add_argument("--trees", nargs="+", type=Path, help="checkouts to run in alternating fresh processes")
+    parser.add_argument("--rounds", type=int, default=5, help="processes per tree with --trees")
+    args = parser.parse_args()
+    if args.trees:
+        interleaved([tree.resolve() for tree in args.trees], args.rounds)
+    else:
+        main()

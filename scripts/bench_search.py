@@ -47,16 +47,16 @@ tree's ``*_ms`` times and its answers.
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
 
 import inputs  # noqa: E402
+import interleave  # noqa: E402
 import refalg  # noqa: E402
 
 from lcdkit import construct, corpus, enumeration, gf  # noqa: E402
@@ -199,24 +199,9 @@ def main() -> None:
 
 
 def interleaved(trees: list[Path], rounds: int) -> None:
-    """Run each tree's own bench_search.py ``rounds`` times, alternating
-    fresh processes (the tree order flips every round), and print each
-    tree's medians over rounds, one JSON line per tree and case."""
-    runs = {tree: [] for tree in trees}
-    for r in range(rounds):
-        for tree in trees if r % 2 == 0 else trees[::-1]:
-            script = tree / "scripts" / "bench_search.py"
-            out = subprocess.run([sys.executable, str(script)], cwd=tree, capture_output=True, text=True, check=True)
-            runs[tree].append([json.loads(line) for line in out.stdout.splitlines()])
-    for tree in trees:
-        for lines in zip(*runs[tree]):
-            line = {"tree": str(tree), "case": lines[0]["case"], "rounds": rounds}
-            for key in lines[0]:
-                if key.endswith("_ms"):
-                    line[key] = round(statistics.median(x[key] for x in lines), 3)
-            for key in ("candidates", "min_weight"):
-                line[key] = lines[0][key]
-            print(json.dumps(line), flush=True)
+    """The --trees mode: this script in every tree, alternating fresh
+    processes (interleave.interleaved); one JSON line per tree and case."""
+    interleave.interleaved("bench_search.py", trees, rounds, "case", "_ms", ("candidates", "min_weight"))
 
 
 if __name__ == "__main__":

@@ -116,11 +116,13 @@ def is_lcd(C: LinearCode) -> bool:
 
 def _check_coords(C: LinearCode, T) -> tuple[list[int], list[int]]:
     """T sorted without repeats, and the coordinates it leaves, in order."""
-    T = sorted(set(int(t) for t in T))
-    for t in T:
-        if not 0 <= t < C.n:
-            raise CodeError(f"coordinate {t} out of range for length {C.n}")
-    return T, sorted(set(range(C.n)).difference(T))
+    chosen = {int(t) for t in T}
+    keep = [c for c in range(C.n) if c not in chosen]
+    T = sorted(chosen)
+    if len(T) + len(keep) != C.n:  # some t is not a coordinate
+        bad = next(t for t in T if not 0 <= t < C.n)
+        raise CodeError(f"coordinate {bad} out of range for length {C.n}")
+    return T, keep
 
 
 def shorten(C: LinearCode, T) -> LinearCode:

@@ -143,15 +143,19 @@ def puncture_to_lcd(C: LinearCode, cap: int | None = None, threads: int = 1) -> 
 
 def extend(C: LinearCode, x, method: str) -> LinearCode:
     """LCD extension of C by the dual vector x: [n+1, k+1] (1 x; 0 G) for method 1, [n, k+1]
-    (x; G) for method 2.  x is checked first (extension_vector: length, symbols, dual
-    membership, method, weight), then C's LCD test, so when both are bad the
-    vector's error is reported, not NotLcd."""
+    (x; G) for method 2.
+
+    x is checked first (extension_vector: length, symbols, dual membership,
+    method, weight), so when both x and C are bad the vector's error is
+    reported.  The new row r pairs to zero with every row of G, so
+    Gram(out) = diag(<r, r>, Gram(C)), and the weight test makes <r, r>
+    nonzero: out is LCD exactly when C is.  One LCD test of out therefore
+    decides both; only when it fails is C tested, to tell NotLcd (C is not
+    LCD) from InvariantError (the extension is wrong).  Method 1's all-zero
+    vector warns after that test, so a non-LCD C raises without warning.
+    """
     v = extension_vector(C, x, method)
-    if not is_lcd(C):
-        raise NotLcd(f"method {method[1]} extends LCD codes only")
     lead = 1 if method == M1 else 0  # method 1's new first coordinate
-    if lead and not v.any():
-        warnings.warn("all-zero extension vector: the result is LCD but its minimum distance is 1")
     g = np.zeros((C.k + 1, C.n + lead), dtype=np.uint8)
     g[0, :lead] = 1
     g[0, lead:] = v
@@ -159,7 +163,11 @@ def extend(C: LinearCode, x, method: str) -> LinearCode:
     g.setflags(write=False)
     out = LinearCode(C.field, g)
     if not is_lcd(out):
+        if not is_lcd(C):
+            raise NotLcd(f"method {method[1]} extends LCD codes only")
         raise linalg.InvariantError(f"the method-{method[1]} extension is not LCD")
+    if lead and not v.any():
+        warnings.warn("all-zero extension vector: the result is LCD but its minimum distance is 1")
     return out
 
 

@@ -12,7 +12,10 @@ once.  The codewords of a generator come in message order (message
 index sum_j d_j q^j is the codeword sum_j d_j row_j) from a table of the
 codewords of the low rows, about 2^14 words, plus one high word per value
 of the high digits.  A table is one broadcast add of two sub-tables, each
-one gather of its rows' multiples by a small constant digit table.
+one gather of its rows' multiples: the scaled pack holds a * row_j at
+column a * k + j, a block's b rows cut from it hold a * row_(lo+j) at
+column a * b + j, and so the gather index is a constant of q and b
+(_row_index).
 
 One walk (_blocks) hands out any message range as blocks: a slice t of
 the first table and the block's high word h, none for block 0, and none
@@ -224,11 +227,13 @@ def _pack_scaled(field: FieldSpec, G: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _digit_rows(q: int, b: int) -> np.ndarray:
-    """Base-q digits of 0 .. q^b - 1, low digit first, as rows of shape (b, q^b); read-only, since it is shared."""
-    digits = np.arange(q**b) // q ** np.arange(b)[:, None] % q
-    digits.setflags(write=False)
-    return digits
+def _row_index(q: int, b: int) -> np.ndarray:
+    """Columns a * b + j of a b-row block of a scaled pack, where a is
+    base-q digit j (low digit first) of each of 0 .. q^b - 1: rows of
+    shape (b, q^b); read-only, since it is shared."""
+    index = np.arange(q**b) // q ** np.arange(b)[:, None] % q * b + np.arange(b)[:, None]
+    index.setflags(write=False)
+    return index
 
 
 def _sub_table(q: int, scaled: np.ndarray, k: int, lo: int, b: int) -> np.ndarray:
@@ -236,8 +241,11 @@ def _sub_table(q: int, scaled: np.ndarray, k: int, lo: int, b: int) -> np.ndarra
     message order: one gather of every row's multiples, summed over the rows."""
     if b == 0:
         return np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)
-    # column a * k + j of the scaled pack is a * row_j
-    terms = np.take(scaled, _digit_rows(q, b) * k + np.arange(lo, lo + b)[:, None], axis=-1)
+    # column a * k + j of the scaled pack is a * row_j, so the block's column a * b + j
+    # is a * row_(lo+j); it is a view when the block holds every row, else a small copy
+    P, W = scaled.shape[:2]
+    block = scaled.reshape(P, W, q, k)[..., lo : lo + b].reshape(P, W, q * b)
+    terms = np.take(block, _row_index(q, b), axis=-1)
     if q != 3:
         return np.bitwise_xor.reduce(terms, axis=2)
     table = terms[:, :, 0]

@@ -11,10 +11,11 @@ with the pivot scaling and row update written out on the planes, and
 serves RREF, rank and kernel_image: rank clears only the rows below each
 pivot and never unpacks, kernel_image eliminates the one matrix [A | B]
 its caller builds, split after A's columns, and unpacks only the rows it
-returns, and nullspace reads the kernel's RREF basis off one RREF of the
-reversed columns.  Everything here is a pure function of its inputs;
-results with a canonical form (RREF) are unique for a given row space,
-which downstream code relies on for deterministic coordinate choices.
+returns, and nullspace reads the kernel's RREF basis off the packed rows
+of one RREF of the reversed columns, unpacking only the pivot rows.
+Everything here is a pure function of its inputs; results with a
+canonical form (RREF) are unique for a given row space, which downstream
+code relies on for deterministic coordinate choices.
 """
 
 from __future__ import annotations
@@ -292,24 +293,38 @@ def nullspace(M: np.ndarray, field: FieldSpec) -> np.ndarray:
 
     Below GF(4) this is the plain right kernel; over Hermitian GF(4) it
     equals the kernel of the entrywise-conjugated matrix, since
-    M conj(y)^T = 0 iff conj(M) y^T = 0.  The elimination runs on the
-    columns in reverse, so the basis vector of a free column j
-    (1 at j, minus the RREF's column j on the pivot columns) is nonzero
-    only at j and at pivot columns right of j: sorted by j, the basis
-    already is the kernel's RREF.
+    M conj(y)^T = 0 iff conj(M) y^T = 0, and conj(lo + hi w) = (lo ^ hi) + hi w
+    conjugates the packed rows.  The elimination runs on the columns in
+    reverse, so the basis vector of a free column c (1 at c, minus the
+    RREF's column c on the pivot columns) is nonzero only at c and at pivot
+    columns right of c: sorted by c, the basis already is the kernel's RREF.
+
+    The basis is read off the packed rows a column at a time: column p of a
+    pivot is its pivot row on the free columns, negated (GF(3) swaps the
+    planes), and a free column's column is the identity's.  Only the pivot
+    rows are unpacked, into the identity, and one gather of the free
+    columns gives the basis rows.
     """
-    cols = M.shape[1]
-    work = field.conj_table[M] if field.order == 4 else M
-    res = rref(work[:, ::-1], field)
-    pivset = set(res.pivots)
-    # reversed column c is column cols - 1 - c; the free ones in increasing order
-    free = [c for c in range(cols - 1, -1, -1) if c not in pivset]
+    M = np.asarray(M, dtype=np.uint8)
+    rows, cols = M.shape
+    if rows == 0 or cols == 0:
+        return np.eye(cols, dtype=np.uint8)
+    q = field.order
+    planes = _pack_rows(q, M[:, ::-1])
+    if q == 4:
+        planes[0] = [lo ^ hi for lo, hi in zip(*planes)]
+    pivots = _eliminate(q, planes, True)
+    free = (1 << cols) - 1
+    for p in pivots:
+        free ^= 1 << p
     if not free:
         return np.zeros((0, cols), dtype=np.uint8)
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    basis[np.arange(len(free)), [cols - 1 - c for c in free]] = 1
-    basis[:, [cols - 1 - c for c in res.pivots]] = field.neg_table[res.matrix[: res.rank, free]].T
-    return basis
+    # row c of the transposed basis belongs to reversed column c of M; -x swaps the GF(3) planes
+    T = np.eye(cols, dtype=np.uint8)
+    negated = planes[::-1] if q == 3 else planes
+    T[pivots] = _unpack_rows([[x & free for x in plane[: len(pivots)]] for plane in negated], cols)
+    # reversed column c is column cols - 1 - c; the free ones in increasing order
+    return T[::-1].T[[c for c in range(cols - 1, -1, -1) if free >> c & 1]]
 
 
 def congruence_orthonormalize(M: np.ndarray) -> np.ndarray:

@@ -411,6 +411,17 @@ def test_malformed_input_raises_code_error(call, message):
         call()
 
 
+def test_coordinate_sets_are_sorted_deduplicated_and_checked_in_order():
+    # the smallest coordinate that is out of range is the one reported, and
+    # repeats count once
+    C = new_code(GF2, np.eye(2, 6, dtype=np.uint8))
+    for T, bad in [((9, 5, 1, 6), 6), ((3, -1, -3, 3), -3), ((7, -2), -2)]:
+        for op in (shorten, puncture):
+            with pytest.raises(CodeError, match=f"^coordinate {bad} out of range for length 6$"):
+                op(C, T)
+    assert np.array_equal(puncture(C, (5, 2, 5, 3)).generator, C.generator[:, [0, 1, 4]])
+
+
 def test_even_odd_like():
     assert is_even_like(new_code(GF2, [[1, 1]]))
     assert not is_even_like(new_code(GF2, [[1, 0]]))

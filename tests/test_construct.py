@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -734,6 +735,79 @@ def test_extend_checks_the_vector_before_c_is_lcd(f, method):
     assert NotInDual in kinds and (NotLcd in kinds) == (method != "m3")
     with pytest.raises(NotInDual):
         extend(C, np.array([1, 0, 0, 0]), method)
+
+
+def _non_lcd_with_dual_vectors(f, method):
+    """A non-LCD C and every vector that passes extension_vector for it."""
+    C = new_code(f, [[1, 1, 1, 0], [0, 0, 0, 1]] if f.order == 3 else [[1, 1, 0, 0], [0, 0, 1, 0]])
+    assert not is_lcd(C)
+    good = []
+    for v in oracles.all_messages(f.order, 4):
+        try:
+            extension_vector(C, v, method)
+        except ConstructError:
+            continue
+        good.append(v)
+    return C, good
+
+
+def _lcd_with_dual_vector(f, method):
+    """An LCD C and a nonzero vector that passes extension_vector for it."""
+    rng = random.Random(163 + f.order)
+    while True:
+        k = rng.randrange(1, 5)
+        C = oracles.random_lcd_code(f, rng.randrange(k + 1, 10), k, rng)
+        v = random_dual_vector(C, rng)
+        if v.any() and weight_condition(f, method, int((v != 0).sum())):
+            return C, v
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extend_of_a_non_lcd_code_raises_not_lcd(f, method):
+    # the extension's one LCD test fails, and C's own test names the cause
+    C, good = _non_lcd_with_dual_vectors(f, method)
+    assert len(good) > 1
+    for v in good:
+        with pytest.raises(NotLcd, match=f"^method {method[1]} extends LCD codes only$"):
+            extend(C, v, method)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extend_of_a_non_lcd_code_by_the_zero_vector_does_not_warn(f, method):
+    # method 1 warns on the all-zero vector only after the LCD test, so a
+    # non-LCD C raises NotLcd without a warning; method 2 refuses the vector
+    C, _ = _non_lcd_with_dual_vectors(f, method)
+    want = NotLcd if method == M1 else WeightCondition
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(want):
+            extend(C, np.zeros(4, dtype=np.uint8), method)
+    assert seen == []
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extend_reports_a_non_lcd_extension_of_an_lcd_code_as_a_bug(f, method, monkeypatch):
+    C, v = _lcd_with_dual_vector(f, method)
+    real = construct.is_lcd
+    monkeypatch.setattr(construct, "is_lcd", lambda D: D.k == C.k and real(D))  # fails only on the extension
+    with pytest.raises(linalg.InvariantError, match=f"^the method-{method[1]} extension is not LCD$"):
+        extend(C, v, method)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+@pytest.mark.parametrize("method", [M1, M2])
+def test_extend_tests_lcd_once(f, method, monkeypatch):
+    # Gram(out) = diag(<r, r>, Gram(C)) with <r, r> != 0, so the extension's
+    # own test decides C's too
+    C, v = _lcd_with_dual_vector(f, method)
+    real, calls = construct.is_lcd, []
+    monkeypatch.setattr(construct, "is_lcd", lambda D: calls.append(D) or real(D))
+    out = extend(C, v, method)
+    assert calls == [out]
+    assert np.array_equal(out.generator, raw_extension_matrix(C, v, method))
 
 
 def test_decompose_and_search_refuse_a_non_lcd_code():

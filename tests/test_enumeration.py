@@ -505,6 +505,31 @@ def test_support_blocks_cover_combinations_in_order():
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+def test_scaled_pack_layout_and_constant_block_index(f):
+    # column a * k + j of the scaled pack is a * row_j, so a block of b rows
+    # holds a * row_(lo+j) at column a * b + j and its gather index depends
+    # only on q and b
+    q = f.order
+    G = oracles.random_matrix(f, 9, 70, random.Random(89 + q))
+    words = unpack_matrix(enumeration._pack_scaled(f, G), 70)
+    assert words.shape == (q * 9, 70)
+    for j in range(9):
+        for a in range(q):
+            assert np.array_equal(words[a * 9 + j], f.mul_table[a, G[j]])
+    for b in range(1, -(-enumeration.TABLE_ROWS[q] // 2) + 1):
+        index = enumeration._row_index(q, b)
+        digits = oracles.all_messages(q, b)[:, ::-1].T  # digit j of message m, low digit first
+        assert np.array_equal(index, digits * b + np.arange(b)[:, None])
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        # a block inside the pack and one that is all of it
+        for lo, k in ((9 - b, 9), (0, b)):
+            table = unpack_matrix(enumeration._sub_table(q, enumeration._pack_scaled(f, G[:k]), k, lo, b), 70)
+            assert np.array_equal(table, oracles.table_matmul(f, digits.T.astype(np.uint8), G[lo : lo + b]))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("chunk", [1, 2, 5, 64, enumeration.BZ_CHUNK])
 def test_bz_level_batches_follow_loop_order(f, chunk):
     # every level's weights, batch after batch, in the loop's codeword order,

@@ -279,6 +279,11 @@ def check_nullspace_against_oracle(f, m):
     assert not oracles.table_matmul(f, m, f.conj_table[ns].T).any()
     want, _, r = oracles.table_rref(ns, f)
     assert r == ns.shape[0] and np.array_equal(ns, want)
+    # byte for byte the oracle's kernel RREF of conj(M), as a fresh, writable,
+    # C-contiguous array
+    kernel = oracles.table_rref(oracles.table_nullspace(f.conj_table[m] if f.order == 4 else m, f), f)[0]
+    assert ns.shape == kernel.shape and ns.tobytes() == kernel.tobytes()
+    assert ns.flags.c_contiguous and ns.flags.writeable and ns.flags.owndata and not np.shares_memory(ns, m)
 
 
 @settings(max_examples=300, deadline=None)

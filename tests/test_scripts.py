@@ -110,6 +110,33 @@ def test_bench_linalg_runs(monkeypatch, capsys):
     lines = json_lines(capsys.readouterr().out)
     assert [line["field"] for line in lines] == ["gf2", "gf3", "gf4h"]
     assert all(line["rref_reversed_us"] > 0 and line["matrices"] == 48 for line in lines)
+    assert all(line[f"extend_{m}_codes"] > 0 and line[f"extend_{m}_us"] > 0 for line in lines for m in ("m1", "m2"))
+
+
+def test_bench_linalg_interleaves_trees(monkeypatch, capsys, tmp_path):
+    # --trees runs each tree's own script in a fresh process per round, the
+    # tree order flipping every round, and prints each tree's medians and
+    # code counts; a count that a tree's lines lack (decompose on gf3) stays out
+    script = load_script(monkeypatch, "bench_linalg")
+    trees, calls = [tmp_path / "a", tmp_path / "b"], []
+
+    def run(cmd, cwd, **kwargs):
+        assert cmd[1:] == [str(cwd / "scripts" / "bench_linalg.py")]
+        calls.append(cwd)
+        us = 10.0 * (cwd == trees[1]) + len(calls)
+        out = [{"field": "gf2", "nullspace_us": us, "shorten_codes": 5, "decompose_codes": 2},
+               {"field": "gf3", "nullspace_us": us + 1, "shorten_codes": 4}]
+        return subprocess.CompletedProcess(cmd, 0, stdout="".join(json.dumps(line) + "\n" for line in out))
+
+    monkeypatch.setattr(subprocess, "run", run)
+    script.interleaved(trees, 4)
+    assert calls == [trees[0], trees[1], trees[1], trees[0], trees[0], trees[1], trees[1], trees[0]]
+    lines = json_lines(capsys.readouterr().out)
+    assert [(line["tree"], line["field"]) for line in lines] == [(str(t), f) for t in trees for f in ("gf2", "gf3")]
+    # tree a ran as calls 1, 4, 5 and 8, tree b as calls 2, 3, 6 and 7
+    assert [line["nullspace_us"] for line in lines] == [4.5, 5.5, 14.5, 15.5]
+    assert [line.get("decompose_codes") for line in lines] == [2, None, 2, None]
+    assert all(line["rounds"] == 4 and line["shorten_codes"] in (4, 5) for line in lines)
 
 
 def test_bench_scan_runs(monkeypatch, capsys):
@@ -155,7 +182,7 @@ def test_bench_search_interleaves_trees(monkeypatch, capsys, tmp_path):
         out = [{"case": case, "draw_ms": 1.0, "total_ms": total, "candidates": 7, "min_weight": 3} for case in ("x", "y")]
         return subprocess.CompletedProcess(cmd, 0, stdout="".join(json.dumps(line) + "\n" for line in out))
 
-    monkeypatch.setattr(script.subprocess, "run", run)
+    monkeypatch.setattr(subprocess, "run", run)
     script.interleaved(trees, 3)
     assert calls == [trees[0], trees[1], trees[1], trees[0], trees[0], trees[1]]
     lines = json_lines(capsys.readouterr().out)
