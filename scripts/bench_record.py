@@ -12,6 +12,13 @@ op), ``meta`` (the run's metadata) and ``result`` (correct, attempted,
 failed and the end-to-end metrics).  A run that exits nonzero, prints no
 such lines or reports ``correct: false`` writes nothing and exits 1.
 
+``meta.git_sha`` names the commit checked out, not the files measured: a
+run recorded before its change is committed measures a src/ that differs
+from that commit.  So the file also gets ``tree``, read from git before the
+run: ``head``, the commit checked out, and ``src_equals_head``, whether
+src/ holds exactly that commit's files (no file under it modified, staged,
+deleted or untracked).  Both are null where git cannot tell.
+
     python3 scripts/bench_record.py LABEL
 """
 
@@ -37,9 +44,21 @@ def _parse(stdout: str):
     return (op_s, meta, result) if isinstance(result, dict) else None
 
 
+def _tree() -> dict:
+    """{"head": the commit checked out, "src_equals_head": whether src/ is that commit's}, from git."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=all", "--", "src"], cwd=ROOT, capture_output=True, text=True
+    )
+    if head.returncode or status.returncode:
+        return {"head": None, "src_equals_head": None}
+    return {"head": head.stdout.strip(), "src_equals_head": not status.stdout.strip()}
+
+
 def record(label: str) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     cmd = bench["command"] + ["--workload", "all", "--seed", "1", "--seconds", str(bench["run_seconds"])]
+    tree = _tree()
     run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     parsed = _parse(run.stdout)
     if run.returncode != 0 or parsed is None or parsed[2].get("correct") is not True:
@@ -48,7 +67,7 @@ def record(label: str) -> int:
         return 1
     op_s, meta, result = parsed
     path = ROOT / f"BENCH_{label}.json"
-    text = json.dumps({"meta": meta, "op_s": op_s, "result": result}, indent=1, sort_keys=True)
+    text = json.dumps({"meta": meta, "op_s": op_s, "result": result, "tree": tree}, indent=1, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
     return 0

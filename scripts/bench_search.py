@@ -25,13 +25,18 @@ those of the real call:
 
 Each time is the median over rounds in ms; the line also gives the
 candidate count, ``distinct``, the distinct sampled messages, and
-``tied``, the candidates reaching the best score in the batches scored
-before the search stops (a batch scored only for a score above the best
-so far adds none).  One more, untimed, round counts the coset scorer's
-work: ``reduced``, the candidates reduced onto a chain matrix's pivots
-(enumeration._reduce), and ``pairs``, the candidate-word distances taken
-inside _best_scores (enumeration._distance); ``pairs_per_s`` is pairs
-over the median scoring time.
+``tied``, the candidates that reach the best score within the batches
+the search scores before it stops.  A batch scored only for a score
+above the best so far adds none, and the search stops at the first batch
+that reaches d(C), so ``tied`` counts where the batches end as much as
+the code: a smaller first batch stops sooner and ties fewer.  One more,
+untimed, round counts the coset scorer's work: ``reduced``, the
+candidates reduced onto a chain matrix's pivots (enumeration._reduce);
+``pairs``, the candidate-word distances taken inside _best_scores
+(enumeration._distance); and ``listings``, the times a chain matrix's
+levels are listed inside _best_scores (enumeration._level_words), once
+per matrix for a held listing, on every call for one too large to hold.
+``pairs_per_s`` is pairs over the median scoring time.
 
     python3 scripts/bench_search.py
     python3 scripts/bench_search.py --trees A B [--rounds 5]
@@ -45,6 +50,7 @@ tree's ``*_ms`` times and its answers.
 """
 
 import argparse
+import inspect
 import json
 import statistics
 import sys
@@ -79,8 +85,13 @@ TIMED = [
 
 
 # (module, attribute) of each helper that counted wraps: the scorer, the
-# pivot reduction, and the distance taken inside the scorer
-SCORER, REDUCER, DISTANCE = COUNTED = [(construct, "_best_scores"), (enumeration, "_reduce"), (enumeration, "_distance")]
+# pivot reduction, and the distance taken and the levels listed inside the scorer
+SCORER, REDUCER, DISTANCE, LISTING = COUNTED = [
+    (construct, "_best_scores"),
+    (enumeration, "_reduce"),
+    (enumeration, "_distance"),
+    (enumeration, "_level_words"),
+]
 
 
 def cases():
@@ -121,15 +132,18 @@ def patched(wrappers):
 
 
 def timed(spent: dict, seen: dict):
-    """Wrap each TIMED helper so its time adds to its stage and its (arguments, result) pairs are listed in ``seen``."""
+    """Wrap each TIMED helper so its time adds to its stage and its
+    (arguments by name, result) pairs are listed in ``seen``."""
 
     def wrap(attr, stage):
         def wrapper(fn):
+            signature = inspect.signature(fn)
+
             def timer(*args, **kwargs):
                 t0 = time.perf_counter()
                 out = fn(*args, **kwargs)
                 spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - t0
-                seen.setdefault(attr, []).append((args, out))
+                seen.setdefault(attr, []).append((signature.bind(*args, **kwargs).arguments, out))
                 return out
 
             return timer
@@ -141,8 +155,8 @@ def timed(spent: dict, seen: dict):
 
 def counted(work: dict):
     """Count the candidates _reduce is given and, inside _best_scores (d(C)
-    may scan with it too), the distances _distance returns, into
-    work["reduced"] and work["pairs"]."""
+    may scan with them too), the distances _distance returns and the calls
+    of _level_words, into work["reduced"], work["pairs"] and work["listings"]."""
 
     def reduce(fn):
         def call(q, x, link):
@@ -159,9 +173,16 @@ def counted(work: dict):
 
         return call
 
+    def listing(fn):
+        def call(*args, **kwargs):
+            work["listings"] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
     def best_scores(fn):
         def call(*args, **kwargs):
-            with patched([(*DISTANCE, distance)]):
+            with patched([(*DISTANCE, distance), (*LISTING, listing)]):
                 return fn(*args, **kwargs)
 
         return call
@@ -181,7 +202,7 @@ def main() -> None:
             spent["build"] = total - sum(spent.values())
             spent["total"] = total
             rounds.append(spent)
-        work = {"reduced": 0, "pairs": 0}
+        work = {"reduced": 0, "pairs": 0, "listings": 0}
         with counted(work):
             construct.search_extend(C, construct.M1, budget=budget, seed=seed)
         line = {"case": name, "field": C.field.name, "n": C.n, "k": C.k, "budget": budget}
@@ -189,8 +210,8 @@ def main() -> None:
             line[f"{stage}_ms"] = round(1e3 * statistics.median(r.get(stage, 0.0) for r in rounds), 3)
         line["candidates"] = res.candidates
         line["distinct"] = seen["_message_numbers"][0][1].shape[-1] if "_message_numbers" in seen else None
-        # a score below the call's least (its last argument) is only an upper bound
-        scored = [(score, top) for args, (score, top, _) in seen["_best_scores"] if score >= args[-1]]
+        # a score below the call's least is only an upper bound
+        scored = [(score, top) for args, (score, top, _) in seen["_best_scores"] if score >= args["least"]]
         line["tied"] = sum(top.size for score, top in scored if score == res.min_weight)
         line["min_weight"] = res.min_weight
         line.update(work)

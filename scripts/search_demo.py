@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Search for the best method-1 extension of the stored ternary [19,6,9]
-code, exhaustively over its 3^13 dual vectors (about 0.012 s on a 2-core
+code, exhaustively over its 3^13 dual vectors (about 0.008 s on a 2-core
 x86-64 host with numpy 2.4, one run per fresh process).  One vector per
 projective class is scored, in lexicographic order, and a candidate is
 dropped as soon as its coset holds a word of weight below 8, because it
 can then no longer reach distance 9.  Each coset is scanned in
 Brouwer-Zimmermann order: information weights 0..2, 0..2 and 0..1 in
 the first three information sets of the code, at most 159 coset words
-per candidate instead of all 729.  The candidates are scored in batches
-of 1,024, 2,048 and 4,096; the third reaches 9, the base code's
-distance, so the search stops there.  The 1,062,153 candidates it
+per candidate instead of all 729, and each listing is built once and
+held for every batch.  The candidates are scored in batches of 128, 256,
+512, 1,024 and 2,048; the fifth reaches 9, the base code's distance, so
+the search stops there.  The 1,062,153 candidates it
 reports are the dual vectors that pass the weight condition, counted
 from the dual's weight distribution.
 

@@ -268,16 +268,24 @@ class SearchResult:
 # candidates in the first batch of a search, which is scored a batch at a
 # time; each later batch holds twice as many, up to SEARCH_BATCH, and is
 # scored only for a score above the best so far.  The search stops at the
-# first batch that reaches d(C).  A small first batch stops early where a
-# winner comes early; a larger batch lists the coset words fewer times, and
-# SEARCH_BATCH bounds an exhaustive search's memory.  Exhaustive searches,
-# median of 7 on a 2-core x86-64 host, first / largest batch 2^8 / 2^17,
-# 2^10 / 2^15, 2^10 / 2^17, 2^12 / 2^17 and 2^17 / 2^17: t_19_6_9 M1 7.3,
-# 7.7, 8.0, 4.3, 27.5 ms (its winner lies between candidates 3,072 and
-# 4,096); M2 (best 8) 64, 57, 63, 63, 70 ms; t_20_6_10 M2 (best 8, d(C) =
-# 10) 213, 251, 211, 211, 218 ms; a binary [32,10] M1 2.9, 3.1, 3.2, 3.9,
-# 31.2 ms
-FIRST_BATCH = 1 << 10
+# first batch that reaches d(C).  Coset listings are held for the whole
+# search (enumeration._CosetListings), so a small batch costs little more
+# than its candidates, and a small first batch stops close to an early
+# winner.  SEARCH_BATCH bounds an exhaustive search's memory and the words
+# of a held listing.  Exhaustive searches with listings held, median of 15
+# interleaved rounds on a 2-core x86-64 host, first batch 2^6 / 2^7 / 2^8
+# / 2^10, largest 2^17: t_19_6_9 M1 3.9, 4.2, 3.7, 4.2 ms (its winner lies
+# between candidates 3,072 and 4,096); M2 (best 8) 42, 43, 42, 42 ms; a
+# random binary LCD [32,10] code M1 2.0, 2.2, 2.2, 2.3 ms; a random binary
+# LCD [60,40] code M2 (its winner reaches d(C) = 5 in the first batch) 27,
+# 41, 68, 235 ms.  t_20_6_10 (best below d(C) = 10, so every batch is
+# scored) read 143, 162, 137, 142 ms by M1 and 172, 187, 175, 166 ms by
+# M2, within this host's spread of about 30 ms: at 2^7 and at 2^10 it
+# takes the same distances to within 0.2%.  perfbench's four search ops
+# (t_19_6_9 M1 exhaustive and sampled, a GF(4)H [14,6] exhaustive and a
+# binary [70,10] sampled search) took 25.2, 24.6, 24.6 and 26.0 ms
+# together, in the same rounds
+FIRST_BATCH = 1 << 7
 SEARCH_BATCH = 1 << 17
 
 # 32-bit words per chunk of the sampled draw.  random_raw hands them out as
@@ -322,24 +330,25 @@ def _draw_messages(q: int, m: int, count: int, seed: int) -> np.ndarray:
 
 
 def _best_scores(
-    C: LinearCode, chain: list[enumeration._Link], cand: np.ndarray, d_base: int, bonus: int, cap: int, least: int
+    listings: enumeration._CosetListings, cand: np.ndarray, d_base: int, bonus: int, least: int
 ) -> tuple[int, np.ndarray, bool]:
     """The best score min(d_base, coset minimum + bonus), the candidates
     reaching it, and whether every coset listing was complete.
 
     Thresholds t count down from d_base, which caps every score; at each
     level only candidates whose known upper bound still reaches t are
-    scanned, in Brouwer-Zimmermann order (enumeration._bz_order, floor
-    t - bonus), and the survivors of the first level that has any score
-    exactly t.  The descent stops once t falls below ``least``, so a score
-    returned below ``least`` is only an upper bound on the best.  With
-    every listing complete the scores are exact, otherwise upper bounds.
+    scanned, in Brouwer-Zimmermann order (the search's ``listings`` at
+    floor t - bonus), and the survivors of the first level that has any
+    score exactly t.  The descent stops once t falls below ``least``, so a
+    score returned below ``least`` is only an upper bound on the best.
+    With every listing complete the scores are exact, otherwise upper
+    bounds.
     """
-    q = C.field.order
+    q = listings.q
     bound = np.full(cand.shape[-1], d_base, dtype=np.uint16)  # upper bound on every score
     t, active, complete = d_base, None, True  # the first level scans every candidate
     while t > bonus and t >= least:  # nothing can score below the bonus
-        stages, listed_all = enumeration._bz_order(q, C.k, chain, t - bonus, cap)
+        stages, listed_all = listings(t - bonus)
         complete &= listed_all
         low = enumeration._coset_floor(q, cand, active, t - bonus, stages)
         alive = low >= t - bonus
@@ -468,6 +477,15 @@ def search_extend(
     later batch is scored only for a score above the best so far, and the
     search stops at the first batch that reaches d(C), since no score is
     above it.  Results never depend on batch size.
+
+    The coset listing of a floor t - bonus depends on nothing else while a
+    search runs (C's chain and ``cap`` are fixed), so each floor's is
+    planned once per search and, when it has at most SEARCH_BATCH words
+    (no more than the largest batch), listed once and held for every
+    batch and level that asks for that floor (enumeration._CosetListings).
+    A small batch then costs little more than its candidates, and the
+    search stops close to its winner.  A larger listing is listed again
+    each time it is asked for.
     """
     passes = weight_condition(C.field, method, np.arange(C.n + 1))  # an unknown method fails before any work
     if not is_lcd(C):
@@ -485,11 +503,12 @@ def search_extend(
         d_base, decided = min_weight(C, cap=cap, threads=threads), True
     except enumeration.BudgetExceeded as exc:
         d_base, decided = (exc.best_upper if exc.best_upper is not None else C.n), False
-    chain = enumeration._coset_chain(C.field, C.generator)
+    # a listing no larger than the largest batch is held for the whole search
+    listings = enumeration._CosetListings(q, C.k, enumeration._coset_chain(C.field, C.generator), cap, SEARCH_BATCH)
     bonus = 1 if method == M1 else 0
     best_score, best, complete = -1, None, True
     for cand in batches:
-        score, top, listed_all = _best_scores(C, chain, cand, d_base, bonus, cap, best_score + 1)
+        score, top, listed_all = _best_scores(listings, cand, d_base, bonus, best_score + 1)
         complete &= listed_all
         if score > best_score:
             best_score, best = score, enumeration.unpack_matrix(np.take(cand, top[:1], axis=-1), C.n)[0]

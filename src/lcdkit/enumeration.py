@@ -53,8 +53,11 @@ pack with np.take, adds them and is weighed once.  A level's C(k, w)
 supports are never held whole.  A coset's words are listed from the same
 batches and their scalar multiples, level by level per chain matrix
 (_bz_order), once each candidate is moved to the word of its coset that
-vanishes on the matrix's pivots (_reduce).  The popcounts of a vector's
-words are added in uint16, exact since pack_matrix keeps n < 2^15.
+vanishes on the matrix's pivots (_reduce).  One extension search asks for
+the same listings again and again, so it keeps them (_CosetListings):
+each matrix's levels as one copied array, up to a bound on the words held.
+The popcounts of a vector's words are added in uint16, exact since
+pack_matrix keeps n < 2^15.
 """
 
 from __future__ import annotations
@@ -752,7 +755,7 @@ def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
 def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
     """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
     every nonzero scalar tuple: the BZ level batches and their multiples.
-    ``tables`` shares the support tables between the chain's matrices."""
+    ``tables`` shares the support tables between calls (_support_blocks)."""
     if W >= 0:
         yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
     for w in range(1, W + 1):
@@ -761,11 +764,19 @@ def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
                 yield _scale(q, a, words)
 
 
-def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple[list, bool]:
-    """(link, batches) stages that list coset words, and whether the listing is complete.
+def _level_sizes(q: int, k: int) -> list[int]:
+    """[W + 1]: the words of levels 0 .. W of a k-row chain matrix, every
+    nonzero scalar tuple (_level_words); [0] is 0, for no level."""
+    return [0, *accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1))]
 
-    Each stage gives, for a matrix G_j, its codewords c of information
-    weight 0, 1, ..., W_j, every nonzero scalar tuple.  The set is closed
+
+def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple[list[tuple[_Link, int]], int, bool]:
+    """The levels that list coset words at ``floor``: (link, W_j) for each
+    matrix G_j listed, how many words they hold, and whether the listing
+    is complete.
+
+    A matrix G_j lists its codewords c of information weight 0, 1, ...,
+    W_j, every nonzero scalar tuple (_level_words).  The set is closed
     under negation, so the words x_j - c are the words of the coset x + C
     of information weight at most W_j on G_j.
 
@@ -779,9 +790,11 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     The listing is complete when the common-level one (deficit <= W through
     level W, or G_1 whole if fewer words) has at most ``cap`` words, so the
     W_j never change a result; otherwise G_1's levels 0 .. W' that fit in
-    ``cap`` are listed instead (none when cap < 1), closed under multiples.
+    ``cap`` are listed instead (no matrix when cap < 1), closed under
+    multiples.  Nothing is listed here: the word count comes from the
+    level sizes (_level_sizes).
     """
-    sizes = [0, *accumulate(comb(k, w) * (q - 1) ** w for w in range(k + 1))]  # [W + 1]: words in levels 0..W of a matrix
+    sizes = _level_sizes(q, k)  # [W + 1]: words in levels 0..W of a matrix
     W = next((w for w in range(k) if _bz_lower(w, [link.deficit for link in chain]) >= floor), k)
     complete = min(sum(sizes[W + 1] for link in chain if link.deficit <= W), q**k) <= cap
     tops = [-1] * len(chain)  # W_j, -1 while G_j lists nothing
@@ -793,9 +806,54 @@ def _bz_order(q: int, k: int, chain: list[_Link], floor: int, cap: int) -> tuple
     if W == k or sum(sizes[t + 1] for _, t in listed) > q**k:
         listed = [(chain[0], k)]
     if not complete:
-        listed = [(chain[0], sum(size <= cap for size in sizes[1:]) - 1)]
-    tables: dict = {}
-    return [(link, _level_words(q, k, link, t, tables)) for link, t in listed], complete
+        fit = sum(size <= cap for size in sizes[1:]) - 1
+        listed = [(chain[0], fit)] if fit >= 0 else []
+    return listed, sum(sizes[t + 1] for _, t in listed), complete
+
+
+class _CosetListings:
+    """The coset listings of one extension search, by floor.
+
+    C's chain and ``cap`` are fixed for the search, so a floor's listing
+    (_bz_order) is a function of the floor alone, and it is planned once
+    per floor.  Calling the object with a floor gives (stages, complete):
+    one (link, batches) stage per matrix listed, its levels 0 .. W_j, as
+    _coset_floor reads them, and whether the listing is complete.
+
+    A listing of at most ``hold`` words is held.  Each link keeps one
+    array, a copy of its levels 0 .. W listed so far in _level_words'
+    order, and a stage reads its levels 0 .. W_j as a prefix of it; the
+    levels are listed again only for a higher W_j.  A larger listing is
+    listed afresh on every call, as a stream of batches, so no held array
+    exceeds ``hold`` words.  One dict of support tables (_support_blocks)
+    serves every listing.
+    """
+
+    def __init__(self, q: int, k: int, chain: list[_Link], cap: int, hold: int):
+        self.q, self.k, self.chain, self.cap, self.hold = q, k, chain, cap, hold
+        self.sizes = _level_sizes(q, k)
+        self.plans: dict[int, tuple[list[tuple[_Link, int]], int, bool]] = {}  # floor -> _bz_order's answer
+        self.held: dict[_Link, np.ndarray] = {}  # link -> its levels 0 .. W, one array
+        self.tables: dict = {}
+
+    def __call__(self, floor: int) -> tuple[list, bool]:
+        plan = self.plans.get(floor)
+        if plan is None:
+            plan = self.plans[floor] = _bz_order(self.q, self.k, self.chain, floor, self.cap)
+        listed, words, complete = plan
+        if words > self.hold:
+            return [(link, _level_words(self.q, self.k, link, W, self.tables)) for link, W in listed], complete
+        return [(link, [self._levels(link, W)]) for link, W in listed], complete
+
+    def _levels(self, link: _Link, W: int) -> np.ndarray:
+        """Levels 0 .. W of the link's matrix: a prefix of its held array,
+        which is listed again, and copied, when it holds fewer levels."""
+        size = self.sizes[W + 1]
+        words = self.held.get(link)
+        if words is None or words.shape[-1] < size:
+            # the copy: one contiguous array, whatever the batches share
+            words = self.held[link] = np.concatenate(list(_level_words(self.q, self.k, link, W, self.tables)), axis=-1)
+        return words[..., :size]
 
 
 def _coset_floor(q: int, cand: np.ndarray, active: np.ndarray | None, floor: int, stages) -> np.ndarray:

@@ -1063,26 +1063,42 @@ def test_exhaustive_candidates_come_in_lexicographic_order(f, monkeypatch):
 
 
 def test_headline_search_stops_at_the_first_winning_batch(monkeypatch):
-    # the t_19_6_9 search first reaches d(C) = 9 in its third batch, so it
-    # scores 1,024 + 2,048 + 4,096 candidates and builds no candidate block
-    # past that batch's last candidate, yet counts every candidate
+    # the t_19_6_9 search first reaches d(C) = 9 in its fifth batch, so it
+    # scores 128 + 256 + 512 + 1,024 + 2,048 candidates and builds no
+    # candidate block past that batch's last candidate, yet counts every
+    # candidate.  Every batch starts again at floor 8, and the levels below
+    # it ask again for lower floors, but each floor's listing is planned
+    # once (_bz_order) and every one is held
     from lcdkit import corpus
 
     C = corpus.resolve_code("t_19_6_9")
-    calls, passing = [], []
+    batches, passing, plans, floors = [], [], [], []
     best_scores, blocks = construct._best_scores, enumeration.codeword_blocks
+    bz_order, coset_floor = enumeration._bz_order, enumeration._coset_floor
 
     def counted_blocks(*args):
         for first, w in blocks(*args):
             passing.append(int(np.count_nonzero(weight_condition(C.field, M1, enumeration._weigh(w)))))
             yield first, w
 
-    monkeypatch.setattr(construct, "_best_scores", lambda *args: calls.append(args) or best_scores(*args))
+    def scored(listings, cand, *args):
+        batches.append(cand.shape[-1])
+        return best_scores(listings, cand, *args)
+
+    def scanned(q, cand, active, floor, stages):
+        floors.append(floor)
+        assert all(isinstance(words, list) for _, words in stages)  # held, not streamed
+        return coset_floor(q, cand, active, floor, stages)
+
+    monkeypatch.setattr(construct, "_best_scores", scored)
     monkeypatch.setattr(enumeration, "codeword_blocks", counted_blocks)
+    monkeypatch.setattr(enumeration, "_bz_order", lambda *args: plans.append(args[3]) or bz_order(*args))
+    monkeypatch.setattr(enumeration, "_coset_floor", scanned)
     res = search_extend(C, M1, budget=3**13, seed=0)
     assert (res.min_weight, res.candidates) == (9, 1_062_153)
-    assert [args[2].shape[-1] for args in calls] == [1_024, 2_048, 4_096]
-    assert sum(passing[:-1]) < 7_168 <= sum(passing)
+    assert batches == [128, 256, 512, 1_024, 2_048]
+    assert sum(passing[:-1]) < 3_968 <= sum(passing)
+    assert sorted(plans) == sorted(set(floors)) and floors.count(8) == len(batches)
 
 
 def test_sampled_search_counts_every_distinct_draw_past_an_early_stop(monkeypatch):
@@ -1179,13 +1195,16 @@ def test_bz_coset_scorer_matches_oracle(f, n, k, chunk, monkeypatch):
     chain = enumeration._coset_chain(C.field, C.generator)
     active = np.flatnonzero(np.arange(len(cands)) % 5 != 3)  # scorers see a subset of the candidates
     want = truth[active]
-    for floor in range(1, int(truth.max()) + 2):
-        stages, complete = enumeration._bz_order(f.order, k, chain, floor, f.order**k)
-        assert complete
-        low = enumeration._coset_floor(f.order, packed, active, floor, stages)
-        alive = low >= floor
-        assert np.array_equal(alive, want >= floor)
-        assert (low >= want).all()
+    # every listing streamed (hold 0), or held and read again by later floors
+    for hold in (0, f.order**k):
+        listings = enumeration._CosetListings(f.order, k, chain, f.order**k, hold)
+        for floor in [*range(1, int(truth.max()) + 2), 2, 1]:
+            stages, complete = listings(floor)
+            assert complete
+            low = enumeration._coset_floor(f.order, packed, active, floor, stages)
+            alive = low >= floor
+            assert np.array_equal(alive, want >= floor)
+            assert (low >= want).all()
 
 
 @pytest.mark.parametrize("f,n,k", [(GF2, 70, 8), (GF3, 12, 7), (GF4H, 65, 4)])
@@ -1202,9 +1221,10 @@ def test_coset_scorer_on_every_candidate_and_a_subset(f, n, k, monkeypatch):
     cand = packed.copy()
     chain = enumeration._coset_chain(C.field, C.generator)
     subset = np.flatnonzero(np.arange(len(cands)) % 3 != 1)
+    listings = enumeration._CosetListings(f.order, k, chain, f.order**k, f.order**k)
     for floor in (1, 2, 3, 5, 8, 13, 21):
         def scored(active):
-            stages, _ = enumeration._bz_order(f.order, k, chain, floor, f.order**k)
+            stages, _ = listings(floor)
             return enumeration._coset_floor(f.order, cand, active, floor, stages)
 
         everyone = scored(np.arange(len(cands)))
@@ -1280,8 +1300,9 @@ def test_coset_scorer_weighs_long_vectors_exactly(f, chunk, monkeypatch):
     packed = enumeration.pack_matrix(f.order, cands)
     chain = enumeration._coset_chain(C.field, C.generator)
     every = enumeration.pack_matrix(f.order, oracles.codeword_array(C))
+    listings = enumeration._CosetListings(f.order, 2, chain, f.order**2, 0)
     for floor in (1, 200, int(truth.max()), int(truth.max()) + 1):
-        stages, complete = enumeration._bz_order(f.order, 2, chain, floor, f.order**2)
+        stages, complete = listings(floor)
         low = enumeration._coset_floor(f.order, packed, None, floor, stages)
         assert complete and np.array_equal(low >= floor, truth >= floor)
         assert (low >= truth).all()
@@ -1299,7 +1320,9 @@ def test_bz_order_schedule():
     # the 3^6 words of the coset, so G_1 is scanned whole.  Completeness is
     # the common-level listing's (219 words at floor 8, 3 at floor 1) under
     # the cap.  Past the cap the listing is G_1's levels that fit: 1 + 12 +
-    # 60 words under a cap of 218, the zero word under a cap of 2, nothing under 0
+    # 60 words under a cap of 218, the zero word under a cap of 2, no
+    # matrix under 0.  The plan's word count is what a listing lists,
+    # streamed or held
     from lcdkit import corpus
 
     C = corpus.resolve_code("t_19_6_9")
@@ -1307,13 +1330,80 @@ def test_bz_order_schedule():
     assert [link.deficit for link in chain] == [0, 0, 0, 5]
     cases = [(8, 3**6, chain[:3], 159, True), (1, 3**6, chain[:1], 1, True), (13, 3**6, chain[:1], 3**6, True)]
     cases += [(8, 219, chain[:3], 159, True), (8, 218, chain[:1], 73, False), (13, 3**6 - 1, chain[:1], 665, False)]
-    cases += [(1, 2, chain[:1], 1, False), (1, 0, chain[:1], 0, False)]
+    cases += [(1, 2, chain[:1], 1, False), (1, 0, [], 0, False)]
     for floor, cap, links, words, complete in cases:
-        stages, listed_all = enumeration._bz_order(3, 6, chain, floor, cap)
-        assert [link for link, _ in stages] == links and listed_all == complete
-        assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
-    stages, _ = enumeration._bz_order(3, 6, chain, 8, 3**6)
+        listed, planned, listed_all = enumeration._bz_order(3, 6, chain, floor, cap)
+        assert [link for link, _ in listed] == links and (planned, listed_all) == (words, complete)
+        for hold in (0, 3**6):
+            stages, _ = enumeration._CosetListings(3, 6, chain, cap, hold)(floor)
+            assert sum(w.shape[-1] for _, batches in stages for w in batches) == words
+    listed, _, _ = enumeration._bz_order(3, 6, chain, 8, 3**6)
+    assert [(chain.index(link), W) for link, W in listed] == [(0, 2), (1, 2), (2, 1)]
+    stages, _ = enumeration._CosetListings(3, 6, chain, 3**6, 3**6)(8)
     assert [sum(w.shape[-1] for w in batches) for _, batches in stages] == [73, 73, 13]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("f,n,k", [(GF2, 40, 9), (GF3, 19, 6), (GF4H, 30, 5)])
+def test_held_listing_matches_a_fresh_one(f, n, k, chunk, monkeypatch):
+    # with BZ_CHUNK at 1, 3 and 7 a level's words come from several
+    # _support_blocks buffers, each a view of one array that the next block
+    # overwrites.  Floors are asked down, up and down again, so held arrays
+    # are read as prefixes, listed again for a higher level and read after
+    # other floors were listed; each listing must equal, word for word, the
+    # one _level_words makes afresh for the floor's plan.  A listing past
+    # the hold is streamed and leaves the held arrays alone, and no held
+    # array exceeds the hold
+    monkeypatch.setattr(enumeration, "BZ_CHUNK", chunk)
+    q = f.order
+    C = oracles.random_code(f, n, k, random.Random(n * 31 + chunk))
+    chain = enumeration._coset_chain(C.field, C.generator)
+    floors = list(range(1, min(n - k, 18) + 2))
+    plans = {floor: enumeration._bz_order(q, k, chain, floor, q**k) for floor in floors}
+    sizes = sorted({words for _, words, _ in plans.values()})
+    hold = sizes[len(sizes) // 2]  # the larger plans stream
+    listings = enumeration._CosetListings(q, k, chain, q**k, hold)
+    # the fresh listing copies each batch as it comes
+    fresh = {(link, W): np.concatenate([w.copy() for w in enumeration._level_words(q, k, link, W, {})], axis=-1)
+             for listed, _, _ in plans.values() for link, W in listed}
+    held = streamed = 0
+    for floor in floors[::-1] + floors + floors[::-1]:
+        listed, words, complete = plans[floor]
+        before = dict(listings.held)
+        stages, listed_all = listings(floor)
+        assert listed_all == complete and [link for link, _ in stages] == [link for link, _ in listed]
+        for (link, batches), (_, W) in zip(stages, listed):
+            assert isinstance(batches, list) == (words <= hold)
+            assert np.array_equal(np.concatenate([w.copy() for w in batches], axis=-1), fresh[link, W])
+        if words > hold:
+            streamed += 1
+            assert listings.held.keys() == before.keys()
+            assert all(listings.held[link] is array for link, array in before.items())
+        else:
+            held += 1
+        assert all(array.shape[-1] <= hold for array in listings.held.values())
+    assert held and streamed
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_search_with_held_listings_over_small_support_blocks(chunk, monkeypatch):
+    # BZ_CHUNK at 1, 3 and 7 splits every level over several _support_blocks
+    # buffers, and a first batch of 1 makes each later batch read the held
+    # listings again.  With every listing held (the default largest batch)
+    # or most streamed (a largest batch of 3 words), the search gives the
+    # reference's answer in every field, by both methods, exhaustive and sampled
+    monkeypatch.setattr(enumeration, "BZ_CHUNK", chunk)
+    monkeypatch.setattr(construct, "FIRST_BATCH", 1)
+    rng = random.Random(chunk)
+    shapes = [(GF2, 10, k) for k in (3, 4, 5, 6)] + [(GF3, 8, k) for k in (3, 4, 5)] + [(GF4H, 6, k) for k in (2, 3, 4)]
+    largest_batches = (construct.SEARCH_BATCH, 3)
+    for f, n, k in shapes:
+        C = oracles.random_lcd_code(f, n, k, rng)
+        for largest in largest_batches:
+            monkeypatch.setattr(construct, "SEARCH_BATCH", largest)
+            for method in (M1, M2):
+                check_against_reference(C, method, 10**9, 0, 10**9)
+                check_against_reference(C, method, f.order ** (n - k) // 2, 7, 10**9)
 
 
 @pytest.mark.parametrize("f,n,k", [(GF2, 70, 10), (GF2, 24, 12), (GF3, 19, 6), (GF4H, 30, 5)])
@@ -1330,9 +1420,9 @@ def test_bz_order_lists_no_more_than_the_common_level(f, n, k):
     for floor in range(1, n + 2):
         W = next((w for w in range(k) if enumeration._bz_lower(w, deficits) >= floor), k)
         common = min(sum(int(sizes[W]) for d in deficits if d <= W), q**k)
-        stages, complete = enumeration._bz_order(q, k, chain, floor, common)
-        assert complete and sum(w.shape[-1] for _, batches in stages for w in batches) <= common
-        assert not enumeration._bz_order(q, k, chain, floor, common - 1)[1]
+        _, words, complete = enumeration._bz_order(q, k, chain, floor, common)
+        assert complete and words <= common
+        assert not enumeration._bz_order(q, k, chain, floor, common - 1)[2]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ def test_bench_search_wraps_helpers_that_exist(monkeypatch):
     # helper would only show as an AttributeError when the script runs
     script = load_script(monkeypatch, "bench_search")
     targets = [(mod, attr) for mod, attr, _ in script.TIMED] + list(script.COUNTED)
-    assert len(targets) == 9
+    assert len(targets) == 10
     assert [(mod.__name__, attr) for mod, attr in targets if not hasattr(mod, attr)] == []
 
 
@@ -57,14 +57,21 @@ BENCH_LINES = [
 ]
 
 
-def bench_record(monkeypatch, tmp_path, returncode, stdout):
-    # bench_record.py in a repository root of its own, with run.py mocked
+HEAD_SHA = "8" * 40
+
+
+def bench_record(monkeypatch, tmp_path, returncode, stdout, git=(0, HEAD_SHA + "\n", "")):
+    # bench_record.py in a repository root of its own, with run.py mocked;
+    # git answers rev-parse and status with git = (exit code, HEAD, status)
     script = load_script(monkeypatch, "bench_record")
     monkeypatch.setattr(script, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"command": ["python3", "perfbench/run.py"], "run_seconds": 7}))
     calls = []
 
     def run(cmd, cwd, **kwargs):
+        if cmd[0] == "git":
+            assert cwd == tmp_path and cmd[1] in ("rev-parse", "status") and cmd[-2:] in (["rev-parse", "HEAD"], ["--", "src"])
+            return subprocess.CompletedProcess(cmd, git[0], stdout=git[1] if cmd[1] == "rev-parse" else git[2])
         calls.append((cmd, cwd))
         return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="run.py said so\n")
 
@@ -81,7 +88,22 @@ def test_bench_record_writes_the_run(monkeypatch, capsys, tmp_path):
         "op_s": {"algebra.hull": 0.0002},
         "meta": {"seed": 1, "workload": "all"},
         "result": json.loads(BENCH_LINES[-1]),
+        "tree": {"head": HEAD_SHA, "src_equals_head": True},
     }
+
+
+def test_bench_record_says_whether_src_is_head(monkeypatch, capsys, tmp_path):
+    # git status lists a modified or untracked file under src/: the run
+    # measured files that HEAD does not hold.  Where git fails (no
+    # repository), neither is known
+    stdout = "\n".join(BENCH_LINES) + "\n"
+    for git, tree in [
+        ((0, HEAD_SHA + "\n", " M src/lcdkit/construct.py\n"), {"head": HEAD_SHA, "src_equals_head": False}),
+        ((0, HEAD_SHA + "\n", "?? src/lcdkit/new.py\n"), {"head": HEAD_SHA, "src_equals_head": False}),
+        ((128, "", ""), {"head": None, "src_equals_head": None}),
+    ]:
+        assert bench_record(monkeypatch, tmp_path, 0, stdout, git)[0] == 0
+        assert json.loads((tmp_path / "BENCH_x1.json").read_text())["tree"] == tree
 
 
 def test_bench_record_writes_nothing_for_a_failed_run(monkeypatch, capsys, tmp_path):
