@@ -18,6 +18,14 @@ with more codewords than the cap (binary [40,30] and [36,28], ternary
 [30,18], Hermitian quaternary [30,15]), which Brouwer-Zimmermann decides,
 and prints the median milliseconds per call with the answer: d and
 whether it is exact, or the best upper bound when the budget ran out.
+
+Last, Brouwer-Zimmermann's work per level, one JSON line per field, on
+seeded codes of the benchmark's distance sizes (binary [80,40], ternary
+[48,16], Hermitian quaternary [40,12]): d, the deficits of the
+information-set chain, the words weighed at each level (every chain
+matrix's, one per projective class) and the words weighed per second of
+enumeration.min_weight_bz.  The last level weighed is the first whose
+words, with those before it, let min_weight_bz finish under that cap.
 Takes no options:
 
     python3 scripts/bench_scan.py
@@ -27,6 +35,7 @@ import json
 import statistics
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +49,8 @@ ROUNDS = 7
 SIZES = [("gf2", 48, 23), ("gf3", 30, 14), ("gf4h", 30, 11), ("gf2", 40, 23), ("gf3", 24, 14), ("gf4h", 20, 12)]
 PAST_CAP_SEED = 5
 PAST_CAP = [("gf2", 40, 30), ("gf2", 36, 28), ("gf3", 30, 18), ("gf4h", 30, 15)]
+BZ_SEED = 37
+BZ_SIZES = [("gf2", 80, 40), ("gf3", 48, 16), ("gf4h", 40, 12)]
 
 
 def generator(field: gf.FieldSpec, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +78,20 @@ def distance(C: codes.LinearCode) -> tuple[int | None, bool]:
         return codes.min_weight(C, threads=1), True
     except codes.BudgetExceeded as exc:
         return exc.best_upper, False
+
+
+def bz_levels(field: gf.FieldSpec, G: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """(d, the chain's deficits, the words weighed at each level) of min_weight_bz on G."""
+    q, k = field.order, G.shape[0]
+    deficits = [deficit for _mat, _pivots, deficit in enumeration._information_set_chain(field, G)]
+    words = []
+    for w in range(1, k + 1):
+        words.append(len(deficits) * comb(k, w) * (q - 1) ** (w - 1))
+        try:
+            return enumeration.min_weight_bz(field, G, cap=sum(words)), deficits, words
+        except enumeration.BudgetExceeded:
+            pass
+    raise AssertionError("min_weight_bz did not finish with every level listed")
 
 
 def main() -> None:
@@ -103,6 +128,21 @@ def main() -> None:
             "min_weight_ms": round(1e3 * median_s(lambda: distance(C)), 2),
             "d": d,
             "exact": exact,
+        }
+        print(json.dumps(line), flush=True)
+    rng = np.random.default_rng(BZ_SEED)
+    for name, n, k in BZ_SIZES:
+        field = gf.field_by_name(name)
+        G = generator(field, n, k, rng)
+        d, deficits, words = bz_levels(field, G)
+        line = {
+            "field": name,
+            "n": n,
+            "k": k,
+            "d": d,
+            "deficits": deficits,
+            "words_per_level": words,
+            "words_per_s": round(sum(words) / median_s(lambda: enumeration.min_weight_bz(field, G))),
         }
         print(json.dumps(line), flush=True)
 

@@ -46,16 +46,25 @@ cap still counts C's q^k codewords, whichever side is scanned.
 
 Brouwer-Zimmermann runs on the same kernel, on C (min_weight_bz) and on
 the cosets x + C that the extension search scores (_coset_floor).  A
-level's codewords (w rows of a systematic generator, the first scaled by
-1) come in batches of at most BZ_CHUNK: their index rows are generated a
-range of supports at a time, each batch gathers its scaled rows from one
-pack with np.take, adds them and is weighed once.  A level's C(k, w)
-supports are never held whole.  A coset's words are listed from the same
-batches and their scalar multiples, level by level per chain matrix
-(_bz_order), once each candidate is moved to the word of its coset that
-vanishes on the matrix's pivots (_reduce).  One extension search asks for
-the same listings again and again, so it keeps them (_CosetListings):
-each matrix's levels as one copied array, up to a bound on the words held.
+level's codewords are w rows of a systematic generator, the first scaled
+by 1.  min_weight_bz weighs a level as the scan weighs its blocks: with
+the rows split in two halves, each codeword is a + c for one pair of a
+level-i word a of the first half and a level-(w - i) word c of the
+second (_level_pairs), and wt(a + c) = d(a, -c) is taken for at most
+BZ_CHUNK pairs at once, no sum formed (_pair_min).  A half level is one
+gather of its half's block of the scaled pack (_half_level); one of at
+most BZ_CHUNK words is kept for the call, a larger one streams in
+batches of BZ_CHUNK.  A level that would cross the cap, and every level
+the extension search lists, comes in listing order instead (_bz_level),
+in batches of at most BZ_CHUNK: their index rows are generated a range
+of supports at a time, and each batch gathers its scaled rows from one
+pack with np.take and adds them.  A level's C(k, w) supports are never
+held whole.  A coset's words are listed from those batches and their
+scalar multiples, level by level per chain matrix (_bz_order), once each
+candidate is moved to the word of its coset that vanishes on the
+matrix's pivots (_reduce).  One extension search asks for the same
+listings again and again, so it keeps them (_CosetListings): each
+matrix's levels as one copied array, up to a bound on the words held.
 The popcounts of a vector's words are added in uint16, exact since
 pack_matrix keeps n < 2^15.
 """
@@ -101,9 +110,11 @@ PARALLEL_THRESHOLD = 1 << 25
 # temporaries near 128 KiB per plane, so they stay cheap to allocate and in cache
 TABLE_ROWS = {2: 14, 3: 9, 4: 7}
 
-# codewords per Brouwer-Zimmermann batch, candidate-word pairs per pass of
-# the coset scorer and candidates per chunk of its reduction: small enough
-# that a pass's temporaries stay in cache, whatever C(k, w) is
+# codewords per Brouwer-Zimmermann batch, word pairs per pass of a level
+# weighed as pairs and the most words of a half level kept for a call,
+# candidate-word pairs per pass of the coset scorer and candidates per chunk
+# of its reduction: small enough that a pass's temporaries stay in cache,
+# whatever C(k, w) is
 BZ_CHUNK = 1 << 14
 
 # compact the candidates still scored once this share of them has died.
@@ -244,17 +255,25 @@ def _sub_table(q: int, scaled: np.ndarray, k: int, lo: int, b: int) -> np.ndarra
     message order: one gather of every row's multiples, summed over the rows."""
     if b == 0:
         return np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)
-    # column a * k + j of the scaled pack is a * row_j, so the block's column a * b + j
-    # is a * row_(lo+j); it is a view when the block holds every row, else a small copy
+    return _row_sums(q, np.take(_block(q, scaled, k, lo, b), _row_index(q, b), axis=-1))
+
+
+def _block(q: int, scaled: np.ndarray, k: int, lo: int, b: int) -> np.ndarray:
+    """Rows lo .. lo + b - 1 of a k-row scaled pack, as a pack of their own:
+    column a * b + j is a * row_(lo+j).  A view when the block holds every
+    row, else a small copy."""
     P, W = scaled.shape[:2]
-    block = scaled.reshape(P, W, q, k)[..., lo : lo + b].reshape(P, W, q * b)
-    terms = np.take(block, _row_index(q, b), axis=-1)
+    return scaled.reshape(P, W, q, k)[..., lo : lo + b].reshape(P, W, q * b)
+
+
+def _row_sums(q: int, terms: np.ndarray) -> np.ndarray:
+    """Packed sums over axis 2 of gathered terms of shape (P, W, rows, N)."""
     if q != 3:
         return np.bitwise_xor.reduce(terms, axis=2)
-    table = terms[:, :, 0]
-    for j in range(1, b):
-        table = _add(q, table, terms[:, :, j])
-    return table
+    total = terms[:, :, 0]
+    for j in range(1, terms.shape[2]):
+        total = _add(q, total, terms[:, :, j])
+    return total
 
 
 def codeword_tables(field: FieldSpec, G: np.ndarray) -> list[np.ndarray]:
@@ -635,6 +654,81 @@ def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, tables: dict | None = 
             yield cw
 
 
+def _half_index(q: int, b: int, i: int, every: bool, supports: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Gather index (i, N) into a b-row block of a scaled pack (_block) of
+    the level-i words on ``supports`` (i, S), support-major, with the scalar
+    tuples lo .. hi - 1 of product(range(1, q), repeat=i) when ``every``,
+    else of (1,) + product(range(1, q), repeat=i - 1)."""
+    scalars = _scalar_rows(q, i + every, lo, hi)[every:]  # the first, a constant 1, dropped when every
+    return (scalars[:, None, :] * b + supports[:, :, None]).reshape(i, -1)
+
+
+@lru_cache(maxsize=64)
+def _held_index(q: int, b: int, i: int, every: bool) -> np.ndarray:
+    """_half_index of a whole half level; asked only for the levels that
+    _half_level holds, so each of the at most 64 kept has at most BZ_CHUNK
+    columns.  Read-only, since it is shared."""
+    index = _half_index(q, b, i, every, _combinations(b, i), 0, (q - 1) ** (i - 1 + every))
+    index.setflags(write=False)
+    return index
+
+
+def _half_level(q: int, k: int, scaled: np.ndarray, lo: int, b: int, i: int, every: bool, held: dict, tables: dict):
+    """Packed batches of the level-i words of rows lo .. lo + b - 1 of a
+    k-row chain matrix: every nonzero scalar tuple when ``every``, else
+    those whose first scalar is 1; the zero word alone for i = 0.
+
+    A batch is one gather of the rows' block of the scaled pack, summed
+    over its i rows.  A level of at most BZ_CHUNK words is one batch, built
+    once and kept in ``held``; a larger one is a stream of batches of at
+    most BZ_CHUNK, a range of supports at a time (_support_blocks, whose
+    tables ``tables`` shares), built afresh on each call.
+    """
+    if i == 0:
+        return [np.zeros(scaled.shape[:2] + (1,), dtype=np.uint64)]
+    every = every and q > 2  # over GF(2) every scalar tuple is the first-scalar-1 one
+    key, per_support = (lo, b, i, every), (q - 1) ** (i - 1 + every)
+    if key not in held and comb(b, i) * per_support <= BZ_CHUNK:
+        held[key] = _row_sums(q, np.take(_block(q, scaled, k, lo, b), _held_index(q, b, i, every), axis=-1))
+    if key in held:
+        return [held[key]]
+    block, step = _block(q, scaled, k, lo, b), min(per_support, BZ_CHUNK)
+    return (
+        _row_sums(q, np.take(block, _half_index(q, b, i, every, supports, s, min(s + step, per_support)), axis=-1))
+        for supports in _support_blocks(b, i, max(1, BZ_CHUNK // per_support), tables)
+        for s in range(0, per_support, step)
+    )
+
+
+def _level_pairs(q: int, k: int, w: int, scaled: np.ndarray, held: dict, tables: dict):
+    """Yield pairs (a, c) of packed batches of half-level words whose sums
+    a + c are a chain matrix's level-w codewords with first scalar 1, each
+    exactly once.
+
+    With the rows split at h = k // 2, such a word is a + c for one pair: a
+    a level-i word of rows 0 .. h - 1 with first scalar 1, or the zero word
+    when i = 0, and c a level-(w - i) word of rows h .. k - 1, every scalar,
+    or first scalar 1 when i = 0.  ``held`` keeps the matrix's small half
+    levels between calls (_half_level).
+    """
+    h = k // 2
+    for i in range(max(0, w - (k - h)), min(w, h) + 1):
+        for a in _half_level(q, k, scaled, 0, h, i, False, held, tables):
+            for c in _half_level(q, k, scaled, h, k - h, w - i, i > 0, held, tables):
+                yield a, c
+
+
+def _pair_min(q: int, a: np.ndarray, c: np.ndarray) -> int:
+    """Least weight of a + c over the words a of one packed batch and c of
+    another, without forming a sum: the least distance d(a, -c), the larger
+    batch along the last axis, at most BZ_CHUNK pairs per pass."""
+    c = _negate(q, c)
+    if a.shape[-1] < c.shape[-1]:
+        a, c = c, a
+    group = max(1, BZ_CHUNK // a.shape[-1])
+    return min(int(_distance(a[..., None, :], c[..., s : s + group, None]).min()) for s in range(0, c.shape[-1], group))
+
+
 def _bz_lower(w: int, deficits) -> int:
     """Brouwer-Zimmermann lower bound on the words not listed after level w
     of each chain matrix: information weight > w on a matrix leaves at least
@@ -646,24 +740,34 @@ def _bz_lower(w: int, deficits) -> int:
 def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> int:
     """Brouwer-Zimmermann minimum weight.
 
-    Enumerates information-weight-w combinations over a chain of
-    systematic generator matrices, in batches of at most BZ_CHUNK
-    codewords; stops once the accumulated lower bound for unseen codewords
-    reaches the best weight found.  Past ``cap`` codewords it raises
-    BudgetExceeded at codeword cap + 1 (the first one for a negative cap),
-    carrying the best weight seen up to it.
+    Weighs the codewords of information weight w = 1, 2, ... on each
+    matrix of a chain of systematic generator matrices, one per projective
+    class; stops once the accumulated lower bound for unseen codewords
+    reaches the best weight found.  A matrix's level whose words all fit
+    under ``cap`` is weighed as pairs of half-level words, in any order
+    (_level_pairs, _pair_min).  The level that would cross the cap comes
+    in listing order (_bz_level): BudgetExceeded is raised at codeword
+    cap + 1 (the first one for a negative cap), carrying the best weight
+    seen up to it, so its bound and step count do not depend on how the
+    levels before it were weighed.
     """
     k, n = G.shape
     if k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     cap = DEFAULT_CAPS[field.order] if cap is None else max(cap, 0)
     q = field.order
-    chain = [(_pack_scaled(field, mat), deficit) for mat, _pivots, deficit in _information_set_chain(field, G)]
+    chain = [(_pack_scaled(field, mat), deficit, {}) for mat, _pivots, deficit in _information_set_chain(field, G)]
     tables: dict = {}  # support tables, built once for every matrix of the chain
     best = n + 1
     work = 0
     for w in range(1, k + 1):
-        for scaled, _deficit in chain:
+        size = comb(k, w) * (q - 1) ** (w - 1)  # the level's words, first scalar 1
+        for scaled, _deficit, held in chain:
+            if work + size <= cap:  # the whole level, weighed in any order
+                for a, c in _level_pairs(q, k, w, scaled, held, tables):
+                    best = min(best, _pair_min(q, a, c))
+                work += size
+                continue
             for words in _bz_level(q, k, w, scaled, tables):
                 weights = _weigh(words)
                 take = min(weights.size, cap + 1 - work)  # up to the codeword past the cap
@@ -673,7 +777,7 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
                 work += take
                 if work > cap:
                     raise BudgetExceeded(best if best <= n else None, work)
-        if _bz_lower(w, [deficit for _scaled, deficit in chain]) >= best:
+        if _bz_lower(w, [deficit for _scaled, deficit, _held in chain]) >= best:
             return best
     return best
 

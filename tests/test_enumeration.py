@@ -568,7 +568,7 @@ def _bz_outcome(fn, field, G, cap):
 @st.composite
 def bz_cases(draw):
     f = draw(st.sampled_from(FIELDS))
-    k = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 10))
     n = draw(st.integers(k, 22))
     c = oracles.random_code(f, n, k, random.Random(draw(st.integers(0, 2**32 - 1))))
     # codewords counted by the end of each level
@@ -599,6 +599,55 @@ def test_bz_matches_loop_oracle(case):
     assert got == _bz_outcome(oracles.loop_bz_min_weight, f, G, cap)
 
 
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+def test_bz_level_pairs_are_the_level(f):
+    # the sums a + c of a level's pairs of half-level words, over odd and even
+    # splits, held and streamed half levels, are the loop's level words, each
+    # projective class once; words compared as base-q numbers
+    q = f.order
+    for k in range(1, 10):
+        n = k + 5
+        c = oracles.random_code(f, n, k, random.Random(97 * q + k))
+        mat = _information_set_chain(f, c.generator)[0][0]
+        scaled = enumeration._pack_scaled(f, mat)
+        places = q ** np.arange(n, dtype=np.int64)
+        want = {w: np.sort(np.array(list(oracles.loop_bz_level(f, mat, w))) @ places) for w in range(1, k + 1)}
+        for chunk in (3, enumeration.BZ_CHUNK):
+            held, tables = {}, {}  # one matrix's, across its levels
+            with mock.patch.object(enumeration, "BZ_CHUNK", chunk):
+                for w in range(1, k + 1):
+                    got = []
+                    for a, b in enumeration._level_pairs(q, k, w, scaled, held, tables):
+                        sums = _add(q, a[..., :, None], b[..., None, :]).reshape(a.shape[:2] + (-1,))
+                        got.append(unpack_matrix(sums, n) @ places)
+                    assert np.array_equal(np.sort(np.concatenate(got)), want[w])
+            assert all(words.shape[-1] <= chunk for words in held.values())
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("chunk", [1, 5, 64, enumeration.BZ_CHUNK])
+def test_pair_min_is_the_least_weight_of_the_sums(f, chunk):
+    # the least distance d(a, -c) over every pair, in passes of at most chunk
+    # pairs (or one word of the smaller batch), either batch the larger, is
+    # the least weight of the sums a + c
+    rng = random.Random(101 + f.order)
+    passes = []
+
+    def distance(x, y):
+        passes.append(_distance(x, y))
+        return passes[-1]
+
+    with mock.patch.object(enumeration, "BZ_CHUNK", chunk), mock.patch.object(enumeration, "_distance", distance):
+        for na, nc in [(1, 1), (1, 9), (9, 1), (7, 13), (40, 3)]:
+            a = pack_matrix(f.order, oracles.random_matrix(f, na, 70, rng))
+            c = pack_matrix(f.order, oracles.random_matrix(f, nc, 70, rng))
+            want = int(_weigh(_add(f.order, a[..., :, None], c[..., None, :])).min())
+            passes.clear()
+            assert enumeration._pair_min(f.order, a, c) == want
+            assert sum(p.size for p in passes) == na * nc
+            assert all(p.size <= max(chunk, na, nc) for p in passes)
+
+
 def test_bz_refuses_the_zero_code():
     with pytest.raises(ValueError, match="^the zero code has no nonzero codewords$"):
         min_weight_bz(GF2, np.zeros((0, 5), dtype=np.uint8))
@@ -611,13 +660,33 @@ def test_bz_budget_exit_on_wide_code_stays_small():
     cap = 2 * 10**5
     below = len(_information_set_chain(GF2, c.generator)) * sum(comb(60, w) for w in (1, 2, 3))
     assert below < cap < below + comb(60, 4)
+    exc, peak = _bz_budget_exit_and_peak(c.generator, cap)
+    assert exc.steps == cap + 1
+    assert exc.best_upper is not None
+    assert peak < 8 << 20
+
+
+def _bz_budget_exit_and_peak(G, cap):
+    """The BudgetExceeded of binary min_weight_bz on G at ``cap``, and its tracemalloc peak."""
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
-            min_weight_bz(GF2, c.generator, cap=cap)
-        peak = tracemalloc.get_traced_memory()[1]
+            min_weight_bz(GF2, G, cap=cap)
+        return exc.value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.steps == cap + 1
-    assert exc.value.best_upper is not None
+
+
+def test_bz_pair_levels_hold_little():
+    # at this cap matrix 1 weighs level 5 as pairs of half-level words, whose
+    # largest half levels (C(30, 5) words) stream in bounded batches, and
+    # matrix 2's level 5 crosses the cap, listed in the loop's order
+    c = oracles.random_code(GF2, 120, 60, random.Random(60))
+    cap = 2**23
+    below = len(_information_set_chain(GF2, c.generator)) * sum(comb(60, w) for w in (1, 2, 3, 4))
+    assert below + comb(60, 5) <= cap < below + 2 * comb(60, 5)
+    assert comb(30, 5) == 142_506 > enumeration.BZ_CHUNK
+    exc, peak = _bz_budget_exit_and_peak(c.generator, cap)
+    assert exc.steps == cap + 1
+    assert exc.best_upper is not None
     assert peak < 8 << 20

@@ -162,19 +162,32 @@ def test_bench_linalg_interleaves_trees(monkeypatch, capsys, tmp_path):
 
 
 def test_bench_scan_runs(monkeypatch, capsys):
-    # small codes, one scanned through its dual, and codes just past the
-    # default codeword caps, which Brouwer-Zimmermann decides at once
+    # small codes, one scanned through its dual, codes just past the default
+    # codeword caps, which Brouwer-Zimmermann decides at once, and
+    # Brouwer-Zimmermann's words per level on one small code per field
     script = load_script(monkeypatch, "bench_scan")
     monkeypatch.setattr(script, "ROUNDS", 1)
     monkeypatch.setattr(script, "SIZES", [("gf2", 12, 5), ("gf3", 8, 5), ("gf4h", 8, 3), ("gf2", 24, 18)])
     monkeypatch.setattr(script, "PAST_CAP", [("gf2", 34, 27), ("gf3", 22, 17), ("gf4h", 18, 14)])
+    monkeypatch.setattr(script, "BZ_SIZES", [("gf2", 24, 10), ("gf3", 16, 6), ("gf4h", 14, 5)])
     script.main()
     lines = json_lines(capsys.readouterr().out)
-    scans, past_cap = lines[:4], lines[4:]
-    assert [(line["field"], line["n"], line["k"]) for line in lines] == script.SIZES + script.PAST_CAP
+    scans, past_cap, bz = lines[:4], lines[4:7], lines[7:]
+    assert [(line["field"], line["n"], line["k"]) for line in lines] == script.SIZES + script.PAST_CAP + script.BZ_SIZES
     assert {line["route"] for line in scans} == {"direct", "dual"}
     assert all(line["min_weight_codewords_per_s"] > 0 for line in scans)
     assert all(line["codewords"] > line["cap"] and line["exact"] for line in past_cap)
+    rng = script.np.random.default_rng(script.BZ_SEED)
+    for line in bz:
+        field = script.gf.field_by_name(line["field"])
+        G = script.generator(field, line["n"], line["k"], rng)  # the script's draws, in its order
+        q, chain = field.order, script.enumeration._information_set_chain(field, G)
+        assert line["d"] == script.enumeration.min_weight_exhaustive(field, G)
+        assert line["deficits"] == [deficit for _mat, _pivots, deficit in chain]
+        assert 1 <= len(line["words_per_level"]) <= line["k"]
+        for w, words in enumerate(line["words_per_level"], 1):
+            assert words == len(chain) * script.comb(line["k"], w) * (q - 1) ** (w - 1)
+        assert line["words_per_s"] > 0
 
 
 def test_bench_search_runs(monkeypatch, capsys):
