@@ -26,6 +26,13 @@ information-set chain, the words weighed at each level (every chain
 matrix's, one per projective class) and the words weighed per second of
 enumeration.min_weight_bz.  The last level weighed is the first whose
 words, with those before it, let min_weight_bz finish under that cap.
+
+Last of all, one JSON line for a cap that lands inside a level too large
+to hold, which min_weight_bz walks in listing order up to codeword cap +
+1: the random binary [120,60] code of default_rng(4023) at cap 2^22,
+which crosses inside the first chain matrix's level 5 (C(60,5) =
+5,461,512 words), with the best weight seen, the codewords weighed and
+the median milliseconds per call.
 Takes no options:
 
     python3 scripts/bench_scan.py
@@ -51,6 +58,8 @@ PAST_CAP_SEED = 5
 PAST_CAP = [("gf2", 40, 30), ("gf2", 36, 28), ("gf3", 30, 18), ("gf4h", 30, 15)]
 BZ_SEED = 37
 BZ_SIZES = [("gf2", 80, 40), ("gf3", 48, 16), ("gf4h", 40, 12)]
+CROSSING_SEED = 4023
+CROSSING = ("gf2", 120, 60, 2**22)  # field, n, k, cap
 
 
 def generator(field: gf.FieldSpec, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,6 +101,15 @@ def bz_levels(field: gf.FieldSpec, G: np.ndarray) -> tuple[int, list[int], list[
         except enumeration.BudgetExceeded:
             pass
     raise AssertionError("min_weight_bz did not finish with every level listed")
+
+
+def budget_exit(field: gf.FieldSpec, G: np.ndarray, cap: int) -> tuple[int | None, int]:
+    """(best_upper, steps) of min_weight_bz on G when it stops at ``cap``."""
+    try:
+        enumeration.min_weight_bz(field, G, cap=cap)
+    except enumeration.BudgetExceeded as exc:
+        return exc.best_upper, exc.steps
+    raise AssertionError(f"min_weight_bz finished within cap {cap}")
 
 
 def main() -> None:
@@ -145,6 +163,20 @@ def main() -> None:
             "words_per_s": round(sum(words) / median_s(lambda: enumeration.min_weight_bz(field, G))),
         }
         print(json.dumps(line), flush=True)
+    name, n, k, cap = CROSSING
+    field = gf.field_by_name(name)
+    G = np.random.default_rng(CROSSING_SEED).integers(0, field.order, (k, n)).astype(np.uint8)
+    best_upper, steps = budget_exit(field, G, cap)
+    line = {
+        "field": name,
+        "n": n,
+        "k": k,
+        "cap": cap,
+        "best_upper": best_upper,
+        "steps": steps,
+        "min_weight_bz_ms": round(1e3 * median_s(lambda: budget_exit(field, G, cap)), 2),
+    }
+    print(json.dumps(line), flush=True)
 
 
 if __name__ == "__main__":

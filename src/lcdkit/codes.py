@@ -218,11 +218,11 @@ def parse_code(text: str) -> LinearCode:
     name, n_s, k_s = head
     try:
         field = field_by_name(name)
-        n, k = int(n_s), int(k_s)
     except FieldError as exc:
         raise CodeError(str(exc)) from None
-    except ValueError:
-        raise CodeError(f"malformed header {lines[0]!r}") from None
+    if not all(s.isascii() and s.isdecimal() for s in (n_s, k_s)):  # no sign, underscore or other script
+        raise CodeError(f"malformed header {lines[0]!r}")
+    n, k = int(n_s), int(k_s)
     if len(lines) - 1 != k:
         raise CodeError(f"expected {k} matrix rows, found {len(lines) - 1}")
     rows = [ln.replace(" ", "").replace("\t", "") for ln in lines[1:]]
@@ -234,7 +234,7 @@ def parse_code(text: str) -> LinearCode:
         raise CodeError(f"row {exc.position // n + 1}: {exc}") from None
     if short < k:
         raise CodeError(f"row {short + 1} has {len(rows[short])} symbols, expected {n}")
-    # k = 0 leaves n unchecked (it may be negative); new_code refuses the empty matrix
+    # k = 0 leaves n unchecked; new_code refuses the empty matrix
     return new_code(field, symbols.reshape(k, n) if k else symbols)
 
 

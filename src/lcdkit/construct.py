@@ -592,10 +592,10 @@ def format_record(rec: ConstructionRecord) -> str:
 
 
 def _coords_from_text(arg: str) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(p) for p in arg.replace(" ", "").split(","))
-    except ValueError:
-        raise ConstructError(f"bad coordinate list {arg!r}") from None
+    parts = arg.replace(" ", "").split(",")
+    if not all(p.isascii() and p.isdecimal() for p in parts):  # no sign, underscore or other script
+        raise ConstructError(f"bad coordinate list {arg!r}")
+    coords = tuple(int(p) for p in parts)
     if any(c < 1 for c in coords):
         raise ConstructError("record coordinates are 1-based")
     return tuple(c - 1 for c in coords)

@@ -52,14 +52,14 @@ the rows split in two halves, each codeword is a + c for one pair of a
 level-i word a of the first half and a level-(w - i) word c of the
 second (_level_pairs), and wt(a + c) = d(a, -c) is taken for at most
 BZ_CHUNK pairs at once, no sum formed (_pair_min).  A half level is one
-gather of its half's block of the scaled pack (_half_level); one of at
+gather of its half's block of the scaled pack (_block_level); one of at
 most BZ_CHUNK words is kept for the call, a larger one streams in
-batches of BZ_CHUNK.  A level that would cross the cap, and every level
-the extension search lists, comes in listing order instead (_bz_level),
-in batches of at most BZ_CHUNK: their index rows are generated a range
-of supports at a time, and each batch gathers its scaled rows from one
-pack with np.take and adds them.  A level's C(k, w) supports are never
-held whole.  A coset's words are listed from those batches and their
+batches of BZ_CHUNK whose index rows are generated a range of supports
+at a time (_support_blocks), so a large level's C(k, w) supports are
+never held whole.  The same walk over all k rows, one block, lists a
+level in order (supports in lex order, scalars in product order): the
+level that would cross the cap, and every level the extension search
+lists.  A coset's words are listed from those batches and their
 scalar multiples, level by level per chain matrix (_bz_order), once each
 candidate is moved to the word of its coset that vanishes on the
 matrix's pivots (_reduce).  One extension search asks for the same
@@ -632,29 +632,7 @@ def _scalar_rows(q: int, w: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.intp) // powers[:, None] % (q - 1) + 1
 
 
-def _bz_level(q: int, k: int, w: int, scaled: np.ndarray, tables: dict | None = None):
-    """Yield one matrix's level-w codewords in packed batches.
-
-    Supports come in lex order and, within a support, scalar tuples in
-    product order with the first scalar 1, at most BZ_CHUNK codewords per
-    batch.  ``tables`` shares the support tables between calls
-    (_support_blocks).
-    """
-    per_support = (q - 1) ** (w - 1)
-    step = min(per_support, BZ_CHUNK)
-    first = _scalar_rows(q, w, 0, step)
-    for supports in _support_blocks(k, w, max(1, BZ_CHUNK // per_support), tables):
-        for lo in range(0, per_support, step):
-            scalars = first if lo == 0 else _scalar_rows(q, w, lo, min(lo + step, per_support))
-            cw = None
-            for rows, coeffs in zip(supports, scalars):
-                # column a * k + j of the scaled pack is a * row_j
-                words = np.take(scaled, (coeffs * k + rows[:, None]).ravel(), axis=-1)
-                cw = words if cw is None else _add(q, cw, words)
-            yield cw
-
-
-def _half_index(q: int, b: int, i: int, every: bool, supports: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _block_index(q: int, b: int, i: int, every: bool, supports: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Gather index (i, N) into a b-row block of a scaled pack (_block) of
     the level-i words on ``supports`` (i, S), support-major, with the scalar
     tuples lo .. hi - 1 of product(range(1, q), repeat=i) when ``every``,
@@ -665,18 +643,21 @@ def _half_index(q: int, b: int, i: int, every: bool, supports: np.ndarray, lo: i
 
 @lru_cache(maxsize=64)
 def _held_index(q: int, b: int, i: int, every: bool) -> np.ndarray:
-    """_half_index of a whole half level; asked only for the levels that
-    _half_level holds, so each of the at most 64 kept has at most BZ_CHUNK
+    """_block_index of a block's whole level; asked only for the levels that
+    _block_level holds, so each of the at most 64 kept has at most BZ_CHUNK
     columns.  Read-only, since it is shared."""
-    index = _half_index(q, b, i, every, _combinations(b, i), 0, (q - 1) ** (i - 1 + every))
+    index = _block_index(q, b, i, every, _combinations(b, i), 0, (q - 1) ** (i - 1 + every))
     index.setflags(write=False)
     return index
 
 
-def _half_level(q: int, k: int, scaled: np.ndarray, lo: int, b: int, i: int, every: bool, held: dict, tables: dict):
+def _block_level(q: int, k: int, scaled: np.ndarray, lo: int, b: int, i: int, every: bool, held: dict, tables: dict):
     """Packed batches of the level-i words of rows lo .. lo + b - 1 of a
     k-row chain matrix: every nonzero scalar tuple when ``every``, else
-    those whose first scalar is 1; the zero word alone for i = 0.
+    those whose first scalar is 1; the zero word alone for i = 0.  Supports
+    come in lex order and, within a support, scalar tuples in product
+    order.  The block is half the rows for _level_pairs, all k of them
+    for a level that crosses the cap or is listed for a coset.
 
     A batch is one gather of the rows' block of the scaled pack, summed
     over its i rows.  A level of at most BZ_CHUNK words is one batch, built
@@ -694,7 +675,7 @@ def _half_level(q: int, k: int, scaled: np.ndarray, lo: int, b: int, i: int, eve
         return [held[key]]
     block, step = _block(q, scaled, k, lo, b), min(per_support, BZ_CHUNK)
     return (
-        _row_sums(q, np.take(block, _half_index(q, b, i, every, supports, s, min(s + step, per_support)), axis=-1))
+        _row_sums(q, np.take(block, _block_index(q, b, i, every, supports, s, min(s + step, per_support)), axis=-1))
         for supports in _support_blocks(b, i, max(1, BZ_CHUNK // per_support), tables)
         for s in range(0, per_support, step)
     )
@@ -709,12 +690,12 @@ def _level_pairs(q: int, k: int, w: int, scaled: np.ndarray, held: dict, tables:
     a level-i word of rows 0 .. h - 1 with first scalar 1, or the zero word
     when i = 0, and c a level-(w - i) word of rows h .. k - 1, every scalar,
     or first scalar 1 when i = 0.  ``held`` keeps the matrix's small half
-    levels between calls (_half_level).
+    levels between calls (_block_level).
     """
     h = k // 2
     for i in range(max(0, w - (k - h)), min(w, h) + 1):
-        for a in _half_level(q, k, scaled, 0, h, i, False, held, tables):
-            for c in _half_level(q, k, scaled, h, k - h, w - i, i > 0, held, tables):
+        for a in _block_level(q, k, scaled, 0, h, i, False, held, tables):
+            for c in _block_level(q, k, scaled, h, k - h, w - i, i > 0, held, tables):
                 yield a, c
 
 
@@ -745,11 +726,11 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
     class; stops once the accumulated lower bound for unseen codewords
     reaches the best weight found.  A matrix's level whose words all fit
     under ``cap`` is weighed as pairs of half-level words, in any order
-    (_level_pairs, _pair_min).  The level that would cross the cap comes
-    in listing order (_bz_level): BudgetExceeded is raised at codeword
-    cap + 1 (the first one for a negative cap), carrying the best weight
-    seen up to it, so its bound and step count do not depend on how the
-    levels before it were weighed.
+    (_level_pairs, _pair_min).  The level that would cross the cap is
+    walked in listing order, over all k rows (_block_level): BudgetExceeded
+    is raised at codeword cap + 1 (the first one for a negative cap),
+    carrying the best weight seen up to it, so its bound and step count do
+    not depend on how the levels before it were weighed.
     """
     k, n = G.shape
     if k == 0:
@@ -768,7 +749,7 @@ def min_weight_bz(field: FieldSpec, G: np.ndarray, cap: int | None = None) -> in
                     best = min(best, _pair_min(q, a, c))
                 work += size
                 continue
-            for words in _bz_level(q, k, w, scaled, tables):
+            for words in _block_level(q, k, scaled, 0, k, w, False, held, tables):
                 weights = _weigh(words)
                 take = min(weights.size, cap + 1 - work)  # up to the codeword past the cap
                 seen = weights[:take]  # a level-w word is nonzero on w pivots
@@ -858,12 +839,14 @@ def _reduce(q: int, x: np.ndarray, link: _Link) -> np.ndarray:
 
 def _level_words(q: int, k: int, link: _Link, W: int, tables: dict):
     """Packed batches of G_j's codewords of information weight 0, 1, ..., W,
-    every nonzero scalar tuple: the BZ level batches and their multiples.
+    every nonzero scalar tuple: each batch of a whole-matrix level
+    (_block_level over all k rows) followed by its multiples.
     ``tables`` shares the support tables between calls (_support_blocks)."""
     if W >= 0:
         yield np.zeros(link.scaled.shape[:2] + (1,), dtype=np.uint64)
     for w in range(1, W + 1):
-        for words in _bz_level(q, k, w, link.scaled, tables):
+        # a fresh held dict: _CosetListings is what keeps a listing
+        for words in _block_level(q, k, link.scaled, 0, k, w, False, {}, tables):
             for a in range(1, q):
                 yield _scale(q, a, words)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -521,3 +522,7 @@ def test_code_file_errors():
         parse_code("gf2 3 2\n110\n110\n")  # dependent row named
     with pytest.raises(CodeError, match="^malformed header 'gf2 x 3'$"):
         parse_code("gf2 x 3\n")
+    # n and k are ASCII digits only: no sign, underscore or other script
+    for head in ("gf2 +3 1", "gf2 3 +1", "gf2 1_0 1", "gf2 -3 0", "gf2 3 \u0661", "gf2 3.0 1"):
+        with pytest.raises(CodeError, match=f"^{re.escape(f'malformed header {head!r}')}$"):
+            parse_code(f"{head}\n111\n")

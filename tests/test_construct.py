@@ -633,6 +633,10 @@ def test_record_parse_errors():
         parse_record("base a\nbase b\n")
     with pytest.raises(ConstructError):
         parse_record("base a\nshorten 0\n")  # 1-based coordinates
+    # coordinates are ASCII digits only: no underscore, sign or other script
+    for arg in ("1_0", "+3", "-3", "3,+4", "\u0663", "1,,2", "1.0"):
+        with pytest.raises(ConstructError, match="^bad coordinate list"):
+            parse_record(f"base a\nshorten {arg}\n")
     with pytest.raises(ConstructError):
         parse_record("base a\nfrobnicate 1\n")
     with pytest.raises(ConstructError, match="pad takes no argument"):
@@ -1622,9 +1626,12 @@ KEPT_WITHOUT_A_CALLER = {
 }
 
 
-def test_every_public_function_has_a_program_caller():
-    # API that only tests call is dead code; a reference is module.name,
-    # an import of the name, or a bare use inside its own module
+def _program_references():
+    """(src, trees, refs): the package's directory, the parsed files of
+    src/lcdkit, scripts/ and perfbench/, and their references as (path,
+    owner, (module, name)).  A reference is module.name, an import of the
+    name, or a bare use inside a module of src/lcdkit; its owner is the
+    top-level definition it sits in, None outside one."""
     import ast
 
     root = Path(__file__).resolve().parents[1]
@@ -1635,14 +1642,26 @@ def test_every_public_function_has_a_program_caller():
     for path, tree in trees.items():
         imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         alias = {a.asname or a.name: a.name.rsplit(".", 1)[-1] for node in imports for a in node.names}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                refs.add((alias.get(node.value.id, node.value.id), node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                module = (node.module or "").rsplit(".", 1)[-1]
-                refs.update((None if module in ("", "lcdkit") else module, a.name) for a in node.names)
-            elif isinstance(node, ast.Name) and path.parent == src:
-                refs.add((path.stem, node.id))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    refs.add((path, owner, (alias.get(node.value.id, node.value.id), node.attr)))
+                elif isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").rsplit(".", 1)[-1]
+                    refs.update((path, owner, (None if module in ("", "lcdkit") else module, a.name)) for a in node.names)
+                elif isinstance(node, ast.Name) and path.parent == src:
+                    refs.add((path, owner, (path.stem, node.id)))
+    return src, trees, refs
+
+
+def test_every_public_function_has_a_program_caller():
+    # API that only tests call is dead code; a reference is module.name,
+    # an import of the name, or a bare use inside its own module
+    import ast
+
+    src, trees, refs = _program_references()
+    refs = {ref for _path, _owner, ref in refs}
     unused = [
         f"{path.stem}.{node.name}"
         for path in sorted(src.glob("*.py"))
@@ -1653,3 +1672,28 @@ def test_every_public_function_has_a_program_caller():
         and not {(path.stem, node.name), (None, node.name)} & refs
     ]
     assert unused == [], f"public functions no program code calls: {unused}"
+
+
+def test_every_private_helper_has_a_package_caller():
+    # a module-level _helper that only tests reach is dead code: it must be
+    # referenced from src/lcdkit outside its own definition
+    import ast
+
+    src, trees, refs = _program_references()
+    private = [
+        (path, node.name)
+        for path in sorted(src.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    holders = {}  # (module, name) -> the (module, owner) pairs of src/lcdkit that refer to it
+    for where, owner, ref in refs:
+        if where.parent == src:
+            holders.setdefault(ref, set()).add((where.stem, owner))
+    unused = [
+        f"{path.stem}.{name}"
+        for path, name in private
+        if not (holders.get((path.stem, name), set()) | holders.get((None, name), set())) - {(path.stem, name)}
+    ]
+    assert len(private) > 60  # the walk finds the package's helpers
+    assert unused == [], f"private helpers no package code references: {unused}"

@@ -533,13 +533,15 @@ def test_scaled_pack_layout_and_constant_block_index(f):
 @pytest.mark.parametrize("chunk", [1, 2, 5, 64, enumeration.BZ_CHUNK])
 def test_bz_level_batches_follow_loop_order(f, chunk):
     # every level's weights, batch after batch, in the loop's codeword order,
-    # with batches split between supports and inside a support's scalars
+    # with batches split between supports and inside a support's scalars,
+    # when the block walked is all of a chain matrix's rows
     c = oracles.random_code(f, 14, 6, random.Random(83))
     mat = _information_set_chain(f, c.generator)[0][0]
     scaled = enumeration._pack_scaled(f, mat)
     with mock.patch.object(enumeration, "BZ_CHUNK", chunk):
         for w in range(1, 7):
-            batches = [enumeration._weigh(b) for b in enumeration._bz_level(f.order, 6, w, scaled)]
+            levels = enumeration._block_level(f.order, 6, scaled, 0, 6, w, False, {}, {})
+            batches = [enumeration._weigh(b) for b in levels]
             assert all(0 < b.size <= chunk for b in batches)
             want = [np.count_nonzero(cw) for cw in oracles.loop_bz_level(f, mat, w)]
             assert np.concatenate(batches).tolist() == want
@@ -553,7 +555,7 @@ def test_bz_level_words_are_nonzero_on_w_pivots(f):
     for mat, pivots, _deficit in _information_set_chain(f, c.generator):
         scaled = enumeration._pack_scaled(f, mat)
         for w in range(1, 10):
-            for batch in enumeration._bz_level(f.order, 9, w, scaled):
+            for batch in enumeration._block_level(f.order, 9, scaled, 0, 9, w, False, {}, {}):
                 assert (_weigh(batch) >= w).all()
                 assert ((unpack_matrix(batch, 16)[:, list(pivots)] != 0).sum(axis=1) == w).all()
 

@@ -2,7 +2,10 @@ import importlib.util
 import json
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
+
+import oracles
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -163,17 +166,25 @@ def test_bench_linalg_interleaves_trees(monkeypatch, capsys, tmp_path):
 
 def test_bench_scan_runs(monkeypatch, capsys):
     # small codes, one scanned through its dual, codes just past the default
-    # codeword caps, which Brouwer-Zimmermann decides at once, and
-    # Brouwer-Zimmermann's words per level on one small code per field
+    # codeword caps, which Brouwer-Zimmermann decides at once,
+    # Brouwer-Zimmermann's words per level on one small code per field, and
+    # a cap inside a level walked in batches of a few words
     script = load_script(monkeypatch, "bench_scan")
     monkeypatch.setattr(script, "ROUNDS", 1)
+    monkeypatch.setattr(script, "CROSSING", ("gf3", 24, 8, 150))
+    monkeypatch.setattr(script.enumeration, "BZ_CHUNK", 5)
     monkeypatch.setattr(script, "SIZES", [("gf2", 12, 5), ("gf3", 8, 5), ("gf4h", 8, 3), ("gf2", 24, 18)])
     monkeypatch.setattr(script, "PAST_CAP", [("gf2", 34, 27), ("gf3", 22, 17), ("gf4h", 18, 14)])
     monkeypatch.setattr(script, "BZ_SIZES", [("gf2", 24, 10), ("gf3", 16, 6), ("gf4h", 14, 5)])
     script.main()
     lines = json_lines(capsys.readouterr().out)
-    scans, past_cap, bz = lines[:4], lines[4:7], lines[7:]
-    assert [(line["field"], line["n"], line["k"]) for line in lines] == script.SIZES + script.PAST_CAP + script.BZ_SIZES
+    scans, past_cap, bz, crossing = lines[:4], lines[4:7], lines[7:10], lines[10]
+    assert [(line["field"], line["n"], line["k"]) for line in lines] == [
+        *script.SIZES,
+        *script.PAST_CAP,
+        *script.BZ_SIZES,
+        script.CROSSING[:3],
+    ]
     assert {line["route"] for line in scans} == {"direct", "dual"}
     assert all(line["min_weight_codewords_per_s"] > 0 for line in scans)
     assert all(line["codewords"] > line["cap"] and line["exact"] for line in past_cap)
@@ -188,6 +199,20 @@ def test_bench_scan_runs(monkeypatch, capsys):
         for w, words in enumerate(line["words_per_level"], 1):
             assert words == len(chain) * script.comb(line["k"], w) * (q - 1) ** (w - 1)
         assert line["words_per_s"] > 0
+    # the oracle weighs one codeword at a time, in the same order, to the
+    # same codeword past the cap
+    field, (_name, n, k, cap) = script.gf.field_by_name("gf3"), script.CROSSING
+    G = script.np.random.default_rng(script.CROSSING_SEED).integers(0, 3, (k, n)).astype(script.np.uint8)
+    chain = script.enumeration._information_set_chain(field, G)
+    ends = list(accumulate(script.comb(k, w) * 2 ** (w - 1) for w in range(1, k + 1) for _ in chain))
+    start, stop = max(end for end in ends if end < cap), min(end for end in ends if end > cap)
+    assert stop - start > script.enumeration.BZ_CHUNK  # the crossed level streams in batches
+    try:
+        oracles.loop_bz_min_weight(field, G, cap)
+        raise AssertionError("the oracle finished under the cap")
+    except script.enumeration.BudgetExceeded as exc:
+        assert (crossing["best_upper"], crossing["steps"]) == (exc.best_upper, exc.steps) == (8, cap + 1)
+    assert crossing["min_weight_bz_ms"] > 0
 
 
 def test_bench_search_runs(monkeypatch, capsys):
